@@ -356,6 +356,37 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.const(1)
 
 
+#: Miller-Rabin with the first 13 primes as bases decides primality of
+#: every integer below this bound (Sorenson and Webster, 2015).
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test, for n below MILLER_RABIN_BOUND."""
+    if n >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{n} is past the deterministic Miller-Rabin bound")
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def x_plus_y(k: int) -> LaurentPoly:
     return LaurentPoly.variable(xvar(k)) + LaurentPoly.variable(yvar(k))
 

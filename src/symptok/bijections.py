@@ -26,7 +26,7 @@ that redundancy is checked and any violation raises UnmatchedPatternError.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .matrices import (
     CompassPointMatrix,
@@ -157,28 +157,36 @@ _ZERO_CODES: Dict[Tuple[int, int], str] = {
 
 
 def uasm_to_cpm(a: UTurnASM) -> CompassPointMatrix:
-    """Recode every entry by the compass table in the module docstring."""
+    """Recode every entry by the compass table in the module docstring.
+
+    The nearest nonzero neighbours come from running last-nonzero arrays:
+    per column for S (bottom-up sweep) and N (top-down), per row for E
+    (right-to-left) and W (left-to-right).
+    """
     rows, m = a.entries, a.m
-    nrows = len(rows)
+    south: List[List[Optional[int]]] = []
+    below: List[Optional[int]] = [None] * m
+    for row in reversed(rows):
+        south.append(below)
+        below = [v or s for v, s in zip(row, below)]
+    south.reverse()
+    north = [-1] * m
     out: List[Tuple[str, ...]] = []
-    for i in range(nrows):
+    for i, row in enumerate(rows):
+        east = [-1] * m
+        for j in range(m - 1, 0, -1):
+            east[j - 1] = row[j] or east[j]
         line: List[str] = []
-        for j in range(m):
-            v = rows[i][j]
-            if v == 1:
-                line.append("WE")
+        west = None
+        for j, v in enumerate(row):
+            if v:
+                line.append("WE" if v == 1 else "NS")
+                west = north[j] = v
                 continue
-            if v == -1:
-                line.append("NS")
-                continue
-            north = next((rows[r][j] for r in range(i - 1, -1, -1) if rows[r][j]), -1)
-            east = next((rows[i][c] for c in range(j + 1, m) if rows[i][c]), -1)
-            west = next((rows[i][c] for c in range(j - 1, -1, -1) if rows[i][c]), None)
-            south = next((rows[r][j] for r in range(i + 1, nrows) if rows[r][j]), None)
-            if west is not None and west != -east:
+            if west is not None and west != -east[j]:
                 raise UnmatchedPatternError(f"({i + 1},{j + 1}): west breaks alternation")
-            if south is not None and south != -north:
+            if south[i][j] is not None and south[i][j] != -north[j]:
                 raise UnmatchedPatternError(f"({i + 1},{j + 1}): south breaks alternation")
-            line.append(_ZERO_CODES[(north, east)])
+            line.append(_ZERO_CODES[(north[j], east[j])])
         out.append(tuple(line))
     return CompassPointMatrix(a.n, tuple(out))

@@ -15,25 +15,34 @@ product of linear factors times the symplectic character sp_mu:
 
 verify() checks one (identity, mu, n) case either by exact polynomial
 expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
-field (MODULAR).  Sums over the tableau families stream through the
-enumerator with per-point running products, so modular runs scale far past
-what symbolic expansion allows.
+field (MODULAR).  Symbolic mode sums the per-object weights of _lhs_stream.
+Modular mode never expands a left side.  The shifted-tableau sums (and sp_mu
+on the right) stream through a walker that carries per-point running
+products, so they scale far past what symbolic expansion allows.  Every
+other left side goes through the factor-table kernel: each object becomes
+the multiset of its local factor ids (weights.factor_table), objects with
+the same multiset are counted once, each table entry is evaluated once per
+point, and each distinct multiset once per point.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from . import weights
 from .algebra import (
     MERSENNE31,
+    MILLER_RABIN_BOUND,
     QVAR,
     TVAR,
     LaurentPoly,
+    is_prime,
     random_point,
     xvar,
     yvar,
@@ -41,6 +50,7 @@ from .algebra import (
 from .matrices import count_gtp, enumerate_gtp, enumerate_uasm
 from .shapes import add_staircase, as_partition, letter, partitions_up_to
 from .tableaux import enumerate_st, enumerate_t, prime_freedom
+from .weights import UnknownConventionError
 
 IDENTITIES = (
     "PROP_T", "COR_Q", "THM_ST", "COR_UASM", "COR_GT",
@@ -59,6 +69,20 @@ class UnknownIdentityError(ValueError):
 
 class ScaleExceededError(RuntimeError):
     """Estimated object count exceeds the configured cap."""
+
+
+class ModularParameterError(ValueError):
+    """Trials or a modulus under which a modular verdict would not be earned."""
+
+
+#: Smallest modulus accepted for modular verification.
+MIN_MODULUS = 2 ** 16
+
+_CONVENTIONS = {
+    "cpm_q_scheme": ("plain", "norm"),
+    "c0_mode": ("full", "literal"),
+    "st_q_neighbour": ("below", "above"),
+}
 
 
 # -- character sums and product sides -----------------------------------------
@@ -147,9 +171,33 @@ def rhs_product(identity: str, mu, n: int) -> LaurentPoly:
 # -- left sides ----------------------------------------------------------------
 
 
+def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
+                   st_q_neighbour: str) -> Optional[str]:
+    """The factor-table scheme of the identity's left side, or None when
+    the shifted-tableau walker takes it.  Unknown convention names raise
+    UnknownConventionError."""
+    given = {"cpm_q_scheme": cpm_q_scheme, "c0_mode": c0_mode,
+             "st_q_neighbour": st_q_neighbour}
+    for name, value in given.items():
+        if value not in _CONVENTIONS[name]:
+            raise UnknownConventionError(f"unknown {name} {value!r}")
+    if identity in _ST_FAMILY:
+        if identity == "COR_ST_Q" and st_q_neighbour == "above":
+            return "ST_Q"
+        return None
+    if identity == "COR_UASM_Q":
+        return "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
+    schemes = {"COR_UASM": "CPM_XY", "COR_GT": "GT_XY", "COR_GT_Q": "GT_Q",
+               "COR_GT_QX": "GT_QX"}
+    if identity not in schemes:
+        raise UnknownIdentityError(identity)
+    return schemes[identity]
+
+
 def _lhs_stream(identity: str, lam, n: int, cpm_q_scheme: str, c0_mode: str,
                 st_q_neighbour: str) -> Iterator[Tuple[LaurentPoly, int]]:
     """Yield (object weight, multiplicity counted as objects)."""
+    scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
     if identity in _ST_FAMILY:
         for st in enumerate_st(lam, n):
             if identity == "PROP_T":
@@ -164,24 +212,67 @@ def _lhs_stream(identity: str, lam, n: int, cpm_q_scheme: str, c0_mode: str,
                 objs = 2 ** len(prime_freedom(st)[1])  # primed refinements
             yield w, objs
     elif identity in ("COR_UASM", "COR_UASM_Q"):
-        scheme = "CPM_XY"
-        if identity == "COR_UASM_Q":
-            scheme = "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
         for a in enumerate_uasm(lam, n):
             yield weights.wgt_cpm(a, scheme, c0_mode), 1
-    elif identity in ("COR_GT", "COR_GT_Q", "COR_GT_QX"):
+    elif identity == "COR_GT_QX":
         for g in enumerate_gtp(lam, n):
-            if identity == "COR_GT":
-                yield weights.wgt_gtp(g, "GT_XY"), 1
-            elif identity == "COR_GT_Q":
-                yield weights.wgt_gtp(g, "GT_Q"), 1
-            else:
-                yield weights.qx_weight(g), 1
+            yield weights.qx_weight(g), 1
     else:
-        raise UnknownIdentityError(identity)
+        for g in enumerate_gtp(lam, n):
+            yield weights.wgt_gtp(g, scheme), 1
 
 
-# -- fast streaming evaluation for the tableau families --------------------------
+# -- the factor-table kernel ---------------------------------------------------------
+
+
+def _factor_sums(lam, n: int, scheme: str, c0_mode: str, st_q_neighbour: str,
+                 points: List[Dict], prime: int) -> Tuple[List[int], int]:
+    """Per-point left-side sums and the object count, from factor ids.
+
+    Every object of the family maps to the multiset of its factor ids.  Each
+    used table entry is evaluated once per point, and each distinct multiset
+    once per point, as a product of powers of those values.  The CPM_Q_NORM
+    prefactor multiplies the sums once.
+    """
+    from .bijections import uasm_to_cpm
+
+    if scheme == "ST_Q":
+        ids = (weights.st_q_factor_ids(st, st_q_neighbour)
+               for st in enumerate_st(lam, n))
+    elif scheme in weights.CPM_SCHEMES:
+        ids = (weights.cpm_factor_ids(uasm_to_cpm(a), scheme)
+               for a in enumerate_uasm(lam, n))
+    else:
+        ids = (weights.gt_factor_ids(g, scheme) for g in enumerate_gtp(lam, n))
+    table = weights.factor_table(scheme, n)
+    index = {fid: i for i, fid in enumerate(table)}
+    factors = list(table.values())
+    # A multiset is the bytes of its sorted table positions, a quarter of
+    # the memory of a tuple.  A table holds at most 14n entries, and no
+    # family of rank n >= 19 can be enumerated, so positions fit in a byte.
+    multisets = Counter(bytes(sorted(index[fid] for fid in obj_ids))
+                        for obj_ids in ids)
+
+    used = {i for ms in multisets for i in ms}
+    vals = {i: [factors[i].eval_mod(pt, prime) for pt in points] for i in used}
+    powers: Dict[Tuple[int, int], List[int]] = {}
+    sums = [0] * len(points)
+    for ms, mult in multisets.items():
+        acc = [mult] * len(points)
+        for i, run in groupby(ms):
+            count = sum(1 for _ in run)
+            col = powers.get((i, count))
+            if col is None:
+                col = powers[(i, count)] = [pow(v, count, prime) for v in vals[i]]
+            acc = [a * v % prime for a, v in zip(acc, col)]
+        sums = [(s + a) % prime for s, a in zip(sums, acc)]
+    if scheme == "CPM_Q_NORM":
+        c0 = weights.cpm_q_norm_prefactor(n, c0_mode)
+        sums = [s * c0.eval_mod(pt, prime) % prime for s, pt in zip(sums, points)]
+    return sums, sum(multisets.values())
+
+
+# -- streaming walkers for the tableau families ----------------------------------
 
 
 def _st_case_factor(identity: str, code: int, case: str,
@@ -378,6 +469,20 @@ def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
     }
 
 
+def _check_modular(trials: int, prime: int) -> None:
+    """Refuse trials and moduli under which "equal" would not be earned:
+    no trials at all, or a modulus that is not a prime of at least 2^16."""
+    if trials <= 0:
+        raise ModularParameterError(f"trials must be positive, got {trials}")
+    if prime >= MILLER_RABIN_BOUND:
+        raise ModularParameterError(
+            f"modulus {prime} is too large for a deterministic primality test")
+    if not is_prime(prime):
+        raise ModularParameterError(f"modulus {prime} is not prime")
+    if prime < MIN_MODULUS:
+        raise ModularParameterError(f"modulus {prime} is below 2^16")
+
+
 def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
            seed: int = 0, prime: int = MERSENNE31, scale_cap: int = 10 ** 6,
            cpm_q_scheme: str = "plain", c0_mode: str = "full",
@@ -388,6 +493,9 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     mode = mode.lower()
     if mode not in ("symbolic", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
+    scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
+    if mode == "modular":
+        _check_modular(trials, prime)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     count = count_gtp(lam, n)
@@ -426,22 +534,15 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     points = [random_point(variables, rng, prime) for _ in range(trials)]
     params.update({"trials": trials, "seed": seed, "prime": prime})
 
-    use_walker = identity in _ST_FAMILY and (
-        identity != "COR_ST_Q" or st_q_neighbour == "below")
-    if use_walker:
+    if scheme is None:
         factor_of = lambda code, case: _st_case_factor(
             identity, code, case, st_q_neighbour)
         lhs_vals, st_count, qt_count = _stream_st_sums(
             lam, n, factor_of, points, prime)
         objects = qt_count if identity in ("PROP_T", "COR_Q") else st_count
     else:
-        lhs_vals = [0] * trials
-        objects = 0
-        for w, objs in _lhs_stream(identity, lam, n, cpm_q_scheme, c0_mode,
-                                   st_q_neighbour):
-            objects += objs
-            for p, pt in enumerate(points):
-                lhs_vals[p] = (lhs_vals[p] + w.eval_mod(pt, prime)) % prime
+        lhs_vals, objects = _factor_sums(lam, n, scheme, c0_mode,
+                                         st_q_neighbour, points, prime)
 
     sp_deformed = identity == "PROP_T"
     sp_vals, _ = _stream_t_sums(mu, n, points, prime, sp_deformed)

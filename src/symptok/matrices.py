@@ -106,10 +106,6 @@ class BLRClassification:
     unbarred: Dict[Tuple[int, int], str]
     barred: Dict[Tuple[int, int], str]
 
-    def chi(self, mark: str, k: int, j: int, barred: bool) -> int:
-        table = self.barred if barred else self.unbarred
-        return 1 if table[(k, j)] == mark else 0
-
 
 # -- UASM validation ----------------------------------------------------------
 

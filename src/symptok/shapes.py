@@ -11,7 +11,6 @@ i-1 cells, so row i covers columns i .. i+lambda_i-1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Set, Tuple
 
@@ -146,12 +145,3 @@ class Entry:
 
     def __str__(self) -> str:
         return letter_str(self.code, self.primed)
-
-
-def all_letters(n: int) -> range:
-    return range(1, 2 * n + 1)
-
-
-def fillings(cells: int, n: int) -> Iterator[Tuple[int, ...]]:
-    """Every assignment of alphabet letters to `cells` positions (oracle use)."""
-    return itertools.product(all_letters(n), repeat=cells)

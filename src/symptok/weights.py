@@ -20,15 +20,21 @@ The two q-weighting ambiguities keep switchable variants: wgt_st_q takes the
 neighbour convention ("below" is the specialisation-consistent default,
 "above" the rejected alternative) and wgt_cpm takes the CPM_Q_NORM prefactor
 mode ("full" default, "literal" the rejected (1+q)/q^(n(n+1)/2)).
+
+ST_Q, the CPM schemes and the GT schemes are products of local factors kept
+in factor_table (end of module), which the modular engine evaluates too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
 from .matrices import (
+    CPM_CODES,
     CompassPointMatrix,
     SympGTPattern,
     UTurnASM,
@@ -44,6 +50,10 @@ SCHEMES = (
 
 class UnknownSchemeError(ValueError):
     pass
+
+
+class UnknownConventionError(ValueError):
+    """A convention name (neighbour, c0 mode, q scheme) that no variant has."""
 
 
 class LemmaViolationError(ValueError):
@@ -143,16 +153,17 @@ def _st_case_factor_q(code: int, case: str) -> LaurentPoly:
     return (ONE + qe) * _x(k, e)
 
 
-def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
-    """The y_k = q x_k specialisation of wgt_st.
+def st_q_factor_ids(st: ShiftedTableau,
+                    neighbour: str = "below") -> List[Tuple[int, str]]:
+    """(code, case) per cell, row-major, for the ST_Q factor table.
 
-    neighbour="below" matches that substitution cell for cell; "above" is the
-    alternative reading (the doubled factor moves to the lower cell of each
-    vertical pair) kept only so reports can evaluate it.
+    neighbour="below" matches the y_k = q x_k substitution cell for cell;
+    "above" is the alternative reading (the doubled factor moves to the
+    lower cell of each vertical pair) kept only so reports can evaluate it.
     """
     if neighbour == "below":
-        cases = cell_cases(st)
-    elif neighbour == "above":
+        return cell_cases(st)
+    if neighbour == "above":
         cases = []
         for i, col, code in st.cells():
             if st.at(i, col - 1) == code:
@@ -161,17 +172,21 @@ def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
                 cases.append((code, "above"))
             else:
                 cases.append((code, "free"))
-    else:
-        raise ValueError(f"unknown neighbour convention {neighbour!r}")
-    out = ONE
-    for code, case in cases:
-        out = out * _st_case_factor_q(code, case)
-    return out
+        return cases
+    raise UnknownConventionError(f"unknown neighbour convention {neighbour!r}")
+
+
+def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
+    """The y_k = q x_k specialisation of wgt_st (see st_q_factor_ids)."""
+    return _product(factor_table("ST_Q", len(st.shape)),
+                    st_q_factor_ids(st, neighbour))
 
 
 # -- compass-point weights ------------------------------------------------------
 
+CPM_SCHEMES = ("CPM_XY", "CPM_XY_ALT", "CPM_Q_PLAIN", "CPM_Q_NORM")
 _TURN_START = frozenset(("WE", "SW", "NW"))
+_TURN = "TURN"  # id code of the CPM_XY_ALT first-column term
 
 
 def chi_turn(c: CompassPointMatrix, i: int) -> int:
@@ -184,7 +199,8 @@ def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool) -> LaurentPo
     if scheme == "CPM_XY":
         table = {"WE": _x(k, e) + _y(k, e), "NW": _y(k, e), "SW": _x(k, e)}
     elif scheme == "CPM_XY_ALT":
-        table = {"NS": _x(k, e) + _y(k, e), "NW": _y(k, e), "SW": _x(k, e)}
+        table = {"NS": _x(k, e) + _y(k, e), "NW": _y(k, e), "SW": _x(k, e),
+                 _TURN: _x(k, e) + _y(k, e)}
     elif scheme == "CPM_Q_PLAIN":
         table = {"WE": (ONE + _q(e)) * _x(k, e), "NW": _q(e) * _x(k, e),
                  "SW": _x(k, e)}
@@ -202,58 +218,87 @@ def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool) -> LaurentPo
 
 def cpm_q_norm_prefactor(n: int, c0_mode: str = "full") -> LaurentPoly:
     """(1+q)^n / q^(n(n+1)/2), or the rejected literal (1+q) / q^(n(n+1)/2)."""
-    exponent = n if c0_mode == "full" else 1
     if c0_mode not in ("full", "literal"):
-        raise ValueError(f"unknown c0 mode {c0_mode!r}")
+        raise UnknownConventionError(f"unknown c0 mode {c0_mode!r}")
+    exponent = n if c0_mode == "full" else 1
     return (ONE + _q()) ** exponent * _q(-(n * (n + 1)) // 2)
+
+
+def cpm_factor_ids(c: CompassPointMatrix, scheme: str) -> List[Tuple[str, int]]:
+    """(code, row) of every entry whose factor is not 1, plus (TURN, row) for
+    each row that starts a strip when the scheme has that term."""
+    table = factor_table(scheme, c.n)
+    ids: List[Tuple[str, int]] = []
+    for i, row in enumerate(c.entries, start=1):
+        ids += [fid for code in row if (fid := (code, i)) in table]
+        if row[0] in _TURN_START and (_TURN, i) in table:
+            ids.append((_TURN, i))
+    return ids
 
 
 def wgt_cpm(a: UTurnASM, scheme: str, c0_mode: str = "full") -> LaurentPoly:
     """Weight of a U-turn ASM through its compass-point recoding."""
     from .bijections import uasm_to_cpm
 
-    if scheme not in ("CPM_XY", "CPM_XY_ALT", "CPM_Q_PLAIN", "CPM_Q_NORM"):
+    if scheme not in CPM_SCHEMES:
         raise UnknownSchemeError(scheme)
-    c = uasm_to_cpm(a)
     out = cpm_q_norm_prefactor(a.n, c0_mode) if scheme == "CPM_Q_NORM" else ONE
-    for i, row in enumerate(c.entries, start=1):
-        k = (i + 1) // 2
-        barred = i % 2 == 0
-        for code in row:
-            out = out * _cpm_entry_factor(scheme, code, k, barred)
-        if scheme == "CPM_XY_ALT" and row[0] in _TURN_START:
-            out = out * (_x(k, -1 if barred else 1) + _y(k, -1 if barred else 1))
-    return out
+    ids = cpm_factor_ids(uasm_to_cpm(a), scheme)
+    return out * _product(factor_table(scheme, a.n), ids)
 
 
 # -- pattern weights --------------------------------------------------------------
+
+
+def _gt_mark_factor(scheme: str, side: str, mark: str, k: int) -> LaurentPoly:
+    """Factor of the unbarred ("u") or barred ("b") mark at level k.  GT_Q
+    carries q^([u = R] + [b = L] - 1) per position; its -1 rides on the
+    unbarred mark."""
+    if scheme == "GT_XY":
+        e = 1 if side == "u" else -1
+        return {"B": _x(k, e) + _y(k, e), "L": _x(k, e), "R": _y(k, e)}[mark]
+    if side == "u":
+        qpow = (1 if mark == "R" else 0) - 1
+    else:
+        qpow = 1 if mark == "L" else 0
+    return _q(qpow) * (ONE + _q()) if mark == "B" else _q(qpow)
+
+
+def _x_exponents(g: SympGTPattern) -> Dict[int, int]:
+    """Net x_k exponent per level: sum_j (2 m(k,j) - mb(k,j) - mb(k-1,j))."""
+    return {
+        k: sum(2 * g.m(k, j) - g.mb(k, j) - g.mb(k - 1, j) for j in range(1, k + 1))
+        for k in range(1, g.n + 1)
+    }
+
+
+def gt_factor_ids(g: SympGTPattern, scheme: str) -> List[tuple]:
+    """|e| unit ids ("x", k, sign of e) per level, then the mark ids
+    (side, mark, k) of every position (GT_XY, GT_Q), or B ids for 1+q and
+    Ro+Le ids for q (GT_QX)."""
+    table = factor_table(scheme, g.n)
+    if scheme == "GT_QX":
+        s = gt_statistics(g)
+        exps = s.x_exponents
+        marks_ids = [("B",)] * s.b + [("q",)] * (s.r_odd + s.l_even)
+    else:
+        marks = classify_blr(g)
+        exps = _x_exponents(g)
+        marks_ids = [
+            fid for (k, j), u in marks.unbarred.items()
+            for fid in (("u", u, k), ("b", marks.barred[(k, j)], k)) if fid in table
+        ]
+    ids: List[tuple] = []
+    for k, e in exps.items():
+        ids += [("x", k, 1 if e > 0 else -1)] * abs(e)
+    return ids + marks_ids
 
 
 def wgt_gtp(g: SympGTPattern, scheme: str) -> LaurentPoly:
     """Saturation-mark weighting of a pattern (xy or q-specialised form)."""
     if scheme not in ("GT_XY", "GT_Q"):
         raise UnknownSchemeError(scheme)
-    marks = classify_blr(g)
-    out = ONE
-    for k in range(1, g.n + 1):
-        for j in range(1, k + 1):
-            u = marks.unbarred[(k, j)]
-            b = marks.barred[(k, j)]
-            eu = g.m(k, j) - g.mb(k - 1, j) - 1
-            eb = g.mb(k, j) - g.m(k, j) - 1
-            if scheme == "GT_XY":
-                uf = {"B": _x(k) + _y(k), "L": _x(k), "R": _y(k)}[u]
-                bf = {"B": _x(k, -1) + _y(k, -1), "L": _x(k, -1), "R": _y(k, -1)}[b]
-                out = out * uf * _x(k, eu) * bf * _x(k, -eb)
-            else:
-                qpow = (1 if u == "R" else 0) + (1 if b == "L" else 0) - 1
-                factor = _q(qpow)
-                if u == "B":
-                    factor = factor * (ONE + _q())
-                if b == "B":
-                    factor = factor * (ONE + _q())
-                out = out * factor * _x(k, eu - eb)
-    return out
+    return _product(factor_table(scheme, g.n), gt_factor_ids(g, scheme))
 
 
 @dataclass(frozen=True)
@@ -272,7 +317,6 @@ def gt_statistics(g: SympGTPattern) -> GTStatistics:
     sum_j (2 m(k,j) - mb(k,j) - mb(k-1,j)) per level."""
     marks = classify_blr(g)
     b = r_odd = l_even = 0
-    exps: Dict[int, int] = {}
     for k in range(1, g.n + 1):
         for j in range(1, k):
             b += (marks.unbarred[(k, j)] == "B") + (marks.barred[(k, j)] == "B")
@@ -280,10 +324,7 @@ def gt_statistics(g: SympGTPattern) -> GTStatistics:
         for j in range(1, k + 1):
             r_odd += marks.unbarred[(k, j)] == "R"
             l_even += marks.barred[(k, j)] == "L"
-        exps[k] = sum(
-            2 * g.m(k, j) - g.mb(k, j) - g.mb(k - 1, j) for j in range(1, k + 1)
-        )
-    return GTStatistics(b, r_odd, l_even, exps)
+    return GTStatistics(b, r_odd, l_even, _x_exponents(g))
 
 
 def le_statistic_setbuilder(g: SympGTPattern) -> int:
@@ -296,9 +337,7 @@ def le_statistic_setbuilder(g: SympGTPattern) -> int:
 
 def qx_weight(g: SympGTPattern) -> LaurentPoly:
     """(1+q)^B q^(Ro+Le) x^xwgt as an expanded polynomial."""
-    s = gt_statistics(g)
-    mono = LaurentPoly.monomial({xvar(k): e for k, e in s.x_exponents.items() if e})
-    return (ONE + _q()) ** s.b * _q(s.r_odd + s.l_even) * mono
+    return _product(factor_table("GT_QX", g.n), gt_factor_ids(g, "GT_QX"))
 
 
 def qx_weight_factored(g: SympGTPattern) -> str:
@@ -360,3 +399,48 @@ def lemma_counts(c: CompassPointMatrix) -> List[Dict[str, int]]:
             raise LemmaViolationError(f"level {k}: chi(P_k) + chi(P_k') != 1")
         report.append(entry)
     return report
+
+
+# -- local factor tables ------------------------------------------------------------
+#
+# ST_Q, the CPM schemes and the GT schemes weigh an object by a product of
+# local factors.  factor_table(scheme, n) names every factor that is not 1 by
+# a small id; st_q_factor_ids, cpm_factor_ids and gt_factor_ids list the ids
+# of one object.  The weights above multiply the table entries, and the
+# modular engine evaluates the same entries once per sample point.
+
+
+@lru_cache(maxsize=64)
+def factor_table(scheme: str, n: int) -> Mapping[tuple, LaurentPoly]:
+    """Read-only id -> factor map of the scheme's local factors at rank n:
+
+      ST_Q         (code, case), case in left / below / above / free
+      CPM_*        (compass code, row) and (TURN, row), rows 1..2n
+      GT_XY, GT_Q  (side, mark, level), side "u" or "b", and ("x", level, +-1)
+      GT_QX        ("B",) for 1+q, ("q",) for q, and ("x", level, +-1)
+    """
+    levels = range(1, n + 1)
+    if scheme == "ST_Q":
+        table = {(code, case): _st_case_factor_q(code, case)
+                 for code in range(1, 2 * n + 1)
+                 for case in ("left", "below", "above", "free")}
+    elif scheme in CPM_SCHEMES:
+        table = {(code, i): _cpm_entry_factor(scheme, code, (i + 1) // 2, i % 2 == 0)
+                 for i in range(1, 2 * n + 1) for code in CPM_CODES + (_TURN,)}
+    elif scheme in ("GT_XY", "GT_Q"):
+        table = {(side, mark, k): _gt_mark_factor(scheme, side, mark, k)
+                 for side in "ub" for mark in "BLR" for k in levels}
+    elif scheme == "GT_QX":
+        table = {("B",): ONE + _q(), ("q",): _q()}
+    else:
+        raise UnknownSchemeError(scheme)
+    if scheme.startswith("GT_"):
+        table.update({("x", k, e): _x(k, e) for k in levels for e in (1, -1)})
+    return MappingProxyType({fid: f for fid, f in table.items() if f != ONE})
+
+
+def _product(table: Mapping[tuple, LaurentPoly], ids: Iterable[tuple]) -> LaurentPoly:
+    out = ONE
+    for fid in ids:
+        out = out * table[fid]
+    return out

@@ -90,7 +90,11 @@ def test_compass_recoding_guards_against_broken_alternation():
     # two +1 entries side by side cannot happen in a valid matrix; the zero
     # in between would see west and east neighbours with equal signs
     broken = UTurnASM(1, ((1, 0, 1), (0, 0, 0)))
-    with pytest.raises(UnmatchedPatternError):
+    with pytest.raises(UnmatchedPatternError, match="west breaks"):
+        uasm_to_cpm(broken)
+    # likewise two +1 entries stacked in a column, seen from north and south
+    broken = UTurnASM(2, ((1,), (0,), (1,), (0,)))
+    with pytest.raises(UnmatchedPatternError, match="south breaks"):
         uasm_to_cpm(broken)
 
 

@@ -160,6 +160,16 @@ class TestVerify:
                            "--n", "5")
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize("knob,value", [
+        ("--trials", "0"), ("--prime", "4"), ("--prime", "2"),
+        ("--prime", "3215031751"),
+    ])
+    def test_unsound_modular_parameters_are_usage_errors(self, capsys, knob,
+                                                         value):
+        code, out, err = run(capsys, "verify", "--id", "COR_GT", "--mu", "1",
+                             "--n", "1", "--mode", "modular", knob, value)
+        assert code == 2 and out == "" and err.startswith("error: ")
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--id", "COR_GT_QX", "--mu", "2", "--n", "2",
                 "--mode", "modular", "--seed", "7", "--no-timing")

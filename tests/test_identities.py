@@ -1,13 +1,18 @@
 import json
+import random
 
 import pytest
 
 import golden as G
-from symptok.algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
+from symptok.algebra import MERSENNE31, QVAR, TVAR, LaurentPoly, random_point, xvar, yvar
 from symptok.identities import (
     IDENTITIES,
+    ModularParameterError,
     ScaleExceededError,
+    UnknownConventionError,
     UnknownIdentityError,
+    _factor_sums,
+    _identity_variables,
     ambiguity_report,
     largest_feasible_subshape,
     q_delta_product,
@@ -18,7 +23,10 @@ from symptok.identities import (
     verify_big_modular,
     verify_sweep,
 )
-from symptok.shapes import add_staircase
+from symptok.matrices import enumerate_gtp, enumerate_uasm
+from symptok.shapes import add_staircase, partitions_up_to
+from symptok.tableaux import enumerate_st
+from symptok.weights import qx_weight, wgt_cpm, wgt_gtp, wgt_st_q
 
 
 def V(v, e=1):
@@ -149,6 +157,94 @@ class TestVerify:
         assert doc["lambda"] == [2]
         assert "millis" in doc
         assert "millis" not in r.to_json_dict(include_timing=False)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("knob", [
+        {"cpm_q_scheme": "bogus"}, {"c0_mode": "bogus"},
+        {"st_q_neighbour": "bogus"},
+    ])
+    @pytest.mark.parametrize("mode", ["symbolic", "modular"])
+    def test_unknown_convention_is_rejected(self, knob, mode):
+        with pytest.raises(UnknownConventionError):
+            verify("COR_UASM_Q", (1,), 2, mode=mode, trials=4, **knob)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_must_be_positive(self, trials):
+        with pytest.raises(ModularParameterError, match="trials"):
+            verify("COR_GT", (1,), 2, "modular", trials=trials)
+
+    @pytest.mark.parametrize("prime", [4, 3215031751, 2 ** 31 + 1])
+    def test_composite_modulus_is_rejected(self, prime):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7
+        with pytest.raises(ModularParameterError, match="not prime"):
+            verify("COR_GT", (1,), 2, "modular", trials=4, prime=prime)
+
+    @pytest.mark.parametrize("prime", [2, 3, 65521])
+    def test_small_prime_is_rejected(self, prime):
+        # at p = 2 the rejected literal prefactor passes every trial
+        with pytest.raises(ModularParameterError, match="below 2"):
+            verify("COR_UASM_Q", (1,), 2, "modular", trials=4, prime=prime,
+                   cpm_q_scheme="norm", c0_mode="literal")
+
+    def test_smallest_and_large_primes_are_accepted(self):
+        for prime in (65537, 2 ** 61 - 1):
+            assert verify("COR_GT", (1,), 2, "modular", trials=2,
+                          prime=prime).equal
+
+
+# (identity, conventions, factor scheme, enumerator, weight of one object)
+KERNEL_VARIANTS = [
+    ("COR_UASM", {}, "CPM_XY", enumerate_uasm,
+     lambda a: wgt_cpm(a, "CPM_XY")),
+    ("COR_UASM_Q", {"cpm_q_scheme": "plain"}, "CPM_Q_PLAIN", enumerate_uasm,
+     lambda a: wgt_cpm(a, "CPM_Q_PLAIN")),
+    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}, "CPM_Q_NORM",
+     enumerate_uasm, lambda a: wgt_cpm(a, "CPM_Q_NORM", "full")),
+    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "literal"}, "CPM_Q_NORM",
+     enumerate_uasm, lambda a: wgt_cpm(a, "CPM_Q_NORM", "literal")),
+    ("COR_GT", {}, "GT_XY", enumerate_gtp, lambda g: wgt_gtp(g, "GT_XY")),
+    ("COR_GT_Q", {}, "GT_Q", enumerate_gtp, lambda g: wgt_gtp(g, "GT_Q")),
+    ("COR_GT_QX", {}, "GT_QX", enumerate_gtp, qx_weight),
+    ("COR_ST_Q", {"st_q_neighbour": "above"}, "ST_Q", enumerate_st,
+     lambda st: wgt_st_q(st, "above")),
+]
+KERNEL_CASES = [(mu, n) for n in (1, 2) for mu in partitions_up_to(2, n)]
+KERNEL_CASES.append(((2,), 3))
+
+
+@pytest.mark.parametrize(
+    "identity,knobs,scheme,family,weight", KERNEL_VARIANTS,
+    ids=["CPM_XY", "CPM_Q_PLAIN", "CPM_Q_NORM-full", "CPM_Q_NORM-literal",
+         "GT_XY", "GT_Q", "GT_QX", "ST_Q-above"])
+def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
+                                                     family, weight):
+    # the oracle expands every object's weight and evaluates it at each point
+    rng = random.Random(5)
+    for mu, n in KERNEL_CASES:
+        lam = add_staircase(mu, n)
+        variables = _identity_variables(identity, n)
+        points = [random_point(variables, rng) for _ in range(2)]
+        want = [0] * len(points)
+        objects = 0
+        for obj in family(lam, n):
+            w = weight(obj)
+            objects += 1
+            for p, pt in enumerate(points):
+                want[p] = (want[p] + w.eval_mod(pt, MERSENNE31)) % MERSENNE31
+        got = _factor_sums(lam, n, scheme, knobs.get("c0_mode", "full"),
+                           knobs.get("st_q_neighbour", "below"), points, MERSENNE31)
+        assert got == (want, objects), (mu, n)
+
+
+@pytest.mark.parametrize("knobs", [
+    {"cpm_q_scheme": "norm", "c0_mode": "literal"},
+    {"st_q_neighbour": "above"},
+])
+def test_rejected_conventions_fail_in_modular_mode(knobs):
+    identity = "COR_ST_Q" if "st_q_neighbour" in knobs else "COR_UASM_Q"
+    r = verify(identity, (2,), 3, "modular", trials=4, seed=1, **knobs)
+    assert not r.equal and r.counterexample is not None
 
 
 class TestSweeps:
