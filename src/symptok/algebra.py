@@ -11,6 +11,10 @@ Representation:
   Monomial    = tuple of (Var, exponent) pairs, sorted by Var, no zero exponents
   LaurentPoly = wrapper around {Monomial: int}, no zero coefficients stored
 
+Residues is the modular counterpart: the values of one polynomial at a
+fixed list of points mod a prime, with the same +, * and ** taken point by
+point.
+
 Two polynomials are equal iff their term maps are equal, so all arithmetic
 keeps results canonical.  Values are immutable after construction and safe
 to share across threads; every operation allocates a fresh result.
@@ -19,7 +23,7 @@ to share across threads; every operation allocates a fresh result.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 KIND_X, KIND_Y, KIND_T, KIND_Q = 0, 1, 2, 3
 _KIND_NAMES = ("x", "y", "t", "q")
@@ -49,6 +53,14 @@ def var_name(v: Var) -> str:
     kind, index = v
     name = _KIND_NAMES[kind]
     return name if kind in (KIND_T, KIND_Q) else f"{name}{index}"
+
+
+def monomial_text(mono: Monomial) -> str:
+    """Text form of a monomial, e.g. ``x1^2 * y2^-3``; ``1`` when empty."""
+    if not mono:
+        return "1"
+    return " * ".join(var_name(v) if e == 1 else f"{var_name(v)}^{e}"
+                      for v, e in mono)
 
 
 class UnassignedVariableError(KeyError):
@@ -291,13 +303,8 @@ class LaurentPoly:
         """
         if not self._terms:
             return "0"
-        parts = []
-        for mono in sorted(self._terms):
-            coef = self._terms[mono]
-            factors = [str(coef)]
-            for v, e in mono:
-                factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
-            parts.append(" * ".join(factors))
+        parts = [f"{self._terms[mono]} * {monomial_text(mono)}" if mono
+                 else str(self._terms[mono]) for mono in sorted(self._terms)]
         out = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -356,6 +363,45 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.const(1)
 
 
+class Residues:
+    """The values of a polynomial at a fixed list of points mod a prime.
+
+    ``+``, ``*`` (also by an int) and ``**`` act point by point, so sums and
+    products of lifted factors are the values of the polynomials' sums and
+    products.
+    """
+
+    __slots__ = ("values", "prime")
+
+    def __init__(self, values: List[int], prime: int):
+        self.values, self.prime = values, prime
+
+    @classmethod
+    def lift(cls, poly: LaurentPoly, points: List[Mapping[Var, int]],
+             prime: int) -> "Residues":
+        return cls([poly.eval_mod(pt, prime) for pt in points], prime)
+
+    def __add__(self, other: "Residues") -> "Residues":
+        p = self.prime
+        return Residues([(a + b) % p for a, b in zip(self.values, other.values)], p)
+
+    def __mul__(self, other: "Residues | int") -> "Residues":
+        p = self.prime
+        if isinstance(other, int):
+            return Residues([a * other % p for a in self.values], p)
+        return Residues([a * b % p for a, b in zip(self.values, other.values)], p)
+
+    def __pow__(self, e: int) -> "Residues":
+        p = self.prime
+        return Residues([pow(a, e, p) for a in self.values], p)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Residues) and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"Residues({self.values}, {self.prime})"
+
+
 #: Miller-Rabin with the first 13 primes as bases decides primality of
 #: every integer below this bound (Sorenson and Webster, 2015).
 MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -385,10 +431,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def x_plus_y(k: int) -> LaurentPoly:
-    return LaurentPoly.variable(xvar(k)) + LaurentPoly.variable(yvar(k))
 
 
 def random_point(variables: Iterable[Var], rng: random.Random,

@@ -15,14 +15,21 @@ product of linear factors times the symplectic character sp_mu:
 
 verify() checks one (identity, mu, n) case either by exact polynomial
 expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
-field (MODULAR).  Symbolic mode sums the per-object weights of _lhs_stream.
-Modular mode never expands a left side.  The shifted-tableau sums (and sp_mu
-on the right) stream through a walker that carries per-point running
-products, so they scale far past what symbolic expansion allows.  Every
-other left side goes through the factor-table kernel: each object becomes
-the multiset of its local factor ids (weights.factor_table), objects with
-the same multiset are counted once, each table entry is evaluated once per
-point, and each distinct multiset once per point.
+field (MODULAR).  One engine serves both modes; the mode only picks the
+value type that each local factor of weights.factor_table is lifted to: the
+LaurentPoly itself, or an algebra.Residues holding its values at the points.
+Each left side is computed one of two ways:
+
+  * the shifted-tableau identities (and sp_mu on the right) stream through a
+    walker that carries one running product per search node, and adds up
+    the factors of the last cell before multiplying by the shared prefix;
+  * every other left side goes through the factor-id kernel: each object
+    becomes the multiset of its local factor ids, objects with the same
+    multiset are counted once, and each distinct multiset is multiplied out
+    once.
+
+The per-object weights of the weights module multiply the same table
+entries and serve the tests as the reference.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import weights
 from .algebra import (
@@ -41,15 +48,19 @@ from .algebra import (
     MILLER_RABIN_BOUND,
     QVAR,
     TVAR,
+    ZERO,
     LaurentPoly,
+    Residues,
     is_prime,
+    monomial_text,
     random_point,
+    var_name,
     xvar,
     yvar,
 )
 from .matrices import count_gtp, enumerate_gtp, enumerate_uasm
-from .shapes import add_staircase, as_partition, letter, partitions_up_to
-from .tableaux import enumerate_st, enumerate_t, prime_freedom
+from .shapes import RankTooSmallError, add_staircase, as_partition, letter, partitions_up_to
+from .tableaux import enumerate_st
 from .weights import UnknownConventionError
 
 IDENTITIES = (
@@ -62,6 +73,9 @@ _Q_IDENTITIES = ("COR_ST_Q", "COR_UASM_Q", "COR_GT_Q", "COR_GT_QX")
 
 ONE = LaurentPoly.const(1)
 
+#: Maps a table factor to the value type the engine computes in.
+Lift = Callable[[LaurentPoly], Union[LaurentPoly, Residues]]
+
 
 class UnknownIdentityError(ValueError):
     pass
@@ -73,6 +87,10 @@ class ScaleExceededError(RuntimeError):
 
 class ModularParameterError(ValueError):
     """Trials or a modulus under which a modular verdict would not be earned."""
+
+
+class InvalidRankError(ValueError):
+    """A rank n below 1, where the identities have nothing to check."""
 
 
 #: Smallest modulus accepted for modular verification.
@@ -88,32 +106,15 @@ _CONVENTIONS = {
 # -- character sums and product sides -----------------------------------------
 
 
+def _exact(f: LaurentPoly) -> LaurentPoly:
+    """The symbolic lift: a factor stays the polynomial it is."""
+    return f
+
+
 def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     """Sum of wgt_t over all rank-n tableaux of shape mu."""
-    total = LaurentPoly.zero()
-    for t in enumerate_t(mu, n):
-        total = total + weights.wgt_t(t, deformed)
-    return total
-
-
-def q_lambda(lam, n: int, deformed: bool = False) -> LaurentPoly:
-    """Sum of wgt_qt over all primed tableaux of shape lambda.
-
-    Computed as a sum over unprimed tableaux of per-cell two-term factors;
-    tests check this against literal enumeration of primings.
-    """
-    total = LaurentPoly.zero()
-    for st in enumerate_st(lam, n):
-        total = total + weights.primed_weight_sum(st, deformed)
-    return total
-
-
-def q_delta_product(n: int, deformed: bool = False) -> LaurentPoly:
-    """The staircase product over pairs i <= j."""
-    out = ONE
-    for f in _xy_factors(n, deformed):
-        out = out * f
-    return out
+    scheme = "T_DEFORMED" if deformed else "T"
+    return _t_sum(mu, n, weights.factor_table(scheme, n), _exact)
 
 
 def _xy_factors(n: int, deformed: bool) -> List[LaurentPoly]:
@@ -160,79 +161,67 @@ def rhs_factors(identity: str, n: int) -> List[LaurentPoly]:
     raise UnknownIdentityError(identity)
 
 
+def _right_side(identity: str, mu, n: int, lift: Lift):
+    """sp_mu times the rhs_factors, in the value type of lift."""
+    factors = rhs_factors(identity, n)
+    scheme = "T_DEFORMED" if identity == "PROP_T" else "T"
+    out = _t_sum(mu, n, weights.factor_table(scheme, n), lift)
+    for f in factors:
+        out = out * lift(f)
+    return out
+
+
 def rhs_product(identity: str, mu, n: int) -> LaurentPoly:
     """Exact expanded right side including the sp_mu factor."""
-    out = sp_mu(mu, n, deformed=(identity == "PROP_T"))
-    for f in rhs_factors(identity, n):
-        out = out * f
-    return out
+    return _right_side(identity, mu, n, _exact)
 
 
 # -- left sides ----------------------------------------------------------------
 
+# The factor-table scheme of each left side; COR_UASM_Q picks its own.
+_SCHEMES = {"PROP_T": "QT_DEFORMED", "COR_Q": "ST_XY", "THM_ST": "ST_XY",
+            "COR_ST_Q": "ST_Q", "COR_UASM": "CPM_XY", "COR_GT": "GT_XY",
+            "COR_GT_Q": "GT_Q", "COR_GT_QX": "GT_QX"}
+
 
 def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
-                   st_q_neighbour: str) -> Optional[str]:
-    """The factor-table scheme of the identity's left side, or None when
-    the shifted-tableau walker takes it.  Unknown convention names raise
-    UnknownConventionError."""
+                   st_q_neighbour: str) -> str:
+    """The factor-table scheme of the identity's left side.  Unknown
+    convention names raise UnknownConventionError."""
     given = {"cpm_q_scheme": cpm_q_scheme, "c0_mode": c0_mode,
              "st_q_neighbour": st_q_neighbour}
     for name, value in given.items():
         if value not in _CONVENTIONS[name]:
             raise UnknownConventionError(f"unknown {name} {value!r}")
-    if identity in _ST_FAMILY:
-        if identity == "COR_ST_Q" and st_q_neighbour == "above":
-            return "ST_Q"
-        return None
     if identity == "COR_UASM_Q":
         return "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
-    schemes = {"COR_UASM": "CPM_XY", "COR_GT": "GT_XY", "COR_GT_Q": "GT_Q",
-               "COR_GT_QX": "GT_QX"}
-    if identity not in schemes:
-        raise UnknownIdentityError(identity)
-    return schemes[identity]
+    return _SCHEMES[identity]
 
 
-def _lhs_stream(identity: str, lam, n: int, cpm_q_scheme: str, c0_mode: str,
-                st_q_neighbour: str) -> Iterator[Tuple[LaurentPoly, int]]:
-    """Yield (object weight, multiplicity counted as objects)."""
-    scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
-    if identity in _ST_FAMILY:
-        for st in enumerate_st(lam, n):
-            if identity == "PROP_T":
-                w, objs = weights.primed_weight_sum(st, True), None
-            elif identity == "COR_Q":
-                w, objs = weights.primed_weight_sum(st, False), None
-            elif identity == "THM_ST":
-                w, objs = weights.wgt_st(st), 1
-            else:
-                w, objs = weights.wgt_st_q(st, st_q_neighbour), 1
-            if objs is None:
-                objs = 2 ** len(prime_freedom(st)[1])  # primed refinements
-            yield w, objs
-    elif identity in ("COR_UASM", "COR_UASM_Q"):
-        for a in enumerate_uasm(lam, n):
-            yield weights.wgt_cpm(a, scheme, c0_mode), 1
-    elif identity == "COR_GT_QX":
-        for g in enumerate_gtp(lam, n):
-            yield weights.qx_weight(g), 1
-    else:
-        for g in enumerate_gtp(lam, n):
-            yield weights.wgt_gtp(g, scheme), 1
+def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
+               st_q_neighbour: str, lift: Lift):
+    """The left side in the value type of lift, and its object count.  The
+    walker reads the below-neighbour cell cases, so the rejected "above"
+    reading of ST_Q goes through the kernel."""
+    if identity not in _ST_FAMILY or (identity == "COR_ST_Q"
+                                      and st_q_neighbour == "above"):
+        return _factor_sums(lam, n, scheme, c0_mode, st_q_neighbour, lift)
+    total, st_count, qt_count = _st_sum(lam, n, weights.factor_table(scheme, n), lift)
+    return total, qt_count if identity in ("PROP_T", "COR_Q") else st_count
 
 
-# -- the factor-table kernel ---------------------------------------------------------
+# -- the factor-id kernel ------------------------------------------------------------
 
 
 def _factor_sums(lam, n: int, scheme: str, c0_mode: str, st_q_neighbour: str,
-                 points: List[Dict], prime: int) -> Tuple[List[int], int]:
-    """Per-point left-side sums and the object count, from factor ids.
+                 lift: Lift):
+    """The left side in the value type of lift, and the object count, from
+    factor ids.
 
     Every object of the family maps to the multiset of its factor ids.  Each
-    used table entry is evaluated once per point, and each distinct multiset
-    once per point, as a product of powers of those values.  The CPM_Q_NORM
-    prefactor multiplies the sums once.
+    used table entry is lifted once, each power of it once, and each
+    distinct multiset is multiplied out once and counted with its
+    multiplicity.  The CPM_Q_NORM prefactor multiplies the sum once.
     """
     from .bijections import uasm_to_cpm
 
@@ -253,67 +242,46 @@ def _factor_sums(lam, n: int, scheme: str, c0_mode: str, st_q_neighbour: str,
     multisets = Counter(bytes(sorted(index[fid] for fid in obj_ids))
                         for obj_ids in ids)
 
-    used = {i for ms in multisets for i in ms}
-    vals = {i: [factors[i].eval_mod(pt, prime) for pt in points] for i in used}
-    powers: Dict[Tuple[int, int], List[int]] = {}
-    sums = [0] * len(points)
+    vals = {i: lift(factors[i]) for i in {i for ms in multisets for i in ms}}
+    powers: Dict[Tuple[int, int], object] = {}
+    total = lift(ZERO)
     for ms, mult in multisets.items():
-        acc = [mult] * len(points)
+        term = None
         for i, run in groupby(ms):
-            count = sum(1 for _ in run)
-            col = powers.get((i, count))
-            if col is None:
-                col = powers[(i, count)] = [pow(v, count, prime) for v in vals[i]]
-            acc = [a * v % prime for a, v in zip(acc, col)]
-        sums = [(s + a) % prime for s, a in zip(sums, acc)]
+            key = (i, sum(1 for _ in run))
+            power = powers.get(key)
+            if power is None:
+                power = powers[key] = vals[i] ** key[1]
+            term = power if term is None else term * power
+        if term is None:
+            term = lift(ONE)
+        total = total + (term * mult if mult > 1 else term)
     if scheme == "CPM_Q_NORM":
-        c0 = weights.cpm_q_norm_prefactor(n, c0_mode)
-        sums = [s * c0.eval_mod(pt, prime) % prime for s, pt in zip(sums, points)]
-    return sums, sum(multisets.values())
+        total = total * lift(weights.cpm_q_norm_prefactor(n, c0_mode))
+    return total, sum(multisets.values())
 
 
-# -- streaming walkers for the tableau families ----------------------------------
+# -- walkers for the tableau families -------------------------------------------
 
 
-def _st_case_factor(identity: str, code: int, case: str,
-                    st_q_neighbour: str) -> LaurentPoly:
-    if identity == "COR_ST_Q":
-        return weights._st_case_factor_q(code, case)
-    f = weights._st_case_factor_xy(code, case)
-    if identity == "PROP_T" and code % 2 == 0:
-        f = weights._t2() * f
-    return f
+def _st_sum(lam, n: int, table: Mapping, lift: Lift):
+    """Sum over the shifted tableaux of shape lam of the product of their
+    cell factors table[(code, case)], in the value type of lift, with the
+    tableau count and the count of their primed refinements (2^free each).
 
-
-def _stream_st_sums(lam, n: int, factor_of: Callable[[int, str], LaurentPoly],
-                    points: List[Dict], prime: int) -> Tuple[List[int], int, int]:
-    """Per-point sums of streamed tableau weights, with object counts.
-
-    Mirrors the bottom-up enumerator but carries running per-point products,
-    so the cost per search node is one multiplication per point.  Returns
-    (sums, tableau count, primed-refinement count).
+    Mirrors the bottom-up enumerate_st, carrying one running product per
+    search node.  The children of the last cell are all leaves, so its
+    candidates' factors are added up and multiply the shared prefix once.
     """
-    T = len(points)
-    fv: Dict[Tuple[int, str], List[int]] = {}
-    for code in range(1, 2 * n + 1):
-        for case in ("left", "below", "free"):
-            poly = factor_of(code, case)
-            fv[(code, case)] = [poly.eval_mod(pt, prime) for pt in points]
-    sums = [0] * T
-    st_count = 0
-    qt_count = 0
-    rows = [[0] * lam[i] for i in range(n)]
-    # prods[d] = per-point partial product after d placed cells; frees[d] likewise
-    total_cells = sum(lam)
-    prods = [[1] * T for _ in range(total_cells + 1)]
-    frees = [0] * (total_cells + 1)
+    vals = {fid: lift(f) for fid, f in table.items()}
+    rows = [[0] * part for part in lam]
+    total = lift(ZERO)
+    st_count = qt_count = 0
 
-    def fill(i: int, t: int, depth: int):
+    def fill(i: int, t: int, prefix, frees: int):
+        nonlocal total, st_count, qt_count
         if t == lam[i]:
-            if i == 0:
-                take_leaf(depth)
-                return
-            fill(i - 1, 0, depth)
+            fill(i - 1, 0, prefix, frees)
             return
         hi = 2 * n
         below_row = rows[i + 1] if i + 1 < n else None
@@ -329,83 +297,70 @@ def _stream_st_sums(lam, n: int, factor_of: Callable[[int, str], LaurentPoly],
                           if c <= hi]
         else:
             candidates = range(rows[i][t - 1], hi + 1)
-        cur = prods[depth]
-        nxt = prods[depth + 1]
+        last = i == 0 and t == lam[0] - 1
+        leaves = None
         for code in candidates:
-            rows[i][t] = code
-            if t > 0 and rows[i][t - 1] == code:
-                case = "left"
-            elif below == code:
-                case = "below"
+            case = ("left" if t > 0 and rows[i][t - 1] == code
+                    else "below" if below == code else "free")
+            f, free = vals[(code, case)], case == "free"
+            if last:
+                leaves = f if leaves is None else leaves + f
+                st_count += 1
+                qt_count += 1 << (frees + free)
             else:
-                case = "free"
-            vals = fv[(code, case)]
-            for p in range(T):
-                nxt[p] = cur[p] * vals[p] % prime
-            frees[depth + 1] = frees[depth] + (case == "free")
-            fill(i, t + 1, depth + 1)
+                rows[i][t] = code
+                fill(i, t + 1, prefix * f, frees + free)
+        if leaves is not None:
+            total = total + prefix * leaves
 
-    def take_leaf(depth: int):
-        nonlocal st_count, qt_count
-        st_count += 1
-        qt_count += 1 << frees[depth]
-        leaf = prods[depth]
-        for p in range(T):
-            sums[p] = (sums[p] + leaf[p]) % prime
-
-    if n:
-        fill(n - 1, 0, 0)
-    return sums, st_count, qt_count
+    fill(n - 1, 0, lift(ONE), 0)
+    del fill  # it refers to itself; dropping it frees the walk's state now
+    return total, st_count, qt_count
 
 
-def _stream_t_sums(mu, n: int, points: List[Dict], prime: int,
-                   deformed: bool) -> Tuple[List[int], int]:
-    """Per-point sums of wgt_t over all tableaux of shape mu."""
-    T = len(points)
+def _t_sum(mu, n: int, table: Mapping, lift: Lift):
+    """Sum over the rank-n tableaux of shape mu of the product of their
+    letters' factors table[code], in the value type of lift.
+
+    Mirrors enumerate_t, carrying one running product per search node.  The
+    children of the last cell are all leaves, and its candidates are every
+    letter from its least one up, so it multiplies the shared prefix once by
+    a suffix sum of the table.
+    """
     mu = as_partition(mu)
-    fv = {}
-    for code in range(1, 2 * n + 1):
-        k = (code + 1) // 2
-        if code % 2:
-            poly = weights._x(k)
-        else:
-            poly = weights._x(k, -1)
-            if deformed:
-                poly = weights._t2() * poly
-        fv[code] = [poly.eval_mod(pt, prime) for pt in points]
-    sums = [0] * T
-    count = 0
+    if len(mu) > n:
+        raise RankTooSmallError(f"shape {mu} needs more than n={n} rows")
     if not mu:
-        return [1 % prime] * T, 1
-    nrows = len(mu)
-    rows = [[0] * mu[i] for i in range(nrows)]
-    order = [(i, j) for i in range(nrows) for j in range(mu[i])]
-    prods = [[1] * T for _ in range(len(order) + 1)]
+        return lift(ONE)
+    top = 2 * n
+    vals = {code: lift(f) for code, f in table.items()}
+    suffix = {top: vals[top]}
+    for code in range(top - 1, 0, -1):
+        suffix[code] = vals[code] + suffix[code + 1]
+    rows = [[0] * part for part in mu]
+    order = [(i, j) for i, part in enumerate(mu) for j in range(part)]
+    last = len(order) - 1
+    total = lift(ZERO)
 
-    def fill(pos: int):
-        nonlocal count
-        if pos == len(order):
-            count += 1
-            leaf = prods[pos]
-            for p in range(T):
-                sums[p] = (sums[p] + leaf[p]) % prime
-            return
+    def fill(pos: int, prefix):
+        nonlocal total
         i, j = order[pos]
         lo = letter(i + 1, False)
         if j > 0:
             lo = max(lo, rows[i][j - 1])
         if i > 0:
             lo = max(lo, rows[i - 1][j] + 1)
-        cur, nxt = prods[pos], prods[pos + 1]
-        for code in range(lo, 2 * n + 1):
+        if pos == last:
+            if lo <= top:
+                total = total + prefix * suffix[lo]
+            return
+        for code in range(lo, top + 1):
             rows[i][j] = code
-            vals = fv[code]
-            for p in range(T):
-                nxt[p] = cur[p] * vals[p] % prime
-            fill(pos + 1)
+            fill(pos + 1, prefix * vals[code])
 
-    fill(0)
-    return sums, count
+    fill(0, lift(ONE))
+    del fill  # as in _st_sum
+    return total
 
 
 # -- reports --------------------------------------------------------------------
@@ -461,9 +416,8 @@ def _identity_variables(identity: str, n: int) -> List:
 def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
     diff = lhs - rhs
     mono = sorted(diff.terms)[0]
-    mono_text = LaurentPoly({mono: 1}).to_text()[4:] if mono else "1"
     return {
-        "monomial": mono_text,
+        "monomial": monomial_text(mono),
         "lhsCoefficient": lhs.terms.get(mono, 0),
         "rhsCoefficient": rhs.terms.get(mono, 0),
     }
@@ -496,6 +450,8 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
     if mode == "modular":
         _check_modular(trials, prime)
+    if n < 1:
+        raise InvalidRankError(f"rank n must be at least 1, got {n}")
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     count = count_gtp(lam, n)
@@ -513,57 +469,34 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
 
     start = time.perf_counter()
     if mode == "symbolic":
-        lhs = LaurentPoly.zero()
-        objects = 0
-        for w, objs in _lhs_stream(identity, lam, n, cpm_q_scheme, c0_mode,
-                                   st_q_neighbour):
-            lhs = lhs + w
-            objects += objs
-        rhs = rhs_product(identity, mu, n)
-        equal = lhs == rhs
+        lift: Lift = _exact
+    else:
+        rng = random.Random(seed)
+        variables = _identity_variables(identity, n)
+        points = [random_point(variables, rng, prime) for _ in range(trials)]
+        lift = lambda f: Residues.lift(f, points, prime)
+    lhs, objects = _left_side(identity, lam, n, scheme, c0_mode,
+                              st_q_neighbour, lift)
+    rhs = _right_side(identity, mu, n, lift)
+    equal = lhs == rhs
+
+    if mode == "symbolic":
         counterexample = None if equal else _first_difference(lhs, rhs)
-        report = VerificationReport(
+        return VerificationReport(
             identity, n, mu, lam, "SYMBOLIC", objects,
             lhs.num_terms(), rhs.num_terms(), equal, counterexample,
             (time.perf_counter() - start) * 1000.0, params,
         )
-        return report
-
-    rng = random.Random(seed)
-    variables = _identity_variables(identity, n)
-    points = [random_point(variables, rng, prime) for _ in range(trials)]
     params.update({"trials": trials, "seed": seed, "prime": prime})
-
-    if scheme is None:
-        factor_of = lambda code, case: _st_case_factor(
-            identity, code, case, st_q_neighbour)
-        lhs_vals, st_count, qt_count = _stream_st_sums(
-            lam, n, factor_of, points, prime)
-        objects = qt_count if identity in ("PROP_T", "COR_Q") else st_count
-    else:
-        lhs_vals, objects = _factor_sums(lam, n, scheme, c0_mode,
-                                         st_q_neighbour, points, prime)
-
-    sp_deformed = identity == "PROP_T"
-    sp_vals, _ = _stream_t_sums(mu, n, points, prime, sp_deformed)
-    factors = rhs_factors(identity, n)
-    rhs_vals = []
-    for p, pt in enumerate(points):
-        v = sp_vals[p]
-        for f in factors:
-            v = v * f.eval_mod(pt, prime) % prime
-        rhs_vals.append(v)
-
-    equal = lhs_vals == rhs_vals
     counterexample = None
     if not equal:
-        idx = next(i for i in range(trials) if lhs_vals[i] != rhs_vals[i])
-        from .algebra import var_name
+        idx = next(i for i, (a, b) in enumerate(zip(lhs.values, rhs.values))
+                   if a != b)
         counterexample = {
             "trial": idx,
             "point": {var_name(v): points[idx][v] for v in sorted(points[idx])},
-            "lhsValue": lhs_vals[idx],
-            "rhsValue": rhs_vals[idx],
+            "lhsValue": lhs.values[idx],
+            "rhsValue": rhs.values[idx],
         }
     return VerificationReport(
         identity, n, mu, lam, "MODULAR", objects, None, None, equal,

@@ -80,6 +80,9 @@ def _parse_tableau(data: dict) -> AnyObject:
     for row in data["rows"]:
         codes, flags = [], []
         for cell in row:
+            if type(cell["level"]) is not int or cell["level"] < 1:
+                raise InputFormatError(f"letter level must be a positive integer, "
+                                       f"got {cell['level']!r}")
             e = Entry(cell["level"], cell["barred"], cell.get("primed", False))
             codes.append(e.code)
             flags.append(e.primed)
@@ -103,13 +106,17 @@ def from_json_data(data) -> AnyObject:
     if isinstance(data, list):
         if not data or not all(isinstance(r, list) for r in data):
             raise InputFormatError("matrix must be a nonempty array of arrays")
-        if all(v in (-1, 0, 1) for row in data for v in row):
-            if len(data) % 2:
-                raise InputFormatError("matrix must have 2n rows")
-            return UTurnASM(len(data) // 2, tuple(tuple(r) for r in data))
-        if all(isinstance(v, str) and v in CPM_CODES for row in data for v in row):
-            return CompassPointMatrix(len(data) // 2, tuple(tuple(r) for r in data))
-        raise InputFormatError("array entries are neither -1/0/1 nor compass codes")
+        if len(data) % 2:
+            raise InputFormatError("matrix must have 2n rows")
+        if len({len(r) for r in data}) != 1:
+            raise InputFormatError("matrix rows must have equal length")
+        rows = tuple(tuple(r) for r in data)
+        # type() rather than isinstance(): JSON true/false and 1.0 are no entries
+        if all(type(v) is int and v in (-1, 0, 1) for row in rows for v in row):
+            return UTurnASM(len(rows) // 2, rows)
+        if all(isinstance(v, str) and v in CPM_CODES for row in rows for v in row):
+            return CompassPointMatrix(len(rows) // 2, rows)
+        raise InputFormatError("array entries are neither -1/0/1 integers nor compass codes")
     if isinstance(data, dict):
         if "shape" in data and "rows" in data:
             return _parse_tableau(data)

@@ -1,4 +1,4 @@
-"""Partitions, staircases, diagram cell sets, and the symplectic alphabet.
+"""Partitions, staircases, and the symplectic alphabet.
 
 The alphabet for rank n is the 2n-letter ordered set
 
@@ -12,7 +12,7 @@ i-1 cells, so row i covers columns i .. i+lambda_i-1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Set, Tuple
+from typing import Iterator, Sequence, Tuple
 
 
 class RankTooSmallError(ValueError):
@@ -44,10 +44,6 @@ def as_strict_partition(parts: Sequence[int]) -> Tuple[int, ...]:
     return parts
 
 
-def staircase(n: int) -> Tuple[int, ...]:
-    return tuple(range(n, 0, -1))
-
-
 def add_staircase(mu: Sequence[int], n: int) -> Tuple[int, ...]:
     """lambda = mu + (n, n-1, ..., 1); strictly decreasing of length n."""
     mu = as_partition(mu)
@@ -55,29 +51,6 @@ def add_staircase(mu: Sequence[int], n: int) -> Tuple[int, ...]:
         raise RankTooSmallError(f"partition {mu} has more than n={n} parts")
     mu = mu + (0,) * (n - len(mu))
     return tuple(mu[i] + (n - i) for i in range(n))
-
-
-def remove_staircase(lam: Sequence[int], n: int) -> Tuple[int, ...]:
-    """Inverse of add_staircase for strict lambda of length n."""
-    lam = as_strict_partition(lam)
-    if len(lam) != n:
-        raise BadLengthError(f"{lam} does not have length n={n}")
-    mu = tuple(lam[i] - (n - i) for i in range(n))
-    return as_partition(mu)
-
-
-def shifted_cells(lam: Sequence[int]) -> Set[Tuple[int, int]]:
-    """Cells (row, col) of the shifted diagram; row i starts at column i."""
-    lam = as_strict_partition(lam)
-    return {(i, c) for i in range(1, len(lam) + 1)
-            for c in range(i, i + lam[i - 1])}
-
-
-def ordinary_cells(mu: Sequence[int]) -> Set[Tuple[int, int]]:
-    """Cells (row, col) of the ordinary diagram; row i covers columns 1..mu_i."""
-    mu = as_partition(mu)
-    return {(i, c) for i in range(1, len(mu) + 1)
-            for c in range(1, mu[i - 1] + 1)}
 
 
 def conjugate(parts: Sequence[int]) -> Tuple[int, ...]:

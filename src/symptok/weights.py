@@ -21,8 +21,12 @@ neighbour convention ("below" is the specialisation-consistent default,
 "above" the rejected alternative) and wgt_cpm takes the CPM_Q_NORM prefactor
 mode ("full" default, "literal" the rejected (1+q)/q^(n(n+1)/2)).
 
-ST_Q, the CPM schemes and the GT schemes are products of local factors kept
-in factor_table (end of module), which the modular engine evaluates too.
+Every scheme is a product of local factors kept in factor_table (end of
+module): T_DEFORMED and T (its t = 1 form, the weight of sp_mu) per letter,
+ST_XY, QT_DEFORMED (the primed sum of primed_weight_sum) and ST_Q per
+(letter, neighbour case), and the CPM and GT schemes as listed there.  The
+per-object weights multiply the entries; the engine lifts the same entries to
+polynomials or to values at sample points.
 """
 
 from __future__ import annotations
@@ -40,13 +44,8 @@ from .matrices import (
     UTurnASM,
     classify_blr,
 )
+from .shapes import letter_level
 from .tableaux import PrimedShiftedTableau, ShiftedTableau, SymplecticTableau, cell_cases
-
-SCHEMES = (
-    "T_DEFORMED", "QT_DEFORMED", "ST_XY", "CPM_XY", "CPM_XY_ALT", "GT_XY",
-    "ST_Q", "CPM_Q_PLAIN", "CPM_Q_NORM", "GT_Q", "GT_QX",
-)
-
 
 class UnknownSchemeError(ValueError):
     pass
@@ -82,16 +81,15 @@ ONE = LaurentPoly.const(1)
 # -- tableau weights ----------------------------------------------------------
 
 
+def _letter_rank(rows: Iterable[Iterable[int]]) -> int:
+    """The least rank whose alphabet holds every letter of the rows."""
+    return letter_level(max((code for row in rows for code in row), default=0))
+
+
 def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
     """Product over cells: k -> x_k, kbar -> t^2 x_k^-1 (t = 1 if undeformed)."""
-    out = ONE
-    for _, _, code in t.cells():
-        k = (code + 1) // 2
-        if code % 2:
-            out = out * _x(k)
-        else:
-            out = out * (_t2() * _x(k, -1) if deformed else _x(k, -1))
-    return out
+    table = factor_table("T_DEFORMED" if deformed else "T", _letter_rank(t.rows))
+    return _product(table, (code for _, _, code in t.cells()))
 
 
 def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
@@ -121,10 +119,7 @@ def _st_case_factor_xy(code: int, case: str) -> LaurentPoly:
 def wgt_st(st: ShiftedTableau) -> LaurentPoly:
     """Three-case rule: equal-left keeps x, equal-below keeps y, free cells
     take x + y; barred letters use the inverted variables."""
-    out = ONE
-    for code, case in cell_cases(st):
-        out = out * _st_case_factor_xy(code, case)
-    return out
+    return _product(factor_table("ST_XY", _letter_rank(st.rows)), cell_cases(st))
 
 
 def primed_weight_sum(st: ShiftedTableau, deformed: bool = False) -> LaurentPoly:
@@ -133,13 +128,8 @@ def primed_weight_sum(st: ShiftedTableau, deformed: bool = False) -> LaurentPoly
     A free cell contributes x + y (times t^2 when barred and deformed);
     forced cells contribute their single weight.  Equals wgt_st at t = 1.
     """
-    out = ONE
-    for code, case in cell_cases(st):
-        factor = _st_case_factor_xy(code, case)
-        if deformed and code % 2 == 0:
-            factor = _t2() * factor
-        out = out * factor
-    return out
+    scheme = "QT_DEFORMED" if deformed else "ST_XY"
+    return _product(factor_table(scheme, _letter_rank(st.rows)), cell_cases(st))
 
 
 def _st_case_factor_q(code: int, case: str) -> LaurentPoly:
@@ -178,7 +168,7 @@ def st_q_factor_ids(st: ShiftedTableau,
 
 def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
     """The y_k = q x_k specialisation of wgt_st (see st_q_factor_ids)."""
-    return _product(factor_table("ST_Q", len(st.shape)),
+    return _product(factor_table("ST_Q", _letter_rank(st.rows)),
                     st_q_factor_ids(st, neighbour))
 
 
@@ -403,27 +393,38 @@ def lemma_counts(c: CompassPointMatrix) -> List[Dict[str, int]]:
 
 # -- local factor tables ------------------------------------------------------------
 #
-# ST_Q, the CPM schemes and the GT schemes weigh an object by a product of
-# local factors.  factor_table(scheme, n) names every factor that is not 1 by
-# a small id; st_q_factor_ids, cpm_factor_ids and gt_factor_ids list the ids
-# of one object.  The weights above multiply the table entries, and the
-# modular engine evaluates the same entries once per sample point.
+# Every scheme weighs an object by a product of local factors.
+# factor_table(scheme, n) names every factor that is not 1 by a small id;
+# cell_cases, st_q_factor_ids, cpm_factor_ids and gt_factor_ids list the ids
+# of one object (a tableau lists its letters).  The weights above multiply the
+# table entries, and the engine lifts the same entries to its value type.
 
 
 @lru_cache(maxsize=64)
-def factor_table(scheme: str, n: int) -> Mapping[tuple, LaurentPoly]:
+def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
     """Read-only id -> factor map of the scheme's local factors at rank n:
 
-      ST_Q         (code, case), case in left / below / above / free
+      T, T_DEFORMED           letter code (the tableau weights of wgt_t)
+      ST_XY, QT_DEFORMED      (code, case), case in left / below / free
+                              (wgt_st and primed_weight_sum)
+      ST_Q                    (code, case), case in left / below / above / free
       CPM_*        (compass code, row) and (TURN, row), rows 1..2n
       GT_XY, GT_Q  (side, mark, level), side "u" or "b", and ("x", level, +-1)
       GT_QX        ("B",) for 1+q, ("q",) for q, and ("x", level, +-1)
     """
     levels = range(1, n + 1)
-    if scheme == "ST_Q":
+    codes = range(1, 2 * n + 1)
+    if scheme in ("T", "T_DEFORMED"):
+        t2 = _t2() if scheme == "T_DEFORMED" else ONE
+        table = {code: _x(letter_level(code)) if code % 2
+                 else t2 * _x(letter_level(code), -1) for code in codes}
+    elif scheme in ("ST_XY", "QT_DEFORMED"):
+        t2 = _t2() if scheme == "QT_DEFORMED" else ONE
+        table = {(code, case): _st_case_factor_xy(code, case) * (ONE if code % 2 else t2)
+                 for code in codes for case in ("left", "below", "free")}
+    elif scheme == "ST_Q":
         table = {(code, case): _st_case_factor_q(code, case)
-                 for code in range(1, 2 * n + 1)
-                 for case in ("left", "below", "above", "free")}
+                 for code in codes for case in ("left", "below", "above", "free")}
     elif scheme in CPM_SCHEMES:
         table = {(code, i): _cpm_entry_factor(scheme, code, (i + 1) // 2, i % 2 == 0)
                  for i in range(1, 2 * n + 1) for code in CPM_CODES + (_TURN,)}
@@ -439,7 +440,7 @@ def factor_table(scheme: str, n: int) -> Mapping[tuple, LaurentPoly]:
     return MappingProxyType({fid: f for fid, f in table.items() if f != ONE})
 
 
-def _product(table: Mapping[tuple, LaurentPoly], ids: Iterable[tuple]) -> LaurentPoly:
+def _product(table: Mapping[object, LaurentPoly], ids: Iterable[object]) -> LaurentPoly:
     out = ONE
     for fid in ids:
         out = out * table[fid]

@@ -170,6 +170,13 @@ class TestVerify:
                              "--n", "1", "--mode", "modular", knob, value)
         assert code == 2 and out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("identity,mode", [("COR_GT", "symbolic"),
+                                               ("THM_ST", "modular")])
+    def test_rank_zero_is_usage_error(self, capsys, identity, mode):
+        code, out, err = run(capsys, "verify", "--id", identity, "--mu", "",
+                             "--n", "0", "--mode", mode)
+        assert code == 2 and out == "" and "rank" in err
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--id", "COR_GT_QX", "--mu", "2", "--n", "2",
                 "--mode", "modular", "--seed", "7", "--no-timing")
@@ -217,6 +224,12 @@ class TestRender:
         bad.write_text("{\"nope\": 1}", encoding="utf-8")
         code, _, err = run(capsys, "render", "--input", str(bad))
         assert code == 2 and err
+
+    def test_one_row_compass_matrix_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "cpm.json"
+        bad.write_text(json.dumps([list(G.CPM.entries[0])]), encoding="utf-8")
+        code, out, err = run(capsys, "render", "--input", str(bad))
+        assert code == 2 and out == "" and "2n rows" in err
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,22 +1,35 @@
 import json
 import random
+from functools import lru_cache
 
 import pytest
 
 import golden as G
-from symptok.algebra import MERSENNE31, QVAR, TVAR, LaurentPoly, random_point, xvar, yvar
+from symptok.algebra import (
+    MERSENNE31,
+    QVAR,
+    TVAR,
+    LaurentPoly,
+    Residues,
+    random_point,
+    xvar,
+    yvar,
+)
 from symptok.identities import (
     IDENTITIES,
+    InvalidRankError,
     ModularParameterError,
     ScaleExceededError,
     UnknownConventionError,
     UnknownIdentityError,
+    _factor_scheme,
     _factor_sums,
     _identity_variables,
+    _left_side,
+    _t_sum,
     ambiguity_report,
     largest_feasible_subshape,
-    q_delta_product,
-    q_lambda,
+    rhs_factors,
     rhs_product,
     sp_mu,
     verify,
@@ -25,8 +38,18 @@ from symptok.identities import (
 )
 from symptok.matrices import enumerate_gtp, enumerate_uasm
 from symptok.shapes import add_staircase, partitions_up_to
-from symptok.tableaux import enumerate_st
-from symptok.weights import qx_weight, wgt_cpm, wgt_gtp, wgt_st_q
+from symptok.tableaux import enumerate_st, enumerate_t, prime_freedom, primings
+from symptok.weights import (
+    factor_table,
+    primed_weight_sum,
+    qx_weight,
+    wgt_cpm,
+    wgt_gtp,
+    wgt_qt,
+    wgt_st,
+    wgt_st_q,
+    wgt_t,
+)
 
 
 def V(v, e=1):
@@ -40,6 +63,31 @@ def mono(exps, c=1):
 ONE = LaurentPoly.const(1)
 X1, Y1, Q, T2 = V(xvar(1)), V(yvar(1)), V(QVAR), V(TVAR, 2)
 XY_N1 = X1 + Y1 + V(xvar(1), -1) + V(yvar(1), -1)
+
+
+def q_lambda(lam, n, deformed=False):
+    """Sum of primed_weight_sum, one shifted tableau at a time: the
+    per-object form of the walker's PROP_T (deformed) and COR_Q sums."""
+    total = LaurentPoly.zero()
+    for st in enumerate_st(lam, n):
+        total = total + primed_weight_sum(st, deformed)
+    return total
+
+
+def q_delta_product(n, deformed=False):
+    """The staircase product over pairs i <= j."""
+    out = ONE
+    for f in rhs_factors("PROP_T" if deformed else "COR_Q", n):
+        out = out * f
+    return out
+
+
+def exact(f):
+    return f
+
+
+def modular_lift(points):
+    return lambda f: Residues.lift(f, points, MERSENNE31)
 
 
 class TestCharacterSums:
@@ -68,8 +116,6 @@ class TestPrimedSums:
         assert q_lambda((2,), 1) == want
 
     def test_matches_explicit_priming_enumeration(self):
-        from symptok.tableaux import enumerate_st, primings
-        from symptok.weights import wgt_qt
         for deformed in (False, True):
             total = LaurentPoly.zero()
             for st in enumerate_st((2, 1), 2):
@@ -187,6 +233,20 @@ class TestInputChecks:
             verify("COR_UASM_Q", (1,), 2, "modular", trials=4, prime=prime,
                    cpm_q_scheme="norm", c0_mode="literal")
 
+    def test_rank_below_one_is_rejected(self):
+        # no rank below 1 has objects to sum, so every entry point refuses it
+        # in both modes rather than report a verdict
+        calls = [
+            lambda: verify("COR_GT", (), 0),
+            lambda: verify("THM_ST", (), 0, "modular", trials=4),
+            lambda: verify("PROP_T", (), -1),
+            lambda: verify_sweep("THM_ST", 0, 2),
+            lambda: verify_big_modular((), 0, trials=4),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidRankError):
+                call()
+
     def test_smallest_and_large_primes_are_accepted(self):
         for prime in (65537, 2 ** 61 - 1):
             assert verify("COR_GT", (1,), 2, "modular", trials=2,
@@ -219,22 +279,76 @@ KERNEL_CASES.append(((2,), 3))
          "GT_XY", "GT_Q", "GT_QX", "ST_Q-above"])
 def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
                                                      family, weight):
-    # the oracle expands every object's weight and evaluates it at each point
+    # the oracle expands every object's weight, sums the polynomials and
+    # evaluates each weight at every point; the kernel runs in both value types
     rng = random.Random(5)
     for mu, n in KERNEL_CASES:
         lam = add_staircase(mu, n)
         variables = _identity_variables(identity, n)
         points = [random_point(variables, rng) for _ in range(2)]
+        total = LaurentPoly.zero()
         want = [0] * len(points)
         objects = 0
         for obj in family(lam, n):
             w = weight(obj)
             objects += 1
+            total = total + w
             for p, pt in enumerate(points):
                 want[p] = (want[p] + w.eval_mod(pt, MERSENNE31)) % MERSENNE31
-        got = _factor_sums(lam, n, scheme, knobs.get("c0_mode", "full"),
-                           knobs.get("st_q_neighbour", "below"), points, MERSENNE31)
-        assert got == (want, objects), (mu, n)
+        conventions = (knobs.get("c0_mode", "full"),
+                       knobs.get("st_q_neighbour", "below"))
+        got = _factor_sums(lam, n, scheme, *conventions, exact)
+        assert got == (total, objects), (mu, n)
+        got = _factor_sums(lam, n, scheme, *conventions, modular_lift(points))
+        assert (got[0].values, got[1]) == (want, objects), (mu, n)
+
+
+@lru_cache(maxsize=None)
+def walker_reference(mu, n):
+    """Per-object sums and object counts of the walkers' identities, and
+    sp_mu by deformation.  At n <= 2 the primed sums are also checked
+    against explicit primings."""
+    lam = add_staircase(mu, n)
+    sts = list(enumerate_st(lam, n))
+    qt_count = sum(2 ** len(prime_freedom(st)[1]) for st in sts)
+    lhs = {
+        "THM_ST": (sum((wgt_st(st) for st in sts), LaurentPoly.zero()), len(sts)),
+        "COR_ST_Q": (sum((wgt_st_q(st) for st in sts), LaurentPoly.zero()),
+                     len(sts)),
+        "COR_Q": (q_lambda(lam, n), qt_count),
+        "PROP_T": (q_lambda(lam, n, deformed=True), qt_count),
+    }
+    if n <= 2:
+        qts = [qt for st in sts for qt in primings(st)]
+        assert len(qts) == qt_count
+        for identity, deformed in (("COR_Q", False), ("PROP_T", True)):
+            assert lhs[identity][0] == sum((wgt_qt(qt, deformed) for qt in qts),
+                                           LaurentPoly.zero())
+    sp = {deformed: sum((wgt_t(t, deformed) for t in enumerate_t(mu, n)),
+                        LaurentPoly.zero())
+          for deformed in (False, True)}
+    return lhs, sp
+
+
+@pytest.mark.parametrize("mode", ["symbolic", "modular"])
+def test_walkers_match_per_object_weights(mode):
+    # each walker sum, in both value types, against the sum of per-object
+    # weights, with the tableau and primed-refinement counts
+    rng = random.Random(6)
+    for mu, n in KERNEL_CASES:
+        lam = add_staircase(mu, n)
+        lhs, sp = walker_reference(mu, n)
+        points = [random_point(_identity_variables("PROP_T", n) + [QVAR], rng)
+                  for _ in range(2)]
+        lift = exact if mode == "symbolic" else modular_lift(points)
+        for identity, (total, objects) in lhs.items():
+            scheme = _factor_scheme(identity, "plain", "full", "below")
+            got, got_objects = _left_side(identity, lam, n, scheme, "full",
+                                          "below", lift)
+            assert got == lift(total) and got_objects == objects, (identity, mu, n)
+        for deformed, total in sp.items():
+            table = factor_table("T_DEFORMED" if deformed else "T", n)
+            assert _t_sum(mu, n, table, lift) == lift(total), (deformed, mu, n)
 
 
 @pytest.mark.parametrize("knobs", [
@@ -297,16 +411,13 @@ class TestAmbiguities:
 
     def test_left_sides_agree_across_representations(self):
         # the three xy-weighted families produce identical sums
-        from symptok.identities import _lhs_stream
+        families = ((enumerate_st, wgt_st),
+                    (enumerate_uasm, lambda a: wgt_cpm(a, "CPM_XY")),
+                    (enumerate_gtp, lambda g: wgt_gtp(g, "GT_XY")))
         for mu in ((), (1,), (2,)):
             lam = add_staircase(mu, 2)
-            sums = []
-            for identity in ("THM_ST", "COR_UASM", "COR_GT"):
-                total = LaurentPoly.zero()
-                for w, _ in _lhs_stream(identity, lam, 2, "plain", "full",
-                                        "below"):
-                    total = total + w
-                sums.append(total)
+            sums = [sum((weight(obj) for obj in family(lam, 2)), LaurentPoly.zero())
+                    for family, weight in families]
             assert sums[0] == sums[1] == sums[2]
 
     def test_deformed_identity_collapses_to_undeformed_at_t_one(self):

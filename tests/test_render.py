@@ -1,0 +1,44 @@
+import pytest
+
+import golden as G
+from symptok.matrices import CompassPointMatrix, UTurnASM
+from symptok.render import InputFormatError, from_json_data, to_json_data
+
+
+@pytest.mark.parametrize("obj", [G.A, G.CPM])
+def test_matrices_round_trip(obj):
+    assert from_json_data(to_json_data(obj)) == obj
+
+
+@pytest.mark.parametrize("rows", [
+    [["NS", "WE"]],                          # one row would give n = 0
+    [["NS"], ["WE"], ["SW"]],                # odd
+    [["NS", "WE"], ["SW"]],                  # ragged
+])
+def test_compass_matrix_needs_an_even_number_of_equal_rows(rows):
+    with pytest.raises(InputFormatError):
+        from_json_data(rows)
+
+
+@pytest.mark.parametrize("rows", [
+    [[True, False], [False, True]],
+    [[1.0, 0], [0, 1.0]],
+    [[1, 0], [0.0, 1]],
+])
+def test_asm_entries_must_be_integers(rows):
+    with pytest.raises(InputFormatError):
+        from_json_data(rows)
+
+
+def test_small_matrices_load():
+    assert from_json_data([[1, 0], [0, 1]]) == UTurnASM(1, ((1, 0), (0, 1)))
+    assert from_json_data([["SW"], ["NE"]]) == CompassPointMatrix(
+        1, (("SW",), ("NE",)))
+
+
+@pytest.mark.parametrize("level", [0, -1, 1.0, True])
+def test_tableau_letter_level_must_be_a_positive_integer(level):
+    doc = {"family": "st", "shape": [1],
+           "rows": [[{"level": level, "barred": False}]]}
+    with pytest.raises(InputFormatError):
+        from_json_data(doc)

@@ -3,20 +3,44 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symptok.shapes import (
+    BadLengthError,
     Entry,
     RankTooSmallError,
     add_staircase,
     as_partition,
+    as_strict_partition,
     conjugate,
     letter,
     letter_barred,
     letter_level,
     letter_str,
-    ordinary_cells,
     partitions_up_to,
-    remove_staircase,
-    shifted_cells,
 )
+
+
+# Diagram helpers that only these tests use.
+
+
+def remove_staircase(lam, n):
+    """Inverse of add_staircase for strict lambda of length n."""
+    lam = as_strict_partition(lam)
+    if len(lam) != n:
+        raise BadLengthError(f"{lam} does not have length n={n}")
+    return as_partition(tuple(lam[i] - (n - i) for i in range(n)))
+
+
+def shifted_cells(lam):
+    """Cells (row, col) of the shifted diagram; row i starts at column i."""
+    lam = as_strict_partition(lam)
+    return {(i, c) for i in range(1, len(lam) + 1)
+            for c in range(i, i + lam[i - 1])}
+
+
+def ordinary_cells(mu):
+    """Cells (row, col) of the ordinary diagram; row i covers columns 1..mu_i."""
+    mu = as_partition(mu)
+    return {(i, c) for i in range(1, len(mu) + 1)
+            for c in range(1, mu[i - 1] + 1)}
 
 
 class TestAddStaircase:

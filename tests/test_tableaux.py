@@ -4,7 +4,7 @@ import pytest
 
 import golden as G
 from symptok.matrices import count_gtp
-from symptok.shapes import letter, letter_level, shifted_cells
+from symptok.shapes import letter, letter_level
 from symptok.tableaux import (
     ShapeMismatchError,
     ShiftedTableau,
@@ -109,7 +109,8 @@ class TestEnumerateST:
     def test_matches_brute_force(self):
         for lam, n in [((1,), 1), ((2,), 1), ((2, 1), 2)]:
             got = {s.rows for s in enumerate_st(lam, n)}
-            cells = sorted(shifted_cells(lam))
+            cells = [(i, c) for i in range(1, len(lam) + 1)
+                     for c in range(i, i + lam[i - 1])]
             want = set()
             for fill in itertools.product(range(1, 2 * n + 1), repeat=len(cells)):
                 rows = [[0] * lam[i] for i in range(len(lam))]
