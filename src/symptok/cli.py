@@ -117,11 +117,11 @@ def _cmd_bijection(args) -> int:
 
 
 def _annotated(st: ShiftedTableau, scheme: str, neighbour: str) -> str:
-    cells = []
     if scheme == "ST_XY":
         cells = [weights._st_case_factor_xy(c, case) for c, case in cell_cases(st)]
     else:
-        cells = [weights._st_case_factor_q(c, case) for c, case in cell_cases(st)]
+        cells = [weights._st_case_factor_q(c, case)
+                 for c, case in weights.st_q_factor_ids(st, neighbour)]
     texts, pos = [], 0
     for row in st.rows:
         texts.append([render_poly_compact(cells[pos + j]) for j in range(len(row))])

@@ -20,9 +20,10 @@ value type that each local factor of weights.factor_table is lifted to: the
 LaurentPoly itself, or an algebra.Residues holding its values at the points.
 Each left side is computed one of two ways:
 
-  * the shifted-tableau identities (and sp_mu on the right) stream through a
-    walker that carries one running product per search node, and adds up
-    the factors of the last cell before multiplying by the shared prefix;
+  * the shifted-tableau identities (and sp_mu on the right) go through a
+    row-transfer walker: a row's bounds and factors depend only on the row
+    next to it, so the walker fills one row at a time and merges partial
+    tableaux whose last row has the same contents into one entry;
   * every other left side goes through the factor-id kernel: each object
     becomes the multiset of its local factor ids, objects with the same
     multiset are counted once, and each distinct multiset is multiplied out
@@ -269,52 +270,54 @@ def _st_sum(lam, n: int, table: Mapping, lift: Lift):
     cell factors table[(code, case)], in the value type of lift, with the
     tableau count and the count of their primed refinements (2^free each).
 
-    Mirrors the bottom-up enumerate_st, carrying one running product per
-    search node.  The children of the last cell are all leaves, so its
-    candidates' factors are added up and multiply the shared prefix once.
+    A row's bounds and cell cases depend only on the row below it, so the
+    walk goes bottom-up one row at a time.  Each level maps the contents of
+    the row just filled to the summed product, tableau count and primed
+    weight of the rows beneath; equal contents share one entry, and only
+    the current level is kept.  Within a row the walk carries one running
+    product per search node.  The children of the top row's last cell are
+    all leaves, so its candidates' factors are added up and multiply the
+    shared prefix once.
     """
     vals = {fid: lift(f) for fid, f in table.items()}
-    rows = [[0] * part for part in lam]
     total = lift(ZERO)
     st_count = qt_count = 0
+    level = {(): (lift(ONE), 1, 1)}
+    for i in range(n - 1, -1, -1):
+        width, row, nxt = lam[i], [0] * lam[i], {}
 
-    def fill(i: int, t: int, prefix, frees: int):
-        nonlocal total, st_count, qt_count
-        if t == lam[i]:
-            fill(i - 1, 0, prefix, frees)
-            return
-        hi = 2 * n
-        below_row = rows[i + 1] if i + 1 < n else None
-        below = None
-        if below_row is not None:
-            if 0 <= t - 1 < lam[i + 1]:
-                hi = min(hi, below_row[t - 1])
-                below = below_row[t - 1]
-            if t < lam[i + 1]:
-                hi = min(hi, below_row[t] - 1)
-        if t == 0:
-            candidates = [c for c in (letter(i + 1, False), letter(i + 1, True))
-                          if c <= hi]
-        else:
-            candidates = range(rows[i][t - 1], hi + 1)
-        last = i == 0 and t == lam[0] - 1
-        leaves = None
-        for code in candidates:
-            case = ("left" if t > 0 and rows[i][t - 1] == code
-                    else "below" if below == code else "free")
-            f, free = vals[(code, case)], case == "free"
-            if last:
-                leaves = f if leaves is None else leaves + f
-                st_count += 1
-                qt_count += 1 << (frees + free)
-            else:
-                rows[i][t] = code
-                fill(i, t + 1, prefix * f, frees + free)
-        if leaves is not None:
-            total = total + prefix * leaves
+        def walk(t: int, lo: int, prefix, frees: int):
+            nonlocal total, st_count, qt_count
+            last, down = t == width - 1, under[t]
+            leaves = None
+            for code in range(lo, his[t] + 1):
+                case = ("left" if t and code == lo
+                        else "below" if code == down else "free")
+                f, free = vals[(code, case)], frees + (case == "free")
+                row[t] = code
+                if not last:
+                    walk(t + 1, code, prefix * f, free)
+                elif i == 0:
+                    leaves = f if leaves is None else leaves + f
+                    st_count += st
+                    qt_count += qt << free
+                else:
+                    key, value = tuple(row), prefix * f
+                    old = nxt.get(key)
+                    nxt[key] = ((value, st, qt << free) if old is None else
+                                (old[0] + value, old[1] + st, old[2] + (qt << free)))
+            if leaves is not None:
+                total = total + prefix * leaves
 
-    fill(n - 1, 0, lift(ONE), 0)
-    del fill  # it refers to itself; dropping it frees the walk's state now
+        for below, (value, st, qt) in level.items():
+            # under[t] and under[t + 1] are the letters below cell t and on
+            # its down-right diagonal (ST2, ST3); 2n + 1 stands for no cell
+            under = (2 * n + 1,) + below + (2 * n + 1,) * (width - len(below))
+            his = [min(under[t], under[t + 1] - 1) for t in range(width)]
+            his[0] = min(his[0], letter(i + 1, True))  # ST4
+            walk(0, letter(i + 1, False), value, 0)
+        level = nxt
+    del walk  # it refers to itself; dropping it frees the walk's state now
     return total, st_count, qt_count
 
 
@@ -322,10 +325,11 @@ def _t_sum(mu, n: int, table: Mapping, lift: Lift):
     """Sum over the rank-n tableaux of shape mu of the product of their
     letters' factors table[code], in the value type of lift.
 
-    Mirrors enumerate_t, carrying one running product per search node.  The
-    children of the last cell are all leaves, and its candidates are every
-    letter from its least one up, so it multiplies the shared prefix once by
-    a suffix sum of the table.
+    A row's bounds depend only on the row above it (T2), so, as in _st_sum,
+    the sum is taken one row at a time, top-down, with one entry per
+    distinct row contents.  The last cell's candidates are every letter
+    from its least one up, so on the last row it multiplies the shared
+    prefix once by a suffix sum of the table.
     """
     mu = as_partition(mu)
     if len(mu) > n:
@@ -337,29 +341,36 @@ def _t_sum(mu, n: int, table: Mapping, lift: Lift):
     suffix = {top: vals[top]}
     for code in range(top - 1, 0, -1):
         suffix[code] = vals[code] + suffix[code + 1]
-    rows = [[0] * part for part in mu]
-    order = [(i, j) for i, part in enumerate(mu) for j in range(part)]
-    last = len(order) - 1
     total = lift(ZERO)
+    level = {(): lift(ONE)}
+    for i, width in enumerate(mu):
+        row, nxt = [0] * width, {}
+        last_row = i == len(mu) - 1
 
-    def fill(pos: int, prefix):
-        nonlocal total
-        i, j = order[pos]
-        lo = letter(i + 1, False)
-        if j > 0:
-            lo = max(lo, rows[i][j - 1])
-        if i > 0:
-            lo = max(lo, rows[i - 1][j] + 1)
-        if pos == last:
-            if lo <= top:
-                total = total + prefix * suffix[lo]
-            return
-        for code in range(lo, top + 1):
-            rows[i][j] = code
-            fill(pos + 1, prefix * vals[code])
+        def walk(j: int, lo: int, prefix):
+            nonlocal total
+            lo = max(lo, floors[j])
+            if j < width - 1:
+                for code in range(lo, top + 1):
+                    row[j] = code
+                    walk(j + 1, code, prefix * vals[code])
+            elif last_row:
+                if lo <= top:
+                    total = total + prefix * suffix[lo]
+            else:
+                for code in range(lo, top + 1):
+                    row[j] = code
+                    key, value = tuple(row), prefix * vals[code]
+                    old = nxt.get(key)
+                    nxt[key] = value if old is None else old + value
 
-    fill(0, lift(ONE))
-    del fill  # as in _st_sum
+        for above, value in level.items():
+            # per cell: the least letter by T2 and T3
+            floors = [max(letter(i + 1, False), above[j] + 1 if above else 0)
+                      for j in range(width)]
+            walk(0, 0, value)
+        level = nxt
+    del walk  # as in _st_sum
     return total
 
 
@@ -523,38 +534,30 @@ def verify_sweep(identity: str, n: int, max_weight: int, mode: str = "symbolic",
 
 def largest_feasible_subshape(target, cap: int) -> Tuple[Tuple[int, ...], int]:
     """Largest (by weight, then lex) strict lambda contained in target whose
-    staircase complement is a partition and whose object count is <= cap."""
+    staircase complement is a partition and whose object count is <= cap.
+
+    Candidates are tried from the largest down, so the first one that fits
+    is the answer and the larger ones are the only ones counted.
+    """
     target = tuple(target)
-    best: Optional[Tuple[Tuple[int, ...], int]] = None
 
-    def candidates(length: int):
-        def rec(prefix: List[int], i: int):
-            if i == length:
-                yield tuple(prefix)
-                return
-            hi = min(target[i], prefix[-1] - 1) if prefix else target[i]
-            for v in range(hi, length - i - 1, -1):
-                prefix.append(v)
-                yield from rec(prefix, i + 1)
-                prefix.pop()
-        yield from rec([], 0)
+    def strict(prefix: Tuple[int, ...], length: int):
+        i = len(prefix)
+        if i == length:
+            yield prefix
+            return
+        hi = min(target[i], prefix[-1] - 1) if prefix else target[i]
+        for v in range(hi, length - i - 1, -1):
+            yield from strict(prefix + (v,), length)
 
-    for length in range(len(target), 0, -1):
-        delta = tuple(range(length, 0, -1))
-        for lam in candidates(length):
-            mu = tuple(lam[i] - delta[i] for i in range(length))
-            if any(m < 0 for m in mu):
-                continue
-            if any(mu[i] < mu[i + 1] for i in range(length - 1)):
-                continue
-            if best is not None and (sum(lam), lam) <= (sum(best[0]), best[0]):
-                continue
-            cnt = count_gtp(lam, length)
-            if cnt <= cap:
-                best = (lam, cnt)
-    if best is None:
-        raise ScaleExceededError(f"no subshape of {target} fits under {cap}")
-    return best
+    # every strict lambda has a partition lambda - delta as its complement
+    candidates = [lam for length in range(len(target), 0, -1)
+                  for lam in strict((), length)]
+    for lam in sorted(candidates, key=lambda lam: (sum(lam), lam), reverse=True):
+        cnt = count_gtp(lam, len(lam))
+        if cnt <= cap:
+            return lam, cnt
+    raise ScaleExceededError(f"no subshape of {target} fits under {cap}")
 
 
 def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,

@@ -121,8 +121,12 @@ def from_json_data(data) -> AnyObject:
         if "shape" in data and "rows" in data:
             return _parse_tableau(data)
         if "n" in data and "rows" in data:
-            return SympGTPattern(int(data["n"]),
-                                 tuple(tuple(int(v) for v in r) for r in data["rows"]))
+            rows = data["rows"]
+            if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+                raise InputFormatError("pattern rows must be an array of arrays")
+            if any(type(v) is not int for v in [data["n"], *(v for r in rows for v in r)]):
+                raise InputFormatError("pattern n and entries must be integers")
+            return SympGTPattern(data["n"], tuple(tuple(r) for r in rows))
     raise InputFormatError("unrecognised object layout")
 
 

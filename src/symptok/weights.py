@@ -441,7 +441,8 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
 
 
 def _product(table: Mapping[object, LaurentPoly], ids: Iterable[object]) -> LaurentPoly:
+    # one-term factors first, while the running product is still one term
     out = ONE
-    for fid in ids:
-        out = out * table[fid]
+    for f in sorted((table[fid] for fid in ids), key=LaurentPoly.num_terms):
+        out = out * f
     return out

@@ -110,6 +110,21 @@ class TestWeight:
         assert code == 0
         assert "x1+y1" in out and "y2" in out
 
+    @pytest.mark.parametrize("neighbour,grid", [
+        ("below", ["x1+x1*q  x2*q", "         x2+x2*q"]),
+        ("above", ["x1+x1*q  x2+x2*q", "         x2*q"]),
+    ])
+    def test_annotated_grid_follows_the_neighbour(self, capsys, tmp_path,
+                                                  neighbour, grid):
+        # rows (1, 2) and (2): the two 2s form a vertical pair, and the
+        # reading decides which of them carries the free factor x2+x2*q
+        from symptok.tableaux import ShiftedTableau
+        path = write_json(tmp_path, "st.json",
+                          ShiftedTableau((2, 1), ((1, 3), (3,))))
+        code, out, _ = run(capsys, "weight", "--scheme", "ST_Q", "--neighbour",
+                           neighbour, "--input", path, "--annotate")
+        assert code == 0 and out.splitlines()[1:] == grid
+
     def test_scheme_object_mismatch(self, capsys, tmp_path):
         path = write_json(tmp_path, "st.json", G.ST)
         code, _, err = run(capsys, "weight", "--scheme", "GT_QX",
@@ -224,6 +239,13 @@ class TestRender:
         bad.write_text("{\"nope\": 1}", encoding="utf-8")
         code, _, err = run(capsys, "render", "--input", str(bad))
         assert code == 2 and err
+
+    def test_float_pattern_entry_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "gt.json"
+        bad.write_text(json.dumps({"n": 1, "rows": [[1.7], [True]]}),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "render", "--input", str(bad))
+        assert code == 2 and out == "" and "integer" in err
 
     def test_one_row_compass_matrix_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "cpm.json"

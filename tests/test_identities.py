@@ -1,6 +1,7 @@
 import json
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -36,9 +37,15 @@ from symptok.identities import (
     verify_big_modular,
     verify_sweep,
 )
-from symptok.matrices import enumerate_gtp, enumerate_uasm
+from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
 from symptok.shapes import add_staircase, partitions_up_to
-from symptok.tableaux import enumerate_st, enumerate_t, prime_freedom, primings
+from symptok.tableaux import (
+    cell_cases,
+    enumerate_st,
+    enumerate_t,
+    prime_freedom,
+    primings,
+)
 from symptok.weights import (
     factor_table,
     primed_weight_sum,
@@ -305,9 +312,8 @@ def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
 
 @lru_cache(maxsize=None)
 def walker_reference(mu, n):
-    """Per-object sums and object counts of the walkers' identities, and
-    sp_mu by deformation.  At n <= 2 the primed sums are also checked
-    against explicit primings."""
+    """Per-object sums and object counts of the shifted walkers' identities.
+    At n <= 2 the primed sums are also checked against explicit primings."""
     lam = add_staircase(mu, n)
     sts = list(enumerate_st(lam, n))
     qt_count = sum(2 ** len(prime_freedom(st)[1]) for st in sts)
@@ -324,31 +330,64 @@ def walker_reference(mu, n):
         for identity, deformed in (("COR_Q", False), ("PROP_T", True)):
             assert lhs[identity][0] == sum((wgt_qt(qt, deformed) for qt in qts),
                                            LaurentPoly.zero())
-    sp = {deformed: sum((wgt_t(t, deformed) for t in enumerate_t(mu, n)),
-                        LaurentPoly.zero())
-          for deformed in (False, True)}
-    return lhs, sp
+    return lhs
+
+
+@lru_cache(maxsize=None)
+def sp_reference(mu, n):
+    """sp_mu and its deformation as sums of per-object wgt_t."""
+    return {deformed: sum((wgt_t(t, deformed) for t in enumerate_t(mu, n)),
+                          LaurentPoly.zero())
+            for deformed in (False, True)}
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "modular"])
 def test_walkers_match_per_object_weights(mode):
     # each walker sum, in both value types, against the sum of per-object
-    # weights, with the tableau and primed-refinement counts
+    # weights, with the tableau and primed-refinement counts; the three rows
+    # of mu = (2,1,1) make the tableau walker merge rows at two levels (the
+    # shifted walker's rank-4 case is the next test)
     rng = random.Random(6)
-    for mu, n in KERNEL_CASES:
-        lam = add_staircase(mu, n)
-        lhs, sp = walker_reference(mu, n)
+    for mu, n in KERNEL_CASES + [((2, 1, 1), 4)]:
         points = [random_point(_identity_variables("PROP_T", n) + [QVAR], rng)
                   for _ in range(2)]
         lift = exact if mode == "symbolic" else modular_lift(points)
-        for identity, (total, objects) in lhs.items():
-            scheme = _factor_scheme(identity, "plain", "full", "below")
-            got, got_objects = _left_side(identity, lam, n, scheme, "full",
-                                          "below", lift)
-            assert got == lift(total) and got_objects == objects, (identity, mu, n)
-        for deformed, total in sp.items():
+        if n < 4:
+            lam = add_staircase(mu, n)
+            for identity, (total, objects) in walker_reference(mu, n).items():
+                scheme = _factor_scheme(identity, "plain", "full", "below")
+                got, got_objects = _left_side(identity, lam, n, scheme, "full",
+                                              "below", lift)
+                assert got == lift(total) and got_objects == objects, (identity, mu, n)
+        for deformed, total in sp_reference(mu, n).items():
             table = factor_table("T_DEFORMED" if deformed else "T", n)
             assert _t_sum(mu, n, table, lift) == lift(total), (deformed, mu, n)
+
+
+def test_shifted_walker_matches_per_object_weights_at_rank_four():
+    # the 10,336 tableaux of lambda = (4,3,2,1), whose rows merge at two
+    # levels of the walker; expanding their weights' sum takes minutes, so
+    # each weight is the product of its table entries' values at the points,
+    # as wgt_st, wgt_st_q and primed_weight_sum multiply them
+    lam, n = (4, 3, 2, 1), 4
+    rng = random.Random(7)
+    points = [random_point(_identity_variables("PROP_T", n) + [QVAR], rng)
+              for _ in range(2)]
+    lift = modular_lift(points)
+    sts = list(enumerate_st(lam, n))
+    qt_count = sum(2 ** len(prime_freedom(st)[1]) for st in sts)
+    for identity, objects in (("THM_ST", len(sts)), ("COR_Q", qt_count),
+                              ("PROP_T", qt_count), ("COR_ST_Q", len(sts))):
+        scheme = _factor_scheme(identity, "plain", "full", "below")
+        vals = {fid: lift(f) for fid, f in factor_table(scheme, n).items()}
+        want = lift(LaurentPoly.zero())
+        for st in sts:
+            weight = lift(ONE)
+            for fid in cell_cases(st):
+                weight = weight * vals[fid]
+            want = want + weight
+        got = _left_side(identity, lam, n, scheme, "full", "below", lift)
+        assert got == (want, objects), identity
 
 
 @pytest.mark.parametrize("knobs", [
@@ -389,6 +428,29 @@ class TestBigModular:
     def test_fallback_search(self):
         lam, count = largest_feasible_subshape((3, 1), 10)
         assert lam == (3,) and count == 4
+
+    @pytest.mark.parametrize("target,cap", [
+        *product([(3, 1), (4, 2, 1), (5, 3, 1), (6, 4, 3, 1)],
+                 [1, 4, 30, 500, 10 ** 4]),
+        (G.LAMBDA, 10 ** 6),
+    ])
+    def test_fallback_search_matches_exhaustive_oracle(self, target, cap):
+        # every strict lambda inside target, counted, and the largest by
+        # (weight, lex) that fits under cap
+        fits = []
+        for entries in product(*(range(t + 1) for t in target)):
+            lam = tuple(v for v in entries if v)
+            if (lam == entries[:len(lam)] and lam
+                    and all(a > b for a, b in zip(lam, lam[1:]))):
+                count = count_gtp(lam, len(lam))
+                if count <= cap:
+                    fits.append(((sum(lam), lam), count))
+        if not fits:
+            with pytest.raises(ScaleExceededError):
+                largest_feasible_subshape(target, cap)
+            return
+        (_, lam), count = max(fits)
+        assert largest_feasible_subshape(target, cap) == (lam, count)
 
     def test_fallback_is_documented(self):
         r = verify_big_modular((2,), 2, trials=5, seed=1, cap=10)

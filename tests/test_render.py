@@ -5,7 +5,7 @@ from symptok.matrices import CompassPointMatrix, UTurnASM
 from symptok.render import InputFormatError, from_json_data, to_json_data
 
 
-@pytest.mark.parametrize("obj", [G.A, G.CPM])
+@pytest.mark.parametrize("obj", [G.A, G.CPM, G.GT])
 def test_matrices_round_trip(obj):
     assert from_json_data(to_json_data(obj)) == obj
 
@@ -40,5 +40,19 @@ def test_small_matrices_load():
 def test_tableau_letter_level_must_be_a_positive_integer(level):
     doc = {"family": "st", "shape": [1],
            "rows": [[{"level": level, "barred": False}]]}
+    with pytest.raises(InputFormatError):
+        from_json_data(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": 1, "rows": [[1.7], [True]]},
+    {"n": "1", "rows": [["2"], [3]]},
+    {"n": 1.0, "rows": [[2], [1]]},
+    {"n": True, "rows": [[2], [1]]},
+    {"n": 1, "rows": [[2], [1.0]]},
+    {"n": 1, "rows": [[2], [False]]},
+    {"n": 1, "rows": ["2", [1]]},
+])
+def test_pattern_n_and_entries_must_be_integers(doc):
     with pytest.raises(InputFormatError):
         from_json_data(doc)

@@ -4,8 +4,9 @@ runs of the same tree).
 
 The fixture covers the ten grid variants plus the rejected `literal` and
 `above` conventions: symbolic at n <= 2, |mu| <= 2, counterexamples
-included, and modular at n = 3, mu = (2), T = 20, seed 1.  Re-record it
-only for a change that means to alter reports:
+included, and modular at n = 3, mu = (2), T = 20, seed 1; and the at-scale
+check verify_big_modular((4,3,3), 5) at T = 20, seed 1, with its fallback.
+Re-record it only for a change that means to alter reports:
 
   PYTHONPATH=src python3 tests/test_report_pins.py
 """
@@ -13,7 +14,7 @@ only for a change that means to alter reports:
 import json
 import os
 
-from symptok.identities import verify, verify_sweep
+from symptok.identities import verify, verify_big_modular, verify_sweep
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures",
                        "pinned_reports.json")
@@ -44,6 +45,8 @@ def pinned_reports():
                 out.append((label, r.to_json_dict(include_timing=False)))
         r = verify(identity, (2,), 3, "modular", trials=20, seed=1, **knobs)
         out.append((label, r.to_json_dict(include_timing=False)))
+    r = verify_big_modular((4, 3, 3), 5, trials=20, seed=1)
+    out.append(("verify_big_modular", r.to_json_dict(include_timing=False)))
     return out
 
 
