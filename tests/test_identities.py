@@ -19,6 +19,7 @@ from symptok.algebra import (
 from symptok.identities import (
     IDENTITIES,
     InvalidRankError,
+    InvalidWeightError,
     ModularParameterError,
     ScaleExceededError,
     UnknownConventionError,
@@ -26,6 +27,7 @@ from symptok.identities import (
     _factor_scheme,
     _factor_sums,
     _identity_variables,
+    _le_setbuilder_sweep,
     _left_side,
     _t_sum,
     ambiguity_report,
@@ -413,11 +415,23 @@ class TestSweeps:
         reports = verify_sweep("PROP_T", 2, 2)
         assert all(r.equal for r in reports)
 
-    def test_worker_pool_matches_serial(self):
-        serial = [r.to_json_dict(False) for r in verify_sweep("COR_GT", 2, 2)]
-        pooled = [r.to_json_dict(False)
-                  for r in verify_sweep("COR_GT", 2, 2, workers=4)]
-        assert serial == pooled
+    def test_workers_other_than_one_are_rejected(self):
+        for workers in (0, 2, 4):
+            with pytest.raises(ValueError, match="workers"):
+                verify_sweep("COR_GT", 2, 2, workers=workers)
+
+    def test_negative_max_weight_is_rejected(self):
+        # no shape has a negative weight, so a sweep would check nothing; the
+        # rejected conventions would read as satisfied
+        calls = [
+            lambda: verify_sweep("THM_ST", 2, -1),
+            lambda: verify_sweep("COR_GT", 3, -5, "modular", trials=4),
+            lambda: ambiguity_report(2, -1),
+            lambda: _le_setbuilder_sweep(2, -1),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidWeightError, match="max_weight"):
+                call()
 
 
 class TestBigModular:

@@ -125,6 +125,11 @@ def test_partition_validation_trims_zeros():
 def test_partitions_up_to():
     got = list(partitions_up_to(3, 2))
     assert got == [(), (1,), (1, 1), (2,), (2, 1), (3,)]
+    # sweeps report in this order without sorting it again
+    for n in range(1, 6):
+        for w in range(9):
+            got = list(partitions_up_to(w, n))
+            assert got == sorted(set(got), key=lambda mu: (sum(mu), mu))
 
 
 def test_alphabet_order_and_marks():
