@@ -12,6 +12,9 @@ Three conventions admit two readings each; the discriminating rank is n = 2:
     position j = k versus stopping at j = k-1).
 
 Usage: python scripts/ambiguity_findings.py [--out reports/ambiguities.json]
+
+Exit status: 0 if every accepted convention holds, 1 if one fails, 2 on bad
+input (as the CLI).
 """
 
 import argparse
@@ -19,6 +22,7 @@ import json
 import os
 import sys
 
+from symptok.cli import exit_code
 from symptok.identities import ambiguity_report
 
 
@@ -48,4 +52,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

@@ -2,12 +2,15 @@
 """Randomized verification of the main identity at the largest feasible size.
 
 Requests mu = (4,3,3) at n = 5 (the running shape lambda = (9,7,6,2,1),
-19,781,353,800 objects).  Streamed enumeration at that size is out of reach,
-so the engine falls back to the largest shape contained in it whose family
-fits under the cap, records both in the report, and streams that family at
-the seeded random points.
+19,781,353,800 objects).  That object count is over the cap, so the engine
+falls back to the largest shape contained in it whose family fits under the
+cap, records both in the report, and sums that family's weights at the
+seeded random points.
 
 Usage: python scripts/modular_at_scale.py [--trials 20] [--seed 20240601]
+
+Exit status: 0 if the identity holds, 1 if it fails, 2 on bad input (as the
+CLI).
 """
 
 import argparse
@@ -16,6 +19,7 @@ import os
 import sys
 import time
 
+from symptok.cli import exit_code
 from symptok.identities import verify_big_modular
 
 
@@ -47,10 +51,10 @@ def main() -> int:
         print(f"fell back to lambda={fb['chosen']['lambda']} with "
               f"{fb['chosen']['objects']} objects")
     print(f"equal={report.equal} after {report.params['trials']} trials, "
-          f"{report.objects} objects streamed, {elapsed:.1f}s")
+          f"{report.objects} objects, {elapsed:.1f}s")
     print(f"report -> {args.out}")
     return 0 if report.equal else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

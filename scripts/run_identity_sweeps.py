@@ -3,7 +3,8 @@
 
 Grid: every identity (the normalised U-turn q-weighting included as its own
 variant) over n in {1, 2} with |mu| <= 4 and n = 3 with |mu| <= 2.  Exit
-status is 0 only if every case verifies.
+status is 0 only if every case verifies, and 2 on bad input (as the CLI).
+The directory of --out is made before the grid runs, so a bad one fails fast.
 
 Usage: python scripts/run_identity_sweeps.py [--out reports/identity_sweeps.json]
 """
@@ -14,6 +15,7 @@ import os
 import sys
 import time
 
+from symptok.cli import exit_code
 from symptok.identities import verify_sweep
 
 GRID = [
@@ -37,6 +39,7 @@ def main() -> int:
     parser.add_argument("--no-timing", action="store_true")
     args = parser.parse_args()
 
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     t0 = time.perf_counter()
     docs = []
     failures = 0
@@ -51,7 +54,6 @@ def main() -> int:
             status = "ok" if not bad else f"{len(bad)} FAILED"
             print(f"{label:<42} n={n} |mu|<={max_weight}: "
                   f"{len(reports)} cases {status}")
-    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(docs, fh, indent=2)
     print(f"\n{len(docs)} reports -> {args.out} "
@@ -60,4 +62,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code(main))

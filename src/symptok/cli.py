@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import bijections, identities, render, weights
 from .algebra import MERSENNE31, LaurentPoly
@@ -292,16 +292,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def exit_code(run: Callable[[], int]) -> int:
+    """run()'s exit code, or 2 with one "error:" line on stderr when the
+    input is bad: a ValueError (malformed JSON, shapes and parameters
+    included), a file that cannot be read or written, or a case over the
+    scale cap.  The CLI and the scripts share it."""
     try:
-        return args.func(args)
+        return run()
     except identities.ScaleExceededError as exc:
         return _fail(f"scale cap exceeded: {exc}")
-    except (render.InputFormatError, FileNotFoundError, json.JSONDecodeError,
-            ValueError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(str(exc))
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_code(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -20,10 +20,11 @@ value type that each local factor of weights.factor_table is lifted to: the
 LaurentPoly itself, or an algebra.Residues holding its values at the points.
 Each left side is computed one of two ways:
 
-  * the shifted-tableau identities (and sp_mu on the right) go through a
-    row-transfer walker: a row's bounds and factors depend only on the row
-    next to it, so the walker fills one row at a time and merges partial
-    tableaux whose last row has the same contents into one entry;
+  * the shifted-tableau identities (and sp_mu on the right) go through the
+    letter-step transfer: the cells with letter <= c form a shape, so a
+    tableau is a path of shapes, one strip per letter, each strip's factors
+    depend only on the two shapes, and paths that reach the same shape are
+    merged into one entry;
   * every other left side goes through the factor-id kernel: each object
     becomes the multiset of its local factor ids, objects with the same
     multiset are counted once, and each distinct multiset is multiplied out
@@ -35,10 +36,12 @@ entries and serve the tests as the reference.
 
 from __future__ import annotations
 
+import operator
 import random
 import time
 from collections import Counter
-from itertools import groupby
+from functools import reduce
+from itertools import groupby, product
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -59,8 +62,14 @@ from .algebra import (
     yvar,
 )
 from .matrices import count_gtp, enumerate_gtp, enumerate_uasm
-from .shapes import RankTooSmallError, add_staircase, as_partition, letter, partitions_up_to
-from .tableaux import enumerate_st
+from .shapes import (
+    RankTooSmallError,
+    add_staircase,
+    as_partition,
+    letter,
+    letter_level,
+    partitions_up_to,
+)
 from .weights import UnknownConventionError
 
 IDENTITIES = (
@@ -119,7 +128,7 @@ def _exact(f: LaurentPoly) -> LaurentPoly:
 def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     """Sum of wgt_t over all rank-n tableaux of shape mu."""
     scheme = "T_DEFORMED" if deformed else "T"
-    return _t_sum(mu, n, weights.factor_table(scheme, n), _exact)
+    return _transfer(mu, n, weights.factor_table(scheme, n), _exact, _letter_cells)[0]
 
 
 def _xy_factors(n: int, deformed: bool) -> List[LaurentPoly]:
@@ -170,7 +179,7 @@ def _right_side(identity: str, mu, n: int, lift: Lift):
     """sp_mu times the rhs_factors, in the value type of lift."""
     factors = rhs_factors(identity, n)
     scheme = "T_DEFORMED" if identity == "PROP_T" else "T"
-    out = _t_sum(mu, n, weights.factor_table(scheme, n), lift)
+    out = _transfer(mu, n, weights.factor_table(scheme, n), lift, _letter_cells)[0]
     for f in factors:
         out = out * lift(f)
     return out
@@ -205,21 +214,20 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
 
 def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
                st_q_neighbour: str, lift: Lift):
-    """The left side in the value type of lift, and its object count.  The
-    walker reads the below-neighbour cell cases, so the rejected "above"
-    reading of ST_Q goes through the kernel."""
-    if identity not in _ST_FAMILY or (identity == "COR_ST_Q"
-                                      and st_q_neighbour == "above"):
-        return _factor_sums(lam, n, scheme, c0_mode, st_q_neighbour, lift)
-    total, st_count, qt_count = _st_sum(lam, n, weights.factor_table(scheme, n), lift)
+    """The left side in the value type of lift, and its object count.  Only
+    COR_ST_Q reads st_q_neighbour."""
+    if identity not in _ST_FAMILY:
+        return _factor_sums(lam, n, scheme, c0_mode, lift)
+    neighbour = st_q_neighbour if identity == "COR_ST_Q" else "below"
+    total, st_count, qt_count = _transfer(lam, n, weights.factor_table(scheme, n),
+                                          lift, _shifted_cells(neighbour))
     return total, qt_count if identity in ("PROP_T", "COR_Q") else st_count
 
 
 # -- the factor-id kernel ------------------------------------------------------------
 
 
-def _factor_sums(lam, n: int, scheme: str, c0_mode: str, st_q_neighbour: str,
-                 lift: Lift):
+def _factor_sums(lam, n: int, scheme: str, c0_mode: str, lift: Lift):
     """The left side in the value type of lift, and the object count, from
     factor ids.
 
@@ -230,10 +238,7 @@ def _factor_sums(lam, n: int, scheme: str, c0_mode: str, st_q_neighbour: str,
     """
     from .bijections import uasm_to_cpm
 
-    if scheme == "ST_Q":
-        ids = (weights.st_q_factor_ids(st, st_q_neighbour)
-               for st in enumerate_st(lam, n))
-    elif scheme in weights.CPM_SCHEMES:
+    if scheme in weights.CPM_SCHEMES:
         ids = (weights.cpm_factor_ids(uasm_to_cpm(a), scheme)
                for a in enumerate_uasm(lam, n))
     else:
@@ -266,116 +271,93 @@ def _factor_sums(lam, n: int, scheme: str, c0_mode: str, st_q_neighbour: str,
     return total, sum(multisets.values())
 
 
-# -- walkers for the tableau families -------------------------------------------
+# -- the letter-step transfer ------------------------------------------------------
 
 
-def _st_sum(lam, n: int, table: Mapping, lift: Lift):
-    """Sum over the shifted tableaux of shape lam of the product of their
-    cell factors table[(code, case)], in the value type of lift, with the
-    tableau count and the count of their primed refinements (2^free each).
+def _transfer(lam, n: int, table: Mapping, lift: Lift, cells):
+    """Sum over the rank-n tableaux of shape lam of the product of their
+    cells' factors table[fid], in the value type of lift, with the tableau
+    count and the primed count (2^free per tableau).
 
-    A row's bounds and cell cases depend only on the row below it, so the
-    walk goes bottom-up one row at a time.  Each level maps the contents of
-    the row just filled to the summed product, tableau count and primed
-    weight of the rows beneath; equal contents share one entry, and only
-    the current level is kept.  Within a row the walk carries one running
-    product per search node.  The children of the top row's last cell are
-    all leaves, so its candidates' factors are added up and multiply the
-    shared prefix once.
+    The cells with letter <= c form a shape S_c, so a tableau is a path
+    S_0 = (0, ..., 0) -> S_1 -> ... -> S_2n = lam of row lengths.  Row i
+    (from 0) holds no letter below level i + 1 (T3, ST4), and a cell of
+    letter c needs a smaller letter at its offset in row i - 1 (directly
+    above it by T2, up-left on its diagonal by ST3), so step c takes S to
+    the T with S_i <= T_i <= min(lam_i, S_(i-1)).  cells(c, S, T) gives the
+    step's (id, power) pairs and its count of free cells, or None where the
+    family forbids T.  Each level maps a shape to the summed product, count
+    and primed count of its paths.  No two cells of one letter share an
+    offset, so a shape that leaves some offset more cells than there are
+    letters left is dropped.  Each distinct step's product is computed once.
     """
+    lam = as_partition(lam)
+    if len(lam) > n:
+        raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
     vals = {fid: lift(f) for fid, f in table.items()}
-    total = lift(ZERO)
-    st_count = qt_count = 0
-    level = {(): (lift(ONE), 1, 1)}
-    for i in range(n - 1, -1, -1):
-        width, row, nxt = lam[i], [0] * lam[i], {}
+    products: Dict[tuple, object] = {}
+    level = {(0,) * len(lam): (lift(ONE), 1, 1)}
+    for c in range(1, 2 * n + 1):
+        rows, letters_left = min(len(lam), letter_level(c)), 2 * n - c
+        nxt, alive = {}, {}
+        for S, (value, count, primed) in level.items():
+            ranges = [range(S[i], min(lam[i], S[i - 1] if i else lam[0]) + 1)
+                      for i in range(rows)]
+            for head in product(*ranges):
+                T = head + S[rows:]
+                ok = alive.get(T)
+                if ok is None:
+                    ok = alive[T] = all(
+                        sum(b <= a < top for b, top in zip(T, lam)) <= letters_left
+                        for a in T)
+                step = cells(c, S, T) if ok else None
+                if step is None:
+                    continue
+                ids, free = step
+                f = products.get(ids)
+                if f is None and ids:
+                    f = products[ids] = reduce(
+                        operator.mul, (vals[fid] ** e for fid, e in ids))
+                value_t = value * f if ids else value
+                primed_t, old = primed << free, nxt.get(T)
+                nxt[T] = ((value_t, count, primed_t) if old is None else
+                          (old[0] + value_t, old[1] + count, old[2] + primed_t))
+        level = nxt
+    return level.get(lam, (lift(ZERO), 0, 0))
 
-        def walk(t: int, lo: int, prefix, frees: int):
-            nonlocal total, st_count, qt_count
-            last, down = t == width - 1, under[t]
-            leaves = None
-            for code in range(lo, his[t] + 1):
-                case = ("left" if t and code == lo
-                        else "below" if code == down else "free")
-                f, free = vals[(code, case)], frees + (case == "free")
-                row[t] = code
-                if not last:
-                    walk(t + 1, code, prefix * f, free)
-                elif i == 0:
-                    leaves = f if leaves is None else leaves + f
-                    st_count += st
-                    qt_count += qt << free
+
+def _letter_cells(c: int, S, T):
+    """Ordinary tableaux: every strip is allowed, and each new cell carries
+    its letter."""
+    grown = sum(T) - sum(S)
+    return ((c, grown),) if grown else (), 0
+
+
+def _shifted_cells(neighbour: str):
+    """Shifted tableaux: T is strict and row i holds a cell by the barred
+    letter of level i + 1 (ST4).  A new cell whose left neighbour is new too
+    is "left".  A row's first new cell, at offset s, takes the neighbour
+    case when the cell below it (offset s - 1 of the next row) or, in the
+    "above" reading, above it (offset s + 1 of the previous row) is new
+    too, and is "free" otherwise."""
+    def cells(c: int, S, T):
+        if any(b and b >= a for a, b in zip(T, T[1:])) or any(
+                not t and c >= letter(i + 1, True) for i, t in enumerate(T)):
+            return None
+        Sp, Tp = (0,) + S + (0,), (0,) + T + (0,)
+        lefts = nears = frees = 0
+        for i in range(1, len(Sp) - 1):
+            s = Sp[i]
+            if Tp[i] > s:
+                lefts += Tp[i] - s - 1
+                if (Sp[i + 1] <= s - 1 < Tp[i + 1] if neighbour == "below"
+                        else Sp[i - 1] <= s + 1 < Tp[i - 1]):
+                    nears += 1
                 else:
-                    key, value = tuple(row), prefix * f
-                    old = nxt.get(key)
-                    nxt[key] = ((value, st, qt << free) if old is None else
-                                (old[0] + value, old[1] + st, old[2] + (qt << free)))
-            if leaves is not None:
-                total = total + prefix * leaves
-
-        for below, (value, st, qt) in level.items():
-            # under[t] and under[t + 1] are the letters below cell t and on
-            # its down-right diagonal (ST2, ST3); 2n + 1 stands for no cell
-            under = (2 * n + 1,) + below + (2 * n + 1,) * (width - len(below))
-            his = [min(under[t], under[t + 1] - 1) for t in range(width)]
-            his[0] = min(his[0], letter(i + 1, True))  # ST4
-            walk(0, letter(i + 1, False), value, 0)
-        level = nxt
-    del walk  # it refers to itself; dropping it frees the walk's state now
-    return total, st_count, qt_count
-
-
-def _t_sum(mu, n: int, table: Mapping, lift: Lift):
-    """Sum over the rank-n tableaux of shape mu of the product of their
-    letters' factors table[code], in the value type of lift.
-
-    A row's bounds depend only on the row above it (T2), so, as in _st_sum,
-    the sum is taken one row at a time, top-down, with one entry per
-    distinct row contents.  The last cell's candidates are every letter
-    from its least one up, so on the last row it multiplies the shared
-    prefix once by a suffix sum of the table.
-    """
-    mu = as_partition(mu)
-    if len(mu) > n:
-        raise RankTooSmallError(f"shape {mu} needs more than n={n} rows")
-    if not mu:
-        return lift(ONE)
-    top = 2 * n
-    vals = {code: lift(f) for code, f in table.items()}
-    suffix = {top: vals[top]}
-    for code in range(top - 1, 0, -1):
-        suffix[code] = vals[code] + suffix[code + 1]
-    total = lift(ZERO)
-    level = {(): lift(ONE)}
-    for i, width in enumerate(mu):
-        row, nxt = [0] * width, {}
-        last_row = i == len(mu) - 1
-
-        def walk(j: int, lo: int, prefix):
-            nonlocal total
-            lo = max(lo, floors[j])
-            if j < width - 1:
-                for code in range(lo, top + 1):
-                    row[j] = code
-                    walk(j + 1, code, prefix * vals[code])
-            elif last_row:
-                if lo <= top:
-                    total = total + prefix * suffix[lo]
-            else:
-                for code in range(lo, top + 1):
-                    row[j] = code
-                    key, value = tuple(row), prefix * vals[code]
-                    old = nxt.get(key)
-                    nxt[key] = value if old is None else old + value
-
-        for above, value in level.items():
-            # per cell: the least letter by T2 and T3
-            floors = [max(letter(i + 1, False), above[j] + 1 if above else 0)
-                      for j in range(width)]
-            walk(0, 0, value)
-        level = nxt
-    del walk  # as in _st_sum
-    return total
+                    frees += 1
+        counts = (((c, "left"), lefts), ((c, neighbour), nears), ((c, "free"), frees))
+        return tuple((fid, e) for fid, e in counts if e), frees
+    return cells
 
 
 # -- reports --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from functools import lru_cache
@@ -29,7 +30,9 @@ from symptok.identities import (
     _identity_variables,
     _le_setbuilder_sweep,
     _left_side,
-    _t_sum,
+    _letter_cells,
+    _shifted_cells,
+    _transfer,
     ambiguity_report,
     largest_feasible_subshape,
     rhs_factors,
@@ -40,7 +43,7 @@ from symptok.identities import (
     verify_sweep,
 )
 from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
-from symptok.shapes import add_staircase, partitions_up_to
+from symptok.shapes import RankTooSmallError, add_staircase, partitions_up_to
 from symptok.tableaux import (
     cell_cases,
     enumerate_st,
@@ -52,6 +55,7 @@ from symptok.weights import (
     factor_table,
     primed_weight_sum,
     qx_weight,
+    st_q_factor_ids,
     wgt_cpm,
     wgt_gtp,
     wgt_qt,
@@ -109,6 +113,13 @@ class TestCharacterSums:
 
     def test_single_box_deformed(self):
         assert sp_mu((1,), 1, deformed=True) == X1 + T2 * V(xvar(1), -1)
+
+    def test_shape_longer_than_rank_is_rejected(self):
+        # no rank-2 tableau has three rows, but a sum over none would be 0
+        with pytest.raises(RankTooSmallError):
+            sp_mu((1, 1, 1), 2)
+        with pytest.raises(RankTooSmallError):
+            rhs_product("THM_ST", (1, 1, 1), 2)
 
 
 class TestPrimedSums:
@@ -275,8 +286,6 @@ KERNEL_VARIANTS = [
     ("COR_GT", {}, "GT_XY", enumerate_gtp, lambda g: wgt_gtp(g, "GT_XY")),
     ("COR_GT_Q", {}, "GT_Q", enumerate_gtp, lambda g: wgt_gtp(g, "GT_Q")),
     ("COR_GT_QX", {}, "GT_QX", enumerate_gtp, qx_weight),
-    ("COR_ST_Q", {"st_q_neighbour": "above"}, "ST_Q", enumerate_st,
-     lambda st: wgt_st_q(st, "above")),
 ]
 KERNEL_CASES = [(mu, n) for n in (1, 2) for mu in partitions_up_to(2, n)]
 KERNEL_CASES.append(((2,), 3))
@@ -285,7 +294,7 @@ KERNEL_CASES.append(((2,), 3))
 @pytest.mark.parametrize(
     "identity,knobs,scheme,family,weight", KERNEL_VARIANTS,
     ids=["CPM_XY", "CPM_Q_PLAIN", "CPM_Q_NORM-full", "CPM_Q_NORM-literal",
-         "GT_XY", "GT_Q", "GT_QX", "ST_Q-above"])
+         "GT_XY", "GT_Q", "GT_QX"])
 def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
                                                      family, weight):
     # the oracle expands every object's weight, sums the polynomials and
@@ -304,51 +313,56 @@ def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
             total = total + w
             for p, pt in enumerate(points):
                 want[p] = (want[p] + w.eval_mod(pt, MERSENNE31)) % MERSENNE31
-        conventions = (knobs.get("c0_mode", "full"),
-                       knobs.get("st_q_neighbour", "below"))
-        got = _factor_sums(lam, n, scheme, *conventions, exact)
+        c0_mode = knobs.get("c0_mode", "full")
+        got = _factor_sums(lam, n, scheme, c0_mode, exact)
         assert got == (total, objects), (mu, n)
-        got = _factor_sums(lam, n, scheme, *conventions, modular_lift(points))
+        got = _factor_sums(lam, n, scheme, c0_mode, modular_lift(points))
         assert (got[0].values, got[1]) == (want, objects), (mu, n)
 
 
 @lru_cache(maxsize=None)
 def walker_reference(mu, n):
-    """Per-object sums and object counts of the shifted walkers' identities.
-    At n <= 2 the primed sums are also checked against explicit primings."""
+    """Per-object sums and object counts of the shifted identities, keyed by
+    (identity, st_q_neighbour).  At n <= 2 the primed sums are also checked
+    against explicit primings."""
     lam = add_staircase(mu, n)
     sts = list(enumerate_st(lam, n))
     qt_count = sum(2 ** len(prime_freedom(st)[1]) for st in sts)
     lhs = {
-        "THM_ST": (sum((wgt_st(st) for st in sts), LaurentPoly.zero()), len(sts)),
-        "COR_ST_Q": (sum((wgt_st_q(st) for st in sts), LaurentPoly.zero()),
-                     len(sts)),
-        "COR_Q": (q_lambda(lam, n), qt_count),
-        "PROP_T": (q_lambda(lam, n, deformed=True), qt_count),
+        ("THM_ST", "below"): (sum((wgt_st(st) for st in sts), LaurentPoly.zero()),
+                              len(sts)),
+        ("COR_Q", "below"): (q_lambda(lam, n), qt_count),
+        ("PROP_T", "below"): (q_lambda(lam, n, deformed=True), qt_count),
     }
+    for neighbour in ("below", "above"):
+        lhs[("COR_ST_Q", neighbour)] = (
+            sum((wgt_st_q(st, neighbour) for st in sts), LaurentPoly.zero()),
+            len(sts))
     if n <= 2:
         qts = [qt for st in sts for qt in primings(st)]
         assert len(qts) == qt_count
         for identity, deformed in (("COR_Q", False), ("PROP_T", True)):
-            assert lhs[identity][0] == sum((wgt_qt(qt, deformed) for qt in qts),
-                                           LaurentPoly.zero())
+            assert lhs[(identity, "below")][0] == sum(
+                (wgt_qt(qt, deformed) for qt in qts), LaurentPoly.zero())
     return lhs
 
 
 @lru_cache(maxsize=None)
 def sp_reference(mu, n):
-    """sp_mu and its deformation as sums of per-object wgt_t."""
-    return {deformed: sum((wgt_t(t, deformed) for t in enumerate_t(mu, n)),
-                          LaurentPoly.zero())
+    """sp_mu and its deformation as sums of per-object wgt_t, with the
+    tableau count."""
+    ts = list(enumerate_t(mu, n))
+    return {deformed: (sum((wgt_t(t, deformed) for t in ts), LaurentPoly.zero()),
+                       len(ts))
             for deformed in (False, True)}
 
 
 @pytest.mark.parametrize("mode", ["symbolic", "modular"])
 def test_walkers_match_per_object_weights(mode):
-    # each walker sum, in both value types, against the sum of per-object
+    # each transfer sum, in both value types, against the sum of per-object
     # weights, with the tableau and primed-refinement counts; the three rows
-    # of mu = (2,1,1) make the tableau walker merge rows at two levels (the
-    # shifted walker's rank-4 case is the next test)
+    # of mu = (2,1,1) give the ordinary tableaux three growing rows (the
+    # shifted rank-4 case is the next test)
     rng = random.Random(6)
     for mu, n in KERNEL_CASES + [((2, 1, 1), 4)]:
         points = [random_point(_identity_variables("PROP_T", n) + [QVAR], rng)
@@ -356,21 +370,24 @@ def test_walkers_match_per_object_weights(mode):
         lift = exact if mode == "symbolic" else modular_lift(points)
         if n < 4:
             lam = add_staircase(mu, n)
-            for identity, (total, objects) in walker_reference(mu, n).items():
-                scheme = _factor_scheme(identity, "plain", "full", "below")
+            reference = walker_reference(mu, n)
+            for (identity, neighbour), (total, objects) in reference.items():
+                scheme = _factor_scheme(identity, "plain", "full", neighbour)
                 got, got_objects = _left_side(identity, lam, n, scheme, "full",
-                                              "below", lift)
-                assert got == lift(total) and got_objects == objects, (identity, mu, n)
-        for deformed, total in sp_reference(mu, n).items():
+                                              neighbour, lift)
+                assert got == lift(total) and got_objects == objects, (
+                    identity, neighbour, mu, n)
+        for deformed, (total, objects) in sp_reference(mu, n).items():
             table = factor_table("T_DEFORMED" if deformed else "T", n)
-            assert _t_sum(mu, n, table, lift) == lift(total), (deformed, mu, n)
+            got, got_objects, _ = _transfer(mu, n, table, lift, _letter_cells)
+            assert got == lift(total) and got_objects == objects, (deformed, mu, n)
 
 
 def test_shifted_walker_matches_per_object_weights_at_rank_four():
-    # the 10,336 tableaux of lambda = (4,3,2,1), whose rows merge at two
-    # levels of the walker; expanding their weights' sum takes minutes, so
-    # each weight is the product of its table entries' values at the points,
-    # as wgt_st, wgt_st_q and primed_weight_sum multiply them
+    # the 10,336 tableaux of lambda = (4,3,2,1), which reach most shapes by
+    # many paths; expanding their weights' sum takes minutes, so each weight
+    # is the product of its table entries' values at the points, as wgt_st,
+    # wgt_st_q and primed_weight_sum multiply them
     lam, n = (4, 3, 2, 1), 4
     rng = random.Random(7)
     points = [random_point(_identity_variables("PROP_T", n) + [QVAR], rng)
@@ -378,18 +395,41 @@ def test_shifted_walker_matches_per_object_weights_at_rank_four():
     lift = modular_lift(points)
     sts = list(enumerate_st(lam, n))
     qt_count = sum(2 ** len(prime_freedom(st)[1]) for st in sts)
-    for identity, objects in (("THM_ST", len(sts)), ("COR_Q", qt_count),
-                              ("PROP_T", qt_count), ("COR_ST_Q", len(sts))):
-        scheme = _factor_scheme(identity, "plain", "full", "below")
+    for identity, neighbour, objects in (
+            ("THM_ST", "below", len(sts)), ("COR_Q", "below", qt_count),
+            ("PROP_T", "below", qt_count), ("COR_ST_Q", "below", len(sts)),
+            ("COR_ST_Q", "above", len(sts))):
+        scheme = _factor_scheme(identity, "plain", "full", neighbour)
         vals = {fid: lift(f) for fid, f in factor_table(scheme, n).items()}
         want = lift(LaurentPoly.zero())
         for st in sts:
             weight = lift(ONE)
-            for fid in cell_cases(st):
+            for fid in (cell_cases(st) if neighbour == "below"
+                        else st_q_factor_ids(st, neighbour)):
                 weight = weight * vals[fid]
             want = want + weight
-        got = _left_side(identity, lam, n, scheme, "full", "below", lift)
-        assert got == (want, objects), identity
+        got = _left_side(identity, lam, n, scheme, "full", neighbour, lift)
+        assert got == (want, objects), (identity, neighbour)
+
+
+@pytest.mark.parametrize("lam,n", sorted(
+    {(add_staircase(mu, n), n) for mu, n in KERNEL_CASES}
+    | {((9, 7, 6), 3), ((4, 3, 2, 1), 4)}))
+def test_transfer_count_matches_gt_pattern_count(lam, n):
+    # count_gtp walks interlacing GT rows and shares no code with the
+    # transfer; (9,7,6) has 175,274 tableaux and (4,3,2,1) 10,336
+    _, count, _ = _transfer(lam, n, factor_table("ST_XY", n), modular_lift([]),
+                            _shifted_cells("below"))
+    assert count == count_gtp(lam, n)
+
+
+def test_verify_leaves_no_garbage_cycles():
+    # the engine builds no self-referencing closures, so its state is freed
+    # by reference counting when verify returns
+    gc.collect()
+    for identity in ("THM_ST", "PROP_T", "COR_GT"):
+        verify(identity, (2,), 3)
+        assert gc.collect() == 0, identity
 
 
 @pytest.mark.parametrize("knobs", [
