@@ -18,17 +18,16 @@ expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
 field (MODULAR).  One engine serves both modes; the mode only picks the
 value type that each local factor of weights.factor_table is lifted to: the
 LaurentPoly itself, or an algebra.Residues holding its values at the points.
-Each left side is computed one of two ways:
-
-  * the shifted-tableau identities (and sp_mu on the right) go through the
-    letter-step transfer: the cells with letter <= c form a shape, so a
-    tableau is a path of shapes, one strip per letter, each strip's factors
-    depend only on the two shapes, and paths that reach the same shape are
-    merged into one entry;
-  * every other left side goes through the factor-id kernel: each object
-    becomes the multiset of its local factor ids, objects with the same
-    multiset are counted once, and each distinct multiset is multiplied out
-    once.
+Every left side, and sp_mu on the right, goes through one letter-step
+transfer.  The cells of a tableau with letter <= c form a shape, so a
+tableau is a path of shapes, one strip per letter; paths that reach the same
+shape are merged into one entry.  The same shapes are the rows of a GT
+pattern and the column sums of a U-turn ASM after each alphabet row, so one
+walk serves every family, and three families of step callbacks name the
+local factors of a step from the shapes before and after it: letters of an
+ordinary tableau, cell cases of a shifted one, and the saturation marks or
+compass codes of the pattern or matrix row that the step builds.  No object
+is enumerated.
 
 The per-object weights of the weights module multiply the same table
 entries and serve the tests as the reference.
@@ -39,9 +38,8 @@ from __future__ import annotations
 import operator
 import random
 import time
-from collections import Counter
 from functools import reduce
-from itertools import groupby, product
+from itertools import product
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
@@ -61,7 +59,7 @@ from .algebra import (
     xvar,
     yvar,
 )
-from .matrices import count_gtp, enumerate_gtp, enumerate_uasm
+from .matrices import count_gtp
 from .shapes import (
     RankTooSmallError,
     add_staircase,
@@ -96,6 +94,11 @@ class ScaleExceededError(RuntimeError):
 
 class ModularParameterError(ValueError):
     """Trials or a modulus under which a modular verdict would not be earned."""
+
+
+class UnusedConventionError(ValueError):
+    """A convention knob set away from its default for an identity that
+    never reads it, where the report would not show that it did nothing."""
 
 
 class InvalidRankError(ValueError):
@@ -201,12 +204,23 @@ _SCHEMES = {"PROP_T": "QT_DEFORMED", "COR_Q": "ST_XY", "THM_ST": "ST_XY",
 def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
                    st_q_neighbour: str) -> str:
     """The factor-table scheme of the identity's left side.  Unknown
-    convention names raise UnknownConventionError."""
+    convention names raise UnknownConventionError, and a knob set away from
+    its default for an identity that never reads it raises
+    UnusedConventionError."""
     given = {"cpm_q_scheme": cpm_q_scheme, "c0_mode": c0_mode,
              "st_q_neighbour": st_q_neighbour}
     for name, value in given.items():
         if value not in CONVENTIONS[name]:
             raise UnknownConventionError(f"unknown {name} {value!r}")
+    reads = {"cpm_q_scheme": identity == "COR_UASM_Q",
+             "c0_mode": identity == "COR_UASM_Q" and cpm_q_scheme == "norm",
+             "st_q_neighbour": identity == "COR_ST_Q"}
+    for name, value in given.items():
+        if value != CONVENTIONS[name][0] and not reads[name]:
+            raise UnusedConventionError(
+                f"{name} {value!r} is not read by {identity}"
+                + (f" with cpm_q_scheme {cpm_q_scheme!r}"
+                   if identity == "COR_UASM_Q" else ""))
     if identity == "COR_UASM_Q":
         return "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
     return _SCHEMES[identity]
@@ -214,61 +228,18 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
 
 def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
                st_q_neighbour: str, lift: Lift):
-    """The left side in the value type of lift, and its object count.  Only
-    COR_ST_Q reads st_q_neighbour."""
-    if identity not in _ST_FAMILY:
-        return _factor_sums(lam, n, scheme, c0_mode, lift)
-    neighbour = st_q_neighbour if identity == "COR_ST_Q" else "below"
-    total, st_count, qt_count = _transfer(lam, n, weights.factor_table(scheme, n),
-                                          lift, _shifted_cells(neighbour))
-    return total, qt_count if identity in ("PROP_T", "COR_Q") else st_count
-
-
-# -- the factor-id kernel ------------------------------------------------------------
-
-
-def _factor_sums(lam, n: int, scheme: str, c0_mode: str, lift: Lift):
-    """The left side in the value type of lift, and the object count, from
-    factor ids.
-
-    Every object of the family maps to the multiset of its factor ids.  Each
-    used table entry is lifted once, each power of it once, and each
-    distinct multiset is multiplied out once and counted with its
-    multiplicity.  The CPM_Q_NORM prefactor multiplies the sum once.
-    """
-    from .bijections import uasm_to_cpm
-
-    if scheme in weights.CPM_SCHEMES:
-        ids = (weights.cpm_factor_ids(uasm_to_cpm(a), scheme)
-               for a in enumerate_uasm(lam, n))
-    else:
-        ids = (weights.gt_factor_ids(g, scheme) for g in enumerate_gtp(lam, n))
+    """The left side in the value type of lift, and its object count."""
     table = weights.factor_table(scheme, n)
-    index = {fid: i for i, fid in enumerate(table)}
-    factors = list(table.values())
-    # A multiset is the bytes of its sorted table positions, a quarter of
-    # the memory of a tuple.  A table holds at most 14n entries, and no
-    # family of rank n >= 19 can be enumerated, so positions fit in a byte.
-    multisets = Counter(bytes(sorted(index[fid] for fid in obj_ids))
-                        for obj_ids in ids)
-
-    vals = {i: lift(factors[i]) for i in {i for ms in multisets for i in ms}}
-    powers: Dict[Tuple[int, int], object] = {}
-    total = lift(ZERO)
-    for ms, mult in multisets.items():
-        term = None
-        for i, run in groupby(ms):
-            key = (i, sum(1 for _ in run))
-            power = powers.get(key)
-            if power is None:
-                power = powers[key] = vals[i] ** key[1]
-            term = power if term is None else term * power
-        if term is None:
-            term = lift(ONE)
-        total = total + (term * mult if mult > 1 else term)
+    if identity in _ST_FAMILY:
+        cells = _shifted_cells(st_q_neighbour)
+    elif scheme in weights.CPM_SCHEMES:
+        cells = _compass_cells(lam[0], table)
+    else:
+        cells = _pattern_cells(table)
+    total, count, primed = _transfer(lam, n, table, lift, cells)
     if scheme == "CPM_Q_NORM":
         total = total * lift(weights.cpm_q_norm_prefactor(n, c0_mode))
-    return total, sum(multisets.values())
+    return total, primed if identity in ("PROP_T", "COR_Q") else count
 
 
 # -- the letter-step transfer ------------------------------------------------------
@@ -286,10 +257,15 @@ def _transfer(lam, n: int, table: Mapping, lift: Lift, cells):
     above it by T2, up-left on its diagonal by ST3), so step c takes S to
     the T with S_i <= T_i <= min(lam_i, S_(i-1)).  cells(c, S, T) gives the
     step's (id, power) pairs and its count of free cells, or None where the
-    family forbids T.  Each level maps a shape to the summed product, count
-    and primed count of its paths.  No two cells of one letter share an
-    offset, so a shape that leaves some offset more cells than there are
-    letters left is dropped.  Each distinct step's product is computed once.
+    family forbids T.  Three families of callbacks share the walk:
+    _letter_cells (ordinary tableaux, for sp_mu), _shifted_cells (shifted
+    tableaux) and, through the bijections, the families that the shifted
+    paths index: S_c is GT pattern row c (_pattern_cells) and the column
+    sums of a U-turn ASM after alphabet row c (_compass_cells).  Each level
+    maps a shape to the summed product, count and primed count of its
+    paths.  No two cells of one letter share an offset, so a shape that
+    leaves some offset more cells than there are letters left is dropped.
+    Each distinct step's product is computed once.
     """
     lam = as_partition(lam)
     if len(lam) > n:
@@ -333,16 +309,21 @@ def _letter_cells(c: int, S, T):
     return ((c, grown),) if grown else (), 0
 
 
+def _shifted_step(c: int, T) -> bool:
+    """Whether a shifted tableau may reach T with letter c: T is strict and
+    row i holds a cell by the barred letter of level i + 1 (ST4)."""
+    return not (any(b and b >= a for a, b in zip(T, T[1:])) or any(
+        not t and c >= letter(i + 1, True) for i, t in enumerate(T)))
+
+
 def _shifted_cells(neighbour: str):
-    """Shifted tableaux: T is strict and row i holds a cell by the barred
-    letter of level i + 1 (ST4).  A new cell whose left neighbour is new too
-    is "left".  A row's first new cell, at offset s, takes the neighbour
-    case when the cell below it (offset s - 1 of the next row) or, in the
-    "above" reading, above it (offset s + 1 of the previous row) is new
-    too, and is "free" otherwise."""
+    """Shifted tableaux (steps as _shifted_step).  A new cell whose left
+    neighbour is new too is "left".  A row's first new cell, at offset s,
+    takes the neighbour case when the cell below it (offset s - 1 of the
+    next row) or, in the "above" reading, above it (offset s + 1 of the
+    previous row) is new too, and is "free" otherwise."""
     def cells(c: int, S, T):
-        if any(b and b >= a for a, b in zip(T, T[1:])) or any(
-                not t and c >= letter(i + 1, True) for i, t in enumerate(T)):
+        if not _shifted_step(c, T):
             return None
         Sp, Tp = (0,) + S + (0,), (0,) + T + (0,)
         lefts = nears = frees = 0
@@ -357,6 +338,76 @@ def _shifted_cells(neighbour: str):
                     frees += 1
         counts = (((c, "left"), lefts), ((c, neighbour), nears), ((c, "free"), frees))
         return tuple((fid, e) for fid, e in counts if e), frees
+    return cells
+
+
+def _pattern_cells(table: Mapping, narrow_le: bool = False):
+    """Strict GT patterns.  S_c is pattern row c: m(k, j) = S_(2k-1)[j-1]
+    and mb(k, j) = S_(2k)[j-1] (the bijections' dictionary), so the steps
+    are the shifted ones, and step c at level k marks the unbarred ("u",
+    odd c) or barred ("b", even c) positions of level k from the triples
+    (T[j-1], S[j-1], T[j]), j < k; the diagonal is B when T[k-1] > S[k-1]
+    (S[k-1] = mb(k-1, k) = 0 on odd steps).  Its x part is x_k^(|T|-|S|) on
+    odd steps and x_k^(|S|-|T|) on even ones.  Under GT_QX a step counts
+    ("B",) per B mark off the diagonal, plus the joint diagonal on even
+    steps, and ("q",) per R mark on odd steps and L mark on even ones;
+    narrow_le leaves the diagonal L out (the rejected set-builder L_e)."""
+    statistics = ("q",) in table
+
+    def cells(c: int, S, T):
+        if not _shifted_step(c, T):
+            return None
+        k, odd = letter_level(c), c % 2
+        marks = {"B": 0, "L": 0, "R": 0}
+        for j in range(k - 1):
+            marks["L" if T[j] == S[j] else "R" if S[j] == T[j + 1] else "B"] += 1
+        diagonal = "B" if T[k - 1] > S[k - 1] else "L"
+        grown = sum(T) - sum(S)
+        ids = [(("x", k, 1 if odd else -1), grown)] if grown else []
+        if statistics:
+            b = marks["B"] + (not odd and S[k - 1] > 0 and diagonal == "B")
+            q = marks["R"] if odd else marks["L"] + (diagonal == "L" and not narrow_le)
+            ids += [(fid, e) for fid, e in ((("B",), b), (("q",), q)) if e]
+        else:
+            marks[diagonal] += 1
+            side = "u" if odd else "b"
+            ids += [((side, mark, k), e) for mark, e in marks.items()
+                    if e and (side, mark, k) in table]
+        return tuple(ids), 0
+    return cells
+
+
+def _compass_cells(width: int, table: Mapping):
+    """U-turn ASMs of width columns through their compass codes.  Column v
+    has summed to 1 after alphabet row c exactly when v is a part of S_c
+    (uasm_to_gtp), so the steps are the shifted ones and row c is the 0/1
+    column vector of T minus that of S: +1 is WE, -1 is NS, and a 0 takes
+    its code from the sign of its nearest nonzero above (+1 when its column
+    is marked in S) and to its right (+1 when the row sums to 1 right of
+    it).  The ids are the (code, c) in the table, plus (TURN, c) when the
+    table has it and the row's first entry starts a strip."""
+    # only the U-turn families read the recoding, so importing this module
+    # does not load the bijections
+    from .bijections import _ZERO_CODES
+
+    def cells(c: int, S, T):
+        if not _shifted_step(c, T):
+            return None
+        before, after = set(S), set(T)
+        counts: Dict[str, int] = {}
+        east = 0
+        for v in range(width, 0, -1):
+            d = (v in after) - (v in before)
+            if d:
+                code = "WE" if d > 0 else "NS"
+            else:
+                code = _ZERO_CODES[(1 if v in before else -1, 1 if east else -1)]
+            counts[code] = counts.get(code, 0) + 1
+            east += d
+        ids = sorted(((code, c), e) for code, e in counts.items() if (code, c) in table)
+        if code in weights._TURN_START and (weights._TURN, c) in table:
+            ids.append(((weights._TURN, c), 1))
+        return tuple(ids), 0
     return cells
 
 
@@ -626,16 +677,10 @@ def _finding(cases: List[Tuple[Tuple[int, ...], bool]]) -> dict:
 
 def _le_setbuilder_sweep(n: int, max_weight: int) -> dict:
     """COR_GT_QX with the narrower L_e that stops at j = k-1."""
+    table = weights.factor_table("GT_QX", n)
     cases = []
-    q = weights._q
     for mu in _sweep_shapes(max_weight, n):
         lam = add_staircase(mu, n)
-        lhs = LaurentPoly.zero()
-        for g in enumerate_gtp(lam, n):
-            s = weights.gt_statistics(g)
-            le = weights.le_statistic_setbuilder(g)
-            mono = LaurentPoly.monomial(
-                {xvar(k): e for k, e in s.x_exponents.items() if e})
-            lhs = lhs + (ONE + q()) ** s.b * q(s.r_odd + le) * mono
+        lhs = _transfer(lam, n, table, _exact, _pattern_cells(table, narrow_le=True))[0]
         cases.append((mu, lhs == rhs_product("COR_GT_QX", mu, n)))
     return _finding(cases)

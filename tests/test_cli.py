@@ -192,6 +192,18 @@ class TestVerify:
                              "--n", "0", "--mode", mode)
         assert code == 2 and out == "" and "rank" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--id", "THM_ST", "--neighbour", "above"),
+        ("--id", "COR_GT", "--cpm-q-scheme", "norm"),
+        ("--id", "COR_UASM_Q", "--c0", "literal"),
+    ])
+    def test_convention_the_identity_never_reads_is_usage_error(self, capsys,
+                                                               argv):
+        # the report would look as if the flag had been applied
+        code, out, err = run(capsys, "verify", *argv, "--mu", "1", "--n", "2",
+                             "--no-timing")
+        assert code == 2 and out == "" and "not read by" in err
+
     def test_deterministic_output(self, capsys):
         args = ("verify", "--id", "COR_GT_QX", "--mu", "2", "--n", "2",
                 "--mode", "modular", "--seed", "7", "--no-timing")

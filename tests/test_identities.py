@@ -1,8 +1,10 @@
 import gc
+import importlib.util
 import json
 import random
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +27,13 @@ from symptok.identities import (
     ScaleExceededError,
     UnknownConventionError,
     UnknownIdentityError,
+    UnusedConventionError,
     _factor_scheme,
-    _factor_sums,
     _identity_variables,
     _le_setbuilder_sweep,
     _left_side,
     _letter_cells,
+    _pattern_cells,
     _shifted_cells,
     _transfer,
     ambiguity_report,
@@ -42,6 +45,7 @@ from symptok.identities import (
     verify_big_modular,
     verify_sweep,
 )
+from symptok.bijections import uasm_to_cpm
 from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
 from symptok.shapes import RankTooSmallError, add_staircase, partitions_up_to
 from symptok.tableaux import (
@@ -52,7 +56,13 @@ from symptok.tableaux import (
     primings,
 )
 from symptok.weights import (
+    CPM_SCHEMES,
+    cpm_factor_ids,
+    cpm_q_norm_prefactor,
     factor_table,
+    gt_factor_ids,
+    gt_statistics,
+    le_statistic_setbuilder,
     primed_weight_sum,
     qx_weight,
     st_q_factor_ids,
@@ -235,6 +245,28 @@ class TestInputChecks:
         with pytest.raises(UnknownConventionError):
             verify("COR_UASM_Q", (1,), 2, mode=mode, trials=4, **knob)
 
+    @pytest.mark.parametrize("identity,knobs", [
+        ("THM_ST", {"st_q_neighbour": "above"}),
+        ("COR_UASM", {"st_q_neighbour": "above"}),
+        ("COR_GT_Q", {"cpm_q_scheme": "norm"}),
+        ("COR_ST_Q", {"cpm_q_scheme": "norm"}),
+        ("COR_GT_QX", {"c0_mode": "literal"}),
+        ("COR_UASM_Q", {"c0_mode": "literal"}),
+        ("COR_UASM_Q", {"cpm_q_scheme": "norm", "st_q_neighbour": "above"}),
+    ])
+    def test_convention_the_identity_never_reads_is_rejected(self, identity,
+                                                             knobs):
+        # the report would read as if the knob had been applied; the plain
+        # CPM q weighting has no prefactor, so it never reads c0_mode either
+        calls = [
+            lambda: verify(identity, (1,), 2, **knobs),
+            lambda: verify(identity, (1,), 2, "modular", trials=4, **knobs),
+            lambda: verify_sweep(identity, 2, 1, **knobs),
+        ]
+        for call in calls:
+            with pytest.raises(UnusedConventionError, match="not read by"):
+                call()
+
     @pytest.mark.parametrize("trials", [0, -3])
     def test_trials_must_be_positive(self, trials):
         with pytest.raises(ModularParameterError, match="trials"):
@@ -277,6 +309,10 @@ class TestInputChecks:
 KERNEL_VARIANTS = [
     ("COR_UASM", {}, "CPM_XY", enumerate_uasm,
      lambda a: wgt_cpm(a, "CPM_XY")),
+    # the sum factor on NS and a first-column (TURN) term: no identity
+    # uses it, but it is the one scheme whose table holds TURN ids
+    ("COR_UASM", {}, "CPM_XY_ALT", enumerate_uasm,
+     lambda a: wgt_cpm(a, "CPM_XY_ALT")),
     ("COR_UASM_Q", {"cpm_q_scheme": "plain"}, "CPM_Q_PLAIN", enumerate_uasm,
      lambda a: wgt_cpm(a, "CPM_Q_PLAIN")),
     ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}, "CPM_Q_NORM",
@@ -293,12 +329,13 @@ KERNEL_CASES.append(((2,), 3))
 
 @pytest.mark.parametrize(
     "identity,knobs,scheme,family,weight", KERNEL_VARIANTS,
-    ids=["CPM_XY", "CPM_Q_PLAIN", "CPM_Q_NORM-full", "CPM_Q_NORM-literal",
-         "GT_XY", "GT_Q", "GT_QX"])
+    ids=["CPM_XY", "CPM_XY_ALT", "CPM_Q_PLAIN", "CPM_Q_NORM-full",
+         "CPM_Q_NORM-literal", "GT_XY", "GT_Q", "GT_QX"])
 def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
                                                      family, weight):
     # the oracle expands every object's weight, sums the polynomials and
-    # evaluates each weight at every point; the kernel runs in both value types
+    # evaluates each weight at every point; the transfer's pattern and
+    # compass callbacks run in both value types
     rng = random.Random(5)
     for mu, n in KERNEL_CASES:
         lam = add_staircase(mu, n)
@@ -314,10 +351,29 @@ def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
             for p, pt in enumerate(points):
                 want[p] = (want[p] + w.eval_mod(pt, MERSENNE31)) % MERSENNE31
         c0_mode = knobs.get("c0_mode", "full")
-        got = _factor_sums(lam, n, scheme, c0_mode, exact)
+        got = _left_side(identity, lam, n, scheme, c0_mode, "below", exact)
         assert got == (total, objects), (mu, n)
-        got = _factor_sums(lam, n, scheme, c0_mode, modular_lift(points))
+        got = _left_side(identity, lam, n, scheme, c0_mode, "below",
+                         modular_lift(points))
         assert (got[0].values, got[1]) == (want, objects), (mu, n)
+
+
+def test_narrow_le_transfer_matches_per_object_statistics():
+    # the rejected L_e that stops at j = k-1, which ambiguity_report sums
+    # through the pattern callback, against the per-object statistics
+    for mu, n in KERNEL_CASES:
+        lam = add_staircase(mu, n)
+        want, objects = LaurentPoly.zero(), 0
+        for g in enumerate_gtp(lam, n):
+            s = gt_statistics(g)
+            exps = {xvar(k): e for k, e in s.x_exponents.items()}
+            exps[QVAR] = s.r_odd + le_statistic_setbuilder(g)
+            want = want + (ONE + Q) ** s.b * mono({v: e for v, e in exps.items() if e})
+            objects += 1
+        table = factor_table("GT_QX", n)
+        got, count, _ = _transfer(lam, n, table, exact,
+                                  _pattern_cells(table, narrow_le=True))
+        assert (got, count) == (want, objects), (mu, n)
 
 
 @lru_cache(maxsize=None)
@@ -412,6 +468,37 @@ def test_shifted_walker_matches_per_object_weights_at_rank_four():
         assert got == (want, objects), (identity, neighbour)
 
 
+def test_pattern_and_compass_transfer_match_per_object_weights_at_rank_four():
+    # the 10,336 U-turn ASMs and GT patterns of lambda = (4,3,2,1), whose
+    # rows merge at several levels; each family is enumerated once, and each
+    # weight is the product of its table entries' values at the points, as
+    # wgt_cpm, wgt_gtp and qx_weight multiply them
+    lam, n = (4, 3, 2, 1), 4
+    rng = random.Random(8)
+    points = [random_point(_identity_variables("COR_UASM", n) + [QVAR], rng)
+              for _ in range(2)]
+    lift = modular_lift(points)
+    families = {"CPM": [uasm_to_cpm(a) for a in enumerate_uasm(lam, n)],
+                "GT": list(enumerate_gtp(lam, n))}
+    for identity, knobs, scheme, _, _ in KERNEL_VARIANTS:
+        c0_mode = knobs.get("c0_mode", "full")
+        objs = families[scheme.split("_")[0]]
+        factor_ids = cpm_factor_ids if scheme in CPM_SCHEMES else gt_factor_ids
+        vals = {fid: lift(f).values for fid, f in factor_table(scheme, n).items()}
+        want = [0] * len(points)
+        for obj in objs:
+            weight = [1] * len(points)
+            for fid in factor_ids(obj, scheme):
+                weight = [w * v % MERSENNE31 for w, v in zip(weight, vals[fid])]
+            want = [(a + w) % MERSENNE31 for a, w in zip(want, weight)]
+        if scheme == "CPM_Q_NORM":
+            prefactor = lift(cpm_q_norm_prefactor(n, c0_mode)).values
+            want = [a * v % MERSENNE31 for a, v in zip(want, prefactor)]
+        got, got_objects = _left_side(identity, lam, n, scheme, c0_mode, "below",
+                                      lift)
+        assert (got.values, got_objects) == (want, len(objs)), (scheme, c0_mode)
+
+
 @pytest.mark.parametrize("lam,n", sorted(
     {(add_staircase(mu, n), n) for mu, n in KERNEL_CASES}
     | {((9, 7, 6), 3), ((4, 3, 2, 1), 4)}))
@@ -427,9 +514,38 @@ def test_verify_leaves_no_garbage_cycles():
     # the engine builds no self-referencing closures, so its state is freed
     # by reference counting when verify returns
     gc.collect()
-    for identity in ("THM_ST", "PROP_T", "COR_GT"):
-        verify(identity, (2,), 3)
+    for identity, knobs in (("THM_ST", {}), ("PROP_T", {}), ("COR_GT", {}),
+                            ("COR_UASM", {}), ("COR_GT_QX", {}),
+                            ("COR_UASM_Q", {"cpm_q_scheme": "norm"})):
+        verify(identity, (2,), 3, **knobs)
         assert gc.collect() == 0, identity
+
+
+def _load_real_case():
+    # the case and the twelve runs of scripts/real_case.py, read from the
+    # script so the test and the script cannot drift apart
+    path = Path(__file__).resolve().parent.parent / "scripts" / "real_case.py"
+    spec = importlib.util.spec_from_file_location("real_case", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+REAL_CASE = _load_real_case()
+
+
+@pytest.mark.parametrize("identity,knobs,holds", REAL_CASE.VARIANTS,
+                         ids=[f"{i}{''.join('-' + v for v in k.values())}"
+                              for i, k, _ in REAL_CASE.VARIANTS])
+def test_real_running_case(identity, knobs, holds):
+    # lambda = (9,7,6,2,1) at n = 5, the paper's running example, with no
+    # fallback: the transfer walks GT rows, not the objects
+    r = verify(identity, REAL_CASE.MU, REAL_CASE.N, "modular", trials=2,
+               seed=1, scale_cap=2 * 10 ** 10, **knobs)
+    primed = identity in ("PROP_T", "COR_Q")
+    assert r.lam == G.LAMBDA
+    assert r.objects == (515_911_471_595_520 if primed else 19_781_353_800)
+    assert r.equal is holds and (r.counterexample is None) is holds
 
 
 @pytest.mark.parametrize("knobs", [

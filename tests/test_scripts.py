@@ -36,6 +36,14 @@ def test_modular_at_scale_bad_input_exits_2(tmp_path, argv):
     assert_usage_error(run_script("modular_at_scale.py", *argv, cwd=tmp_path))
 
 
+@pytest.mark.parametrize("argv", [["--trials", "0"],
+                                  ["--out", "taken/real_case.json"]])
+def test_real_case_bad_input_exits_2(tmp_path, argv):
+    # "taken" is a regular file, so no report directory can be made in it
+    (tmp_path / "taken").write_text("")
+    assert_usage_error(run_script("real_case.py", *argv, cwd=tmp_path))
+
+
 def test_run_identity_sweeps_unwritable_out_exits_2(tmp_path):
     # the report's directory would have to be made inside a regular file
     (tmp_path / "taken").write_text("")
