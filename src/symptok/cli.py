@@ -3,13 +3,16 @@
 Subcommands: enumerate, bijection, weight, verify, sweep, render.  All JSON
 output is deterministic; reports can drop their timing field (--no-timing)
 so identical invocations are byte-identical.  Exit codes: 0 success/equal,
-1 identity or invariant failure, 2 invalid input or usage.
+1 identity or invariant failure, 2 invalid input or usage, 141 (128 + SIGPIPE,
+as the shell reports a process ended by a closed pipe) when the reader of
+stdout closes it early, as `symptok enumerate ... | head -1` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, List, Optional
 
@@ -159,6 +162,10 @@ def _cmd_weight(args) -> int:
              "st": ShiftedTableau, "uasm": UTurnASM, "gtp": SympGTPattern}
     if not isinstance(obj, kinds[family]):
         return _fail(f"scheme {scheme} expects a {family} object")
+    if args.annotate and family != "st":
+        return _fail("--annotate applies to tableau schemes only")
+    identities.check_conventions(scheme, f"scheme {scheme}", c0_mode=args.c0,
+                                 st_q_neighbour=args.neighbour)
     if scheme == "T_DEFORMED":
         poly = weights.wgt_t(obj, deformed=True)
     elif scheme == "QT_DEFORMED":
@@ -176,8 +183,6 @@ def _cmd_weight(args) -> int:
         poly = weights.wgt_gtp(obj, scheme)
     print(poly.to_text())
     if args.annotate:
-        if family != "st":
-            return _fail("--annotate applies to tableau schemes only")
         print(_annotated(obj, scheme, args.neighbour))
     return 0
 
@@ -191,8 +196,8 @@ def _cmd_verify(args) -> int:
     report = identities.verify(
         args.id, _partition_arg(args.mu), args.n, mode=args.mode,
         trials=args.trials, seed=args.seed, prime=args.prime,
-        scale_cap=args.scale_cap, cpm_q_scheme=args.cpm_q_scheme,
-        c0_mode=args.c0, st_q_neighbour=args.neighbour,
+        cpm_q_scheme=args.cpm_q_scheme, c0_mode=args.c0,
+        st_q_neighbour=args.neighbour,
     )
     _report_out(report, args)
     return 0 if report.equal else 1
@@ -202,8 +207,8 @@ def _cmd_sweep(args) -> int:
     reports = identities.verify_sweep(
         args.id, args.n, args.max_weight, mode=args.mode,
         trials=args.trials, seed=args.seed, prime=args.prime,
-        scale_cap=args.scale_cap, cpm_q_scheme=args.cpm_q_scheme,
-        c0_mode=args.c0, st_q_neighbour=args.neighbour,
+        cpm_q_scheme=args.cpm_q_scheme, c0_mode=args.c0,
+        st_q_neighbour=args.neighbour,
     )
     print(json.dumps(
         [r.to_json_dict(include_timing=not args.no_timing) for r in reports],
@@ -234,7 +239,6 @@ def _add_verify_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prime", type=int, default=MERSENNE31)
-    p.add_argument("--scale-cap", type=int, default=10 ** 6)
     p.add_argument("--cpm-q-scheme", choices=identities.CONVENTIONS["cpm_q_scheme"],
                    default="plain")
     _add_weight_knobs(p)
@@ -295,10 +299,18 @@ def build_parser() -> argparse.ArgumentParser:
 def exit_code(run: Callable[[], int]) -> int:
     """run()'s exit code, or 2 with one "error:" line on stderr when the
     input is bad: a ValueError (malformed JSON, shapes and parameters
-    included), a file that cannot be read or written, or a case over the
-    scale cap.  The CLI and the scripts share it."""
+    included), a file that cannot be read or written, or a symbolic case
+    over the object cap.  A reader that closes stdout early is not bad
+    input: the run ends quietly with 141, and stdout is pointed at the null
+    device so that the flush at interpreter exit cannot fail again.  The
+    CLI and the scripts share it."""
     try:
         return run()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except identities.ScaleExceededError as exc:
         return _fail(f"scale cap exceeded: {exc}")
     except (OSError, ValueError) as exc:

@@ -89,7 +89,8 @@ class UnknownIdentityError(ValueError):
 
 
 class ScaleExceededError(RuntimeError):
-    """Estimated object count exceeds the configured cap."""
+    """A symbolic case whose family has more than SYMBOLIC_OBJECT_CAP objects,
+    or a fallback search with no subshape under its cap."""
 
 
 class ModularParameterError(ValueError):
@@ -97,8 +98,8 @@ class ModularParameterError(ValueError):
 
 
 class UnusedConventionError(ValueError):
-    """A convention knob set away from its default for an identity that
-    never reads it, where the report would not show that it did nothing."""
+    """A convention knob set away from its default for a weighing that never
+    reads it, where the output would not show that it did nothing."""
 
 
 class InvalidRankError(ValueError):
@@ -112,12 +113,37 @@ class InvalidWeightError(ValueError):
 #: Smallest modulus accepted for modular verification.
 MIN_MODULUS = 2 ** 16
 
-#: The accepted names of each convention knob.
+#: Largest family that symbolic mode expands.  Symbolic cost grows with the
+#: expansion, so the family is counted before any algebra; modular cost
+#: follows the shapes the transfer walks, and modular mode has no limit.
+SYMBOLIC_OBJECT_CAP = 10 ** 6
+
+#: The accepted names of each convention knob, the default first.
 CONVENTIONS = {
     "cpm_q_scheme": ("plain", "norm"),
     "c0_mode": ("full", "literal"),
     "st_q_neighbour": ("below", "above"),
 }
+
+#: The convention knobs that each factor-table scheme reads; no other scheme
+#: reads any.  Only COR_UASM_Q has the CPM_Q schemes, and cpm_q_scheme picks
+#: between them.
+_SCHEME_READS = {"CPM_Q_PLAIN": ("cpm_q_scheme",),
+                 "CPM_Q_NORM": ("cpm_q_scheme", "c0_mode"),
+                 "ST_Q": ("st_q_neighbour",)}
+
+
+def check_conventions(scheme: str, reader: str, **given: str) -> None:
+    """Refuse the convention knobs given for a weighing under scheme: an
+    unknown name raises UnknownConventionError, and a knob set away from its
+    default that scheme never reads raises UnusedConventionError naming
+    reader.  verify and the CLI's weight command share this rule."""
+    for name, value in given.items():
+        if value not in CONVENTIONS[name]:
+            raise UnknownConventionError(f"unknown {name} {value!r}")
+    for name, value in given.items():
+        if value != CONVENTIONS[name][0] and name not in _SCHEME_READS.get(scheme, ()):
+            raise UnusedConventionError(f"{name} {value!r} is not read by {reader}")
 
 
 # -- character sums and product sides -----------------------------------------
@@ -203,27 +229,16 @@ _SCHEMES = {"PROP_T": "QT_DEFORMED", "COR_Q": "ST_XY", "THM_ST": "ST_XY",
 
 def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
                    st_q_neighbour: str) -> str:
-    """The factor-table scheme of the identity's left side.  Unknown
-    convention names raise UnknownConventionError, and a knob set away from
-    its default for an identity that never reads it raises
-    UnusedConventionError."""
-    given = {"cpm_q_scheme": cpm_q_scheme, "c0_mode": c0_mode,
-             "st_q_neighbour": st_q_neighbour}
-    for name, value in given.items():
-        if value not in CONVENTIONS[name]:
-            raise UnknownConventionError(f"unknown {name} {value!r}")
-    reads = {"cpm_q_scheme": identity == "COR_UASM_Q",
-             "c0_mode": identity == "COR_UASM_Q" and cpm_q_scheme == "norm",
-             "st_q_neighbour": identity == "COR_ST_Q"}
-    for name, value in given.items():
-        if value != CONVENTIONS[name][0] and not reads[name]:
-            raise UnusedConventionError(
-                f"{name} {value!r} is not read by {identity}"
-                + (f" with cpm_q_scheme {cpm_q_scheme!r}"
-                   if identity == "COR_UASM_Q" else ""))
+    """The factor-table scheme of the identity's left side, once
+    check_conventions has accepted the knobs for it."""
     if identity == "COR_UASM_Q":
-        return "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
-    return _SCHEMES[identity]
+        scheme = "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
+        reader = f"{identity} with cpm_q_scheme {cpm_q_scheme!r}"
+    else:
+        scheme, reader = _SCHEMES[identity], identity
+    check_conventions(scheme, reader, cpm_q_scheme=cpm_q_scheme,
+                      c0_mode=c0_mode, st_q_neighbour=st_q_neighbour)
+    return scheme
 
 
 def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
@@ -486,10 +501,16 @@ def _check_modular(trials: int, prime: int) -> None:
 
 
 def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
-           seed: int = 0, prime: int = MERSENNE31, scale_cap: int = 10 ** 6,
+           seed: int = 0, prime: int = MERSENNE31,
            cpm_q_scheme: str = "plain", c0_mode: str = "full",
            st_q_neighbour: str = "below") -> VerificationReport:
-    """Check one identity instance; see the module docstring for the ids."""
+    """Check one identity instance; see the module docstring for the ids.
+
+    Symbolic mode refuses a family of more than SYMBOLIC_OBJECT_CAP objects
+    with ScaleExceededError before any algebra.  Modular mode counts nothing
+    up front and has no object limit: the report's object count comes from
+    the transfer, whose cost follows the shapes it walks.
+    """
     if identity not in IDENTITIES:
         raise UnknownIdentityError(identity)
     mode = mode.lower()
@@ -502,11 +523,12 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
         raise InvalidRankError(f"rank n must be at least 1, got {n}")
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
-    count = count_gtp(lam, n)
-    if count > scale_cap:
-        raise ScaleExceededError(
-            f"{count} objects for lambda={lam}, cap is {scale_cap}"
-        )
+    if mode == "symbolic":
+        count = count_gtp(lam, n)
+        if count > SYMBOLIC_OBJECT_CAP:
+            raise ScaleExceededError(
+                f"{count} objects for lambda={lam}; symbolic mode expands at "
+                f"most {SYMBOLIC_OBJECT_CAP}, modular mode has no such limit")
     params: dict = {}
     if identity == "COR_UASM_Q":
         params["cpm_q_scheme"] = cpm_q_scheme
@@ -607,17 +629,24 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
                        prime: int = MERSENNE31,
                        cap: int = 10 ** 6) -> VerificationReport:
     """THM_ST in modular mode, falling back to the largest feasible
-    subshape of lambda when the requested case exceeds the cap; the report
-    documents the request, the count, and the fallback."""
+    subshape of lambda when the requested case has more than cap objects;
+    the report documents the request, the count, and the fallback.
+
+    The fallback dates from when modular cost grew with the object count;
+    verify itself now runs the requested case in modular mode whatever its
+    size.  It stays while the at_scale benchmark pins its answer.
+    """
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     count = count_gtp(lam, n)
     if count <= cap:
-        return verify("THM_ST", mu, n, "modular", trials, seed, prime, cap)
+        return verify("THM_ST", mu, n, "modular", trials=trials, seed=seed,
+                      prime=prime)
     fallback_lam, fallback_count = largest_feasible_subshape(lam, cap)
     fn = len(fallback_lam)
     fmu = tuple(fallback_lam[i] - (fn - i) for i in range(fn))
-    report = verify("THM_ST", fmu, fn, "modular", trials, seed, prime, cap)
+    report = verify("THM_ST", fmu, fn, "modular", trials=trials, seed=seed,
+                    prime=prime)
     report.params["fallback"] = {
         "requested": {"mu": list(mu), "n": n, "lambda": list(lam),
                       "objects": count},
@@ -632,8 +661,7 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
 # -- ambiguity resolutions ---------------------------------------------------------
 
 
-def ambiguity_report(n: int = 2, max_weight: int = 2,
-                     scale_cap: int = 10 ** 6) -> dict:
+def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
     """Machine-readable findings for the three under-determined conventions.
 
     Each finding lists, per mu, whether the variant satisfies the relevant
@@ -641,7 +669,7 @@ def ambiguity_report(n: int = 2, max_weight: int = 2,
     """
 
     def sweep(identity, **kw):
-        reports = verify_sweep(identity, n, max_weight, scale_cap=scale_cap, **kw)
+        reports = verify_sweep(identity, n, max_weight, **kw)
         return _finding([(r.mu, r.equal) for r in reports])
 
     report = {

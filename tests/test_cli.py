@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -43,6 +47,23 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--family", "t",
                            "--lambda", "1", "--n", "2", "--count-only")
         assert code == 0 and out.strip() == "4"
+
+    def test_reader_closing_the_pipe_is_not_bad_input(self):
+        # as in `symptok enumerate ... | head -1`: 175,274 tableaux, far more
+        # than a pipe buffers, so the writer meets the closed pipe
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "symptok.cli", "enumerate", "--family", "st",
+             "--lambda", "9,7,6", "--n", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert render.from_json(first.decode())
+        assert code == 141 and err == b""
 
 
 class TestBijection:
@@ -125,6 +146,40 @@ class TestWeight:
                            neighbour, "--input", path, "--annotate")
         assert code == 0 and out.splitlines()[1:] == grid
 
+    @pytest.mark.parametrize("scheme,obj,flag,value", [
+        ("CPM_XY", "A", "--c0", "literal"),
+        ("CPM_Q_PLAIN", "A", "--c0", "literal"),
+        ("CPM_Q_NORM", "A", "--neighbour", "above"),
+        ("ST_XY", "ST", "--neighbour", "above"),
+        ("GT_QX", "GT", "--neighbour", "above"),
+    ])
+    def test_convention_the_scheme_never_reads_is_usage_error(
+            self, capsys, tmp_path, scheme, obj, flag, value):
+        # the printed weight would look as if the flag had been applied
+        path = write_json(tmp_path, "obj.json", getattr(G, obj))
+        code, out, err = run(capsys, "weight", "--scheme", scheme,
+                             "--input", path, flag, value)
+        assert code == 2 and out == "" and "not read by" in err
+
+    def test_convention_the_scheme_reads_is_applied(self, capsys, tmp_path):
+        from symptok.algebra import LaurentPoly
+        from symptok.weights import wgt_cpm
+        path = write_json(tmp_path, "a.json", G.A)
+        code, out, _ = run(capsys, "weight", "--scheme", "CPM_Q_NORM",
+                           "--input", path, "--c0", "literal")
+        assert code == 0
+        assert (LaurentPoly.parse(out.strip())
+                == wgt_cpm(G.A, "CPM_Q_NORM", "literal")
+                != wgt_cpm(G.A, "CPM_Q_NORM", "full"))
+
+    @pytest.mark.parametrize("scheme,obj", [("CPM_XY", "A"), ("GT_QX", "GT")])
+    def test_annotate_on_a_non_tableau_scheme_prints_nothing(
+            self, capsys, tmp_path, scheme, obj):
+        path = write_json(tmp_path, "obj.json", getattr(G, obj))
+        code, out, err = run(capsys, "weight", "--scheme", scheme,
+                             "--input", path, "--annotate")
+        assert code == 2 and out == "" and "--annotate" in err
+
     def test_scheme_object_mismatch(self, capsys, tmp_path):
         path = write_json(tmp_path, "st.json", G.ST)
         code, _, err = run(capsys, "weight", "--scheme", "GT_QX",
@@ -174,6 +229,16 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--id", "THM_ST", "--mu", "4,3,3",
                            "--n", "5")
         assert code == 2 and "cap" in err
+
+    def test_real_case_runs_in_modular_mode(self, capsys):
+        # the symbolic object cap does not apply to modular mode
+        code, out, err = run(capsys, "verify", "--id", "THM_ST", "--mu", "4,3,3",
+                             "--n", "5", "--mode", "modular", "--trials", "2",
+                             "--no-timing")
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        assert doc["equal"] is True
+        assert doc["counts"]["objects"] == 19_781_353_800
 
     @pytest.mark.parametrize("knob,value", [
         ("--trials", "0"), ("--prime", "4"), ("--prime", "2"),

@@ -215,8 +215,10 @@ class TestVerify:
         assert set(r.counterexample) == {"trial", "point", "lhsValue", "rhsValue"}
 
     def test_scale_cap(self):
-        with pytest.raises(ScaleExceededError):
-            verify("THM_ST", (4, 3, 3), 5, scale_cap=10 ** 6)
+        # symbolic mode counts the family before any algebra; modular mode
+        # runs this case (test_real_running_case)
+        with pytest.raises(ScaleExceededError, match="modular mode has no"):
+            verify("THM_ST", (4, 3, 3), 5)
 
     def test_seeded_reports_are_reproducible(self):
         a = verify("COR_GT_Q", (2,), 2, mode="modular", trials=6, seed=99)
@@ -539,9 +541,10 @@ REAL_CASE = _load_real_case()
                               for i, k, _ in REAL_CASE.VARIANTS])
 def test_real_running_case(identity, knobs, holds):
     # lambda = (9,7,6,2,1) at n = 5, the paper's running example, with no
-    # fallback: the transfer walks GT rows, not the objects
+    # fallback and no object limit: the transfer walks GT rows, not the
+    # objects
     r = verify(identity, REAL_CASE.MU, REAL_CASE.N, "modular", trials=2,
-               seed=1, scale_cap=2 * 10 ** 10, **knobs)
+               seed=1, **knobs)
     primed = identity in ("PROP_T", "COR_Q")
     assert r.lam == G.LAMBDA
     assert r.objects == (515_911_471_595_520 if primed else 19_781_353_800)

@@ -27,12 +27,11 @@ def test_ambiguity_findings_bad_input_exits_2(tmp_path, argv):
     assert_usage_error(run_script("ambiguity_findings.py", *argv, cwd=tmp_path))
 
 
-@pytest.mark.parametrize("argv", [
-    ["--mu", "x"],
-    ["--mu", "1", "--n", "2", "--trials", "0"],
-    ["--mu", "1", "--n", "2", "--cap", "-1"],
-])
+@pytest.mark.parametrize("argv", [["--trials", "0"],
+                                  ["--out", "taken/modular_at_scale.json"]])
 def test_modular_at_scale_bad_input_exits_2(tmp_path, argv):
+    # "taken" is a regular file, so no report directory can be made in it
+    (tmp_path / "taken").write_text("")
     assert_usage_error(run_script("modular_at_scale.py", *argv, cwd=tmp_path))
 
 
