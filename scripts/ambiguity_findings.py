@@ -2,7 +2,8 @@
 """Resolve the under-determined weighting conventions symbolically and write
 the findings to JSON.
 
-Three conventions admit two readings each; the discriminating rank is n = 2:
+Three conventions admit two readings each; the discriminating rank is n = 2,
+checked over every mu with |mu| <= 2:
 
   * the prefactor of the normalised U-turn q-weighting,
     (1+q)^n / q^(n(n+1)/2)  versus the literal  (1+q) / q^(n(n+1)/2);
@@ -14,7 +15,8 @@ Three conventions admit two readings each; the discriminating rank is n = 2:
 Usage: python scripts/ambiguity_findings.py [--out reports/ambiguities.json]
 
 Exit status: 0 if every accepted convention holds, 1 if one fails, 2 on bad
-input (as the CLI).
+input (as the CLI).  The directory of --out is made before the run, so a bad
+one fails fast.
 """
 
 import argparse
@@ -25,16 +27,16 @@ import sys
 from symptok.cli import exit_code
 from symptok.identities import ambiguity_report
 
+N, MAX_WEIGHT = 2, 2
+
 
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--out", default="reports/ambiguities.json")
-    parser.add_argument("--n", type=int, default=2)
-    parser.add_argument("--max-weight", type=int, default=2)
     args = parser.parse_args()
 
-    rep = ambiguity_report(n=args.n, max_weight=args.max_weight)
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+    rep = ambiguity_report(n=N, max_weight=MAX_WEIGHT)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(rep, fh, indent=2)
 

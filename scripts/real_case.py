@@ -6,8 +6,8 @@ objects; 515,911,471,595,520 primed tableaux for PROP_T and COR_Q) in
 modular mode, which has no object limit, so every identity runs at that
 shape itself.  Runs the ten variants of the identity grid and the two
 rejected conventions (the literal CPM_Q_NORM prefactor and the "above"
-neighbour reading) at the seeded random points, and writes the twelve
-reports to JSON.
+neighbour reading), as identities.GRID_VARIANTS and REJECTED_VARIANTS define
+them, at the seeded random points, and writes the twelve reports to JSON.
 
 Usage: python scripts/real_case.py [--trials 20] [--seed 20240601]
 
@@ -23,25 +23,13 @@ import sys
 import time
 
 from symptok.cli import exit_code
-from symptok.identities import verify
+from symptok.identities import GRID_VARIANTS, REJECTED_VARIANTS, verify
 
 MU, N = (4, 3, 3), 5
 
 # (identity, conventions, whether the identity should hold)
-VARIANTS = [
-    ("PROP_T", {}, True),
-    ("COR_Q", {}, True),
-    ("THM_ST", {}, True),
-    ("COR_UASM", {}, True),
-    ("COR_GT", {}, True),
-    ("COR_ST_Q", {}, True),
-    ("COR_UASM_Q", {"cpm_q_scheme": "plain"}, True),
-    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}, True),
-    ("COR_GT_Q", {}, True),
-    ("COR_GT_QX", {}, True),
-    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "literal"}, False),
-    ("COR_ST_Q", {"st_q_neighbour": "above"}, False),
-]
+VARIANTS = ([(identity, knobs, True) for identity, knobs in GRID_VARIANTS]
+            + [(identity, knobs, False) for identity, knobs in REJECTED_VARIANTS])
 
 
 def main() -> int:

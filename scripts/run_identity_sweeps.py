@@ -2,7 +2,8 @@
 """Run the full symbolic identity grid and write the reports to JSON.
 
 Grid: every identity (the normalised U-turn q-weighting included as its own
-variant) over n in {1, 2} with |mu| <= 4 and n = 3 with |mu| <= 2.  Exit
+variant) over n in {1, 2} with |mu| <= 4 and n = 3 with |mu| <= 2, as
+identities.GRID_VARIANTS and GRID_RANKS define it.  Exit
 status is 0 only if every case verifies, and 2 on bad input (as the CLI).
 The directory of --out is made before the grid runs, so a bad one fails fast.
 
@@ -16,21 +17,7 @@ import sys
 import time
 
 from symptok.cli import exit_code
-from symptok.identities import verify_sweep
-
-GRID = [
-    ("PROP_T", {}),
-    ("COR_Q", {}),
-    ("THM_ST", {}),
-    ("COR_UASM", {}),
-    ("COR_GT", {}),
-    ("COR_ST_Q", {}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "plain"}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}),
-    ("COR_GT_Q", {}),
-    ("COR_GT_QX", {}),
-]
-RANKS = [(1, 4), (2, 4), (3, 2)]
+from symptok.identities import GRID_RANKS, GRID_VARIANTS, verify_sweep
 
 
 def main() -> int:
@@ -43,8 +30,8 @@ def main() -> int:
     t0 = time.perf_counter()
     docs = []
     failures = 0
-    for identity, knobs in GRID:
-        for n, max_weight in RANKS:
+    for identity, knobs in GRID_VARIANTS:
+        for n, max_weight in GRID_RANKS:
             reports = verify_sweep(identity, n, max_weight, **knobs)
             for r in reports:
                 docs.append(r.to_json_dict(include_timing=not args.no_timing))

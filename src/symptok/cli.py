@@ -17,26 +17,20 @@ import sys
 from typing import Callable, List, Optional
 
 from . import bijections, identities, render, weights
-from .algebra import MERSENNE31, LaurentPoly
-from .matrices import SympGTPattern, UTurnASM
+from .algebra import MERSENNE31, LaurentPoly, monomial_text
+from .matrices import SympGTPattern, UTurnASM, validate_gtp, validate_uasm
 from .shapes import as_partition, as_strict_partition
 from .tableaux import (
     PrimedShiftedTableau,
     ShiftedTableau,
     SymplecticTableau,
-    cell_cases,
     enumerate_st,
     enumerate_t,
     primings,
+    validate_qt,
+    validate_st,
+    validate_t,
 )
-
-_SCHEME_FAMILY = {
-    "T_DEFORMED": "t", "QT_DEFORMED": "qt",
-    "ST_XY": "st", "ST_Q": "st",
-    "CPM_XY": "uasm", "CPM_XY_ALT": "uasm",
-    "CPM_Q_PLAIN": "uasm", "CPM_Q_NORM": "uasm",
-    "GT_XY": "gtp", "GT_Q": "gtp", "GT_QX": "gtp",
-}
 
 
 def _partition_arg(text: str):
@@ -47,8 +41,26 @@ def _partition_arg(text: str):
 
 
 def _load_object(path: str):
+    """The object in the JSON file at path, refused with InputFormatError
+    when it breaks its family's rules.  Compass matrices have no validator."""
     with open(path, "r", encoding="utf-8") as fh:
-        return render.from_json(fh.read())
+        obj = render.from_json(fh.read())
+    if isinstance(obj, SymplecticTableau):
+        bad = validate_t(obj, weights._letter_rank(obj.rows))[1]
+    elif isinstance(obj, ShiftedTableau):
+        bad = validate_st(obj, len(obj.shape))[1]
+    elif isinstance(obj, PrimedShiftedTableau):
+        bad = validate_qt(obj, len(obj.base.shape))[1]
+    elif isinstance(obj, UTurnASM):  # lambda's parts: the columns that sum to 1
+        lam = [j for j, col in enumerate(zip(*obj.entries), 1) if sum(col) == 1]
+        bad = validate_uasm(obj, lam[::-1])[1]
+    elif isinstance(obj, SympGTPattern):
+        bad = validate_gtp(obj)[1]
+    else:
+        bad = []
+    if bad:
+        raise render.InputFormatError(f"invalid object in {path}: {'; '.join(bad)}")
+    return obj
 
 
 def _fail(msg: str) -> int:
@@ -112,20 +124,12 @@ def _cmd_bijection(args) -> int:
 
 
 def _annotated(st: ShiftedTableau, scheme: str, neighbour: str) -> str:
-    if scheme == "ST_XY":
-        cells = [weights._st_case_factor_xy(c, case) for c, case in cell_cases(st)]
-    else:
-        cells = [weights._st_case_factor_q(c, case)
-                 for c, case in weights.st_q_factor_ids(st, neighbour)]
-    texts, pos = [], 0
-    for row in st.rows:
-        texts.append([render_poly_compact(cells[pos + j]) for j in range(len(row))])
-        pos += len(row)
+    table = weights.factor_table(scheme, weights._letter_rank(st.rows))
+    # row-major; ST_XY reads only "below", where the ST_Q cases are ST_XY's
+    ids = iter(weights.st_q_factor_ids(st, neighbour))
+    texts = [[render_poly_compact(table[next(ids)]) for _ in row] for row in st.rows]
     width = max(len(s) for row in texts for s in row) + 2
-    lines = []
-    for i, row in enumerate(texts):
-        lines.append(" " * (i * width) + "".join(s.ljust(width) for s in row).rstrip())
-    return "\n".join(lines)
+    return render._grid(texts, width, [i * width for i in range(len(texts))])
 
 
 def render_poly_compact(p: LaurentPoly) -> str:
@@ -135,12 +139,8 @@ def render_poly_compact(p: LaurentPoly) -> str:
     parts = []
     for mono in sorted(p.terms):
         coef = p.terms[mono]
-        factors = []
-        for v, e in mono:
-            from .algebra import var_name
-            factors.append(var_name(v) if e == 1 else f"{var_name(v)}^{e}")
-        body = "*".join(factors)
-        if not factors:
+        body = monomial_text(mono).replace(" * ", "*")
+        if not mono:
             parts.append(str(coef))
         elif coef == 1:
             parts.append(body)
@@ -157,7 +157,7 @@ def render_poly_compact(p: LaurentPoly) -> str:
 def _cmd_weight(args) -> int:
     obj = _load_object(args.input)
     scheme = args.scheme
-    family = _SCHEME_FAMILY[scheme]
+    family = weights.SCHEMES[scheme].family
     kinds = {"t": SymplecticTableau, "qt": PrimedShiftedTableau,
              "st": ShiftedTableau, "uasm": UTurnASM, "gtp": SympGTPattern}
     if not isinstance(obj, kinds[family]):
@@ -267,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bijection)
 
     p = sub.add_parser("weight", help="weigh one object under a scheme")
-    p.add_argument("--scheme", choices=sorted(_SCHEME_FAMILY), required=True)
+    p.add_argument("--scheme", choices=sorted(weights.SCHEMES), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--annotate", action="store_true",
                    help="print the per-cell weight grid (tableau schemes)")

@@ -13,6 +13,10 @@ product of linear factors times the symplectic character sp_mu:
   COR_GT_Q    patterns, q weighting
   COR_GT_QX   patterns, statistics form (1+q)^B q^(Ro+Le) x^xwgt
 
+Adding an identity is one row of IDENTITY_ROWS.  GRID_VARIANTS,
+REJECTED_VARIANTS and GRID_RANKS define the verified grid, which the scripts
+and the acceptance tests run.
+
 verify() checks one (identity, mu, n) case either by exact polynomial
 expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
 field (MODULAR).  One engine serves both modes; the mode only picks the
@@ -70,13 +74,48 @@ from .shapes import (
 )
 from .weights import UnknownConventionError
 
-IDENTITIES = (
-    "PROP_T", "COR_Q", "THM_ST", "COR_UASM", "COR_GT",
-    "COR_ST_Q", "COR_UASM_Q", "COR_GT_Q", "COR_GT_QX",
-)
 
-_ST_FAMILY = ("PROP_T", "COR_Q", "THM_ST", "COR_ST_Q")
-_Q_IDENTITIES = ("COR_ST_Q", "COR_UASM_Q", "COR_GT_Q", "COR_GT_QX")
+@dataclass(frozen=True)
+class Identity:
+    """What tells one identity from another; the shared engine does the rest."""
+
+    scheme: str  # the left side's factor-table scheme (weights.SCHEMES)
+    product: str  # the right side's staircase product: "xy", "q" or "qx"
+    keeps_t: bool = False  # t stays symbolic, on both sides
+    counts_primed: bool = False  # the report counts primed refinements
+
+
+#: One row per identity.  COR_UASM_Q's row names its plain scheme; its
+#: cpm_q_scheme knob may pick CPM_Q_NORM instead (_factor_scheme).
+IDENTITY_ROWS = {
+    "PROP_T": Identity("QT_DEFORMED", "xy", keeps_t=True, counts_primed=True),
+    "COR_Q": Identity("ST_XY", "xy", counts_primed=True),
+    "THM_ST": Identity("ST_XY", "xy"),
+    "COR_UASM": Identity("CPM_XY", "xy"),
+    "COR_GT": Identity("GT_XY", "xy"),
+    "COR_ST_Q": Identity("ST_Q", "q"),
+    "COR_UASM_Q": Identity("CPM_Q_PLAIN", "q"),
+    "COR_GT_Q": Identity("GT_Q", "q"),
+    "COR_GT_QX": Identity("GT_QX", "qx"),
+}
+
+IDENTITIES = tuple(IDENTITY_ROWS)
+
+#: The verified grid: the ten accepted variants (COR_UASM_Q under both
+#: prefactor schemes), the two rejected conventions, which must keep
+#: failing, and the ranks (n, max |mu|) of the symbolic grid.
+GRID_VARIANTS = (
+    ("PROP_T", {}), ("COR_Q", {}), ("THM_ST", {}), ("COR_UASM", {}),
+    ("COR_GT", {}), ("COR_ST_Q", {}),
+    ("COR_UASM_Q", {"cpm_q_scheme": "plain"}),
+    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}),
+    ("COR_GT_Q", {}), ("COR_GT_QX", {}),
+)
+REJECTED_VARIANTS = (
+    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "literal"}),
+    ("COR_ST_Q", {"st_q_neighbour": "above"}),
+)
+GRID_RANKS = ((1, 4), (2, 4), (3, 2))
 
 ONE = LaurentPoly.const(1)
 
@@ -125,24 +164,19 @@ CONVENTIONS = {
     "st_q_neighbour": ("below", "above"),
 }
 
-#: The convention knobs that each factor-table scheme reads; no other scheme
-#: reads any.  Only COR_UASM_Q has the CPM_Q schemes, and cpm_q_scheme picks
-#: between them.
-_SCHEME_READS = {"CPM_Q_PLAIN": ("cpm_q_scheme",),
-                 "CPM_Q_NORM": ("cpm_q_scheme", "c0_mode"),
-                 "ST_Q": ("st_q_neighbour",)}
-
 
 def check_conventions(scheme: str, reader: str, **given: str) -> None:
     """Refuse the convention knobs given for a weighing under scheme: an
     unknown name raises UnknownConventionError, and a knob set away from its
-    default that scheme never reads raises UnusedConventionError naming
-    reader.  verify and the CLI's weight command share this rule."""
+    default that scheme never reads (weights.SCHEMES) raises
+    UnusedConventionError naming reader.  verify and the CLI's weight command
+    share this rule."""
     for name, value in given.items():
         if value not in CONVENTIONS[name]:
             raise UnknownConventionError(f"unknown {name} {value!r}")
+    reads = weights.SCHEMES[scheme].reads
     for name, value in given.items():
-        if value != CONVENTIONS[name][0] and name not in _SCHEME_READS.get(scheme, ()):
+        if value != CONVENTIONS[name][0] and name not in reads:
             raise UnusedConventionError(f"{name} {value!r} is not read by {reader}")
 
 
@@ -160,8 +194,8 @@ def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     return _transfer(mu, n, weights.factor_table(scheme, n), _exact, _letter_cells)[0]
 
 
-def _xy_factors(n: int, deformed: bool) -> List[LaurentPoly]:
-    x, y = weights._x, weights._y
+def _xy_factors(n: int, deformed: bool = False, y=weights._y) -> List[LaurentPoly]:
+    x = weights._x
     t2 = weights._t2() if deformed else ONE
     out = []
     for i in range(1, n + 1):
@@ -172,13 +206,8 @@ def _xy_factors(n: int, deformed: bool) -> List[LaurentPoly]:
 
 
 def _q_factors(n: int) -> List[LaurentPoly]:
-    x, q = weights._x, weights._q
-    out = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            out.append(x(i) + q() * x(j))
-            out.append(ONE + q(-1) * x(i, -1) * x(j, -1))
-    return out
+    """The xy product along y_j = q x_j."""
+    return _xy_factors(n, y=lambda j, e=1: weights._q(e) * weights._x(j, e))
 
 
 def _qx_factors(n: int) -> List[LaurentPoly]:
@@ -191,23 +220,23 @@ def _qx_factors(n: int) -> List[LaurentPoly]:
     return out
 
 
+#: The staircase products of the right sides; only "xy" can keep t.
+_PRODUCTS = {"xy": _xy_factors, "q": _q_factors, "qx": _qx_factors}
+
+
 def rhs_factors(identity: str, n: int) -> List[LaurentPoly]:
     """The product factors of the identity's right side, sp_mu excluded."""
-    if identity == "PROP_T":
-        return _xy_factors(n, deformed=True)
-    if identity in ("COR_Q", "THM_ST", "COR_UASM", "COR_GT"):
-        return _xy_factors(n, deformed=False)
-    if identity in ("COR_ST_Q", "COR_UASM_Q", "COR_GT_Q"):
-        return _q_factors(n)
-    if identity == "COR_GT_QX":
-        return _qx_factors(n)
-    raise UnknownIdentityError(identity)
+    if identity not in IDENTITY_ROWS:
+        raise UnknownIdentityError(identity)
+    row = IDENTITY_ROWS[identity]
+    factors = _PRODUCTS[row.product]
+    return factors(n, deformed=True) if row.keeps_t else factors(n)
 
 
 def _right_side(identity: str, mu, n: int, lift: Lift):
     """sp_mu times the rhs_factors, in the value type of lift."""
     factors = rhs_factors(identity, n)
-    scheme = "T_DEFORMED" if identity == "PROP_T" else "T"
+    scheme = "T_DEFORMED" if IDENTITY_ROWS[identity].keeps_t else "T"
     out = _transfer(mu, n, weights.factor_table(scheme, n), lift, _letter_cells)[0]
     for f in factors:
         out = out * lift(f)
@@ -221,21 +250,14 @@ def rhs_product(identity: str, mu, n: int) -> LaurentPoly:
 
 # -- left sides ----------------------------------------------------------------
 
-# The factor-table scheme of each left side; COR_UASM_Q picks its own.
-_SCHEMES = {"PROP_T": "QT_DEFORMED", "COR_Q": "ST_XY", "THM_ST": "ST_XY",
-            "COR_ST_Q": "ST_Q", "COR_UASM": "CPM_XY", "COR_GT": "GT_XY",
-            "COR_GT_Q": "GT_Q", "COR_GT_QX": "GT_QX"}
-
-
 def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
                    st_q_neighbour: str) -> str:
     """The factor-table scheme of the identity's left side, once
     check_conventions has accepted the knobs for it."""
+    scheme, reader = IDENTITY_ROWS[identity].scheme, identity
     if identity == "COR_UASM_Q":
         scheme = "CPM_Q_PLAIN" if cpm_q_scheme == "plain" else "CPM_Q_NORM"
         reader = f"{identity} with cpm_q_scheme {cpm_q_scheme!r}"
-    else:
-        scheme, reader = _SCHEMES[identity], identity
     check_conventions(scheme, reader, cpm_q_scheme=cpm_q_scheme,
                       c0_mode=c0_mode, st_q_neighbour=st_q_neighbour)
     return scheme
@@ -243,18 +265,20 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
 
 def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
                st_q_neighbour: str, lift: Lift):
-    """The left side in the value type of lift, and its object count."""
+    """The left side in the value type of lift, and its object count.  The
+    step callback follows the family that scheme weighs."""
     table = weights.factor_table(scheme, n)
-    if identity in _ST_FAMILY:
-        cells = _shifted_cells(st_q_neighbour)
-    elif scheme in weights.CPM_SCHEMES:
+    family = weights.SCHEMES[scheme].family
+    if family == "uasm":
         cells = _compass_cells(lam[0], table)
-    else:
+    elif family == "gtp":
         cells = _pattern_cells(table)
+    else:  # "st" and "qt": shifted tableaux, primed ones summed cell by cell
+        cells = _shifted_cells(st_q_neighbour)
     total, count, primed = _transfer(lam, n, table, lift, cells)
     if scheme == "CPM_Q_NORM":
         total = total * lift(weights.cpm_q_norm_prefactor(n, c0_mode))
-    return total, primed if identity in ("PROP_T", "COR_Q") else count
+    return total, primed if IDENTITY_ROWS[identity].counts_primed else count
 
 
 # -- the letter-step transfer ------------------------------------------------------
@@ -468,12 +492,10 @@ class VerificationReport:
 
 
 def _identity_variables(identity: str, n: int) -> List:
-    xs = [xvar(i) for i in range(1, n + 1)]
-    if identity == "PROP_T":
-        return xs + [yvar(i) for i in range(1, n + 1)] + [TVAR]
-    if identity in _Q_IDENTITIES:
-        return xs + [QVAR]
-    return xs + [yvar(i) for i in range(1, n + 1)]
+    row = IDENTITY_ROWS[identity]
+    out = [xvar(i) for i in range(1, n + 1)]
+    out += [yvar(i) for i in range(1, n + 1)] if row.product == "xy" else [QVAR]
+    return out + [TVAR] if row.keeps_t else out
 
 
 def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
@@ -636,6 +658,7 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
     verify itself now runs the requested case in modular mode whatever its
     size.  It stays while the at_scale benchmark pins its answer.
     """
+    _check_modular(trials, prime)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     count = count_gtp(lam, n)

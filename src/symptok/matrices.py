@@ -94,10 +94,6 @@ class SympGTPattern:
             return 0
         return self.rows[2 * k - 1][j - 1]
 
-    @property
-    def top_row(self) -> Tuple[int, ...]:
-        return self.rows[-1]
-
 
 @dataclass(frozen=True)
 class BLRClassification:
@@ -118,9 +114,10 @@ def _alternating(seq) -> bool:
 def validate_uasm(a: UTurnASM, lam) -> Tuple[bool, List[str]]:
     """Check UA1-UA5 against the column profile fixed by lambda."""
     lam = as_strict_partition(lam)
-    n, m = a.n, lam[0]
+    n = a.n
     if len(lam) != n:
         raise DimensionMismatchError(f"lambda {lam} does not have n={n} parts")
+    m = lam[0]
     if len(a.entries) != 2 * n or any(len(r) != m for r in a.entries):
         raise DimensionMismatchError(
             f"expected {2 * n} x {m}, got {[len(r) for r in a.entries]}"

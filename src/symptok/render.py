@@ -73,16 +73,26 @@ def to_json(obj: AnyObject) -> str:
 
 
 def _parse_tableau(data: dict) -> AnyObject:
-    family = data.get("family")
-    shape = tuple(data["shape"])
+    family, shape = data.get("family"), data["shape"]
+    if not (isinstance(shape, list) and all(type(p) is int for p in shape)):
+        raise InputFormatError(f"tableau shape must be an array of integers, got {shape!r}")
+    if not (isinstance(data["rows"], list)
+            and all(isinstance(r, list) for r in data["rows"])):
+        raise InputFormatError("tableau rows must be an array of arrays")
+    shape = tuple(shape)
     rows: List[List[int]] = []
     primes: List[List[bool]] = []
     for row in data["rows"]:
         codes, flags = [], []
         for cell in row:
-            if type(cell["level"]) is not int or cell["level"] < 1:
+            # type() rather than truth: the string "no" would read as barred
+            if not (isinstance(cell, dict) and type(cell.get("barred")) is bool
+                    and type(cell.get("primed", False)) is bool):
+                raise InputFormatError(f"tableau cell must be an object whose barred and "
+                                       f"primed flags are true or false, got {cell!r}")
+            if type(cell.get("level")) is not int or cell["level"] < 1:
                 raise InputFormatError(f"letter level must be a positive integer, "
-                                       f"got {cell['level']!r}")
+                                       f"got {cell.get('level')!r}")
             e = Entry(cell["level"], cell["barred"], cell.get("primed", False))
             codes.append(e.code)
             flags.append(e.primed)
@@ -186,11 +196,8 @@ def gtp_ascii(g: SympGTPattern) -> str:
     indents = [i * (width // 2) for i in range(len(rows))]
     labels = [letter_str(i) for i in range(2 * g.n, 0, -1)]
     lw = max(len(s) for s in labels)
-    lines = []
-    for lab, indent, row in zip(labels, indents, rows):
-        body = " " * indent + "".join(s.ljust(width) for s in row).rstrip()
-        lines.append(f"{lab:<{lw}}  {body}")
-    return "\n".join(lines)
+    body = _grid(rows, width, indents).split("\n")
+    return "\n".join(f"{lab:<{lw}}  {line}" for lab, line in zip(labels, body))
 
 
 def to_ascii(obj: AnyObject) -> str:

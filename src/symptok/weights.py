@@ -27,6 +27,10 @@ ST_XY, QT_DEFORMED (the primed sum of primed_weight_sum) and ST_Q per
 (letter, neighbour case), and the CPM and GT schemes as listed there.  The
 per-object weights multiply the entries; the engine lifts the same entries to
 polynomials or to values at sample points.
+
+SCHEMES holds one row per scheme the CLI speaks: the object family it weighs
+and the convention knobs it reads.  Adding a scheme is one row there, with
+its factors in factor_table.
 """
 
 from __future__ import annotations
@@ -57,6 +61,33 @@ class UnknownConventionError(ValueError):
 
 class LemmaViolationError(ValueError):
     """A compass-row counting identity failed (signals a bug upstream)."""
+
+
+@dataclass(frozen=True)
+class Scheme:
+    """What a weighing scheme weighs and which convention knobs it reads."""
+
+    family: str  # "t", "qt", "st", "uasm" or "gtp", as the CLI names them
+    reads: Tuple[str, ...] = ()
+
+
+#: One row per scheme the CLI speaks.  Only COR_UASM_Q has the CPM_Q
+#: schemes, and its cpm_q_scheme knob picks between them.
+SCHEMES = {
+    "T_DEFORMED": Scheme("t"),
+    "QT_DEFORMED": Scheme("qt"),
+    "ST_XY": Scheme("st"),
+    "CPM_XY": Scheme("uasm"),
+    "CPM_XY_ALT": Scheme("uasm"),
+    "GT_XY": Scheme("gtp"),
+    "ST_Q": Scheme("st", ("st_q_neighbour",)),
+    "CPM_Q_PLAIN": Scheme("uasm", ("cpm_q_scheme",)),
+    "CPM_Q_NORM": Scheme("uasm", ("cpm_q_scheme", "c0_mode")),
+    "GT_Q": Scheme("gtp"),
+    "GT_QX": Scheme("gtp"),
+}
+
+CPM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.family == "uasm")
 
 
 def _x(k: int, e: int = 1) -> LaurentPoly:
@@ -174,7 +205,6 @@ def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
 
 # -- compass-point weights ------------------------------------------------------
 
-CPM_SCHEMES = ("CPM_XY", "CPM_XY_ALT", "CPM_Q_PLAIN", "CPM_Q_NORM")
 _TURN_START = frozenset(("WE", "SW", "NW"))
 _TURN = "TURN"  # id code of the CPM_XY_ALT first-column term
 

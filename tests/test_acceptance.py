@@ -15,6 +15,8 @@ import golden as G
 from symptok import bijections, render, weights
 from symptok.algebra import LaurentPoly, QVAR, TVAR, xvar, yvar
 from symptok.identities import (
+    GRID_RANKS,
+    GRID_VARIANTS,
     ambiguity_report,
     verify,
     verify_big_modular,
@@ -38,24 +40,9 @@ def criterion(label):
 
 # -- shared case lists -----------------------------------------------------------
 
-C4_RANKS = ((1, 4), (2, 4), (3, 2))  # (n, max |mu|)
-
-C4_VARIANTS = (
-    ("PROP_T", {}),
-    ("COR_Q", {}),
-    ("THM_ST", {}),
-    ("COR_UASM", {}),
-    ("COR_GT", {}),
-    ("COR_ST_Q", {}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "plain"}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}),
-    ("COR_GT_Q", {}),
-    ("COR_GT_QX", {}),
-)
-
 
 def c4_shapes():
-    for n, max_weight in C4_RANKS:
+    for n, max_weight in GRID_RANKS:
         for mu in partitions_up_to(max_weight, n):
             yield add_staircase(mu, n), n
 
@@ -77,8 +64,8 @@ def cached_gtp(lam, n):
 
 def run_c4_sweeps():
     reports = []
-    for identity, knobs in C4_VARIANTS:
-        for n, max_weight in C4_RANKS:
+    for identity, knobs in GRID_VARIANTS:
+        for n, max_weight in GRID_RANKS:
             reports.extend(verify_sweep(identity, n, max_weight,
                                         mode="symbolic", **knobs))
     return reports

@@ -309,9 +309,45 @@ class TestRender:
 
     def test_bad_file_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{\"nope\": 1}", encoding="utf-8")
-        code, _, err = run(capsys, "render", "--input", str(bad))
-        assert code == 2 and err
+        cell = {"level": 1, "barred": False}
+        docs = [
+            {"nope": 1},
+            {"family": "st", "shape": [1], "rows": [[{"level": 1}]]},
+            {"family": "st", "shape": [1], "rows": [[{"barred": False}]]},
+            {"family": "st", "shape": [1], "rows": [[1]]},
+            {"family": "st", "shape": [1], "rows": [[dict(cell, barred="no")]]},
+            {"family": "qt", "shape": [1], "rows": [[dict(cell, primed="false")]]},
+            {"family": "st", "shape": "21", "rows": [[cell, cell], [cell]]},
+        ]
+        for doc in docs:
+            bad.write_text(json.dumps(doc), encoding="utf-8")
+            code, out, err = run(capsys, "render", "--input", str(bad))
+            assert code == 2 and out == "", doc
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, doc
+
+    @pytest.mark.parametrize("doc,commands,violation", [
+        # levels 2 then 1 in a one-row shifted tableau: rank 1 has no
+        # level 2, and the row decreases
+        ({"family": "st", "shape": [2],
+          "rows": [[{"level": 2, "barred": False}, {"level": 1, "barred": False}]]},
+         [("weight", "--scheme", "ST_XY"), ("bijection", "--from", "st"),
+          ("render",)], "ST1: row decreases"),
+        # row 1 sums to 2, and only column 1 sums to 1, so lambda = (1)
+        ([[1, 1], [0, -1]],
+         [("weight", "--scheme", "CPM_XY"), ("bijection", "--from", "uasm"),
+          ("render",)], "expected 2 x 1"),
+        # rank 1 has two rows
+        ({"n": 1, "rows": [[2], [1], [3]]},
+         [("weight", "--scheme", "GT_XY"), ("render",)], "expected 2 rows"),
+    ], ids=["st", "uasm", "gtp"])
+    def test_object_breaking_its_family_rules_is_usage_error(
+            self, capsys, tmp_path, doc, commands, violation):
+        path = tmp_path / "obj.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in commands:
+            code, out, err = run(capsys, *command, "--input", str(path))
+            assert code == 2 and out == "", command
+            assert err.startswith("error: ") and violation in err, command
 
     def test_float_pattern_entry_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "gt.json"

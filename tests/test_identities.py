@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import golden as G
+from symptok import identities
 from symptok.algebra import (
     MERSENNE31,
     QVAR,
@@ -631,6 +632,17 @@ class TestBigModular:
         fb = r.params["fallback"]
         assert fb["requested"]["lambda"] == [4, 1]
         assert fb["chosen"]["objects"] <= 10
+
+    @pytest.mark.parametrize("knobs", [{"trials": 0}, {"prime": 65536}])
+    def test_trials_and_modulus_are_checked_before_counting(self, monkeypatch,
+                                                           knobs):
+        # a run that verify would refuse counts no objects and searches no
+        # fallback first
+        def count_gtp(lam, n):
+            raise AssertionError("objects counted before the checks")
+        monkeypatch.setattr(identities, "count_gtp", count_gtp)
+        with pytest.raises(ModularParameterError):
+            verify_big_modular((4, 3, 3), 5, **knobs)
 
 
 class TestAmbiguities:

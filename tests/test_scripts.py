@@ -22,8 +22,12 @@ def assert_usage_error(proc):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["--n", "0"], ["--max-weight", "-1"]])
+@pytest.mark.parametrize("argv", [["--out", "taken/ambiguities.json"],
+                                  ["--out", "."]])
 def test_ambiguity_findings_bad_input_exits_2(tmp_path, argv):
+    # "taken" is a regular file, so no report directory can be made in it;
+    # "." is a directory, so no report can be written there
+    (tmp_path / "taken").write_text("")
     assert_usage_error(run_script("ambiguity_findings.py", *argv, cwd=tmp_path))
 
 
