@@ -7,9 +7,22 @@ exponent -1 on x_k; there are no separate "barred" symbols.
 Representation:
 
   Var         = (kind, index) with kind in {KIND_X, KIND_Y, KIND_T, KIND_Q};
-                index is 0 for t and q
+                index is 0 for t and q, at least 1 for x and y
   Monomial    = tuple of (Var, exponent) pairs, sorted by Var, no zero exponents
-  LaurentPoly = wrapper around {Monomial: int}, no zero coefficients stored
+  LaurentPoly = wrapper around {packed monomial: int}, no zero coefficients
+
+Inside LaurentPoly a monomial is one Python int, its exponent vector in
+balanced base 2^16 (a Kronecker packing): the exponent of the variable in
+slot s is the signed digit of weight 2^(16 s), with slots t -> 0, q -> 1,
+x_i -> 2i and y_i -> 2i + 1.  The product of two monomials is the sum of
+their ints, so multiplication never builds, sorts or compares tuples.  A
+digit holds an exponent of absolute value at most MAX_EXPONENT = 2^15 - 1;
+a monomial built or multiplied past that raises ExponentOverflowError
+rather than carrying into the neighbouring slot.  Each polynomial keeps a
+bound on its |exponents|, so a product checks the sum of its factors'
+bounds, and its factors' exponents slot by slot only when that sum is past
+MAX_EXPONENT.  ``terms``, ``to_text`` and the modular evaluation unpack the
+digits; ``terms`` gives canonical Monomial keys.
 
 Residues is the modular counterpart: the values of one polynomial at a
 fixed list of points mod a prime, with the same +, * and ** taken point by
@@ -33,6 +46,13 @@ Monomial = Tuple[Tuple[Var, int], ...]
 
 #: Default modulus for randomized identity testing (Mersenne prime 2^31 - 1).
 MERSENNE31 = 2**31 - 1
+
+_DIGIT_BITS = 16
+_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
+_DIGIT_HALF = 1 << (_DIGIT_BITS - 1)
+
+#: The largest absolute value of an exponent in a LaurentPoly.
+MAX_EXPONENT = _DIGIT_HALF - 1
 
 
 def xvar(i: int) -> Var:
@@ -75,59 +95,156 @@ class ParseError(ValueError):
     """Malformed polynomial text."""
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps = dict(a)
-    for v, e in b:
-        s = exps.get(v, 0) + e
-        if s:
-            exps[v] = s
-        else:
-            del exps[v]
-    return tuple(sorted(exps.items()))
+class ExponentOverflowError(ValueError):
+    """An exponent beyond +-MAX_EXPONENT, which a packed monomial cannot hold."""
+
+
+# -- packed monomials -----------------------------------------------------------
+
+
+def _slot(v: Var) -> int:
+    kind, index = v
+    if kind == KIND_T and index == 0:
+        return 0
+    if kind == KIND_Q and index == 0:
+        return 1
+    if kind in (KIND_X, KIND_Y) and type(index) is int and index >= 1:
+        return 2 * index + kind
+    raise ValueError(f"not a variable: {v!r}")
+
+
+def _slot_var(slot: int) -> Var:
+    if slot < 2:
+        return QVAR if slot else TVAR
+    return (slot & 1, slot >> 1)  # KIND_X = 0, KIND_Y = 1
+
+
+def _check_exponent(v: Var, e: int) -> None:
+    if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
+        raise ExponentOverflowError(
+            f"exponent {e} of {var_name(v)} is beyond +-{MAX_EXPONENT}")
+
+
+def _pack(exps: Mapping[Var, int]) -> Tuple[int, int]:
+    """The packed monomial of an exponent map, and its largest |exponent|."""
+    key = bound = 0
+    for v, e in exps.items():
+        _check_exponent(v, e)
+        key += e << (_DIGIT_BITS * _slot(v))
+        bound = max(bound, abs(e))
+    return key, bound
+
+
+def _unpack(key: int) -> List[Tuple[int, int]]:
+    """The (slot, exponent) pairs of a packed monomial, lowest slot first."""
+    out = []
+    slot = 0
+    while key:
+        e = key & _DIGIT_MASK
+        if e >= _DIGIT_HALF:
+            e -= _DIGIT_MASK + 1
+        if e:
+            out.append((slot, e))
+        key = (key - e) >> _DIGIT_BITS
+        slot += 1
+    return out
+
+
+def _monomial(key: int) -> Monomial:
+    return tuple(sorted((_slot_var(s), e) for s, e in _unpack(key)))
+
+
+def _slot_ranges(terms: Iterable[int]) -> Dict[int, Tuple[int, int]]:
+    """Per slot, an interval holding the exponent of every monomial and 0."""
+    ranges: Dict[int, Tuple[int, int]] = {}
+    for key in terms:
+        for slot, e in _unpack(key):
+            lo, hi = ranges.get(slot, (0, 0))
+            ranges[slot] = (min(lo, e), max(hi, e))
+    return ranges
+
+
+def _product_bound(a: Iterable[int], b: Iterable[int]) -> int:
+    """A bound on the exponents of the products of a monomial of a and one
+    of b; raises ExponentOverflowError if one of them is past MAX_EXPONENT.
+    Per slot, the extreme sums lo_a + lo_b and hi_a + hi_b are attained by
+    some pair.  Widening an interval to hold 0 moves a sum at most to the
+    other factor's extreme, which fits, so no product that fits is refused."""
+    ra, rb = _slot_ranges(a), _slot_ranges(b)
+    bound = 0
+    for slot in ra.keys() | rb.keys():
+        lo_a, hi_a = ra.get(slot, (0, 0))
+        lo_b, hi_b = rb.get(slot, (0, 0))
+        for e in (lo_a + lo_b, hi_a + hi_b):
+            _check_exponent(_slot_var(slot), e)
+            bound = max(bound, abs(e))
+    return bound
+
+
+def _column(points: List[Mapping[Var, int]], slot: int, inverse: bool,
+            modulus: int) -> List[int]:
+    """The values mod modulus of a slot's variable, or of its inverse, at
+    each point."""
+    v = _slot_var(slot)
+    try:
+        col = [pt[v] % modulus for pt in points]
+    except KeyError:
+        raise UnassignedVariableError(var_name(v)) from None
+    if inverse:
+        if 0 in col:
+            raise NonInvertiblePointError(var_name(v))
+        col = [pow(a, -1, modulus) for a in col]
+    return col
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_bound")
 
     def __init__(self, terms: Mapping[Monomial, int] | None = None):
-        self._terms: Dict[Monomial, int] = (
-            {m: c for m, c in terms.items() if c} if terms else {}
-        )
+        out: Dict[int, int] = {}
+        bound = 0
+        for mono, c in (terms or {}).items():
+            key, b = _pack(dict(mono))
+            out[key] = out.get(key, 0) + c
+            bound = max(bound, b)
+        self._terms = {key: c for key, c in out.items() if c}
+        self._bound = bound
+
+    @classmethod
+    def _make(cls, terms: Dict[int, int], bound: int) -> "LaurentPoly":
+        res = cls.__new__(cls)
+        res._terms, res._bound = terms, bound
+        return res
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
-        return cls()
+        return cls._make({}, 0)
 
     @classmethod
     def const(cls, c: int) -> "LaurentPoly":
-        return cls({(): c}) if c else cls()
+        return cls._make({0: c} if c else {}, 0)
 
     @classmethod
     def variable(cls, v: Var, exp: int = 1) -> "LaurentPoly":
-        if exp == 0:
-            return cls.const(1)
-        return cls({((v, exp),): 1})
+        _check_exponent(v, exp)
+        return cls._make({exp << (_DIGIT_BITS * _slot(v)): 1}, abs(exp))
 
     @classmethod
     def monomial(cls, exps: Mapping[Var, int], coef: int = 1) -> "LaurentPoly":
         if not coef:
-            return cls()
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        return cls({mono: coef})
+            return cls.zero()
+        key, bound = _pack(exps)
+        return cls._make({key: coef}, bound)
 
     # -- inspection --------------------------------------------------------
 
     @property
     def terms(self) -> Dict[Monomial, int]:
-        return dict(self._terms)
+        return {_monomial(key): c for key, c in self._terms.items()}
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -162,23 +279,23 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            s = out.get(mono, 0) + c
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        get = out.get
+        for mono, c in small.items():
+            s = get(mono, 0) + c
             if s:
                 out[mono] = s
             else:
-                out.pop(mono, None)
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+                del out[mono]
+        return LaurentPoly._make(out, max(self._bound, other._bound))
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = {m: -c for m, c in self._terms.items()}
-        return res
+        return LaurentPoly._make({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other) -> "LaurentPoly":
         other = self._coerce(other)
@@ -198,18 +315,27 @@ class LaurentPoly:
             return NotImplemented
         if not self._terms or not other._terms:
             return LaurentPoly.zero()
-        out: Dict[Monomial, int] = {}
-        for ma, ca in self._terms.items():
-            for mb, cb in other._terms.items():
-                mono = _mono_mul(ma, mb)
-                s = out.get(mono, 0) + ca * cb
+        bound = self._bound + other._bound
+        if bound > MAX_EXPONENT:
+            bound = _product_bound(self._terms, other._terms)
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        # one row per term of the smaller factor; the first row's products
+        # are distinct monomials, so it needs no lookups
+        rows = iter(small.items())
+        mb, cb = next(rows)
+        out = {ma + mb: ca * cb for ma, ca in big.items()}
+        get = out.get
+        for mb, cb in rows:
+            for ma, ca in big.items():
+                mono = ma + mb
+                s = get(mono, 0) + ca * cb
                 if s:
                     out[mono] = s
                 else:
                     del out[mono]
-        res = LaurentPoly.__new__(LaurentPoly)
-        res._terms = out
-        return res
+        return LaurentPoly._make(out, bound)
 
     __rmul__ = __mul__
 
@@ -218,8 +344,7 @@ class LaurentPoly:
             if len(self._terms) == 1:
                 ((mono, coef),) = self._terms.items()
                 if coef in (1, -1):
-                    inv = tuple(sorted((v, -e) for v, e in mono))
-                    return LaurentPoly({inv: coef}) ** (-n)
+                    return LaurentPoly._make({-mono: coef}, self._bound) ** (-n)
             raise ValueError("negative powers only for unit monomials")
         result = LaurentPoly.const(1)
         base = self
@@ -240,25 +365,24 @@ class LaurentPoly:
         for v, img in mapping.items():
             if img.num_terms() != 1:
                 raise ValueError("substitution image must be a single term")
-            ((mono, coef),) = img._terms.items()
+            ((key, coef),) = img._terms.items()
             if coef not in (1, -1):
                 raise ValueError("substitution image must have coefficient +-1")
-            images[v] = (mono, coef)
-        out = LaurentPoly.zero()
-        for mono, c in self._terms.items():
-            acc_mono: Monomial = ()
-            acc_coef = c
-            for v, e in mono:
-                if v in images:
-                    img_mono, img_coef = images[v]
-                    powed = tuple(sorted((w, we * e) for w, we in img_mono))
-                    acc_mono = _mono_mul(acc_mono, powed)
-                    if img_coef == -1 and e % 2:
-                        acc_coef = -acc_coef
-                else:
-                    acc_mono = _mono_mul(acc_mono, ((v, e),))
-            out = out + LaurentPoly({acc_mono: acc_coef})
-        return out
+            images[_slot(v)] = ([(_slot_var(s), e) for s, e in _unpack(key)], coef)
+        out: Dict[int, int] = {}
+        bound = 0
+        for key, c in self._terms.items():
+            exps: Dict[Var, int] = {}
+            for slot, e in _unpack(key):
+                img_exps, img_coef = images.get(slot, ([(_slot_var(slot), 1)], 1))
+                for w, we in img_exps:
+                    exps[w] = exps.get(w, 0) + we * e
+                if img_coef == -1 and e % 2:
+                    c = -c
+            key, b = _pack(exps)
+            out[key] = out.get(key, 0) + c
+            bound = max(bound, b)
+        return LaurentPoly._make({m: c for m, c in out.items() if c}, bound)
 
     # -- modular evaluation -------------------------------------------------
 
@@ -268,24 +392,28 @@ class LaurentPoly:
         Negative exponents go through the modular inverse, so every assigned
         value must be nonzero mod the modulus when such an exponent occurs.
         """
-        total = 0
-        inv_cache: Dict[Var, int] = {}
-        for mono, coef in self._terms.items():
-            term = coef % modulus
-            for v, e in mono:
-                if v not in assignment:
-                    raise UnassignedVariableError(var_name(v))
-                a = assignment[v] % modulus
-                if e < 0:
-                    if a == 0:
-                        raise NonInvertiblePointError(var_name(v))
-                    if v not in inv_cache:
-                        inv_cache[v] = pow(a, -1, modulus)
-                    a = inv_cache[v]
-                    e = -e
-                term = term * pow(a, e, modulus) % modulus
-            total = (total + term) % modulus
-        return total
+        return self._values_mod([assignment], modulus)[0]
+
+    def _values_mod(self, points: List[Mapping[Var, int]], modulus: int) -> List[int]:
+        """eval_mod at each point.  Every monomial is unpacked once for all
+        the points, and each variable's values and inverses are read once."""
+        columns: Dict[int, List[int]] = {}  # slot s, or ~s for its inverses
+        totals = [0] * len(points)
+        for key, coef in self._terms.items():
+            term = [coef % modulus] * len(points)
+            for slot, e in _unpack(key):
+                col_id = slot if e > 0 else ~slot
+                col = columns.get(col_id)
+                if col is None:
+                    col = columns[col_id] = _column(points, slot, e < 0, modulus)
+                e = abs(e)
+                if e == 1:
+                    term = [a * b % modulus for a, b in zip(term, col)]
+                else:
+                    term = [a * pow(b, e, modulus) % modulus
+                            for a, b in zip(term, col)]
+            totals = [(a + b) % modulus for a, b in zip(totals, term)]
+        return totals
 
     # -- text form -----------------------------------------------------------
 
@@ -296,8 +424,8 @@ class LaurentPoly:
         """
         if not self._terms:
             return "0"
-        parts = [f"{self._terms[mono]} * {monomial_text(mono)}" if mono
-                 else str(self._terms[mono]) for mono in sorted(self._terms)]
+        parts = [f"{coef} * {monomial_text(mono)}" if mono else str(coef)
+                 for mono, coef in sorted(self.terms.items())]
         out = parts[0]
         for p in parts[1:]:
             if p.startswith("-"):
@@ -333,13 +461,15 @@ class LaurentPoly:
                 if factor.lstrip("-").isdigit():
                     coef *= int(factor)
                     continue
-                name, _, exp_s = factor.partition("^")
-                exp = int(exp_s) if exp_s else 1
+                name, caret, exp_s = factor.partition("^")
+                if caret and not exp_s.lstrip("-").isdigit():
+                    raise ParseError(f"bad exponent in {factor!r}")
+                exp = int(exp_s) if caret else 1
                 if name == "t":
                     v = TVAR
                 elif name == "q":
                     v = QVAR
-                elif name[0] in ("x", "y") and name[1:].isdigit():
+                elif name[:1] in ("x", "y") and name[1:].isdigit() and int(name[1:]) >= 1:
                     kind = KIND_X if name[0] == "x" else KIND_Y
                     v = (kind, int(name[1:]))
                 else:
@@ -372,7 +502,9 @@ class Residues:
     @classmethod
     def lift(cls, poly: LaurentPoly, points: List[Mapping[Var, int]],
              prime: int) -> "Residues":
-        return cls([poly.eval_mod(pt, prime) for pt in points], prime)
+        """The values of poly at the points; each monomial is unpacked once
+        for all of them."""
+        return cls(poly._values_mod(points, prime), prime)
 
     def __add__(self, other: "Residues") -> "Residues":
         p = self.prime

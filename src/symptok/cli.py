@@ -51,9 +51,8 @@ def _load_object(path: str):
         bad = validate_st(obj, len(obj.shape))[1]
     elif isinstance(obj, PrimedShiftedTableau):
         bad = validate_qt(obj, len(obj.base.shape))[1]
-    elif isinstance(obj, UTurnASM):  # lambda's parts: the columns that sum to 1
-        lam = [j for j, col in enumerate(zip(*obj.entries), 1) if sum(col) == 1]
-        bad = validate_uasm(obj, lam[::-1])[1]
+    elif isinstance(obj, UTurnASM):  # lambda is read off the column sums
+        bad = validate_uasm(obj)[1]
     elif isinstance(obj, SympGTPattern):
         bad = validate_gtp(obj)[1]
     else:

@@ -111,17 +111,31 @@ def _alternating(seq) -> bool:
     return all(nz[i] != nz[i + 1] for i in range(len(nz) - 1))
 
 
-def validate_uasm(a: UTurnASM, lam) -> Tuple[bool, List[str]]:
-    """Check UA1-UA5 against the column profile fixed by lambda."""
-    lam = as_strict_partition(lam)
+def validate_uasm(a: UTurnASM, lam=None) -> Tuple[bool, List[str]]:
+    """Check UA1-UA5 against the column profile fixed by lambda.
+
+    Without lambda, it is read off the columns that sum to 1, and a profile
+    that fits no lambda (not n such columns, or a last column that is not
+    one) is reported as UA5 problems, after the rules it breaks.
+    """
     n = a.n
-    if len(lam) != n:
-        raise DimensionMismatchError(f"lambda {lam} does not have n={n} parts")
-    m = lam[0]
+    if lam is not None:
+        lam = as_strict_partition(lam)
+        if len(lam) != n:
+            raise DimensionMismatchError(f"lambda {lam} does not have n={n} parts")
+    m = a.m if lam is None else lam[0]
     if len(a.entries) != 2 * n or any(len(r) != m for r in a.entries):
         raise DimensionMismatchError(
             f"expected {2 * n} x {m}, got {[len(r) for r in a.entries]}"
         )
+    profile: List[str] = []
+    if lam is None:
+        sums = [sum(col) for col in zip(*a.entries)]
+        lam = tuple(j for j in range(m, 0, -1) if sums[j - 1] == 1)
+        if len(lam) != n:
+            profile.append(f"UA5: {len(lam)} columns sum to 1, not n={n}")
+        if m not in lam:
+            profile.append(f"UA5: the last column, {m}, sums to {sums[-1]}, not 1")
     bad: List[str] = []
     if any(v not in (-1, 0, 1) for row in a.entries for v in row):
         bad.append("entries: values outside {-1,0,1}")
@@ -150,6 +164,7 @@ def validate_uasm(a: UTurnASM, lam) -> Tuple[bool, List[str]]:
         pair = sum(a.entries[2 * k - 2]) + sum(a.entries[2 * k - 1])
         if pair != 1:
             bad.append(f"UA4': rows {k} and {k}' sum to {pair}, not 1")
+    bad += profile
     return (not bad, bad)
 
 
@@ -187,6 +202,8 @@ def _check_zero_one(rows, which: str) -> None:
 
 
 def _check_gtp_shape(g: SympGTPattern) -> None:
+    if g.n < 1:
+        raise GTShapeError(f"GT pattern rank n must be at least 1, got {g.n}")
     if len(g.rows) != 2 * g.n:
         raise GTShapeError(f"expected {2 * g.n} rows, got {len(g.rows)}")
     for k in range(1, g.n + 1):

@@ -99,6 +99,9 @@ def _parse_tableau(data: dict) -> AnyObject:
         rows.append(codes)
         primes.append(flags)
     base_rows = tuple(tuple(r) for r in rows)
+    if family in ("t", "st") and any(f for row in primes for f in row):
+        raise InputFormatError(f"a {family!r} tableau has no primed cells; "
+                               "primes belong to 'qt' tableaux")
     if family == "t":
         return SymplecticTableau(shape, base_rows)
     if family == "st":

@@ -5,11 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symptok.algebra import (
+    MAX_EXPONENT,
     MERSENNE31,
     QVAR,
     TVAR,
+    ExponentOverflowError,
     LaurentPoly,
     NonInvertiblePointError,
+    ParseError,
+    Residues,
     UnassignedVariableError,
     random_point,
     xvar,
@@ -165,3 +169,108 @@ def test_substitute_unit_monomials():
     assert got == X1 + mono({QVAR: -1, xvar(1): -1})
     with pytest.raises(ValueError):
         p.substitute({yvar(1): X1 + Q})
+
+
+class TestPackedMonomials:
+    TOP = {xvar(1): MAX_EXPONENT}
+
+    def test_exponent_range(self):
+        assert MAX_EXPONENT == 2**15 - 1
+
+    def test_largest_exponent_round_trips(self):
+        top = mono(self.TOP)
+        assert X1 ** MAX_EXPONENT == top
+        assert mono({xvar(1): MAX_EXPONENT - 1}) * X1 == top
+        assert top ** -1 == mono({xvar(1): -MAX_EXPONENT})
+        assert top.to_text() == f"1 * x1^{MAX_EXPONENT}"
+        both_ends = top * mono({yvar(1): -MAX_EXPONENT, xvar(2): MAX_EXPONENT}) + Q
+        for p in (top, top ** -1, both_ends):
+            assert LaurentPoly.parse(p.to_text()) == p
+        assert both_ends.terms == {
+            ((xvar(1), MAX_EXPONENT), (xvar(2), MAX_EXPONENT),
+             (yvar(1), -MAX_EXPONENT)): 1,
+            ((QVAR, 1),): 1,
+        }
+
+    def test_one_past_the_range_raises(self):
+        past = MAX_EXPONENT + 1
+        builders = [
+            lambda: mono({xvar(1): past}),
+            lambda: mono({yvar(1): -past}),
+            lambda: LaurentPoly.variable(QVAR, past),
+            lambda: LaurentPoly({((TVAR, -past),): 1}),
+            lambda: LaurentPoly.parse(f"x1^{past}"),
+            lambda: LaurentPoly.parse(f"2 * y1^-{past // 2} * y1^-{past // 2}"),
+            lambda: mono(self.TOP) * X1,
+            lambda: (ONE + mono(self.TOP)) * (ONE + X1),
+            lambda: mono({xvar(1): -MAX_EXPONENT}) * (X1 + mono({xvar(1): -1})),
+            lambda: X1 ** past,
+        ]
+        for build in builders:
+            with pytest.raises(ExponentOverflowError):
+                build()
+
+    def test_overflow_never_carries_into_a_neighbour(self):
+        # x1^(2^15 - 1) * x1 would read as x1^-(2^15) * y1 (or x2) if the
+        # digit carried
+        with pytest.raises(ExponentOverflowError):
+            mono(self.TOP) * X1
+        with pytest.raises(ExponentOverflowError):
+            mono({yvar(1): MAX_EXPONENT}) * Y1
+
+    def test_product_within_the_range_is_kept(self):
+        top = mono(self.TOP)
+        assert top * mono({xvar(1): -1}) == mono({xvar(1): MAX_EXPONENT - 1})
+        got = (top + X1) * (ONE + mono({xvar(1): -1}))
+        assert got == top + mono({xvar(1): MAX_EXPONENT - 1}) + X1 + ONE
+        assert (top * Y1).terms == {((xvar(1), MAX_EXPONENT), (yvar(1), 1)): 1}
+
+    def test_variables_need_a_positive_index(self):
+        with pytest.raises(ValueError):
+            LaurentPoly.variable(xvar(0))
+        for text in ("y0", "^2", "2 * ^3", "x1^a", "x1^"):
+            with pytest.raises(ParseError):
+                LaurentPoly.parse(text)
+
+    def test_terms_keys_are_sorted_monomials(self):
+        p = LaurentPoly.parse("3 * x2 * y1^-2 * t * q^4 + x1 - q")
+        assert p.terms == {
+            ((xvar(2), 1), (yvar(1), -2), (TVAR, 1), (QVAR, 4)): 3,
+            ((xvar(1), 1),): 1,
+            ((QVAR, 1),): -1,
+        }
+        for key in p.terms:
+            assert list(key) == sorted(key)
+
+    def test_equal_polynomials_hash_equal(self):
+        inv_y2 = mono({yvar(2): -1})
+        built = [
+            LaurentPoly.parse("x1 * y2^-1 * q + 2"),
+            mono({QVAR: 1, yvar(2): -1, xvar(1): 1}) + 2,
+            X1 * Q * inv_y2 + ONE + ONE,
+            (X1 + mono({yvar(2): 1, QVAR: -1})) * (Q * inv_y2) + ONE - Q + Q,
+            LaurentPoly({((xvar(1), 1), (yvar(2), -1), (QVAR, 1)): 1, (): 2}),
+        ]
+        for p in built:
+            assert p == built[0] and hash(p) == hash(built[0])
+
+
+class TestResiduesLift:
+    P = (X1 ** 3 + mono({xvar(1): -2, yvar(1): 1}, 5) - Q) * mono({TVAR: -1})
+    VARS = [xvar(1), yvar(1), TVAR, QVAR]
+
+    def test_values_are_the_point_evaluations(self):
+        rng = random.Random(11)
+        points = [random_point(self.VARS, rng) for _ in range(6)]
+        assert Residues.lift(self.P, points, MERSENNE31).values == [
+            self.P.eval_mod(pt, MERSENNE31) for pt in points]
+
+    def test_unassigned_variable(self):
+        points = [dict.fromkeys(self.VARS, 3), dict.fromkeys(self.VARS[:3], 3)]
+        with pytest.raises(UnassignedVariableError):
+            Residues.lift(self.P, points, 7)
+
+    def test_non_invertible_point(self):
+        points = [dict.fromkeys(self.VARS, 3), {**dict.fromkeys(self.VARS, 3), TVAR: 14}]
+        with pytest.raises(NonInvertiblePointError):
+            Residues.lift(self.P, points, 7)

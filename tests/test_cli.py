@@ -335,11 +335,15 @@ class TestRender:
         # row 1 sums to 2, and only column 1 sums to 1, so lambda = (1)
         ([[1, 1], [0, -1]],
          [("weight", "--scheme", "CPM_XY"), ("bijection", "--from", "uasm"),
-          ("render",)], "expected 2 x 1"),
+          ("render",)], "UA4: row 1 sums to 2"),
+        # a valid U-turn ASM but for its last column, which lambda_1 needs
+        ([[1, 0], [0, 0]],
+         [("weight", "--scheme", "CPM_XY"), ("bijection", "--from", "uasm"),
+          ("render",)], "UA5: the last column, 2, sums to 0, not 1"),
         # rank 1 has two rows
         ({"n": 1, "rows": [[2], [1], [3]]},
          [("weight", "--scheme", "GT_XY"), ("render",)], "expected 2 rows"),
-    ], ids=["st", "uasm", "gtp"])
+    ], ids=["st", "uasm", "uasm_width", "gtp"])
     def test_object_breaking_its_family_rules_is_usage_error(
             self, capsys, tmp_path, doc, commands, violation):
         path = tmp_path / "obj.json"
@@ -348,6 +352,38 @@ class TestRender:
             code, out, err = run(capsys, *command, "--input", str(path))
             assert code == 2 and out == "", command
             assert err.startswith("error: ") and violation in err, command
+
+    def test_compass_rules_are_named_in_the_error(self, capsys, tmp_path):
+        path = tmp_path / "uasm.json"
+        path.write_text(json.dumps([[1, 1], [0, -1]]), encoding="utf-8")
+        code, _, err = run(capsys, "render", "--input", str(path))
+        assert code == 2
+        assert err == (f"error: invalid object in {path}: "
+                       "UA1: signs do not alternate in row 1; UA4: row 1 sums to 2; "
+                       "UA3: rightmost nonzero of row 2 is not 1; UA4: row 2 sums to -1; "
+                       "UA5: the last column, 2, sums to 0, not 1\n")
+
+    @pytest.mark.parametrize("family,scheme", [("st", "ST_XY"), ("t", "T_DEFORMED")])
+    def test_primed_cell_outside_a_primed_tableau_is_usage_error(
+            self, capsys, tmp_path, family, scheme):
+        cell = {"level": 1, "barred": False, "primed": True}
+        path = tmp_path / "tableau.json"
+        path.write_text(json.dumps({"family": family, "shape": [1], "rows": [[cell]]}),
+                        encoding="utf-8")
+        for command in (("render",), ("weight", "--scheme", scheme)):
+            code, out, err = run(capsys, *command, "--input", str(path))
+            assert code == 2 and out == "", command
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, command
+            assert f"a {family!r} tableau has no primed cells" in err, command
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_pattern_of_rank_below_one_is_usage_error(self, capsys, tmp_path, n):
+        path = tmp_path / "gt.json"
+        path.write_text(json.dumps({"n": n, "rows": []}), encoding="utf-8")
+        for command in (("render",), ("weight", "--scheme", "GT_QX")):
+            code, out, err = run(capsys, *command, "--input", str(path))
+            assert code == 2 and out == "", command
+            assert err == f"error: GT pattern rank n must be at least 1, got {n}\n", command
 
     def test_float_pattern_entry_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "gt.json"

@@ -39,6 +39,15 @@ class TestValidateUASM:
         with pytest.raises(DimensionMismatchError):
             validate_uasm(UTurnASM(1, ((1, 0), (0, 0))), (1,))
 
+    def test_lambda_read_off_the_columns(self):
+        assert validate_uasm(G.A) == (True, [])
+        assert validate_uasm(A1)[0] and validate_uasm(A2)[0]
+        assert validate_uasm(UTurnASM(1, ((1, 0), (0, 0)))) == (
+            False, ["UA5: the last column, 2, sums to 0, not 1"])
+        assert validate_uasm(UTurnASM(1, ((1, 0), (0, 1)))) == (
+            False, ["UA4': rows 1 and 1' sum to 2, not 1",
+                    "UA5: 2 columns sum to 1, not n=1"])
+
 
 class TestEnumerateUASM:
     def test_rank_one(self):
@@ -108,6 +117,8 @@ class TestValidateGTP:
     def test_shape_error(self):
         with pytest.raises(GTShapeError):
             validate_gtp(SympGTPattern(2, ((1,), (1,))))
+        with pytest.raises(GTShapeError, match="rank n must be at least 1, got 0"):
+            validate_gtp(SympGTPattern(0, ()))
 
 
 class TestEnumerateGTP:
