@@ -24,6 +24,7 @@ from .tableaux import (
     PrimedShiftedTableau,
     ShiftedTableau,
     SymplecticTableau,
+    cell_cases,
     enumerate_st,
     enumerate_t,
     primings,
@@ -125,7 +126,7 @@ def _cmd_bijection(args) -> int:
 def _annotated(st: ShiftedTableau, scheme: str, neighbour: str) -> str:
     table = weights.factor_table(scheme, weights._letter_rank(st.rows))
     # row-major; ST_XY reads only "below", where the ST_Q cases are ST_XY's
-    ids = iter(weights.st_q_factor_ids(st, neighbour))
+    ids = iter(cell_cases(st, neighbour))
     texts = [[render_poly_compact(table[next(ids)]) for _ in row] for row in st.rows]
     width = max(len(s) for row in texts for s in row) + 2
     return render._grid(texts, width, [i * width for i in range(len(texts))])
@@ -162,7 +163,7 @@ def _cmd_weight(args) -> int:
     if not isinstance(obj, kinds[family]):
         return _fail(f"scheme {scheme} expects a {family} object")
     if args.annotate and family != "st":
-        return _fail("--annotate applies to tableau schemes only")
+        return _fail("--annotate applies to the ST_XY and ST_Q schemes only")
     identities.check_conventions(scheme, f"scheme {scheme}", c0_mode=args.c0,
                                  st_q_neighbour=args.neighbour)
     if scheme == "T_DEFORMED":
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=sorted(weights.SCHEMES), required=True)
     p.add_argument("--input", required=True)
     p.add_argument("--annotate", action="store_true",
-                   help="print the per-cell weight grid (tableau schemes)")
+                   help="print the per-cell weight grid (ST_XY and ST_Q)")
     _add_weight_knobs(p)
     p.set_defaults(func=_cmd_weight)
 

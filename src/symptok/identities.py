@@ -51,6 +51,7 @@ from . import weights
 from .algebra import (
     MERSENNE31,
     MILLER_RABIN_BOUND,
+    ONE,
     QVAR,
     TVAR,
     ZERO,
@@ -65,6 +66,7 @@ from .algebra import (
 )
 from .matrices import count_gtp
 from .shapes import (
+    InvalidRankError,
     RankTooSmallError,
     add_staircase,
     as_partition,
@@ -117,8 +119,6 @@ REJECTED_VARIANTS = (
 )
 GRID_RANKS = ((1, 4), (2, 4), (3, 2))
 
-ONE = LaurentPoly.const(1)
-
 #: Maps a table factor to the value type the engine computes in.
 Lift = Callable[[LaurentPoly], Union[LaurentPoly, Residues]]
 
@@ -139,10 +139,6 @@ class ModularParameterError(ValueError):
 class UnusedConventionError(ValueError):
     """A convention knob set away from its default for a weighing that never
     reads it, where the output would not show that it did nothing."""
-
-
-class InvalidRankError(ValueError):
-    """A rank n below 1, where the identities have nothing to check."""
 
 
 class InvalidWeightError(ValueError):

@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .shapes import BadLengthError, as_strict_partition
+from .shapes import BadLengthError, InvalidRankError, as_strict_partition
 
 
 class DimensionMismatchError(ValueError):
@@ -124,6 +124,8 @@ def validate_uasm(a: UTurnASM, lam=None) -> Tuple[bool, List[str]]:
         if len(lam) != n:
             raise DimensionMismatchError(f"lambda {lam} does not have n={n} parts")
     m = a.m if lam is None else lam[0]
+    if m < 1:
+        raise DimensionMismatchError("a U-turn ASM has lambda_1 >= n >= 1 columns, got none")
     if len(a.entries) != 2 * n or any(len(r) != m for r in a.entries):
         raise DimensionMismatchError(
             f"expected {2 * n} x {m}, got {[len(r) for r in a.entries]}"
@@ -248,6 +250,8 @@ def _interlace(above: Tuple[int, ...], length: int) -> Iterator[Tuple[int, ...]]
 def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
     """All strict patterns with top row lambda, generated top row downward."""
     lam = as_strict_partition(lam)
+    if n < 1:
+        raise InvalidRankError(f"rank n must be at least 1, got {n}")
     if len(lam) != n:
         raise BadLengthError(f"{lam} does not have length n={n}")
 
@@ -340,14 +344,21 @@ def enumerate_uasm(lam, n: int) -> Iterator[UTurnASM]:
 
 
 def brute_force_uasm(lam, n: int, cell_cap: int = 16) -> List[UTurnASM]:
-    """Filter all {-1,0,1} matrices; exponential, for cross-checks only."""
+    """Filter all {-1,0,1} matrices; exponential, for cross-checks only.
+
+    Each row is drawn from the {-1,0,1} rows that pass the row-local rules
+    (UA1 along the row, UA3, UA4's row sum), which validate_uasm checks
+    anyway; every matrix of such rows is then validated in full.
+    """
     lam = as_strict_partition(lam)
     m = lam[0]
     if 2 * n * m > cell_cap:
         raise ValueError(f"{2 * n}x{m} grid too large for brute force")
+    rows = [row for row in itertools.product((-1, 0, 1), repeat=m)
+            if _alternating(row) and sum(row) in (0, 1)
+            and next((v for v in reversed(row) if v), 1) == 1]
     out = []
-    for flat in itertools.product((-1, 0, 1), repeat=2 * n * m):
-        entries = tuple(flat[r * m:(r + 1) * m] for r in range(2 * n))
+    for entries in itertools.product(rows, repeat=2 * n):
         a = UTurnASM(n, entries)
         if validate_uasm(a, lam)[0]:
             out.append(a)

@@ -18,7 +18,7 @@ import json
 from typing import List, Union
 
 from .matrices import CPM_CODES, CompassPointMatrix, SympGTPattern, UTurnASM
-from .shapes import Entry, letter_str
+from .shapes import letter, letter_barred, letter_level, letter_str
 from .tableaux import PrimedShiftedTableau, ShiftedTableau, SymplecticTableau
 
 AnyObject = Union[SymplecticTableau, ShiftedTableau, PrimedShiftedTableau,
@@ -33,8 +33,7 @@ class InputFormatError(ValueError):
 
 
 def _entry_json(code: int, primed: bool) -> dict:
-    e = Entry.from_code(code, primed)
-    return {"level": e.level, "barred": e.barred, "primed": e.primed}
+    return {"level": letter_level(code), "barred": letter_barred(code), "primed": primed}
 
 
 def to_json_data(obj: AnyObject):
@@ -93,9 +92,8 @@ def _parse_tableau(data: dict) -> AnyObject:
             if type(cell.get("level")) is not int or cell["level"] < 1:
                 raise InputFormatError(f"letter level must be a positive integer, "
                                        f"got {cell.get('level')!r}")
-            e = Entry(cell["level"], cell["barred"], cell.get("primed", False))
-            codes.append(e.code)
-            flags.append(e.primed)
+            codes.append(letter(cell["level"], cell["barred"]))
+            flags.append(cell.get("primed", False))
         rows.append(codes)
         primes.append(flags)
     base_rows = tuple(tuple(r) for r in rows)

@@ -11,7 +11,6 @@ i-1 cells, so row i covers columns i .. i+lambda_i-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Tuple
 
 
@@ -21,6 +20,10 @@ class RankTooSmallError(ValueError):
 
 class BadLengthError(ValueError):
     """A strict partition does not have exactly the required length."""
+
+
+class InvalidRankError(ValueError):
+    """A rank n below 1, where there is nothing to enumerate or check."""
 
 
 def as_partition(parts: Sequence[int]) -> Tuple[int, ...]:
@@ -94,27 +97,3 @@ def letter_barred(code: int) -> bool:
 def letter_str(code: int, primed: bool = False) -> str:
     s = str(letter_level(code)) + ("-" if letter_barred(code) else "")
     return s + "'" if primed else s
-
-
-@dataclass(frozen=True)
-class Entry:
-    """One tableau entry: a level with bar and prime marks.
-
-    The ordering 1 < 1' < ... < n < n' depends only on (level, barred);
-    primes are weight decorations and do not affect comparisons.
-    """
-
-    level: int
-    barred: bool
-    primed: bool = False
-
-    @property
-    def code(self) -> int:
-        return letter(self.level, self.barred)
-
-    @classmethod
-    def from_code(cls, code: int, primed: bool = False) -> "Entry":
-        return cls(letter_level(code), letter_barred(code), primed)
-
-    def __str__(self) -> str:
-        return letter_str(self.code, self.primed)

@@ -30,6 +30,7 @@ from typing import Iterator, List, Tuple
 
 from .shapes import (
     BadLengthError,
+    InvalidRankError,
     RankTooSmallError,
     as_partition,
     as_strict_partition,
@@ -40,6 +41,10 @@ from .shapes import (
 
 class ShapeMismatchError(ValueError):
     """Rows do not cover the cells of the declared shape."""
+
+
+class UnknownConventionError(ValueError):
+    """A convention name (neighbour, c0 mode, q scheme) that no variant has."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +123,9 @@ def validate_t(t: SymplecticTableau, n: int) -> Tuple[bool, List[str]]:
 def validate_st(st: ShiftedTableau, n: int) -> Tuple[bool, List[str]]:
     """Check ST1-ST4 and len(shape) == n."""
     shape = as_strict_partition(st.shape)
+    if not shape:
+        raise InvalidRankError("a shifted tableau has rank len(shape) >= 1, "
+                               "got the empty shape of rank 0")
     _check_cover(shape, st.rows)
     bad: List[str] = []
     if len(shape) != n:
@@ -147,7 +155,7 @@ def validate_qt(qt: PrimedShiftedTableau, n: int) -> Tuple[bool, List[str]]:
         len(qt.primed[i]) != len(qt.base.rows[i]) for i in range(len(qt.primed))
     ):
         raise ShapeMismatchError("prime flags do not cover the shape")
-    for (i, col, _), (_, case) in zip(qt.base.cells(), _cell_cases(qt.base)):
+    for (i, col, _), (_, case) in zip(qt.base.cells(), cell_cases(qt.base)):
         p = qt.primed[i - 1][col - i]
         if case == "left" and p:
             bad.append(f"QT1: forced-unprimed cell is primed at ({i},{col})")
@@ -159,23 +167,26 @@ def validate_qt(qt: PrimedShiftedTableau, n: int) -> Tuple[bool, List[str]]:
 # -- neighbour cases ----------------------------------------------------------
 
 
-def _cell_cases(st: ShiftedTableau) -> Iterator[Tuple[int, str]]:
-    """Per cell in row-major order: (letter, case) with case in
-    {"left", "below", "free"} for equal-left / equal-below / neither.
+def cell_cases(st: ShiftedTableau, neighbour: str = "below") -> List[Tuple[int, str]]:
+    """Per cell in row-major order: (letter, case) with case "left" when the
+    cell equals its left neighbour, else neighbour when it equals the cell
+    below ("below", the QT rules) or above ("above"), else "free".
 
-    ST3 rules out both at once, so the classification is unambiguous.
+    Under "below", ST3 rules out the first two at once.  "above" is the
+    rejected ST_Q reading, kept so reports can evaluate it.
     """
+    if neighbour not in ("below", "above"):
+        raise UnknownConventionError(f"unknown neighbour convention {neighbour!r}")
+    step = 1 if neighbour == "below" else -1
+    cases = []
     for i, col, code in st.cells():
         if st.at(i, col - 1) == code:
-            yield code, "left"
-        elif st.at(i + 1, col) == code:
-            yield code, "below"
+            cases.append((code, "left"))
+        elif st.at(i + step, col) == code:
+            cases.append((code, neighbour))
         else:
-            yield code, "free"
-
-
-def cell_cases(st: ShiftedTableau) -> List[Tuple[int, str]]:
-    return list(_cell_cases(st))
+            cases.append((code, "free"))
+    return cases
 
 
 # -- enumeration --------------------------------------------------------------
@@ -184,6 +195,8 @@ def cell_cases(st: ShiftedTableau) -> List[Tuple[int, str]]:
 def enumerate_t(mu, n: int) -> Iterator[SymplecticTableau]:
     """All rank-n symplectic tableaux of shape mu, in row-major lex order."""
     mu = as_partition(mu)
+    if n < 1:
+        raise InvalidRankError(f"rank n must be at least 1, got {n}")
     if len(mu) > n:
         raise RankTooSmallError(f"shape {mu} needs more than n={n} rows")
     if not mu:
@@ -218,6 +231,8 @@ def enumerate_st(lam, n: int) -> Iterator[ShiftedTableau]:
     deterministic fill order.
     """
     lam = as_strict_partition(lam)
+    if n < 1:
+        raise InvalidRankError(f"rank n must be at least 1, got {n}")
     if len(lam) != n:
         raise BadLengthError(f"{lam} does not have length n={n}")
     rows = [[0] * lam[i] for i in range(n)]
@@ -253,7 +268,7 @@ def prime_freedom(st: ShiftedTableau) -> Tuple[List[bool | None], List[int]]:
     force the flag, None where free; plus the indices of the free cells."""
     forced: List[bool | None] = []
     free: List[int] = []
-    for idx, (_, case) in enumerate(_cell_cases(st)):
+    for idx, (_, case) in enumerate(cell_cases(st)):
         if case == "left":
             forced.append(False)
         elif case == "below":

@@ -35,12 +35,13 @@ its factors in factor_table.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from .algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
+from .algebra import ONE, QVAR, TVAR, LaurentPoly, xvar, yvar
 from .matrices import (
     CPM_CODES,
     CompassPointMatrix,
@@ -49,14 +50,16 @@ from .matrices import (
     classify_blr,
 )
 from .shapes import letter_level
-from .tableaux import PrimedShiftedTableau, ShiftedTableau, SymplecticTableau, cell_cases
+from .tableaux import (
+    PrimedShiftedTableau,
+    ShiftedTableau,
+    SymplecticTableau,
+    UnknownConventionError,
+    cell_cases,
+)
 
 class UnknownSchemeError(ValueError):
     pass
-
-
-class UnknownConventionError(ValueError):
-    """A convention name (neighbour, c0 mode, q scheme) that no variant has."""
 
 
 class LemmaViolationError(ValueError):
@@ -106,9 +109,6 @@ def _t2() -> LaurentPoly:
     return LaurentPoly.variable(TVAR, 2)
 
 
-ONE = LaurentPoly.const(1)
-
-
 # -- tableau weights ----------------------------------------------------------
 
 
@@ -124,17 +124,22 @@ def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
 
 
 def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
-    """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k."""
-    out = ONE
+    """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k.
+
+    The cells' exponents are summed into one monomial, without factor_table,
+    so that the engine's primed sums are checked against an independent
+    reference.
+    """
+    exps = Counter()
     for _, _, code, primed in qt.cells():
-        k = (code + 1) // 2
-        base = _y(k, 1) if primed else _x(k, 1)
-        if code % 2 == 0:  # barred: invert, and deform by t^2
-            base = _y(k, -1) if primed else _x(k, -1)
+        v = (yvar if primed else xvar)(letter_level(code))
+        if code % 2:
+            exps[v] += 1
+        else:  # barred: invert, and deform by t^2
+            exps[v] -= 1
             if deformed:
-                base = _t2() * base
-        out = out * base
-    return out
+                exps[TVAR] += 2
+    return LaurentPoly.monomial(exps)
 
 
 def _st_case_factor_xy(code: int, case: str) -> LaurentPoly:
@@ -174,33 +179,15 @@ def _st_case_factor_q(code: int, case: str) -> LaurentPoly:
     return (ONE + qe) * _x(k, e)
 
 
-def st_q_factor_ids(st: ShiftedTableau,
-                    neighbour: str = "below") -> List[Tuple[int, str]]:
-    """(code, case) per cell, row-major, for the ST_Q factor table.
-
-    neighbour="below" matches the y_k = q x_k substitution cell for cell;
-    "above" is the alternative reading (the doubled factor moves to the
-    lower cell of each vertical pair) kept only so reports can evaluate it.
-    """
-    if neighbour == "below":
-        return cell_cases(st)
-    if neighbour == "above":
-        cases = []
-        for i, col, code in st.cells():
-            if st.at(i, col - 1) == code:
-                cases.append((code, "left"))
-            elif st.at(i - 1, col) == code:
-                cases.append((code, "above"))
-            else:
-                cases.append((code, "free"))
-        return cases
-    raise UnknownConventionError(f"unknown neighbour convention {neighbour!r}")
-
-
 def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
-    """The y_k = q x_k specialisation of wgt_st (see st_q_factor_ids)."""
+    """The y_k = q x_k specialisation of wgt_st.
+
+    neighbour="below" matches the substitution cell for cell; "above" is the
+    alternative reading (the doubled factor moves to the lower cell of each
+    vertical pair) kept only so reports can evaluate it.
+    """
     return _product(factor_table("ST_Q", _letter_rank(st.rows)),
-                    st_q_factor_ids(st, neighbour))
+                    cell_cases(st, neighbour))
 
 
 # -- compass-point weights ------------------------------------------------------
@@ -425,7 +412,7 @@ def lemma_counts(c: CompassPointMatrix) -> List[Dict[str, int]]:
 #
 # Every scheme weighs an object by a product of local factors.
 # factor_table(scheme, n) names every factor that is not 1 by a small id;
-# cell_cases, st_q_factor_ids, cpm_factor_ids and gt_factor_ids list the ids
+# tableaux.cell_cases, cpm_factor_ids and gt_factor_ids list the ids
 # of one object (a tableau lists its letters).  The weights above multiply the
 # table entries, and the engine lifts the same entries to its value type.
 

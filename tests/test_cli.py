@@ -9,6 +9,7 @@ import pytest
 import golden as G
 from symptok import render
 from symptok.cli import main
+from symptok.tableaux import SymplecticTableau
 
 
 def run(capsys, *argv):
@@ -47,6 +48,14 @@ class TestEnumerate:
         code, out, _ = run(capsys, "enumerate", "--family", "t",
                            "--lambda", "1", "--n", "2", "--count-only")
         assert code == 0 and out.strip() == "4"
+
+    @pytest.mark.parametrize("family", ["t", "st", "qt", "uasm", "gtp"])
+    def test_rank_below_one_is_usage_error(self, capsys, family):
+        for n in ("0", "-1"):
+            code, out, err = run(capsys, "enumerate", "--family", family,
+                                 "--lambda=", "--n", n)
+            assert code == 2 and out == "", n
+            assert err == f"error: rank n must be at least 1, got {n}\n", n
 
     def test_reader_closing_the_pipe_is_not_bad_input(self):
         # as in `symptok enumerate ... | head -1`: 175,274 tableaux, far more
@@ -90,6 +99,18 @@ class TestBijection:
         path = write_json(tmp_path, "a.json", G.A)
         code, _, err = run(capsys, "bijection", "--from", "st", "--input", path)
         assert code == 2 and "not a st" in err
+
+    def test_empty_tableau_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "st.json"
+        path.write_text(json.dumps({"family": "st", "shape": [], "rows": []}),
+                        encoding="utf-8")
+        for command in (("bijection", "--from", "st"),
+                        ("weight", "--scheme", "ST_XY", "--annotate"),
+                        ("render",)):
+            code, out, err = run(capsys, *command, "--input", str(path))
+            assert code == 2 and out == "", command
+            assert err.startswith("error: ") and "rank 0" in err, command
+            assert len(err.splitlines()) == 1, command
 
     def test_pattern_source(self, capsys, tmp_path):
         path = write_json(tmp_path, "gt.json", G.GT)
@@ -172,13 +193,20 @@ class TestWeight:
                 == wgt_cpm(G.A, "CPM_Q_NORM", "literal")
                 != wgt_cpm(G.A, "CPM_Q_NORM", "full"))
 
-    @pytest.mark.parametrize("scheme,obj", [("CPM_XY", "A"), ("GT_QX", "GT")])
+    @pytest.mark.parametrize("scheme,obj", [
+        pytest.param("CPM_XY", G.A, id="CPM_XY-A"),
+        pytest.param("GT_QX", G.GT, id="GT_QX-GT"),
+        # tableau schemes too, but not of shifted tableaux
+        pytest.param("QT_DEFORMED", G.QT, id="QT_DEFORMED-QT"),
+        pytest.param("T_DEFORMED", SymplecticTableau((1,), ((2,),)), id="T_DEFORMED-T"),
+    ])
     def test_annotate_on_a_non_tableau_scheme_prints_nothing(
             self, capsys, tmp_path, scheme, obj):
-        path = write_json(tmp_path, "obj.json", getattr(G, obj))
+        path = write_json(tmp_path, "obj.json", obj)
         code, out, err = run(capsys, "weight", "--scheme", scheme,
                              "--input", path, "--annotate")
-        assert code == 2 and out == "" and "--annotate" in err
+        assert code == 2 and out == ""
+        assert err == "error: --annotate applies to the ST_XY and ST_Q schemes only\n"
 
     def test_scheme_object_mismatch(self, capsys, tmp_path):
         path = write_json(tmp_path, "st.json", G.ST)
@@ -340,10 +368,14 @@ class TestRender:
         ([[1, 0], [0, 0]],
          [("weight", "--scheme", "CPM_XY"), ("bijection", "--from", "uasm"),
           ("render",)], "UA5: the last column, 2, sums to 0, not 1"),
+        # no columns, where a U-turn ASM has lambda_1 >= n >= 1 of them
+        ([[], []],
+         [("weight", "--scheme", "CPM_XY"), ("bijection", "--from", "uasm"),
+          ("render",)], "lambda_1 >= n >= 1 columns, got none"),
         # rank 1 has two rows
         ({"n": 1, "rows": [[2], [1], [3]]},
          [("weight", "--scheme", "GT_XY"), ("render",)], "expected 2 rows"),
-    ], ids=["st", "uasm", "uasm_width", "gtp"])
+    ], ids=["st", "uasm", "uasm_width", "uasm_empty", "gtp"])
     def test_object_breaking_its_family_rules_is_usage_error(
             self, capsys, tmp_path, doc, commands, violation):
         path = tmp_path / "obj.json"

@@ -66,7 +66,6 @@ from symptok.weights import (
     le_statistic_setbuilder,
     primed_weight_sum,
     qx_weight,
-    st_q_factor_ids,
     wgt_cpm,
     wgt_gtp,
     wgt_qt,
@@ -463,8 +462,7 @@ def test_shifted_walker_matches_per_object_weights_at_rank_four():
         want = lift(LaurentPoly.zero())
         for st in sts:
             weight = lift(ONE)
-            for fid in (cell_cases(st) if neighbour == "below"
-                        else st_q_factor_ids(st, neighbour)):
+            for fid in cell_cases(st, neighbour):
                 weight = weight * vals[fid]
             want = want + weight
         got = _left_side(identity, lam, n, scheme, "full", neighbour, lift)

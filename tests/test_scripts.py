@@ -32,14 +32,6 @@ def test_ambiguity_findings_bad_input_exits_2(tmp_path, argv):
 
 
 @pytest.mark.parametrize("argv", [["--trials", "0"],
-                                  ["--out", "taken/modular_at_scale.json"]])
-def test_modular_at_scale_bad_input_exits_2(tmp_path, argv):
-    # "taken" is a regular file, so no report directory can be made in it
-    (tmp_path / "taken").write_text("")
-    assert_usage_error(run_script("modular_at_scale.py", *argv, cwd=tmp_path))
-
-
-@pytest.mark.parametrize("argv", [["--trials", "0"],
                                   ["--out", "taken/real_case.json"]])
 def test_real_case_bad_input_exits_2(tmp_path, argv):
     # "taken" is a regular file, so no report directory can be made in it

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from symptok.shapes import (
     BadLengthError,
-    Entry,
     RankTooSmallError,
     add_staircase,
     as_partition,
@@ -137,5 +136,5 @@ def test_alphabet_order_and_marks():
     assert codes == sorted(codes) == [1, 2, 3, 4]
     assert letter_level(4) == 2 and letter_barred(4)
     assert letter_str(4) == "2-"
-    assert str(Entry.from_code(3, primed=True)) == "2'"
-    assert Entry(2, True).code == 4
+    assert letter_str(3, True) == "2'"
+    assert letter(2, True) == 4

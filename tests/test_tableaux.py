@@ -4,11 +4,13 @@ import pytest
 
 import golden as G
 from symptok.matrices import count_gtp
-from symptok.shapes import letter, letter_level
+from symptok.shapes import InvalidRankError, letter, letter_level
 from symptok.tableaux import (
+    PrimedShiftedTableau,
     ShapeMismatchError,
     ShiftedTableau,
     SymplecticTableau,
+    cell_cases,
     enumerate_st,
     enumerate_t,
     prime_freedom,
@@ -92,6 +94,25 @@ class TestValidateST:
         ok, bad = validate_st(stab, 2)
         assert not ok
         assert any(v.startswith("ST4") for v in bad)
+
+    def test_empty_shape_is_rank_zero(self):
+        empty = ShiftedTableau((), ())
+        with pytest.raises(InvalidRankError, match="rank 0"):
+            validate_st(empty, 0)
+        with pytest.raises(InvalidRankError, match="rank 0"):
+            validate_qt(PrimedShiftedTableau(empty, ()), 0)
+
+
+def test_cell_cases_under_each_neighbour():
+    # rows (1, 2) and (2): the two 2s form a vertical pair, and the
+    # neighbour decides which of them takes its case
+    pair = ShiftedTableau((2, 1), ((1, 3), (3,)))
+    assert cell_cases(pair) == [(1, "free"), (3, "below"), (3, "free")]
+    assert cell_cases(pair, "above") == [(1, "free"), (3, "free"), (3, "above")]
+    # an equal left neighbour comes first under either
+    row = ShiftedTableau((2,), ((1, 1),))
+    for neighbour in ("below", "above"):
+        assert cell_cases(row, neighbour) == [(1, "free"), (1, "left")]
 
 
 class TestEnumerateST:

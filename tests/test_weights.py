@@ -7,6 +7,7 @@ from symptok.matrices import SympGTPattern, UTurnASM, enumerate_gtp, enumerate_u
 from symptok.tableaux import ShiftedTableau, SymplecticTableau, enumerate_st, enumerate_t, primings
 from symptok.weights import (
     LemmaViolationError,
+    UnknownConventionError,
     UnknownSchemeError,
     cpm_q_norm_prefactor,
     gt_statistics,
@@ -161,6 +162,10 @@ class TestQTableauWeights:
     def test_single_cells(self):
         assert wgt_st_q(ST1) == (ONE + Q) * X1
         assert wgt_st_q(ST1BAR) == (ONE + V(QVAR, -1)) * V(xvar(1), -1)
+
+    def test_unknown_neighbour(self):
+        with pytest.raises(UnknownConventionError):
+            wgt_st_q(ST1, "bogus")
 
     def test_sum_matches_product_form(self):
         total = sum((wgt_st_q(st) for st in enumerate_st((1,), 1)),
