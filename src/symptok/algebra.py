@@ -136,15 +136,22 @@ def _pack(exps: Mapping[Var, int]) -> Tuple[int, int]:
 
 
 def _unpack(key: int) -> List[Tuple[int, int]]:
-    """The (slot, exponent) pairs of a packed monomial, lowest slot first."""
+    """The (slot, exponent) pairs of a packed monomial, lowest slot first.
+    A run of zero digits is jumped over by the key's trailing zero bits, so
+    a lone variable of a high slot costs one shift, not one per slot below
+    it."""
     out = []
     slot = 0
     while key:
         e = key & _DIGIT_MASK
+        if not e:
+            skip = ((key & -key).bit_length() - 1) // _DIGIT_BITS
+            key >>= _DIGIT_BITS * skip
+            slot += skip
+            e = key & _DIGIT_MASK
         if e >= _DIGIT_HALF:
             e -= _DIGIT_MASK + 1
-        if e:
-            out.append((slot, e))
+        out.append((slot, e))
         key = (key - e) >> _DIGIT_BITS
         slot += 1
     return out
@@ -354,35 +361,6 @@ class LaurentPoly:
             base = base * base if n > 1 else base
             n >>= 1
         return result
-
-    def substitute(self, mapping: Mapping[Var, "LaurentPoly"]) -> "LaurentPoly":
-        """Replace variables by unit monomials (single term, coefficient +-1).
-
-        Unit-monomial images keep negative exponents well-defined, which is
-        all the substitutions used here (y_k -> q*x_k, x_k -> t*x_k) need.
-        """
-        images = {}
-        for v, img in mapping.items():
-            if img.num_terms() != 1:
-                raise ValueError("substitution image must be a single term")
-            ((key, coef),) = img._terms.items()
-            if coef not in (1, -1):
-                raise ValueError("substitution image must have coefficient +-1")
-            images[_slot(v)] = ([(_slot_var(s), e) for s, e in _unpack(key)], coef)
-        out: Dict[int, int] = {}
-        bound = 0
-        for key, c in self._terms.items():
-            exps: Dict[Var, int] = {}
-            for slot, e in _unpack(key):
-                img_exps, img_coef = images.get(slot, ([(_slot_var(slot), 1)], 1))
-                for w, we in img_exps:
-                    exps[w] = exps.get(w, 0) + we * e
-                if img_coef == -1 and e % 2:
-                    c = -c
-            key, b = _pack(exps)
-            out[key] = out.get(key, 0) + c
-            bound = max(bound, b)
-        return LaurentPoly._make({m: c for m, c in out.items() if c}, bound)
 
     # -- modular evaluation -------------------------------------------------
 

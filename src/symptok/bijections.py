@@ -144,10 +144,6 @@ def uasm_to_gtp(a: UTurnASM) -> SympGTPattern:
     return SympGTPattern(a.n, tuple(rows))
 
 
-def gtp_to_uasm(g: SympGTPattern) -> UTurnASM:
-    return st_to_uasm(gtp_to_st(g))
-
-
 _ZERO_CODES: Dict[Tuple[int, int], str] = {
     (1, -1): "NE",
     (-1, -1): "SE",

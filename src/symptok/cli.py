@@ -103,14 +103,14 @@ def _cmd_bijection(args) -> int:
         return _fail(f"input is not a {args.source} object")
     if isinstance(obj, ShiftedTableau):
         st = obj
-        a = bijections.st_to_uasm(st)
+        a, g = bijections.st_to_uasm(st), bijections.st_to_gtp(st)
     elif isinstance(obj, UTurnASM):
         a = obj
-        st = bijections.uasm_to_st(a)
+        st, g = bijections.uasm_to_st(a), bijections.uasm_to_gtp(a)
     else:
-        st = bijections.gtp_to_st(obj)
+        g = obj
+        st = bijections.gtp_to_st(g)
         a = bijections.st_to_uasm(st)
-    g = bijections.st_to_gtp(st)
     c = bijections.uasm_to_cpm(a)
     forms = [("st", st), ("uasm", a), ("cpm", c), ("gtp", g)]
     if args.format in ("json", "both"):

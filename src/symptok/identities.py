@@ -33,8 +33,8 @@ ordinary tableau, cell cases of a shifted one, and the saturation marks or
 compass codes of the pattern or matrix row that the step builds.  No object
 is enumerated.
 
-The per-object weights of the weights module multiply the same table
-entries and serve the tests as the reference.
+The per-object weights of the weights module serve the tests as the
+reference; all but wgt_t and wgt_qt multiply the same table entries.
 """
 
 from __future__ import annotations

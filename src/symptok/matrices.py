@@ -70,10 +70,6 @@ class CompassPointMatrix:
     def m(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def row_count(self, i: int, code: str) -> int:
-        """Occurrences of a compass code in row i (1-based, alphabet order)."""
-        return self.entries[i - 1].count(code)
-
 
 @dataclass(frozen=True)
 class SympGTPattern:
@@ -329,7 +325,7 @@ def enumerate_uasm(lam, n: int) -> Iterator[UTurnASM]:
 
     Generated through the shifted-tableau correspondence and re-validated
     against UA1-UA5 independently, so a bug in either side cannot pass
-    silently.  Tiny shapes are cross-checked against brute force in tests.
+    silently.  Tests check tiny shapes against tests/oracles.py's brute force.
     """
     from .bijections import st_to_uasm
     from .tableaux import enumerate_st
@@ -342,24 +338,3 @@ def enumerate_uasm(lam, n: int) -> Iterator[UTurnASM]:
             raise AssertionError(f"correspondence produced an invalid matrix: {bad}")
         yield a
 
-
-def brute_force_uasm(lam, n: int, cell_cap: int = 16) -> List[UTurnASM]:
-    """Filter all {-1,0,1} matrices; exponential, for cross-checks only.
-
-    Each row is drawn from the {-1,0,1} rows that pass the row-local rules
-    (UA1 along the row, UA3, UA4's row sum), which validate_uasm checks
-    anyway; every matrix of such rows is then validated in full.
-    """
-    lam = as_strict_partition(lam)
-    m = lam[0]
-    if 2 * n * m > cell_cap:
-        raise ValueError(f"{2 * n}x{m} grid too large for brute force")
-    rows = [row for row in itertools.product((-1, 0, 1), repeat=m)
-            if _alternating(row) and sum(row) in (0, 1)
-            and next((v for v in reversed(row) if v), 1) == 1]
-    out = []
-    for entries in itertools.product(rows, repeat=2 * n):
-        a = UTurnASM(n, entries)
-        if validate_uasm(a, lam)[0]:
-            out.append(a)
-    return out

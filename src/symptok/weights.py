@@ -25,7 +25,8 @@ Every scheme is a product of local factors kept in factor_table (end of
 module): T_DEFORMED and T (its t = 1 form, the weight of sp_mu) per letter,
 ST_XY, QT_DEFORMED (the primed sum of primed_weight_sum) and ST_Q per
 (letter, neighbour case), and the CPM and GT schemes as listed there.  The
-per-object weights multiply the entries; the engine lifts the same entries to
+per-object weights multiply the entries, except wgt_t and wgt_qt, which sum
+the exponents of one monomial; the engine lifts the same entries to
 polynomials or to values at sample points.
 
 SCHEMES holds one row per scheme the CLI speaks: the object family it weighs
@@ -60,10 +61,6 @@ from .tableaux import (
 
 class UnknownSchemeError(ValueError):
     pass
-
-
-class LemmaViolationError(ValueError):
-    """A compass-row counting identity failed (signals a bug upstream)."""
 
 
 @dataclass(frozen=True)
@@ -117,21 +114,16 @@ def _letter_rank(rows: Iterable[Iterable[int]]) -> int:
     return letter_level(max((code for row in rows for code in row), default=0))
 
 
-def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
-    """Product over cells: k -> x_k, kbar -> t^2 x_k^-1 (t = 1 if undeformed)."""
-    table = factor_table("T_DEFORMED" if deformed else "T", _letter_rank(t.rows))
-    return _product(table, (code for _, _, code in t.cells()))
+def _cell_monomial(cells: Iterable[Tuple[int, bool]], deformed: bool) -> LaurentPoly:
+    """The product of the (code, primed) cells' factors k, k', kbar, kbar'
+    -> x_k, y_k, t^2/x_k, t^2/y_k (t = 1 if undeformed).
 
-
-def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
-    """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k.
-
-    The cells' exponents are summed into one monomial, without factor_table,
-    so that the engine's primed sums are checked against an independent
-    reference.
+    The exponents are summed into one monomial, without factor_table, so
+    that the engine's sums are checked against an independent reference and
+    a cell of a high letter costs no table of its whole rank.
     """
     exps = Counter()
-    for _, _, code, primed in qt.cells():
+    for code, primed in cells:
         v = (yvar if primed else xvar)(letter_level(code))
         if code % 2:
             exps[v] += 1
@@ -140,6 +132,17 @@ def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
             if deformed:
                 exps[TVAR] += 2
     return LaurentPoly.monomial(exps)
+
+
+def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
+    """Product over cells: k -> x_k, kbar -> t^2 x_k^-1 (t = 1 if undeformed)."""
+    return _cell_monomial(((code, False) for _, _, code in t.cells()), deformed)
+
+
+def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
+    """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k."""
+    return _cell_monomial(((code, primed) for _, _, code, primed in qt.cells()),
+                          deformed)
 
 
 def _st_case_factor_xy(code: int, case: str) -> LaurentPoly:
@@ -194,11 +197,6 @@ def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
 
 _TURN_START = frozenset(("WE", "SW", "NW"))
 _TURN = "TURN"  # id code of the CPM_XY_ALT first-column term
-
-
-def chi_turn(c: CompassPointMatrix, i: int) -> int:
-    """1 if row i starts a horizontal strip: c_(i,1) in {WE, SW, NW}."""
-    return 1 if c.entries[i - 1][0] in _TURN_START else 0
 
 
 def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool) -> LaurentPoly:
@@ -334,14 +332,6 @@ def gt_statistics(g: SympGTPattern) -> GTStatistics:
     return GTStatistics(b, r_odd, l_even, _x_exponents(g))
 
 
-def le_statistic_setbuilder(g: SympGTPattern) -> int:
-    """The narrower L_e that stops at j = k-1 (evaluated for reports only)."""
-    marks = classify_blr(g)
-    return sum(
-        marks.barred[(k, j)] == "L" for k in range(1, g.n + 1) for j in range(1, k)
-    )
-
-
 def qx_weight(g: SympGTPattern) -> LaurentPoly:
     """(1+q)^B q^(Ro+Le) x^xwgt as an expanded polynomial."""
     return _product(factor_table("GT_QX", g.n), gt_factor_ids(g, "GT_QX"))
@@ -369,51 +359,12 @@ def qx_weight_factored(g: SympGTPattern) -> str:
     return " * ".join(parts) if parts else "1"
 
 
-# -- compass-row counting identities ------------------------------------------
-
-
-def lemma_counts(c: CompassPointMatrix) -> List[Dict[str, int]]:
-    """Per-level compass-row counts with their four identities asserted:
-
-    #NS_k + #NW_k + #NE_k = k-1,          #WE_k' + #NW_k' + #NE_k' = k,
-    #WE_i = #NS_i + chi(P_i) for every row i,   chi(P_k) + chi(P_k') = 1.
-    """
-    report: List[Dict[str, int]] = []
-    for k in range(1, c.n + 1):
-        plain, bar = 2 * k - 1, 2 * k
-        entry = {
-            "k": k,
-            "ns_plain": c.row_count(plain, "NS"),
-            "nw_plain": c.row_count(plain, "NW"),
-            "ne_plain": c.row_count(plain, "NE"),
-            "we_plain": c.row_count(plain, "WE"),
-            "ns_bar": c.row_count(bar, "NS"),
-            "nw_bar": c.row_count(bar, "NW"),
-            "ne_bar": c.row_count(bar, "NE"),
-            "we_bar": c.row_count(bar, "WE"),
-            "chi_plain": chi_turn(c, plain),
-            "chi_bar": chi_turn(c, bar),
-        }
-        if entry["ns_plain"] + entry["nw_plain"] + entry["ne_plain"] != k - 1:
-            raise LemmaViolationError(f"level {k}: unbarred north-count != k-1")
-        if entry["we_bar"] + entry["nw_bar"] + entry["ne_bar"] != k:
-            raise LemmaViolationError(f"level {k}: barred west/north-count != k")
-        if entry["we_plain"] != entry["ns_plain"] + entry["chi_plain"]:
-            raise LemmaViolationError(f"row {plain}: #WE != #NS + chi(P)")
-        if entry["we_bar"] != entry["ns_bar"] + entry["chi_bar"]:
-            raise LemmaViolationError(f"row {bar}: #WE != #NS + chi(P)")
-        if entry["chi_plain"] + entry["chi_bar"] != 1:
-            raise LemmaViolationError(f"level {k}: chi(P_k) + chi(P_k') != 1")
-        report.append(entry)
-    return report
-
-
 # -- local factor tables ------------------------------------------------------------
 #
 # Every scheme weighs an object by a product of local factors.
 # factor_table(scheme, n) names every factor that is not 1 by a small id;
 # tableaux.cell_cases, cpm_factor_ids and gt_factor_ids list the ids
-# of one object (a tableau lists its letters).  The weights above multiply the
+# of one object.  The weights above other than wgt_t and wgt_qt multiply the
 # table entries, and the engine lifts the same entries to its value type.
 
 
@@ -421,7 +372,7 @@ def lemma_counts(c: CompassPointMatrix) -> List[Dict[str, int]]:
 def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
     """Read-only id -> factor map of the scheme's local factors at rank n:
 
-      T, T_DEFORMED           letter code (the tableau weights of wgt_t)
+      T, T_DEFORMED           letter code (the weights of sp_mu's tableaux)
       ST_XY, QT_DEFORMED      (code, case), case in left / below / free
                               (wgt_st and primed_weight_sum)
       ST_Q                    (code, case), case in left / below / above / free

@@ -1,0 +1,180 @@
+"""Reference implementations that only the tests use.
+
+Each recomputes, by a route of its own, something the package computes:
+the U-turn ASMs of a shape by brute force, the compass-row counting
+identities, the narrow L_e statistic of the rejected reading, variable
+substitution in a Laurent polynomial, and sp_mu mod p by the Weyl character
+formula.  They read the package's public types and nothing of the engine
+they check.  pytest does not collect this file; the tests import it as they
+import golden.py.
+"""
+
+import itertools
+from collections import Counter
+from typing import Dict, List, Mapping
+
+from symptok.algebra import TVAR, LaurentPoly, Var, xvar
+from symptok.matrices import CompassPointMatrix, UTurnASM, classify_blr, validate_uasm
+from symptok.shapes import as_strict_partition
+
+# -- U-turn ASMs by brute force ----------------------------------------------------
+
+#: The largest grid brute_force_uasm filters: 3^16 matrices at most.
+BRUTE_FORCE_CELLS = 16
+
+
+def _alternating(row) -> bool:
+    nz = [v for v in row if v]
+    return all(a != b for a, b in zip(nz, nz[1:]))
+
+
+def brute_force_uasm(lam, n: int) -> List[UTurnASM]:
+    """Filter all {-1,0,1} matrices; exponential, for cross-checks only.
+
+    Each row is drawn from the {-1,0,1} rows that pass the row-local rules
+    (UA1 along the row, UA3, UA4's row sum), which validate_uasm checks
+    anyway; every matrix of such rows is then validated in full.
+    """
+    lam = as_strict_partition(lam)
+    m = lam[0]
+    if 2 * n * m > BRUTE_FORCE_CELLS:
+        raise ValueError(f"{2 * n}x{m} grid too large for brute force")
+    rows = [row for row in itertools.product((-1, 0, 1), repeat=m)
+            if _alternating(row) and sum(row) in (0, 1)
+            and next((v for v in reversed(row) if v), 1) == 1]
+    out = []
+    for entries in itertools.product(rows, repeat=2 * n):
+        a = UTurnASM(n, entries)
+        if validate_uasm(a, lam)[0]:
+            out.append(a)
+    return out
+
+
+# -- the narrow L_e -----------------------------------------------------------------
+
+
+def le_statistic_setbuilder(g) -> int:
+    """The narrower L_e that stops at j = k-1 (the rejected reading)."""
+    marks = classify_blr(g)
+    return sum(
+        marks.barred[(k, j)] == "L" for k in range(1, g.n + 1) for j in range(1, k)
+    )
+
+
+# -- compass-row counting identities ----------------------------------------------
+
+
+class LemmaViolationError(ValueError):
+    """A compass-row counting identity failed."""
+
+
+_TURN_START = ("WE", "SW", "NW")
+
+
+def chi_turn(c: CompassPointMatrix, i: int) -> int:
+    """1 if row i starts a horizontal strip: c_(i,1) in {WE, SW, NW}."""
+    return 1 if c.entries[i - 1][0] in _TURN_START else 0
+
+
+def lemma_counts(c: CompassPointMatrix) -> List[Dict[str, int]]:
+    """Per-level compass-row counts with their four identities asserted:
+
+    #NS_k + #NW_k + #NE_k = k-1,          #WE_k' + #NW_k' + #NE_k' = k,
+    #WE_i = #NS_i + chi(P_i) for every row i,   chi(P_k) + chi(P_k') = 1.
+    """
+    report: List[Dict[str, int]] = []
+    for k in range(1, c.n + 1):
+        plain, bar = 2 * k - 1, 2 * k
+        entry = {"k": k}
+        for side, i in (("plain", plain), ("bar", bar)):
+            for code in ("NS", "NW", "NE", "WE"):
+                entry[f"{code.lower()}_{side}"] = c.entries[i - 1].count(code)
+            entry[f"chi_{side}"] = chi_turn(c, i)
+        if entry["ns_plain"] + entry["nw_plain"] + entry["ne_plain"] != k - 1:
+            raise LemmaViolationError(f"level {k}: unbarred north-count != k-1")
+        if entry["we_bar"] + entry["nw_bar"] + entry["ne_bar"] != k:
+            raise LemmaViolationError(f"level {k}: barred west/north-count != k")
+        if entry["we_plain"] != entry["ns_plain"] + entry["chi_plain"]:
+            raise LemmaViolationError(f"row {plain}: #WE != #NS + chi(P)")
+        if entry["we_bar"] != entry["ns_bar"] + entry["chi_bar"]:
+            raise LemmaViolationError(f"row {bar}: #WE != #NS + chi(P)")
+        if entry["chi_plain"] + entry["chi_bar"] != 1:
+            raise LemmaViolationError(f"level {k}: chi(P_k) + chi(P_k') != 1")
+        report.append(entry)
+    return report
+
+
+# -- substitution -------------------------------------------------------------------
+
+
+def substitute(poly: LaurentPoly, mapping: Mapping[Var, LaurentPoly]) -> LaurentPoly:
+    """poly with each variable v of mapping replaced by mapping[v], a unit
+    monomial (single term, coefficient +-1), so that negative exponents stay
+    well-defined; y_k -> q*x_k and x_k -> t*x_k are such substitutions."""
+    images = {}
+    for v, img in mapping.items():
+        terms = img.terms
+        if len(terms) != 1:
+            raise ValueError("substitution image must be a single term")
+        ((mono, coef),) = terms.items()
+        if coef not in (1, -1):
+            raise ValueError("substitution image must have coefficient +-1")
+        images[v] = (mono, coef)
+    out: Dict[tuple, int] = {}
+    for mono, c in poly.terms.items():
+        exps: Counter = Counter()
+        for v, e in mono:
+            img, coef = images.get(v, (((v, 1),), 1))
+            for w, we in img:
+                exps[w] += we * e
+            if coef == -1 and e % 2:
+                c = -c
+        key = tuple(sorted((w, e) for w, e in exps.items() if e))
+        out[key] = out.get(key, 0) + c
+    return LaurentPoly(out)
+
+
+# -- sp_mu by the Weyl character formula -------------------------------------------
+
+
+def _det_mod(rows: List[List[int]], prime: int) -> int:
+    """The determinant mod prime, by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    det = 1
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det = det * a[c][c] % prime
+        inv = pow(a[c][c], -1, prime)
+        for r in range(c + 1, len(a)):
+            f = a[r][c] * inv % prime
+            a[r] = [(u - f * v) % prime for u, v in zip(a[r], a[c])]
+    return det % prime
+
+
+def weyl_sp_mu(mu, n: int, point: Mapping[Var, int], prime: int,
+               deformed: bool = False) -> int:
+    """sp_mu(x_1, ..., x_n) mod prime at point, as the ratio
+
+        det(x_j^(l_i) - x_j^(-l_i)) / det(x_j^(n-i+1) - x_j^-(n-i+1)),
+
+    l_i = mu_i + n - i + 1, of two n x n determinants.  Deformed, it is
+    t^|mu| sp_mu(x/t).  Raises ZeroDivisionError where the denominator
+    vanishes mod prime."""
+    mu = tuple(mu) + (0,) * (n - len(mu))
+    t_inv = pow(point[TVAR], -1, prime) if deformed else 1
+    xs = [point[xvar(j)] * t_inv % prime for j in range(1, n + 1)]
+
+    def det(exponents):
+        return _det_mod([[(pow(x, e, prime) - pow(x, -e, prime)) % prime for x in xs]
+                         for e in exponents], prime)
+
+    den = det([n - i for i in range(n)])
+    if not den:
+        raise ZeroDivisionError("the Weyl denominator vanishes at this point")
+    value = det([mu[i] + n - i for i in range(n)]) * pow(den, -1, prime) % prime
+    return value * pow(point[TVAR], sum(mu), prime) % prime if deformed else value

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import substitute
 from symptok.algebra import (
     MAX_EXPONENT,
     MERSENNE31,
@@ -15,6 +16,7 @@ from symptok.algebra import (
     ParseError,
     Residues,
     UnassignedVariableError,
+    _unpack,
     random_point,
     xvar,
     yvar,
@@ -165,10 +167,10 @@ def test_negative_power_of_unit_monomial():
 
 def test_substitute_unit_monomials():
     p = X1 + mono({yvar(1): -1})
-    got = p.substitute({yvar(1): Q * X1})
+    got = substitute(p, {yvar(1): Q * X1})
     assert got == X1 + mono({QVAR: -1, xvar(1): -1})
     with pytest.raises(ValueError):
-        p.substitute({yvar(1): X1 + Q})
+        substitute(p, {yvar(1): X1 + Q})
 
 
 class TestPackedMonomials:
@@ -223,6 +225,13 @@ class TestPackedMonomials:
         got = (top + X1) * (ONE + mono({xvar(1): -1}))
         assert got == top + mono({xvar(1): MAX_EXPONENT - 1}) + X1 + ONE
         assert (top * Y1).terms == {((xvar(1), MAX_EXPONENT), (yvar(1), 1)): 1}
+
+    def test_a_high_slot_unpacks_past_its_zero_digits(self):
+        # x50000 is slot 100,000, one digit above 1.6 million zero bits
+        high = 1 << 16 * 100_000
+        assert _unpack(high) == [(100_000, 1)]
+        assert _unpack(1 - high) == [(0, 1), (100_000, -1)]
+        assert mono({xvar(50_000): -2, TVAR: 1}).to_text() == "1 * x50000^-2 * t"
 
     def test_variables_need_a_positive_index(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,10 @@
 import pytest
 
 import golden as G
+from oracles import chi_turn
 from symptok.bijections import (
     UnmatchedPatternError,
     gtp_to_st,
-    gtp_to_uasm,
     st_to_gtp,
     st_to_uasm,
     uasm_to_cpm,
@@ -13,7 +13,6 @@ from symptok.bijections import (
 )
 from symptok.matrices import SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm
 from symptok.tableaux import ShiftedTableau, enumerate_st
-from symptok.weights import chi_turn
 
 A1 = UTurnASM(1, ((1,), (0,)))
 A2 = UTurnASM(1, ((0,), (1,)))
@@ -34,7 +33,7 @@ class TestGoldenCorrespondence:
 
     def test_tableau_to_matrix(self):
         assert st_to_uasm(G.ST) == G.A
-        assert gtp_to_uasm(G.GT) == G.A
+        assert st_to_uasm(gtp_to_st(G.GT)) == G.A
 
     def test_compass_recoding_all_90_entries(self):
         assert uasm_to_cpm(G.A) == G.CPM

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import golden as G
+from oracles import le_statistic_setbuilder, substitute, weyl_sp_mu
 from symptok import identities
 from symptok.algebra import (
     MERSENNE31,
@@ -63,7 +64,6 @@ from symptok.weights import (
     factor_table,
     gt_factor_ids,
     gt_statistics,
-    le_statistic_setbuilder,
     primed_weight_sum,
     qx_weight,
     wgt_cpm,
@@ -441,6 +441,39 @@ def test_walkers_match_per_object_weights(mode):
             assert got == lift(total) and got_objects == objects, (deformed, mu, n)
 
 
+def weyl_points(n):
+    rng = random.Random(9)
+    return [random_point([xvar(j) for j in range(1, n + 1)] + [TVAR], rng)
+            for _ in range(20)]
+
+
+def transfer_sp_mu(mu, n, deformed, points):
+    table = factor_table("T_DEFORMED" if deformed else "T", n)
+    return _transfer(mu, n, table, modular_lift(points), _letter_cells)[0].values
+
+
+@pytest.mark.parametrize("deformed", [False, True])
+@pytest.mark.parametrize("mu,n", [((4, 3, 3), 5), ((2, 1), 3), ((3, 2, 2, 1), 4)])
+def test_weyl_character_formula_matches_the_transfer(mu, n, deformed):
+    # sp_mu mod p as a ratio of two determinants shares no code with the
+    # transfer; (4,3,3) at n = 5 is the right side of the real running case
+    points = weyl_points(n)
+    want = [weyl_sp_mu(mu, n, pt, MERSENNE31, deformed) for pt in points]
+    assert transfer_sp_mu(mu, n, deformed, points) == want
+
+
+def test_weyl_oracle_tells_a_wrong_shape_apart():
+    # an oracle that handed back the transfer's values would pass the test
+    # above; this one must not match the real case at a smaller shape
+    points = weyl_points(5)
+    for deformed in (False, True):
+        got = transfer_sp_mu((4, 3, 3), 5, deformed, points)
+        wrong = [weyl_sp_mu((3, 3, 3), 5, pt, MERSENNE31, deformed) for pt in points]
+        assert all(a != b for a, b in zip(got, wrong)), deformed
+    with pytest.raises(ZeroDivisionError):
+        weyl_sp_mu((1,), 2, {xvar(1): 1, xvar(2): 5}, MERSENNE31)
+
+
 def test_shifted_walker_matches_per_object_weights_at_rank_four():
     # the 10,336 tableaux of lambda = (4,3,2,1), which reach most shapes by
     # many paths; expanding their weights' sum takes minutes, so each weight
@@ -669,7 +702,7 @@ class TestAmbiguities:
         # substituting t = 1 into the deformed sum gives the t-free sum
         for lam, n in (((2, 1), 2), ((3, 1), 2)):
             deformed = q_lambda(lam, n, deformed=True)
-            assert deformed.substitute({TVAR: ONE}) == q_lambda(lam, n)
+            assert substitute(deformed, {TVAR: ONE}) == q_lambda(lam, n)
 
 
 def test_golden_shape_count_guard():

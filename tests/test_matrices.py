@@ -1,12 +1,12 @@
 import pytest
 
 import golden as G
+from oracles import brute_force_uasm
 from symptok.matrices import (
     DimensionMismatchError,
     GTShapeError,
     SympGTPattern,
     UTurnASM,
-    brute_force_uasm,
     classify_blr,
     col_cumsum,
     count_gtp,

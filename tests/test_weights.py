@@ -1,18 +1,18 @@
 import pytest
 
 import golden as G
+from oracles import LemmaViolationError, le_statistic_setbuilder, lemma_counts, substitute
 from symptok.algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
+from symptok.shapes import letter
 from symptok.bijections import gtp_to_st, st_to_gtp, st_to_uasm, uasm_to_cpm
 from symptok.matrices import SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm
 from symptok.tableaux import ShiftedTableau, SymplecticTableau, enumerate_st, enumerate_t, primings
 from symptok.weights import (
-    LemmaViolationError,
     UnknownConventionError,
     UnknownSchemeError,
     cpm_q_norm_prefactor,
+    factor_table,
     gt_statistics,
-    le_statistic_setbuilder,
-    lemma_counts,
     primed_weight_sum,
     qx_weight,
     qx_weight_factored,
@@ -49,6 +49,14 @@ class TestTableauWeights:
     def test_single_barred_deformed(self):
         t = SymplecticTableau((1,), ((2,),))
         assert wgt_t(t, deformed=True) == T2 * V(xvar(1), -1)
+
+    def test_high_letter_builds_no_factor_table(self):
+        # one cell of level 4,000 is one monomial; a table of the whole rank
+        # would hold 8,000 factors of 128,000-bit keys
+        factor_table.cache_clear()
+        t = SymplecticTableau((1,), ((letter(4000, False),),))
+        assert wgt_t(t, deformed=True) == V(xvar(4000))
+        assert factor_table.cache_info().currsize == 0
 
     def test_character_sum_rank_two(self):
         total = LaurentPoly.zero()
@@ -153,9 +161,9 @@ class TestStatistics:
                 s = gt_statistics(st_to_gtp(st))
                 assert s.b == sum(row.count("NS") for row in c.entries)
                 assert s.r_odd == sum(
-                    c.row_count(2 * k - 1, "NW") for k in range(1, n + 1))
+                    c.entries[2 * k - 2].count("NW") for k in range(1, n + 1))
                 assert s.l_even == sum(
-                    c.row_count(2 * k, "NE") for k in range(1, n + 1))
+                    c.entries[2 * k - 1].count("NE") for k in range(1, n + 1))
 
 
 class TestQTableauWeights:
@@ -231,7 +239,7 @@ def test_p4_homogeneity_under_rescaling(lam, n):
     for st in enumerate_st(lam, n):
         for qt in primings(st):
             deformed = wgt_qt(qt, deformed=True)
-            rescaled = deformed.substitute(scale)
+            rescaled = substitute(deformed, scale)
             assert rescaled == V(TVAR, sum(lam)) * wgt_qt(qt, deformed=False)
 
 
@@ -239,11 +247,11 @@ def test_p4_homogeneity_under_rescaling(lam, n):
 def test_p5_q_specialisation_consistency(lam, n):
     subst = {yvar(k): Q * V(xvar(k)) for k in range(1, n + 1)}
     for st in enumerate_st(lam, n):
-        assert wgt_st_q(st) == wgt_st(st).substitute(subst)
+        assert wgt_st_q(st) == substitute(wgt_st(st), subst)
         a = st_to_uasm(st)
-        assert wgt_cpm(a, "CPM_Q_PLAIN") == wgt_cpm(a, "CPM_XY").substitute(subst)
+        assert wgt_cpm(a, "CPM_Q_PLAIN") == substitute(wgt_cpm(a, "CPM_XY"), subst)
         g = st_to_gtp(st)
-        assert wgt_gtp(g, "GT_Q") == wgt_gtp(g, "GT_XY").substitute(subst)
+        assert wgt_gtp(g, "GT_Q") == substitute(wgt_gtp(g, "GT_XY"), subst)
 
 
 @pytest.mark.parametrize("lam,n", SWEEP_SHAPES)
