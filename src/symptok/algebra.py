@@ -91,10 +91,6 @@ class NonInvertiblePointError(ZeroDivisionError):
     """A variable with a negative exponent is assigned 0 mod the modulus."""
 
 
-class ParseError(ValueError):
-    """Malformed polynomial text."""
-
-
 class ExponentOverflowError(ValueError):
     """An exponent beyond +-MAX_EXPONENT, which a packed monomial cannot hold."""
 
@@ -263,8 +259,6 @@ class LaurentPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = LaurentPoly.const(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._terms == other._terms
@@ -274,17 +268,8 @@ class LaurentPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other) -> "LaurentPoly | None":
-        if isinstance(other, LaurentPoly):
-            return other
-        if isinstance(other, int):
-            return LaurentPoly.const(other)
-        return None
-
     def __add__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         big, small = self._terms, other._terms
         if len(big) < len(small):
@@ -299,26 +284,16 @@ class LaurentPoly:
                 del out[mono]
         return LaurentPoly._make(out, max(self._bound, other._bound))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({m: -c for m, c in self._terms.items()}, self._bound)
 
     def __sub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other) -> "LaurentPoly":
-        other = self._coerce(other)
-        if other is None:
+        if not isinstance(other, LaurentPoly):
             return NotImplemented
         if not self._terms or not other._terms:
             return LaurentPoly.zero()
@@ -344,15 +319,10 @@ class LaurentPoly:
                     del out[mono]
         return LaurentPoly._make(out, bound)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "LaurentPoly":
+        # square-and-multiply never ends on a negative n
         if n < 0:
-            if len(self._terms) == 1:
-                ((mono, coef),) = self._terms.items()
-                if coef in (1, -1):
-                    return LaurentPoly._make({-mono: coef}, self._bound) ** (-n)
-            raise ValueError("negative powers only for unit monomials")
+            raise ValueError(f"negative power {n}")
         result = LaurentPoly.const(1)
         base = self
         while n:
@@ -396,9 +366,10 @@ class LaurentPoly:
     # -- text form -----------------------------------------------------------
 
     def to_text(self) -> str:
-        """Canonical text form, e.g. ``2 * x1^2 * y2^-3 + -1 * q``.
+        """Canonical text form, e.g. ``2 * x1^2 * y2^-3 - 1 * q``.
 
-        Terms are sorted by monomial; round-trips exactly through parse().
+        Terms are sorted by monomial, so equal polynomials print the same
+        text.
         """
         if not self._terms:
             return "0"
@@ -412,50 +383,6 @@ class LaurentPoly:
                 out += " + " + p
         return out
 
-    @classmethod
-    def parse(cls, text: str) -> "LaurentPoly":
-        """Inverse of to_text()."""
-        text = text.strip()
-        if not text:
-            raise ParseError("empty polynomial text")
-        if text == "0":
-            return cls.zero()
-        # split into signed terms on top-level " + " / " - "
-        chunks = text.replace(" - ", " + -").split(" + ")
-        result = cls.zero()
-        for chunk in chunks:
-            chunk = chunk.strip()
-            if not chunk:
-                raise ParseError("empty term")
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:].strip()
-            coef = 1
-            exps: Dict[Var, int] = {}
-            for factor in (f.strip() for f in chunk.split("*")):
-                if not factor:
-                    raise ParseError("empty factor")
-                if factor.lstrip("-").isdigit():
-                    coef *= int(factor)
-                    continue
-                name, caret, exp_s = factor.partition("^")
-                if caret and not exp_s.lstrip("-").isdigit():
-                    raise ParseError(f"bad exponent in {factor!r}")
-                exp = int(exp_s) if caret else 1
-                if name == "t":
-                    v = TVAR
-                elif name == "q":
-                    v = QVAR
-                elif name[:1] in ("x", "y") and name[1:].isdigit() and int(name[1:]) >= 1:
-                    kind = KIND_X if name[0] == "x" else KIND_Y
-                    v = (kind, int(name[1:]))
-                else:
-                    raise ParseError(f"unknown factor {factor!r}")
-                exps[v] = exps.get(v, 0) + exp
-            result = result + cls.monomial(exps, sign * coef)
-        return result
-
     def __repr__(self) -> str:
         return f"LaurentPoly({self.to_text()})"
 
@@ -467,9 +394,8 @@ ONE = LaurentPoly.const(1)
 class Residues:
     """The values of a polynomial at a fixed list of points mod a prime.
 
-    ``+``, ``*`` (also by an int) and ``**`` act point by point, so sums and
-    products of lifted factors are the values of the polynomials' sums and
-    products.
+    ``+``, ``*`` and ``**`` act point by point, so sums and products of
+    lifted factors are the values of the polynomials' sums and products.
     """
 
     __slots__ = ("values", "prime")
@@ -488,10 +414,8 @@ class Residues:
         p = self.prime
         return Residues([(a + b) % p for a, b in zip(self.values, other.values)], p)
 
-    def __mul__(self, other: "Residues | int") -> "Residues":
+    def __mul__(self, other: "Residues") -> "Residues":
         p = self.prime
-        if isinstance(other, int):
-            return Residues([a * other % p for a in self.values], p)
         return Residues([a * b % p for a, b in zip(self.values, other.values)], p)
 
     def __pow__(self, e: int) -> "Residues":

@@ -148,6 +148,10 @@ class InvalidWeightError(ValueError):
 #: Smallest modulus accepted for modular verification.
 MIN_MODULUS = 2 ** 16
 
+#: Largest family that verify_big_modular runs as requested; a larger one
+#: falls back to the largest subshape under it.
+FALLBACK_OBJECT_CAP = 10 ** 6
+
 #: Largest family that symbolic mode expands.  Symbolic cost grows with the
 #: expansion, so the family is counted before any algebra; modular cost
 #: follows the shapes the transfer walks, and modular mode has no limit.
@@ -504,9 +508,21 @@ def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
     }
 
 
-def _check_modular(trials: int, prime: int) -> None:
-    """Refuse trials and moduli under which "equal" would not be earned:
-    no trials at all, or a modulus that is not a prime of at least 2^16."""
+def _check_rank(n: int) -> None:
+    if type(n) is not int:
+        raise InvalidRankError(f"rank n must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidRankError(f"rank n must be at least 1, got {n}")
+
+
+def _check_modular(trials: int, seed: int, prime: int) -> None:
+    """Refuse trials, seeds and moduli under which "equal" would not be
+    earned or the report would not say what ran: a value that is not an
+    int, no trials at all, or a modulus that is not a prime of at least
+    2^16."""
+    for name, value in (("trials", trials), ("seed", seed), ("prime", prime)):
+        if type(value) is not int:
+            raise ModularParameterError(f"{name} must be an integer, got {value!r}")
     if trials <= 0:
         raise ModularParameterError(f"trials must be positive, got {trials}")
     if prime >= MILLER_RABIN_BOUND:
@@ -536,9 +552,8 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
         raise ValueError(f"unknown mode {mode!r}")
     scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
     if mode == "modular":
-        _check_modular(trials, prime)
-    if n < 1:
-        raise InvalidRankError(f"rank n must be at least 1, got {n}")
+        _check_modular(trials, seed, prime)
+    _check_rank(n)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     if mode == "symbolic":
@@ -594,7 +609,10 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
 
 def _sweep_shapes(max_weight: int, n: int):
     """All mu with |mu| <= max_weight and at most n parts, in (|mu|, mu)
-    order.  A negative max_weight raises InvalidWeightError."""
+    order.  A max_weight that is not an int, or is negative, raises
+    InvalidWeightError."""
+    if type(max_weight) is not int:
+        raise InvalidWeightError(f"max_weight must be an integer, got {max_weight!r}")
     if max_weight < 0:
         raise InvalidWeightError(f"max_weight must be at least 0, got {max_weight}")
     return partitions_up_to(max_weight, n)
@@ -644,24 +662,25 @@ def largest_feasible_subshape(target, cap: int) -> Tuple[Tuple[int, ...], int]:
 
 
 def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
-                       prime: int = MERSENNE31,
-                       cap: int = 10 ** 6) -> VerificationReport:
+                       prime: int = MERSENNE31) -> VerificationReport:
     """THM_ST in modular mode, falling back to the largest feasible
-    subshape of lambda when the requested case has more than cap objects;
-    the report documents the request, the count, and the fallback.
+    subshape of lambda when the requested case has more than
+    FALLBACK_OBJECT_CAP objects; the report documents the request, the
+    count, and the fallback.
 
     The fallback dates from when modular cost grew with the object count;
     verify itself now runs the requested case in modular mode whatever its
     size.  It stays while the at_scale benchmark pins its answer.
     """
-    _check_modular(trials, prime)
+    _check_modular(trials, seed, prime)
+    _check_rank(n)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     count = count_gtp(lam, n)
-    if count <= cap:
+    if count <= FALLBACK_OBJECT_CAP:
         return verify("THM_ST", mu, n, "modular", trials=trials, seed=seed,
                       prime=prime)
-    fallback_lam, fallback_count = largest_feasible_subshape(lam, cap)
+    fallback_lam, fallback_count = largest_feasible_subshape(lam, FALLBACK_OBJECT_CAP)
     fn = len(fallback_lam)
     fmu = tuple(fallback_lam[i] - (fn - i) for i in range(fn))
     report = verify("THM_ST", fmu, fn, "modular", trials=trials, seed=seed,
@@ -669,7 +688,7 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
     report.params["fallback"] = {
         "requested": {"mu": list(mu), "n": n, "lambda": list(lam),
                       "objects": count},
-        "cap": cap,
+        "cap": FALLBACK_OBJECT_CAP,
         "reason": "requested object count exceeds the enumeration cap",
         "chosen": {"lambda": list(fallback_lam), "n": fn, "mu": list(fmu),
                    "objects": fallback_count},

@@ -66,10 +66,6 @@ class CompassPointMatrix:
     n: int
     entries: Tuple[Tuple[str, ...], ...]
 
-    @property
-    def m(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
-
 
 @dataclass(frozen=True)
 class SympGTPattern:

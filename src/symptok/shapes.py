@@ -26,9 +26,20 @@ class InvalidRankError(ValueError):
     """A rank n below 1, where there is nothing to enumerate or check."""
 
 
+def _int_parts(parts: Sequence[int]) -> Tuple[int, ...]:
+    """The parts as a tuple.  A part whose type is not int (a float, a bool,
+    a character of a string) raises ValueError rather than being read as
+    another number."""
+    parts = tuple(parts)
+    for p in parts:
+        if type(p) is not int:
+            raise ValueError(f"part {p!r} of {parts} is not an integer")
+    return parts
+
+
 def as_partition(parts: Sequence[int]) -> Tuple[int, ...]:
     """Validate weak decrease and trim trailing zeros."""
-    parts = tuple(int(p) for p in parts)
+    parts = _int_parts(parts)
     if any(p < 0 for p in parts):
         raise ValueError(f"negative part in {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
@@ -39,7 +50,7 @@ def as_partition(parts: Sequence[int]) -> Tuple[int, ...]:
 
 
 def as_strict_partition(parts: Sequence[int]) -> Tuple[int, ...]:
-    parts = tuple(int(p) for p in parts)
+    parts = _int_parts(parts)
     if any(p <= 0 for p in parts):
         raise ValueError(f"nonpositive part in strict partition {parts}")
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):

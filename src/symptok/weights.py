@@ -209,15 +209,13 @@ def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool) -> LaurentPo
     elif scheme == "CPM_Q_PLAIN":
         table = {"WE": (ONE + _q(e)) * _x(k, e), "NW": _q(e) * _x(k, e),
                  "SW": _x(k, e)}
-    elif scheme == "CPM_Q_NORM":
+    else:  # CPM_Q_NORM
         if barred:
             table = {"WE": _x(k, e), "NS": ONE + _q(), "NE": _q(), "NW": _x(k, e),
                      "SW": _x(k, e)}
         else:
             table = {"WE": _x(k, e), "NS": ONE + _q(), "NW": _q() * _x(k, e),
                      "SW": _x(k, e)}
-    else:
-        raise UnknownSchemeError(scheme)
     return table.get(code, ONE)
 
 

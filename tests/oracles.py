@@ -3,19 +3,30 @@
 Each recomputes, by a route of its own, something the package computes:
 the U-turn ASMs of a shape by brute force, the compass-row counting
 identities, the narrow L_e statistic of the rejected reading, variable
-substitution in a Laurent polynomial, and sp_mu mod p by the Weyl character
-formula.  They read the package's public types and nothing of the engine
-they check.  pytest does not collect this file; the tests import it as they
-import golden.py.
+substitution in a Laurent polynomial, sp_mu mod p by the Weyl character
+formula, and the GT left sides mod p by a walk over pattern rows.  They read
+the package's public types, the GT walk also its factor tables and its row
+and mark helpers, and nothing of the engine they check.  pytest does not
+collect this file; the tests import it as they import golden.py.
 """
 
 import itertools
+import operator
 from collections import Counter
+from functools import reduce
 from typing import Dict, List, Mapping
 
-from symptok.algebra import TVAR, LaurentPoly, Var, xvar
-from symptok.matrices import CompassPointMatrix, UTurnASM, classify_blr, validate_uasm
+from symptok.algebra import ONE, TVAR, LaurentPoly, Residues, Var, xvar
+from symptok.matrices import (
+    CompassPointMatrix,
+    UTurnASM,
+    _interlace,
+    _mark,
+    classify_blr,
+    validate_uasm,
+)
 from symptok.shapes import as_strict_partition
+from symptok.weights import factor_table
 
 # -- U-turn ASMs by brute force ----------------------------------------------------
 
@@ -178,3 +189,65 @@ def weyl_sp_mu(mu, n: int, point: Mapping[Var, int], prime: int,
         raise ZeroDivisionError("the Weyl denominator vanishes at this point")
     value = det([mu[i] + n - i for i in range(n)]) * pow(den, -1, prime) % prime
     return value * pow(point[TVAR], sum(mu), prime) % prime if deformed else value
+
+
+# -- GT left sides by a walk over pattern rows -------------------------------------
+
+
+def gt_left_side(lam, n: int, scheme: str, points: List[Mapping[Var, int]],
+                 prime: int, narrow_le: bool = False) -> Residues:
+    """The sum of the GT_XY, GT_Q or GT_QX weights of the strict GT patterns
+    with top row lam, at each point mod prime.
+
+    The rows are walked from the top row n' = lam down to row 1, by
+    _interlace and count_gtp's seed rule, and each row keeps the summed
+    weight of the pattern rows above it.  The step from row k' to row k
+    reads the barred marks of level k (_mark off the diagonal, mb(k,k) >
+    m(k,k) on it) and the unbarred diagonal mark (m(k,k) > 0); the step
+    from row k to row (k-1)' reads the unbarred marks off the diagonal.
+    The two steps multiply in x_k^(|m_k| - |mb_k|) and x_k^(|m_k| -
+    |mb_(k-1)|), which make up level k's exponent.  Under GT_QX a step
+    counts (1+q) per B mark, the diagonal pair jointly, and q per unbarred R
+    and barred L mark; narrow_le leaves the diagonal L out (the rejected
+    reading).  Every factor is a factor_table entry, lifted once."""
+    vals = {fid: Residues.lift(f, points, prime)
+            for fid, f in factor_table(scheme, n).items()}
+    one = Residues.lift(ONE, points, prime)
+
+    def step_ids(k: int, upper, lower, barred: bool) -> tuple:
+        marks = [_mark(upper[j], lower[j], upper[j + 1]) for j in range(k - 1)]
+        m, other = (lower, upper) if barred else (upper, lower)
+        e = sum(m) - sum(other)
+        ids = [("x", k, 1 if e > 0 else -1)] * abs(e)
+        if barred:
+            diagonal_b = "B" if upper[k - 1] > lower[k - 1] else "L"
+            diagonal_u = "B" if lower[k - 1] > 0 else "L"
+        if scheme != "GT_QX":
+            ids += [("b" if barred else "u", mark, k) for mark in marks]
+            if barred:
+                ids += [("b", diagonal_b, k), ("u", diagonal_u, k)]
+        elif barred:
+            ids += [("B",)] * (marks.count("B") + (diagonal_b == diagonal_u == "B"))
+            ids += [("q",)] * (marks.count("L") + (diagonal_b == "L" and not narrow_le))
+        else:
+            ids += [("B",)] * marks.count("B") + [("q",)] * marks.count("R")
+        return tuple(fid for fid in ids if fid in vals)
+
+    products: Dict[tuple, Residues] = {}
+    level = {tuple(lam): one}
+    for k in range(n, 0, -1):
+        for barred, length in ((True, k), (False, k - 1)):
+            nxt: Dict[tuple, Residues] = {}
+            for upper, value in level.items():
+                for lower in _interlace(upper, length):
+                    if barred and lower[-1] == 0 and upper[-1] == 0:
+                        continue  # seed rule at (k, k)
+                    ids = step_ids(k, upper, lower, barred)
+                    f = products.get(ids)
+                    if f is None:
+                        f = products[ids] = reduce(operator.mul,
+                                                   (vals[fid] for fid in ids), one)
+                    w = value * f
+                    nxt[lower] = nxt[lower] + w if lower in nxt else w
+            level = nxt
+    return level.get((), Residues.lift(LaurentPoly.zero(), points, prime))

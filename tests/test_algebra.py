@@ -13,7 +13,6 @@ from symptok.algebra import (
     ExponentOverflowError,
     LaurentPoly,
     NonInvertiblePointError,
-    ParseError,
     Residues,
     UnassignedVariableError,
     _unpack,
@@ -43,7 +42,7 @@ class TestAdd:
         assert got.num_terms() == 4
 
     def test_coefficient_merge(self):
-        assert (ONE + Q) + Q == ONE + 2 * Q
+        assert (ONE + Q) + Q == ONE + mono({QVAR: 1}, 2)
 
 
 class TestMul:
@@ -54,7 +53,7 @@ class TestMul:
         assert got == want
 
     def test_multiplicative_identity(self):
-        p = 3 * X1 + mono({yvar(2): -2}, 5)
+        p = mono({xvar(1): 1}, 3) + mono({yvar(2): -2}, 5)
         assert p * ONE == p
 
     def test_q_factor_hand_expansion(self):
@@ -95,7 +94,7 @@ class TestEqual:
         assert X1 + Y1 == Y1 + X1
 
     def test_zero_terms_not_stored(self):
-        assert X1 == X1 + 0 * Y1
+        assert X1 == X1 + mono({yvar(1): 1}, 0)
 
     def test_inverse_differs(self):
         assert X1 != mono({xvar(1): -1})
@@ -143,10 +142,16 @@ def polys(draw):
     return p
 
 
-@given(polys())
-@settings(max_examples=300)
-def test_text_round_trip(p):
-    assert LaurentPoly.parse(p.to_text()) == p
+def test_text_form_literals():
+    # sorted by monomial: the constant, then x before y before t before q;
+    # a negative coefficient after the first term reads as " - "
+    assert LaurentPoly.zero().to_text() == "0"
+    assert LaurentPoly.const(-3).to_text() == "-3"
+    assert (LaurentPoly.const(-2) + X1).to_text() == "-2 + 1 * x1"
+    assert (Q - X1).to_text() == "-1 * x1 + 1 * q"
+    p = mono({xvar(2): 1, yvar(1): -2, TVAR: 1, QVAR: 4}, 3) + X1 - Q + ONE
+    assert p.to_text() == "1 + 1 * x1 + 3 * x2 * y1^-2 * t * q^4 - 1 * q"
+    assert mono({TVAR: -2, xvar(1): -1}, -7).to_text() == "-7 * x1^-1 * t^-2"
 
 
 @given(polys(), polys())
@@ -161,8 +166,10 @@ def test_power_matches_repeated_product():
     assert p ** 3 == p * p * p
 
 
-def test_negative_power_of_unit_monomial():
-    assert mono({xvar(1): 2}) ** -1 == mono({xvar(1): -2})
+def test_negative_power_raises():
+    # square-and-multiply would never end on a negative exponent
+    with pytest.raises(ValueError):
+        mono({xvar(1): 2}) ** -1
 
 
 def test_substitute_unit_monomials():
@@ -183,11 +190,11 @@ class TestPackedMonomials:
         top = mono(self.TOP)
         assert X1 ** MAX_EXPONENT == top
         assert mono({xvar(1): MAX_EXPONENT - 1}) * X1 == top
-        assert top ** -1 == mono({xvar(1): -MAX_EXPONENT})
+        bottom = mono({xvar(1): -MAX_EXPONENT})
+        assert top * bottom == ONE
         assert top.to_text() == f"1 * x1^{MAX_EXPONENT}"
+        assert bottom.to_text() == f"1 * x1^-{MAX_EXPONENT}"
         both_ends = top * mono({yvar(1): -MAX_EXPONENT, xvar(2): MAX_EXPONENT}) + Q
-        for p in (top, top ** -1, both_ends):
-            assert LaurentPoly.parse(p.to_text()) == p
         assert both_ends.terms == {
             ((xvar(1), MAX_EXPONENT), (xvar(2), MAX_EXPONENT),
              (yvar(1), -MAX_EXPONENT)): 1,
@@ -201,8 +208,6 @@ class TestPackedMonomials:
             lambda: mono({yvar(1): -past}),
             lambda: LaurentPoly.variable(QVAR, past),
             lambda: LaurentPoly({((TVAR, -past),): 1}),
-            lambda: LaurentPoly.parse(f"x1^{past}"),
-            lambda: LaurentPoly.parse(f"2 * y1^-{past // 2} * y1^-{past // 2}"),
             lambda: (ONE + mono(self.TOP)) * (ONE + X1),
             lambda: mono({xvar(1): -MAX_EXPONENT}) * (X1 + mono({xvar(1): -1})),
             lambda: X1 ** past,
@@ -236,12 +241,11 @@ class TestPackedMonomials:
     def test_variables_need_a_positive_index(self):
         with pytest.raises(ValueError):
             LaurentPoly.variable(xvar(0))
-        for text in ("y0", "^2", "2 * ^3", "x1^a", "x1^"):
-            with pytest.raises(ParseError):
-                LaurentPoly.parse(text)
+        with pytest.raises(ValueError):
+            mono({yvar(0): 1})
 
     def test_terms_keys_are_sorted_monomials(self):
-        p = LaurentPoly.parse("3 * x2 * y1^-2 * t * q^4 + x1 - q")
+        p = mono({xvar(2): 1, yvar(1): -2, TVAR: 1, QVAR: 4}, 3) + X1 - Q
         assert p.terms == {
             ((xvar(2), 1), (yvar(1), -2), (TVAR, 1), (QVAR, 4)): 3,
             ((xvar(1), 1),): 1,
@@ -253,8 +257,7 @@ class TestPackedMonomials:
     def test_equal_polynomials_hash_equal(self):
         inv_y2 = mono({yvar(2): -1})
         built = [
-            LaurentPoly.parse("x1 * y2^-1 * q + 2"),
-            mono({QVAR: 1, yvar(2): -1, xvar(1): 1}) + 2,
+            mono({QVAR: 1, yvar(2): -1, xvar(1): 1}) + LaurentPoly.const(2),
             X1 * Q * inv_y2 + ONE + ONE,
             (X1 + mono({yvar(2): 1, QVAR: -1})) * (Q * inv_y2) + ONE - Q + Q,
             LaurentPoly({((xvar(1), 1), (yvar(2), -1), (QVAR, 1)): 1, (): 2}),

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import golden as G
-from oracles import le_statistic_setbuilder, substitute, weyl_sp_mu
+from oracles import gt_left_side, le_statistic_setbuilder, substitute, weyl_sp_mu
 from symptok import identities
 from symptok.algebra import (
     MERSENNE31,
@@ -301,6 +301,31 @@ class TestInputChecks:
             with pytest.raises(InvalidRankError):
                 call()
 
+    @pytest.mark.parametrize("mu", [(1.7,), (True,), "21"])
+    def test_part_that_is_not_an_integer_is_rejected(self, mu):
+        # int() read these as (1,), (1,) and (2, 1), and the report said
+        # equal for a shape that was never asked for
+        with pytest.raises(ValueError, match="not an integer"):
+            verify("THM_ST", mu, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify("THM_ST", (1,), 2.0),
+        lambda: verify("THM_ST", (1,), True, "modular", trials=4),
+        lambda: verify_big_modular((1,), 2.0),
+    ], ids=["verify", "verify-modular-bool", "verify_big_modular"])
+    def test_rank_that_is_not_an_integer_is_rejected(self, call):
+        with pytest.raises(InvalidRankError, match="integer"):
+            call()
+
+    @pytest.mark.parametrize("knobs", [
+        {"trials": 2.5}, {"trials": True}, {"seed": True}, {"seed": 1.0},
+        {"prime": 2147483647.0},
+    ])
+    def test_modular_parameter_that_is_not_an_integer_is_rejected(self, knobs):
+        # a float ended in a raw TypeError, a bool in the report as true
+        with pytest.raises(ModularParameterError, match="integer"):
+            verify("THM_ST", (1,), 2, "modular", **knobs)
+
     def test_smallest_and_large_primes_are_accepted(self):
         for prime in (65537, 2 ** 61 - 1):
             assert verify("COR_GT", (1,), 2, "modular", trials=2,
@@ -474,6 +499,35 @@ def test_weyl_oracle_tells_a_wrong_shape_apart():
         weyl_sp_mu((1,), 2, {xvar(1): 1, xvar(2): 5}, MERSENNE31)
 
 
+@pytest.mark.parametrize("identity", ["COR_GT", "COR_GT_Q", "COR_GT_QX"])
+def test_gt_row_walk_matches_the_weyl_right_side_at_the_real_case(identity):
+    # neither side shares code with the transfer: the left side walks the
+    # 687 GT rows between lambda = (9,7,6,2,1) and the empty row, and the
+    # right side is the Weyl character formula times the staircase product
+    mu, n = (4, 3, 3), 5
+    rng = random.Random(10)
+    variables = [xvar(j) for j in range(1, n + 1)] \
+        + [yvar(j) for j in range(1, n + 1)] + [QVAR]
+    points = [random_point(variables, rng) for _ in range(20)]
+    want = Residues([weyl_sp_mu(mu, n, pt, MERSENNE31) for pt in points], MERSENNE31)
+    for f in rhs_factors(identity, n):
+        want = want * Residues.lift(f, points, MERSENNE31)
+    scheme = identities.IDENTITY_ROWS[identity].scheme
+
+    def left(shape, narrow_le=False):
+        return gt_left_side(add_staircase(shape, n), n, scheme, points, MERSENNE31,
+                            narrow_le).values
+
+    assert left(mu) == want.values
+    # a smaller shape, and for GT_QX the rejected narrow L_e, differ at
+    # every point
+    controls = [left((3, 3, 3))]
+    if scheme == "GT_QX":
+        controls.append(left(mu, narrow_le=True))
+    for control in controls:
+        assert all(a != b for a, b in zip(control, want.values))
+
+
 def test_shifted_walker_matches_per_object_weights_at_rank_four():
     # the 10,336 tableaux of lambda = (4,3,2,1), which reach most shapes by
     # many paths; expanding their weights' sum takes minutes, so each weight
@@ -619,6 +673,8 @@ class TestSweeps:
             lambda: verify_sweep("COR_GT", 3, -5, "modular", trials=4),
             lambda: ambiguity_report(2, -1),
             lambda: _le_setbuilder_sweep(2, -1),
+            lambda: verify_sweep("THM_ST", 2, 1.5),
+            lambda: verify_sweep("THM_ST", 2, True),
         ]
         for call in calls:
             with pytest.raises(InvalidWeightError, match="max_weight"):
@@ -658,13 +714,17 @@ class TestBigModular:
         assert largest_feasible_subshape(target, cap) == (lam, count)
 
     def test_fallback_is_documented(self):
-        r = verify_big_modular((2,), 2, trials=5, seed=1, cap=10)
+        r = verify_big_modular((4, 3, 3), 5, trials=5, seed=1)
         assert r.equal
         fb = r.params["fallback"]
-        assert fb["requested"]["lambda"] == [4, 1]
-        assert fb["chosen"]["objects"] <= 10
+        assert fb["requested"]["lambda"] == [9, 7, 6, 2, 1]
+        assert fb["cap"] == identities.FALLBACK_OBJECT_CAP
+        assert fb["chosen"]["objects"] <= identities.FALLBACK_OBJECT_CAP
 
-    @pytest.mark.parametrize("knobs", [{"trials": 0}, {"prime": 65536}])
+    @pytest.mark.parametrize("knobs", [
+        {"trials": 0}, {"prime": 65536}, {"trials": 2.5}, {"seed": True},
+        {"prime": 2147483647.0},
+    ])
     def test_trials_and_modulus_are_checked_before_counting(self, monkeypatch,
                                                            knobs):
         # a run that verify would refuse counts no objects and searches no

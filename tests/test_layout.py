@@ -1,14 +1,18 @@
 """The package holds no code that only the tests reach.
 
-Every public module-level function and class of ``src/symptok`` must be
-referenced in code (a name, an attribute or an import) in ``src/``,
-``scripts/`` or ``perfbench/*.py``; docstrings and comments do not count.
-The benchmark names the functions it traces by strings, so the strings of
-``perfbench/layers.py``'s ``TRACED`` count too.  A name that fails this
-belongs in ``tests/oracles.py``.
+Every public module-level function and class of ``src/symptok``, and every
+public method and property of such a class, must be referenced in code (a
+name, an attribute or an import) in ``src/``, ``scripts/`` or
+``perfbench/*.py``; docstrings and comments do not count.  The benchmark
+names the functions it traces by strings, so the strings of
+``perfbench/layers.py``'s ``TRACED`` count too.  A function or class that
+fails this belongs in ``tests/oracles.py``; a method that fails it is
+deleted, or rewritten there as a function.  Dunder methods are called by
+syntax, not by name, so no scan of names can find their callers.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,17 +37,39 @@ def _references(tree: ast.AST) -> set:
     return names
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    modules = sorted(PACKAGE.glob("*.py"))
-    code = modules + sorted((ROOT / "scripts").glob("*.py")) \
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+@lru_cache(maxsize=1)
+def _referenced() -> frozenset:
+    code = MODULES + sorted((ROOT / "scripts").glob("*.py")) \
         + sorted((ROOT / "perfbench").glob("*.py"))
-    referenced = set()
-    for path in code:
-        referenced |= _references(ast.parse(path.read_text(encoding="utf-8")))
+    return frozenset().union(*(_references(_tree(path)) for path in code))
+
+
+def _public(nodes, kinds) -> list:
+    return [node for node in nodes
+            if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
     unreached = [
         f"{path.stem}.{node.name}"
-        for path in modules
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in referenced]
+        for path in MODULES
+        for node in _public(_tree(path).body, (ast.FunctionDef, ast.ClassDef))
+        if node.name not in _referenced()]
     assert not unreached, f"only tests reach {unreached}; move them to tests/oracles.py"
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    unreached = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in MODULES
+        for cls in _public(_tree(path).body, ast.ClassDef)
+        for node in _public(cls.body, ast.FunctionDef)
+        if node.name not in _referenced()]
+    assert not unreached, f"only tests reach {unreached}; delete them"

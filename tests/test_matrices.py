@@ -176,3 +176,9 @@ class TestClassifyBLR:
 def test_count_gtp_running_example_scale():
     assert count_gtp((2, 1), 2) == 12
     assert count_gtp((9, 7, 6, 2, 1), 5) == 19781353800
+
+
+def test_count_gtp_refuses_a_part_that_is_not_an_integer():
+    # int() read (3.5, 1) as (3, 1) and counted its 30 patterns
+    with pytest.raises(ValueError, match="not an integer"):
+        count_gtp((3.5, 1), 2)
