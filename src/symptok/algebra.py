@@ -435,25 +435,25 @@ MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test, for n below MILLER_RABIN_BOUND."""
-    if n >= MILLER_RABIN_BOUND:
-        raise ValueError(f"{n} is past the deterministic Miller-Rabin bound")
-    if n < 2:
+def is_prime(m: int) -> bool:
+    """Deterministic Miller-Rabin test, for m below MILLER_RABIN_BOUND."""
+    if m >= MILLER_RABIN_BOUND:
+        raise ValueError(f"{m} is past the deterministic Miller-Rabin bound")
+    if m < 2:
         return False
     for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
             continue
         for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+            x = x * x % m
+            if x == m - 1:
                 break
         else:
             return False

@@ -18,8 +18,8 @@ from typing import Callable, List, Optional
 
 from . import bijections, identities, render, weights
 from .algebra import MERSENNE31, LaurentPoly, monomial_text
-from .matrices import SympGTPattern, UTurnASM, validate_gtp, validate_uasm
-from .shapes import as_partition, as_strict_partition
+from .matrices import (SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm,
+                       validate_gtp, validate_uasm)
 from .tableaux import (
     PrimedShiftedTableau,
     ShiftedTableau,
@@ -49,9 +49,9 @@ def _load_object(path: str):
     if isinstance(obj, SymplecticTableau):
         bad = validate_t(obj, weights._letter_rank(obj.rows))[1]
     elif isinstance(obj, ShiftedTableau):
-        bad = validate_st(obj, len(obj.shape))[1]
+        bad = validate_st(obj)[1]
     elif isinstance(obj, PrimedShiftedTableau):
-        bad = validate_qt(obj, len(obj.base.shape))[1]
+        bad = validate_qt(obj)[1]
     elif isinstance(obj, UTurnASM):  # lambda is read off the column sums
         bad = validate_uasm(obj)[1]
     elif isinstance(obj, SympGTPattern):
@@ -72,22 +72,17 @@ def _fail(msg: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    shape = _partition_arg(args.shape)
-    n = args.n
+    shape, n = _partition_arg(args.shape), args.n
     if args.family == "t":
-        stream = enumerate_t(as_partition(shape), n)
+        stream = enumerate_t(shape, n)
+    elif args.family == "st":
+        stream = enumerate_st(shape, n)
+    elif args.family == "qt":
+        stream = (qt for st in enumerate_st(shape, n) for qt in primings(st))
+    elif args.family == "uasm":
+        stream = enumerate_uasm(shape, n)
     else:
-        lam = as_strict_partition(shape)
-        if args.family == "st":
-            stream = enumerate_st(lam, n)
-        elif args.family == "qt":
-            stream = (qt for st in enumerate_st(lam, n) for qt in primings(st))
-        elif args.family == "uasm":
-            from .matrices import enumerate_uasm
-            stream = enumerate_uasm(lam, n)
-        else:
-            from .matrices import enumerate_gtp
-            stream = enumerate_gtp(lam, n)
+        stream = enumerate_gtp(shape, n)
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0

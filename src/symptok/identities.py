@@ -65,11 +65,12 @@ from .algebra import (
     yvar,
 )
 from .matrices import count_gtp
-from .shapes import (
+from .shapes import (  # InvalidRankError is re-exported for the callers of verify
     InvalidRankError,
     RankTooSmallError,
     add_staircase,
     as_partition,
+    as_rank,
     letter,
     letter_level,
     partitions_up_to,
@@ -190,6 +191,7 @@ def _exact(f: LaurentPoly) -> LaurentPoly:
 
 def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     """Sum of wgt_t over all rank-n tableaux of shape mu."""
+    n = as_rank(n)
     scheme = "T_DEFORMED" if deformed else "T"
     return _transfer(mu, n, weights.factor_table(scheme, n), _exact, _letter_cells)[0]
 
@@ -207,7 +209,7 @@ def _xy_factors(n: int, deformed: bool = False, y=weights._y) -> List[LaurentPol
 
 def _q_factors(n: int) -> List[LaurentPoly]:
     """The xy product along y_j = q x_j."""
-    return _xy_factors(n, y=lambda j, e=1: weights._q(e) * weights._x(j, e))
+    return _xy_factors(n, y=weights._qx)
 
 
 def _qx_factors(n: int) -> List[LaurentPoly]:
@@ -226,6 +228,7 @@ _PRODUCTS = {"xy": _xy_factors, "q": _q_factors, "qx": _qx_factors}
 
 def rhs_factors(identity: str, n: int) -> List[LaurentPoly]:
     """The product factors of the identity's right side, sp_mu excluded."""
+    n = as_rank(n)
     if identity not in IDENTITY_ROWS:
         raise UnknownIdentityError(identity)
     row = IDENTITY_ROWS[identity]
@@ -508,13 +511,6 @@ def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
     }
 
 
-def _check_rank(n: int) -> None:
-    if type(n) is not int:
-        raise InvalidRankError(f"rank n must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidRankError(f"rank n must be at least 1, got {n}")
-
-
 def _check_modular(trials: int, seed: int, prime: int) -> None:
     """Refuse trials, seeds and moduli under which "equal" would not be
     earned or the report would not say what ran: a value that is not an
@@ -547,13 +543,12 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     """
     if identity not in IDENTITIES:
         raise UnknownIdentityError(identity)
-    mode = mode.lower()
+    mode = mode.lower() if isinstance(mode, str) else mode
     if mode not in ("symbolic", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
     if mode == "modular":
         _check_modular(trials, seed, prime)
-    _check_rank(n)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     if mode == "symbolic":
@@ -673,7 +668,6 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
     size.  It stays while the at_scale benchmark pins its answer.
     """
     _check_modular(trials, seed, prime)
-    _check_rank(n)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
     count = count_gtp(lam, n)

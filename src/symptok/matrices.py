@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-from .shapes import BadLengthError, InvalidRankError, as_strict_partition
+from .shapes import BadLengthError, as_rank, as_strict_partition
 
 
 class DimensionMismatchError(ValueError):
@@ -242,8 +242,7 @@ def _interlace(above: Tuple[int, ...], length: int) -> Iterator[Tuple[int, ...]]
 def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
     """All strict patterns with top row lambda, generated top row downward."""
     lam = as_strict_partition(lam)
-    if n < 1:
-        raise InvalidRankError(f"rank n must be at least 1, got {n}")
+    n = as_rank(n)
     if len(lam) != n:
         raise BadLengthError(f"{lam} does not have length n={n}")
 
@@ -267,6 +266,7 @@ def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
 
 def count_gtp(lam, n: int) -> int:
     """|GT^lambda(n)| by transfer over rows, without materialising patterns."""
+    n = as_rank(n)
     lam = as_strict_partition(lam)
     if len(lam) != n:
         raise BadLengthError(f"{lam} does not have length n={n}")

@@ -23,14 +23,28 @@ class BadLengthError(ValueError):
 
 
 class InvalidRankError(ValueError):
-    """A rank n below 1, where there is nothing to enumerate or check."""
+    """A rank n that is not an int of at least 1 (see as_rank)."""
+
+
+def as_rank(n: int) -> int:
+    """n, refused with InvalidRankError unless it is an int (a bool is not)
+    of at least 1.  Every public function that takes a rank calls this,
+    itself or through the function it passes the rank to."""
+    if type(n) is not int:
+        raise InvalidRankError(f"rank n must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidRankError(f"rank n must be at least 1, got {n}")
+    return n
 
 
 def _int_parts(parts: Sequence[int]) -> Tuple[int, ...]:
-    """The parts as a tuple.  A part whose type is not int (a float, a bool,
-    a character of a string) raises ValueError rather than being read as
-    another number."""
-    parts = tuple(parts)
+    """The parts as a tuple.  Parts that are not a sequence (a number, None),
+    or a part whose type is not int (a float, a bool, a character of a
+    string), raise ValueError rather than being read as another number."""
+    try:
+        parts = tuple(parts)
+    except TypeError:
+        raise ValueError(f"shape {parts!r} is not a sequence of parts") from None
     for p in parts:
         if type(p) is not int:
             raise ValueError(f"part {p!r} of {parts} is not an integer")
@@ -60,6 +74,7 @@ def as_strict_partition(parts: Sequence[int]) -> Tuple[int, ...]:
 
 def add_staircase(mu: Sequence[int], n: int) -> Tuple[int, ...]:
     """lambda = mu + (n, n-1, ..., 1); strictly decreasing of length n."""
+    n = as_rank(n)
     mu = as_partition(mu)
     if len(mu) > n:
         raise RankTooSmallError(f"partition {mu} has more than n={n} parts")

@@ -33,6 +33,7 @@ from .shapes import (
     InvalidRankError,
     RankTooSmallError,
     as_partition,
+    as_rank,
     as_strict_partition,
     letter,
     letter_level,
@@ -104,6 +105,7 @@ def _check_cover(shape, rows):
 
 def validate_t(t: SymplecticTableau, n: int) -> Tuple[bool, List[str]]:
     """Check T1-T3 at rank n; violations name the condition and the cell."""
+    n = as_rank(n)
     shape = as_partition(t.shape)
     _check_cover(shape, t.rows)
     bad: List[str] = []
@@ -120,16 +122,15 @@ def validate_t(t: SymplecticTableau, n: int) -> Tuple[bool, List[str]]:
     return (not bad, bad)
 
 
-def validate_st(st: ShiftedTableau, n: int) -> Tuple[bool, List[str]]:
-    """Check ST1-ST4 and len(shape) == n."""
+def validate_st(st: ShiftedTableau) -> Tuple[bool, List[str]]:
+    """Check ST1-ST4 at the tableau's rank, len(shape)."""
     shape = as_strict_partition(st.shape)
     if not shape:
         raise InvalidRankError("a shifted tableau has rank len(shape) >= 1, "
                                "got the empty shape of rank 0")
     _check_cover(shape, st.rows)
+    n = len(shape)
     bad: List[str] = []
-    if len(shape) != n:
-        bad.append(f"length: shape has {len(shape)} rows, rank is {n}")
     for i, col, code in st.cells():
         if not 1 <= code <= 2 * n:
             bad.append(f"alphabet: entry out of range at ({i},{col})")
@@ -148,9 +149,9 @@ def validate_st(st: ShiftedTableau, n: int) -> Tuple[bool, List[str]]:
     return (not bad, bad)
 
 
-def validate_qt(qt: PrimedShiftedTableau, n: int) -> Tuple[bool, List[str]]:
+def validate_qt(qt: PrimedShiftedTableau) -> Tuple[bool, List[str]]:
     """Check the base tableau plus the priming rules QT1/QT2."""
-    ok, bad = validate_st(qt.base, n)
+    ok, bad = validate_st(qt.base)
     if len(qt.primed) != len(qt.base.rows) or any(
         len(qt.primed[i]) != len(qt.base.rows[i]) for i in range(len(qt.primed))
     ):
@@ -195,8 +196,7 @@ def cell_cases(st: ShiftedTableau, neighbour: str = "below") -> List[Tuple[int, 
 def enumerate_t(mu, n: int) -> Iterator[SymplecticTableau]:
     """All rank-n symplectic tableaux of shape mu, in row-major lex order."""
     mu = as_partition(mu)
-    if n < 1:
-        raise InvalidRankError(f"rank n must be at least 1, got {n}")
+    n = as_rank(n)
     if len(mu) > n:
         raise RankTooSmallError(f"shape {mu} needs more than n={n} rows")
     if not mu:
@@ -231,8 +231,7 @@ def enumerate_st(lam, n: int) -> Iterator[ShiftedTableau]:
     deterministic fill order.
     """
     lam = as_strict_partition(lam)
-    if n < 1:
-        raise InvalidRankError(f"rank n must be at least 1, got {n}")
+    n = as_rank(n)
     if len(lam) != n:
         raise BadLengthError(f"{lam} does not have length n={n}")
     rows = [[0] * lam[i] for i in range(n)]

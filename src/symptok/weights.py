@@ -25,6 +25,8 @@ Every scheme is a product of local factors kept in factor_table (end of
 module): T_DEFORMED and T (its t = 1 form, the weight of sp_mu) per letter,
 ST_XY, QT_DEFORMED (the primed sum of primed_weight_sum) and ST_Q per
 (letter, neighbour case), and the CPM and GT schemes as listed there.  The
+xy builders make ST_Q, CPM_Q_PLAIN and GT_Q along y_k = q x_k; CPM_Q_NORM
+and GT_QX, which are no such specialisation, are written by hand.  The
 per-object weights multiply the entries, except wgt_t and wgt_qt, which sum
 the exponents of one monomial; the engine lifts the same entries to
 polynomials or to values at sample points.
@@ -50,7 +52,7 @@ from .matrices import (
     UTurnASM,
     classify_blr,
 )
-from .shapes import letter_level
+from .shapes import as_rank, letter_level
 from .tableaux import (
     PrimedShiftedTableau,
     ShiftedTableau,
@@ -102,6 +104,11 @@ def _q(e: int = 1) -> LaurentPoly:
     return LaurentPoly.variable(QVAR, e)
 
 
+def _qx(k: int, e: int = 1) -> LaurentPoly:
+    """y_k^e along the specialisation y_k = q x_k: q^e x_k^e."""
+    return _q(e) * _x(k, e)
+
+
 def _t2() -> LaurentPoly:
     return LaurentPoly.variable(TVAR, 2)
 
@@ -110,8 +117,8 @@ def _t2() -> LaurentPoly:
 
 
 def _letter_rank(rows: Iterable[Iterable[int]]) -> int:
-    """The least rank whose alphabet holds every letter of the rows."""
-    return letter_level(max((code for row in rows for code in row), default=0))
+    """The least rank, at least 1, whose alphabet holds every letter of the rows."""
+    return letter_level(max((code for row in rows for code in row), default=1))
 
 
 def _cell_monomial(cells: Iterable[Tuple[int, bool]], deformed: bool) -> LaurentPoly:
@@ -145,14 +152,14 @@ def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
                           deformed)
 
 
-def _st_case_factor_xy(code: int, case: str) -> LaurentPoly:
+def _st_case_factor_xy(code: int, case: str, y=_y) -> LaurentPoly:
     k = (code + 1) // 2
     e = 1 if code % 2 else -1
     if case == "left":
         return _x(k, e)
-    if case == "below":
-        return _y(k, e)
-    return _x(k, e) + _y(k, e)
+    if case in ("below", "above"):
+        return y(k, e)
+    return _x(k, e) + y(k, e)
 
 
 def wgt_st(st: ShiftedTableau) -> LaurentPoly:
@@ -169,17 +176,6 @@ def primed_weight_sum(st: ShiftedTableau, deformed: bool = False) -> LaurentPoly
     """
     scheme = "QT_DEFORMED" if deformed else "ST_XY"
     return _product(factor_table(scheme, _letter_rank(st.rows)), cell_cases(st))
-
-
-def _st_case_factor_q(code: int, case: str) -> LaurentPoly:
-    k = (code + 1) // 2
-    e = 1 if code % 2 else -1
-    qe = _q(e)
-    if case == "left":
-        return _x(k, e)
-    if case in ("below", "above"):
-        return qe * _x(k, e)
-    return (ONE + qe) * _x(k, e)
 
 
 def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
@@ -199,16 +195,13 @@ _TURN_START = frozenset(("WE", "SW", "NW"))
 _TURN = "TURN"  # id code of the CPM_XY_ALT first-column term
 
 
-def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool) -> LaurentPoly:
+def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool, y=_y) -> LaurentPoly:
     e = -1 if barred else 1
-    if scheme == "CPM_XY":
-        table = {"WE": _x(k, e) + _y(k, e), "NW": _y(k, e), "SW": _x(k, e)}
+    if scheme in ("CPM_XY", "CPM_Q_PLAIN"):
+        table = {"WE": _x(k, e) + y(k, e), "NW": y(k, e), "SW": _x(k, e)}
     elif scheme == "CPM_XY_ALT":
         table = {"NS": _x(k, e) + _y(k, e), "NW": _y(k, e), "SW": _x(k, e),
                  _TURN: _x(k, e) + _y(k, e)}
-    elif scheme == "CPM_Q_PLAIN":
-        table = {"WE": (ONE + _q(e)) * _x(k, e), "NW": _q(e) * _x(k, e),
-                 "SW": _x(k, e)}
     else:  # CPM_Q_NORM
         if barred:
             table = {"WE": _x(k, e), "NS": ONE + _q(), "NE": _q(), "NW": _x(k, e),
@@ -221,6 +214,7 @@ def _cpm_entry_factor(scheme: str, code: str, k: int, barred: bool) -> LaurentPo
 
 def cpm_q_norm_prefactor(n: int, c0_mode: str = "full") -> LaurentPoly:
     """(1+q)^n / q^(n(n+1)/2), or the rejected literal (1+q) / q^(n(n+1)/2)."""
+    n = as_rank(n)
     if c0_mode not in ("full", "literal"):
         raise UnknownConventionError(f"unknown c0 mode {c0_mode!r}")
     exponent = n if c0_mode == "full" else 1
@@ -253,18 +247,10 @@ def wgt_cpm(a: UTurnASM, scheme: str, c0_mode: str = "full") -> LaurentPoly:
 # -- pattern weights --------------------------------------------------------------
 
 
-def _gt_mark_factor(scheme: str, side: str, mark: str, k: int) -> LaurentPoly:
-    """Factor of the unbarred ("u") or barred ("b") mark at level k.  GT_Q
-    carries q^([u = R] + [b = L] - 1) per position; its -1 rides on the
-    unbarred mark."""
-    if scheme == "GT_XY":
-        e = 1 if side == "u" else -1
-        return {"B": _x(k, e) + _y(k, e), "L": _x(k, e), "R": _y(k, e)}[mark]
-    if side == "u":
-        qpow = (1 if mark == "R" else 0) - 1
-    else:
-        qpow = 1 if mark == "L" else 0
-    return _q(qpow) * (ONE + _q()) if mark == "B" else _q(qpow)
+def _gt_mark_factor(side: str, mark: str, k: int, y=_y) -> LaurentPoly:
+    """GT_XY's factor of the unbarred ("u") or barred ("b") mark at level k."""
+    e = 1 if side == "u" else -1
+    return {"B": _x(k, e) + y(k, e), "L": _x(k, e), "R": y(k, e)}[mark]
 
 
 def _x_exponents(g: SympGTPattern) -> Dict[int, int]:
@@ -366,7 +352,7 @@ def qx_weight_factored(g: SympGTPattern) -> str:
 # table entries, and the engine lifts the same entries to its value type.
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
     """Read-only id -> factor map of the scheme's local factors at rank n:
 
@@ -377,7 +363,12 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
       CPM_*        (compass code, row) and (TURN, row), rows 1..2n
       GT_XY, GT_Q  (side, mark, level), side "u" or "b", and ("x", level, +-1)
       GT_QX        ("B",) for 1+q, ("q",) for q, and ("x", level, +-1)
+
+    ST_Q, CPM_Q_PLAIN and GT_Q are their xy forms along y_k = q x_k (y = _qx);
+    CPM_Q_NORM and GT_QX are no specialisation and are written out.
     """
+    n = as_rank(n)
+    y = _qx if scheme in ("ST_Q", "CPM_Q_PLAIN", "GT_Q") else _y
     levels = range(1, n + 1)
     codes = range(1, 2 * n + 1)
     if scheme in ("T", "T_DEFORMED"):
@@ -389,13 +380,13 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
         table = {(code, case): _st_case_factor_xy(code, case) * (ONE if code % 2 else t2)
                  for code in codes for case in ("left", "below", "free")}
     elif scheme == "ST_Q":
-        table = {(code, case): _st_case_factor_q(code, case)
+        table = {(code, case): _st_case_factor_xy(code, case, y)
                  for code in codes for case in ("left", "below", "above", "free")}
     elif scheme in CPM_SCHEMES:
-        table = {(code, i): _cpm_entry_factor(scheme, code, (i + 1) // 2, i % 2 == 0)
+        table = {(code, i): _cpm_entry_factor(scheme, code, (i + 1) // 2, i % 2 == 0, y)
                  for i in range(1, 2 * n + 1) for code in CPM_CODES + (_TURN,)}
     elif scheme in ("GT_XY", "GT_Q"):
-        table = {(side, mark, k): _gt_mark_factor(scheme, side, mark, k)
+        table = {(side, mark, k): _gt_mark_factor(side, mark, k, y)
                  for side in "ub" for mark in "BLR" for k in levels}
     elif scheme == "GT_QX":
         table = {("B",): ONE + _q(), ("q",): _q()}

@@ -301,6 +301,17 @@ class TestInputChecks:
             with pytest.raises(InvalidRankError):
                 call()
 
+    @pytest.mark.parametrize("mode", ["bogus", None, 1])
+    def test_unknown_mode_is_rejected(self, mode):
+        # a mode that is not a string ended in AttributeError from mode.lower()
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify("THM_ST", (), 1, mode=mode)
+
+    @pytest.mark.parametrize("mu", [5, None])
+    def test_shape_that_is_not_a_sequence_is_rejected(self, mu):
+        with pytest.raises(ValueError, match="not a sequence"):
+            verify("THM_ST", mu, 1)
+
     @pytest.mark.parametrize("mu", [(1.7,), (True,), "21"])
     def test_part_that_is_not_an_integer_is_rejected(self, mu):
         # int() read these as (1,), (1,) and (2, 1), and the report said

@@ -9,6 +9,10 @@ names the functions it traces by strings, so the strings of
 fails this belongs in ``tests/oracles.py``; a method that fails it is
 deleted, or rewritten there as a function.  Dunder methods are called by
 syntax, not by name, so no scan of names can find their callers.
+
+Every public module-level function that takes a rank ``n`` must have a case
+in ``test_shapes.RANK_TAKERS``, the table of calls that must refuse a rank
+that is not an int of at least 1.
 """
 
 import ast
@@ -73,3 +77,17 @@ def test_every_public_method_has_a_caller_outside_the_tests():
         for node in _public(cls.body, ast.FunctionDef)
         if node.name not in _referenced()]
     assert not unreached, f"only tests reach {unreached}; delete them"
+
+
+def test_every_rank_taker_is_in_the_refusal_table():
+    from test_shapes import RANK_TAKERS
+
+    takers = {
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in _public(_tree(path).body, ast.FunctionDef)
+        if "n" in {a.arg for a in node.args.posonlyargs + node.args.args
+                   + node.args.kwonlyargs}}
+    assert takers == set(RANK_TAKERS), (
+        f"missing from RANK_TAKERS: {sorted(takers - set(RANK_TAKERS))}; "
+        f"no rank n: {sorted(set(RANK_TAKERS) - takers)}")

@@ -2,11 +2,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symptok.identities import (
+    ambiguity_report,
+    rhs_factors,
+    rhs_product,
+    sp_mu,
+    verify,
+    verify_big_modular,
+    verify_sweep,
+)
+from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
 from symptok.shapes import (
     BadLengthError,
+    InvalidRankError,
     RankTooSmallError,
     add_staircase,
     as_partition,
+    as_rank,
     as_strict_partition,
     conjugate,
     letter,
@@ -15,6 +27,8 @@ from symptok.shapes import (
     letter_str,
     partitions_up_to,
 )
+from symptok.tableaux import SymplecticTableau, enumerate_st, enumerate_t, validate_t
+from symptok.weights import cpm_q_norm_prefactor, factor_table
 
 
 # Diagram helpers that only these tests use.
@@ -119,6 +133,47 @@ def test_partition_validation_trims_zeros():
     assert as_partition((3, 2, 0, 0)) == (3, 2)
     with pytest.raises(ValueError):
         as_partition((1, 2))
+
+
+@pytest.mark.parametrize("parse", [as_partition, as_strict_partition])
+@pytest.mark.parametrize("shape", [5, None])
+def test_shape_that_is_not_a_sequence_is_rejected(parse, shape):
+    # tuple(shape) raised a TypeError, which the CLI does not map to exit 2
+    with pytest.raises(ValueError, match="not a sequence"):
+        parse(shape)
+
+
+#: One call per public function of the package that takes a rank n, every
+#: other argument valid at rank 1.  test_layout checks that it names them all.
+RANK_TAKERS = {
+    "shapes.as_rank": as_rank,
+    "shapes.add_staircase": lambda n: add_staircase((), n),
+    "tableaux.enumerate_t": lambda n: list(enumerate_t((1,), n)),
+    "tableaux.enumerate_st": lambda n: list(enumerate_st((1,), n)),
+    "tableaux.validate_t": lambda n: validate_t(SymplecticTableau((1,), ((1,),)), n),
+    "matrices.enumerate_gtp": lambda n: list(enumerate_gtp((1,), n)),
+    "matrices.enumerate_uasm": lambda n: list(enumerate_uasm((1,), n)),
+    "matrices.count_gtp": lambda n: count_gtp((1,), n),
+    "weights.factor_table": lambda n: factor_table("ST_XY", n),
+    "weights.cpm_q_norm_prefactor": lambda n: cpm_q_norm_prefactor(n),
+    "identities.sp_mu": lambda n: sp_mu((1,), n),
+    "identities.rhs_factors": lambda n: rhs_factors("THM_ST", n),
+    "identities.rhs_product": lambda n: rhs_product("THM_ST", (1,), n),
+    "identities.verify": lambda n: verify("THM_ST", (1,), n),
+    "identities.verify_sweep": lambda n: verify_sweep("THM_ST", n, 1),
+    "identities.verify_big_modular": lambda n: verify_big_modular((1,), n, trials=2),
+    "identities.ambiguity_report": lambda n: ambiguity_report(n, 1),
+}
+
+
+@pytest.mark.parametrize("n", [2.0, True, 0], ids=["float", "bool", "zero"])
+@pytest.mark.parametrize("name", sorted(RANK_TAKERS))
+def test_every_rank_taker_refuses_a_bad_rank(name, n):
+    # a float ended in a raw TypeError or BadLengthError, and True ran as
+    # rank 1; a cached rank-2 table answered factor_table("ST_XY", 2.0)
+    factor_table("ST_XY", 2)
+    with pytest.raises(InvalidRankError):
+        RANK_TAKERS[name](n)
 
 
 def test_partitions_up_to():

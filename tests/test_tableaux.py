@@ -78,29 +78,29 @@ class TestEnumerateT:
 
 class TestValidateST:
     def test_golden_tableau(self):
-        assert validate_st(G.ST, G.N) == (True, [])
+        assert validate_st(G.ST) == (True, [])
 
     def test_single_barred_cell(self):
-        assert validate_st(ShiftedTableau((1,), (codes("1-"),)), 1)[0]
+        assert validate_st(ShiftedTableau((1,), (codes("1-"),)))[0]
 
     def test_diagonal_must_be_strict(self):
         stab = ShiftedTableau((2, 1), (codes("1", "1"), codes("1")))
-        ok, bad = validate_st(stab, 2)
+        ok, bad = validate_st(stab)
         assert not ok
         assert any(v.startswith("ST3") for v in bad)
 
     def test_row_start_level(self):
         stab = ShiftedTableau((2, 1), (codes("1", "1"), codes("1-")))
-        ok, bad = validate_st(stab, 2)
+        ok, bad = validate_st(stab)
         assert not ok
         assert any(v.startswith("ST4") for v in bad)
 
     def test_empty_shape_is_rank_zero(self):
         empty = ShiftedTableau((), ())
         with pytest.raises(InvalidRankError, match="rank 0"):
-            validate_st(empty, 0)
+            validate_st(empty)
         with pytest.raises(InvalidRankError, match="rank 0"):
-            validate_qt(PrimedShiftedTableau(empty, ()), 0)
+            validate_qt(PrimedShiftedTableau(empty, ()))
 
 
 def test_cell_cases_under_each_neighbour():
@@ -138,14 +138,14 @@ class TestEnumerateST:
                 for (i, c), v in zip(cells, fill):
                     rows[i - 1][c - i] = v
                 s = ShiftedTableau(lam, tuple(tuple(r) for r in rows))
-                if validate_st(s, n)[0]:
+                if validate_st(s)[0]:
                     want.add(s.rows)
             assert got == want
 
     def test_every_output_is_valid_and_starts_rows_at_level(self):
         for lam, n in [((2, 1), 2), ((4, 2, 1), 3)]:
             for s in enumerate_st(lam, n):
-                assert validate_st(s, n)[0]
+                assert validate_st(s)[0]
                 for k, row in enumerate(s.rows, start=1):
                     assert letter_level(row[0]) == k
 
@@ -169,7 +169,7 @@ class TestPrimings:
 
     def test_golden_priming_is_reachable(self):
         assert any(qt == G.QT for qt in primings(G.ST))
-        assert validate_qt(G.QT, G.N)[0]
+        assert validate_qt(G.QT)[0]
 
     def test_priming_count_is_power_of_two(self):
         for stab in enumerate_st((3, 1), 2):
@@ -179,7 +179,7 @@ class TestPrimings:
     def test_all_primings_satisfy_rules(self):
         for stab in enumerate_st((2, 1), 2):
             for qt in primings(stab):
-                assert validate_qt(qt, 2)[0]
+                assert validate_qt(qt)[0]
 
     def test_forced_flags_never_clash(self):
         # an equal left neighbour and an equal cell below would need the
