@@ -61,7 +61,7 @@ def st_to_gtp(st: ShiftedTableau) -> SympGTPattern:
             sum(1 for e in (st.rows[j - 1] if j <= len(st.rows) else ()) if e <= code)
             for j in range(1, k + 1)
         ))
-    return SympGTPattern(n, tuple(rows))
+    return SympGTPattern(tuple(rows))
 
 
 def gtp_to_st(g: SympGTPattern) -> ShiftedTableau:
@@ -127,7 +127,7 @@ def st_to_uasm(st: ShiftedTableau) -> UTurnASM:
         tuple(line[j] - (line[j + 1] if j + 1 < m else 0) for j in range(m))
         for line in profile
     )
-    return UTurnASM(n, entries)
+    return UTurnASM(entries)
 
 
 def uasm_to_gtp(a: UTurnASM) -> SympGTPattern:
@@ -141,7 +141,7 @@ def uasm_to_gtp(a: UTurnASM) -> SympGTPattern:
             raise ValueError(f"alphabet row {code} marks {len(marked)} columns")
         row = sorted(marked, reverse=True) + [0] * (k - len(marked))
         rows.append(tuple(row))
-    return SympGTPattern(a.n, tuple(rows))
+    return SympGTPattern(tuple(rows))
 
 
 _ZERO_CODES: Dict[Tuple[int, int], str] = {
@@ -185,4 +185,4 @@ def uasm_to_cpm(a: UTurnASM) -> CompassPointMatrix:
                 raise UnmatchedPatternError(f"({i + 1},{j + 1}): south breaks alternation")
             line.append(_ZERO_CODES[(north[j], east[j])])
         out.append(tuple(line))
-    return CompassPointMatrix(a.n, tuple(out))
+    return CompassPointMatrix(tuple(out))

@@ -14,7 +14,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import bijections, identities, render, weights
 from .algebra import MERSENNE31, LaurentPoly, monomial_text
@@ -34,6 +35,31 @@ from .tableaux import (
 )
 
 
+@dataclass(frozen=True)
+class Family:
+    """An object family the CLI names: its class, the check an object of it
+    read from a file must pass, and its enumerator (shape, rank)."""
+
+    kind: type
+    check: Callable[[object], Tuple[bool, List[str]]]
+    enumerate: Callable[[tuple, int], Iterable[object]]
+
+
+#: One row per family, in the order --family lists them; the families of
+#: weights.SCHEMES are among its keys.  A compass matrix is no family: it has
+#: neither a check nor an enumerator.
+FAMILIES = {
+    "st": Family(ShiftedTableau, validate_st, enumerate_st),
+    "t": Family(SymplecticTableau,
+                lambda t: validate_t(t, weights._letter_rank(t.rows)), enumerate_t),
+    "qt": Family(PrimedShiftedTableau, validate_qt,
+                 lambda shape, n: (qt for st in enumerate_st(shape, n)
+                                   for qt in primings(st))),
+    "uasm": Family(UTurnASM, validate_uasm, enumerate_uasm),  # lambda from column sums
+    "gtp": Family(SympGTPattern, validate_gtp, enumerate_gtp),
+}
+
+
 def _partition_arg(text: str):
     text = text.strip()
     if not text:
@@ -43,23 +69,15 @@ def _partition_arg(text: str):
 
 def _load_object(path: str):
     """The object in the JSON file at path, refused with InputFormatError
-    when it breaks its family's rules.  Compass matrices have no validator."""
+    when it breaks its family's rules."""
     with open(path, "r", encoding="utf-8") as fh:
         obj = render.from_json(fh.read())
-    if isinstance(obj, SymplecticTableau):
-        bad = validate_t(obj, weights._letter_rank(obj.rows))[1]
-    elif isinstance(obj, ShiftedTableau):
-        bad = validate_st(obj)[1]
-    elif isinstance(obj, PrimedShiftedTableau):
-        bad = validate_qt(obj)[1]
-    elif isinstance(obj, UTurnASM):  # lambda is read off the column sums
-        bad = validate_uasm(obj)[1]
-    elif isinstance(obj, SympGTPattern):
-        bad = validate_gtp(obj)[1]
-    else:
-        bad = []
-    if bad:
-        raise render.InputFormatError(f"invalid object in {path}: {'; '.join(bad)}")
+    for family in FAMILIES.values():
+        if type(obj) is family.kind:
+            bad = family.check(obj)[1]
+            if bad:
+                raise render.InputFormatError(
+                    f"invalid object in {path}: {'; '.join(bad)}")
     return obj
 
 
@@ -72,17 +90,7 @@ def _fail(msg: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    shape, n = _partition_arg(args.shape), args.n
-    if args.family == "t":
-        stream = enumerate_t(shape, n)
-    elif args.family == "st":
-        stream = enumerate_st(shape, n)
-    elif args.family == "qt":
-        stream = (qt for st in enumerate_st(shape, n) for qt in primings(st))
-    elif args.family == "uasm":
-        stream = enumerate_uasm(shape, n)
-    else:
-        stream = enumerate_gtp(shape, n)
+    stream = FAMILIES[args.family].enumerate(_partition_arg(args.shape), args.n)
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0
@@ -93,8 +101,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_bijection(args) -> int:
     obj = _load_object(args.input)
-    expected = {"st": ShiftedTableau, "uasm": UTurnASM, "gtp": SympGTPattern}
-    if not isinstance(obj, expected[args.source]):
+    if not isinstance(obj, FAMILIES[args.source].kind):
         return _fail(f"input is not a {args.source} object")
     if isinstance(obj, ShiftedTableau):
         st = obj
@@ -153,9 +160,7 @@ def _cmd_weight(args) -> int:
     obj = _load_object(args.input)
     scheme = args.scheme
     family = weights.SCHEMES[scheme].family
-    kinds = {"t": SymplecticTableau, "qt": PrimedShiftedTableau,
-             "st": ShiftedTableau, "uasm": UTurnASM, "gtp": SympGTPattern}
-    if not isinstance(obj, kinds[family]):
+    if not isinstance(obj, FAMILIES[family].kind):
         return _fail(f"scheme {scheme} expects a {family} object")
     if args.annotate and family != "st":
         return _fail("--annotate applies to the ST_XY and ST_Q schemes only")
@@ -187,24 +192,23 @@ def _report_out(report, args) -> None:
                      indent=2))
 
 
+def _verify_knobs(args) -> dict:
+    """The keyword arguments verify and verify_sweep take from the flags."""
+    return dict(mode=args.mode, trials=args.trials, seed=args.seed,
+                prime=args.prime, cpm_q_scheme=args.cpm_q_scheme,
+                c0_mode=args.c0, st_q_neighbour=args.neighbour)
+
+
 def _cmd_verify(args) -> int:
-    report = identities.verify(
-        args.id, _partition_arg(args.mu), args.n, mode=args.mode,
-        trials=args.trials, seed=args.seed, prime=args.prime,
-        cpm_q_scheme=args.cpm_q_scheme, c0_mode=args.c0,
-        st_q_neighbour=args.neighbour,
-    )
+    report = identities.verify(args.id, _partition_arg(args.mu), args.n,
+                               **_verify_knobs(args))
     _report_out(report, args)
     return 0 if report.equal else 1
 
 
 def _cmd_sweep(args) -> int:
-    reports = identities.verify_sweep(
-        args.id, args.n, args.max_weight, mode=args.mode,
-        trials=args.trials, seed=args.seed, prime=args.prime,
-        cpm_q_scheme=args.cpm_q_scheme, c0_mode=args.c0,
-        st_q_neighbour=args.neighbour,
-    )
+    reports = identities.verify_sweep(args.id, args.n, args.max_weight,
+                                      **_verify_knobs(args))
     print(json.dumps(
         [r.to_json_dict(include_timing=not args.no_timing) for r in reports],
         indent=2))
@@ -246,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list a combinatorial family")
-    p.add_argument("--family", choices=("st", "t", "qt", "uasm", "gtp"),
-                   required=True)
+    p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--lambda", dest="shape", required=True,
                    help="comma-separated shape; empty string for the empty shape")
     p.add_argument("--n", type=int, required=True)

@@ -543,7 +543,6 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     """
     if identity not in IDENTITIES:
         raise UnknownIdentityError(identity)
-    mode = mode.lower() if isinstance(mode, str) else mode
     if mode not in ("symbolic", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)

@@ -53,8 +53,11 @@ CPM_CODES = ("WE", "NS", "NE", "SE", "NW", "SW")
 
 @dataclass(frozen=True)
 class UTurnASM:
-    n: int
     entries: Tuple[Tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.entries) // 2
 
     @property
     def m(self) -> int:
@@ -63,21 +66,25 @@ class UTurnASM:
 
 @dataclass(frozen=True)
 class CompassPointMatrix:
-    n: int
     entries: Tuple[Tuple[str, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.entries) // 2
 
 
 @dataclass(frozen=True)
 class SympGTPattern:
     """rows[0] is the bottom row (level 1 unbarred), rows[2n-1] the top."""
 
-    n: int
     rows: Tuple[Tuple[int, ...], ...]
 
+    @property
+    def n(self) -> int:
+        return len(self.rows) // 2
+
     def m(self, k: int, j: int) -> int:
-        """Unbarred entry m(k,j); j = k+1 reads as 0."""
-        if j == k + 1:
-            return 0
+        """Unbarred entry m(k,j)."""
         return self.rows[2 * k - 2][j - 1]
 
     def mb(self, k: int, j: int) -> int:
@@ -195,11 +202,17 @@ def _check_zero_one(rows, which: str) -> None:
 # -- GT pattern validation and enumeration -------------------------------------
 
 
+def _check_gtp_rank(n: int, rows) -> None:
+    """Refuse a rank below 1, or rows that are not 2n of them."""
+    if n < 1:
+        raise GTShapeError(f"GT pattern rank n must be at least 1, got {n}")
+    if len(rows) != 2 * n:
+        raise GTShapeError(f"expected {2 * n} rows, got {len(rows)}")
+
+
 def _check_gtp_shape(g: SympGTPattern) -> None:
-    if g.n < 1:
-        raise GTShapeError(f"GT pattern rank n must be at least 1, got {g.n}")
-    if len(g.rows) != 2 * g.n:
-        raise GTShapeError(f"expected {2 * g.n} rows, got {len(g.rows)}")
+    # n is half the row count, so this refuses an odd count or fewer than two
+    _check_gtp_rank(g.n, g.rows)
     for k in range(1, g.n + 1):
         if len(g.rows[2 * k - 2]) != k or len(g.rows[2 * k - 1]) != k:
             raise GTShapeError(f"rows for level {k} do not have length {k}")
@@ -253,7 +266,7 @@ def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
                 continue  # seed rule at (k,k)
             stack.append(unbarred)
             if k == 1:
-                yield SympGTPattern(n, tuple(reversed(stack)))
+                yield SympGTPattern(tuple(reversed(stack)))
             else:
                 for nxt in _interlace(unbarred, k - 1):
                     stack.append(nxt)

@@ -15,9 +15,10 @@ primes (safe in any terminal); shifted rows are indented, patterns staggered.
 from __future__ import annotations
 
 import json
-from typing import List, Union
+from typing import List, Tuple, Union
 
-from .matrices import CPM_CODES, CompassPointMatrix, SympGTPattern, UTurnASM
+from .matrices import (CPM_CODES, CompassPointMatrix, SympGTPattern, UTurnASM,
+                       _check_gtp_rank)
 from .shapes import letter, letter_barred, letter_level, letter_str
 from .tableaux import PrimedShiftedTableau, ShiftedTableau, SymplecticTableau
 
@@ -32,35 +33,28 @@ class InputFormatError(ValueError):
 # -- JSON ---------------------------------------------------------------------
 
 
-def _entry_json(code: int, primed: bool) -> dict:
-    return {"level": letter_level(code), "barred": letter_barred(code), "primed": primed}
+#: The "family" tag of each tableau kind in JSON.
+_TABLEAU_TAGS = {SymplecticTableau: "t", ShiftedTableau: "st", PrimedShiftedTableau: "qt"}
+
+
+def _tableau_cells(obj) -> Tuple[Tuple[int, ...], List[List[Tuple[int, bool]]]]:
+    """The shape and the rows of (letter, primed) cells of any tableau kind."""
+    if isinstance(obj, PrimedShiftedTableau):
+        return obj.base.shape, [list(zip(row, flags))
+                                for row, flags in zip(obj.base.rows, obj.primed)]
+    return obj.shape, [[(c, False) for c in row] for row in obj.rows]
 
 
 def to_json_data(obj: AnyObject):
-    if isinstance(obj, SymplecticTableau):
+    if type(obj) in _TABLEAU_TAGS:
+        shape, rows = _tableau_cells(obj)
         return {
-            "family": "t",
-            "shape": list(obj.shape),
-            "rows": [[_entry_json(c, False) for c in row] for row in obj.rows],
+            "family": _TABLEAU_TAGS[type(obj)],
+            "shape": list(shape),
+            "rows": [[{"level": letter_level(c), "barred": letter_barred(c), "primed": p}
+                      for c, p in row] for row in rows],
         }
-    if isinstance(obj, ShiftedTableau):
-        return {
-            "family": "st",
-            "shape": list(obj.shape),
-            "rows": [[_entry_json(c, False) for c in row] for row in obj.rows],
-        }
-    if isinstance(obj, PrimedShiftedTableau):
-        return {
-            "family": "qt",
-            "shape": list(obj.base.shape),
-            "rows": [
-                [_entry_json(c, p) for c, p in zip(row, flags)]
-                for row, flags in zip(obj.base.rows, obj.primed)
-            ],
-        }
-    if isinstance(obj, UTurnASM):
-        return [list(row) for row in obj.entries]
-    if isinstance(obj, CompassPointMatrix):
+    if isinstance(obj, (UTurnASM, CompassPointMatrix)):
         return [list(row) for row in obj.entries]
     if isinstance(obj, SympGTPattern):
         return {"n": obj.n, "rows": [list(r) for r in obj.rows]}
@@ -124,9 +118,9 @@ def from_json_data(data) -> AnyObject:
         rows = tuple(tuple(r) for r in data)
         # type() rather than isinstance(): JSON true/false and 1.0 are no entries
         if all(type(v) is int and v in (-1, 0, 1) for row in rows for v in row):
-            return UTurnASM(len(rows) // 2, rows)
+            return UTurnASM(rows)
         if all(isinstance(v, str) and v in CPM_CODES for row in rows for v in row):
-            return CompassPointMatrix(len(rows) // 2, rows)
+            return CompassPointMatrix(rows)
         raise InputFormatError("array entries are neither -1/0/1 integers nor compass codes")
     if isinstance(data, dict):
         if "shape" in data and "rows" in data:
@@ -137,7 +131,8 @@ def from_json_data(data) -> AnyObject:
                 raise InputFormatError("pattern rows must be an array of arrays")
             if any(type(v) is not int for v in [data["n"], *(v for r in rows for v in r)]):
                 raise InputFormatError("pattern n and entries must be integers")
-            return SympGTPattern(data["n"], tuple(tuple(r) for r in rows))
+            _check_gtp_rank(data["n"], rows)  # the rows fix the rank; "n" must agree
+            return SympGTPattern(tuple(tuple(r) for r in rows))
     raise InputFormatError("unrecognised object layout")
 
 
@@ -157,48 +152,36 @@ def _grid(rows: List[List[str]], width: int, indents: List[int]) -> str:
 
 def tableau_ascii(obj: Union[SymplecticTableau, ShiftedTableau,
                              PrimedShiftedTableau]) -> str:
-    if isinstance(obj, PrimedShiftedTableau):
-        rows = [
-            [letter_str(c, p) for c, p in zip(row, flags)]
-            for row, flags in zip(obj.base.rows, obj.primed)
-        ]
-        shifted = True
-    else:
-        rows = [[letter_str(c) for c in row] for row in obj.rows]
-        shifted = isinstance(obj, ShiftedTableau)
+    rows = [[letter_str(c, p) for c, p in row] for row in _tableau_cells(obj)[1]]
+    shifted = not isinstance(obj, SymplecticTableau)
     width = max((len(s) for row in rows for s in row), default=1) + 1
     indents = [i * width if shifted else 0 for i in range(len(rows))]
     return _grid(rows, width, indents)
 
 
-def uasm_ascii(a: UTurnASM) -> str:
-    rows = [[f"{v:>2}" for v in row] for row in a.entries]
-    labels = [letter_str(i) for i in range(1, 2 * a.n + 1)]
+def _labelled(lines: List[str], codes) -> str:
+    """Each line after the letter whose row it shows, in the order of codes."""
+    labels = [letter_str(i) for i in codes]
     lw = max(len(s) for s in labels)
-    return "\n".join(
-        f"{lab:<{lw}} [{' '.join(row)} ]"
-        for lab, row in zip(labels, rows)
-    )
+    return "\n".join(f"{lab:<{lw}} {line}" for lab, line in zip(labels, lines))
+
+
+def uasm_ascii(a: UTurnASM) -> str:
+    return _labelled([f"[{' '.join(f'{v:>2}' for v in row)} ]" for row in a.entries],
+                     range(1, 2 * a.n + 1))
 
 
 def cpm_ascii(c: CompassPointMatrix) -> str:
-    labels = [letter_str(i) for i in range(1, 2 * c.n + 1)]
-    lw = max(len(s) for s in labels)
-    return "\n".join(
-        f"{lab:<{lw}} [ {' '.join(row)} ]"
-        for lab, row in zip(labels, c.entries)
-    )
+    return _labelled([f"[ {' '.join(row)} ]" for row in c.entries],
+                     range(1, 2 * c.n + 1))
 
 
 def gtp_ascii(g: SympGTPattern) -> str:
     width = max(len(str(v)) for row in g.rows for v in row) + 2
-    top_down = list(reversed(g.rows))
-    rows = [[str(v) for v in row] for row in top_down]
+    rows = [[str(v) for v in row] for row in reversed(g.rows)]
     indents = [i * (width // 2) for i in range(len(rows))]
-    labels = [letter_str(i) for i in range(2 * g.n, 0, -1)]
-    lw = max(len(s) for s in labels)
-    body = _grid(rows, width, indents).split("\n")
-    return "\n".join(f"{lab:<{lw}}  {line}" for lab, line in zip(labels, body))
+    body = [" " + line for line in _grid(rows, width, indents).split("\n")]
+    return _labelled(body, range(2 * g.n, 0, -1))
 
 
 def to_ascii(obj: AnyObject) -> str:

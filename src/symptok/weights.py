@@ -69,7 +69,7 @@ class UnknownSchemeError(ValueError):
 class Scheme:
     """What a weighing scheme weighs and which convention knobs it reads."""
 
-    family: str  # "t", "qt", "st", "uasm" or "gtp", as the CLI names them
+    family: str  # "t", "qt", "st", "uasm" or "gtp": a key of cli.FAMILIES
     reads: Tuple[str, ...] = ()
 
 

@@ -46,7 +46,6 @@ QT = PrimedShiftedTableau(
 )
 
 A = UTurnASM(
-    N,
     (
         (1, 0, 0, 0, 0, 0, 0, 0, 0),
         (-1, 1, 0, 0, 0, 0, 0, 0, 0),
@@ -89,7 +88,6 @@ COL_SUMS = (
 
 # Pattern rows bottom-to-top: 1, 1', 2, 2', 3, 3', 4, 4', 5, 5'.
 GT = SympGTPattern(
-    N,
     (
         (1,),
         (2,),
@@ -104,7 +102,7 @@ GT = SympGTPattern(
     ),
 )
 
-CPM = CompassPointMatrix(N, tuple(
+CPM = CompassPointMatrix(tuple(
     tuple(row.split())
     for row in (
         "WE SE SE SE SE SE SE SE SE",

@@ -55,7 +55,7 @@ def brute_force_uasm(lam, n: int) -> List[UTurnASM]:
             and next((v for v in reversed(row) if v), 1) == 1]
     out = []
     for entries in itertools.product(rows, repeat=2 * n):
-        a = UTurnASM(n, entries)
+        a = UTurnASM(entries)
         if validate_uasm(a, lam)[0]:
             out.append(a)
     return out

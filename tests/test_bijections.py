@@ -14,8 +14,8 @@ from symptok.bijections import (
 from symptok.matrices import SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm
 from symptok.tableaux import ShiftedTableau, enumerate_st
 
-A1 = UTurnASM(1, ((1,), (0,)))
-A2 = UTurnASM(1, ((0,), (1,)))
+A1 = UTurnASM(((1,), (0,)))
+A2 = UTurnASM(((0,), (1,)))
 ST_PLAIN = ShiftedTableau((1,), ((1,),))
 ST_BAR = ShiftedTableau((1,), ((2,),))
 
@@ -48,12 +48,12 @@ class TestRankOne:
         assert st_to_uasm(ST_BAR) == A2
 
     def test_pattern_counts(self):
-        assert st_to_gtp(ST_PLAIN) == SympGTPattern(1, ((1,), (1,)))
-        assert st_to_gtp(ST_BAR) == SympGTPattern(1, ((0,), (1,)))
-        assert uasm_to_gtp(A1) == SympGTPattern(1, ((1,), (1,)))
+        assert st_to_gtp(ST_PLAIN) == SympGTPattern(((1,), (1,)))
+        assert st_to_gtp(ST_BAR) == SympGTPattern(((0,), (1,)))
+        assert uasm_to_gtp(A1) == SympGTPattern(((1,), (1,)))
 
     def test_pattern_to_tableau(self):
-        assert gtp_to_st(SympGTPattern(1, ((0,), (1,)))) == ST_BAR
+        assert gtp_to_st(SympGTPattern(((0,), (1,)))) == ST_BAR
 
     def test_compass_codes(self):
         assert uasm_to_cpm(A1).entries == (("WE",), ("NE",))
@@ -88,11 +88,11 @@ def test_compass_recoding_never_unmatched_on_valid_matrices():
 def test_compass_recoding_guards_against_broken_alternation():
     # two +1 entries side by side cannot happen in a valid matrix; the zero
     # in between would see west and east neighbours with equal signs
-    broken = UTurnASM(1, ((1, 0, 1), (0, 0, 0)))
+    broken = UTurnASM(((1, 0, 1), (0, 0, 0)))
     with pytest.raises(UnmatchedPatternError, match="west breaks"):
         uasm_to_cpm(broken)
     # likewise two +1 entries stacked in a column, seen from north and south
-    broken = UTurnASM(2, ((1,), (0,), (1,), (0,)))
+    broken = UTurnASM(((1,), (0,), (1,), (0,)))
     with pytest.raises(UnmatchedPatternError, match="south breaks"):
         uasm_to_cpm(broken)
 

@@ -431,3 +431,22 @@ class TestRender:
             main(["enumerate", "--family", "st", "--lambda", "1", "--n", "1",
                   "--bogus"])
         assert exc.value.code == 2
+
+
+class TestFamilies:
+    def test_every_scheme_weighs_a_family_the_cli_names(self):
+        # the weight command looks a scheme's family up in FAMILIES
+        from symptok.cli import FAMILIES
+        from symptok.weights import SCHEMES
+        unknown = {name: row.family for name, row in SCHEMES.items()
+                   if row.family not in FAMILIES}
+        assert not unknown, f"families missing from cli.FAMILIES: {unknown}"
+
+    @pytest.mark.parametrize("name", ["st", "t", "qt", "uasm", "gtp"])
+    def test_each_row_enumerates_objects_its_check_accepts(self, name):
+        from symptok.cli import FAMILIES
+        family = FAMILIES[name]
+        objects = list(family.enumerate((2, 1), 2))
+        assert objects
+        for obj in objects:
+            assert type(obj) is family.kind and family.check(obj) == (True, []), obj

@@ -301,9 +301,9 @@ class TestInputChecks:
             with pytest.raises(InvalidRankError):
                 call()
 
-    @pytest.mark.parametrize("mode", ["bogus", None, 1])
+    @pytest.mark.parametrize("mode", ["bogus", None, 1, "SYMBOLIC", "Modular"])
     def test_unknown_mode_is_rejected(self, mode):
-        # a mode that is not a string ended in AttributeError from mode.lower()
+        # every caller spells the mode in lower case, so no other spelling runs
         with pytest.raises(ValueError, match="unknown mode"):
             verify("THM_ST", (), 1, mode=mode)
 

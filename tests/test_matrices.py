@@ -1,8 +1,11 @@
+import dataclasses
+
 import pytest
 
 import golden as G
 from oracles import brute_force_uasm
 from symptok.matrices import (
+    CompassPointMatrix,
     DimensionMismatchError,
     GTShapeError,
     SympGTPattern,
@@ -18,8 +21,8 @@ from symptok.matrices import (
 )
 from symptok.tableaux import enumerate_st
 
-A1 = UTurnASM(1, ((1,), (0,)))
-A2 = UTurnASM(1, ((0,), (1,)))
+A1 = UTurnASM(((1,), (0,)))
+A2 = UTurnASM(((0,), (1,)))
 
 
 class TestValidateUASM:
@@ -31,20 +34,33 @@ class TestValidateUASM:
         assert validate_uasm(A2, (1,))[0]
 
     def test_column_sum_two_rejected(self):
-        ok, bad = validate_uasm(UTurnASM(1, ((1,), (1,))), (1,))
+        ok, bad = validate_uasm(UTurnASM(((1,), (1,))), (1,))
         assert not ok
         assert any("UA4" in v for v in bad)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            validate_uasm(UTurnASM(1, ((1, 0), (0, 0))), (1,))
+            validate_uasm(UTurnASM(((1, 0), (0, 0))), (1,))
+
+    @pytest.mark.parametrize("entries", [
+        ((1,), (0,), (0,)),
+        ((1, 0), (-1, 1), (1, 0), (0, 0), (0, 0)),
+        ((1,),),
+        (),
+    ])
+    def test_rows_that_fix_no_rank_are_refused(self, entries):
+        # the rank is half the row count, so an odd count or fewer than two
+        # rows is no matrix, with or without lambda
+        for lam in (None, (1,)):
+            with pytest.raises(DimensionMismatchError):
+                validate_uasm(UTurnASM(entries), lam)
 
     def test_lambda_read_off_the_columns(self):
         assert validate_uasm(G.A) == (True, [])
         assert validate_uasm(A1)[0] and validate_uasm(A2)[0]
-        assert validate_uasm(UTurnASM(1, ((1, 0), (0, 0)))) == (
+        assert validate_uasm(UTurnASM(((1, 0), (0, 0)))) == (
             False, ["UA5: the last column, 2, sums to 0, not 1"])
-        assert validate_uasm(UTurnASM(1, ((1, 0), (0, 1)))) == (
+        assert validate_uasm(UTurnASM(((1, 0), (0, 1)))) == (
             False, ["UA4': rows 1 and 1' sum to 2, not 1",
                     "UA5: 2 columns sum to 1, not n=1"])
 
@@ -84,11 +100,11 @@ class TestCumulativeSums:
         assert col_cumsum(A2) == ((0,), (1,))
 
     def test_row_arithmetic(self):
-        a = UTurnASM(1, ((1, 0, -1, 1), (0, 0, 0, 0)))
+        a = UTurnASM(((1, 0, -1, 1), (0, 0, 0, 0)))
         assert row_cumsum(a)[0] == (1, 0, 0, 1)
 
     def test_column_arithmetic(self):
-        a = UTurnASM(2, ((1,), (-1,), (1,), (0,)))
+        a = UTurnASM(((1,), (-1,), (1,), (0,)))
         assert tuple(r[0] for r in col_cumsum(a)) == (1, 0, 1, 1)
 
     def test_values_stay_binary_on_valid_matrices(self):
@@ -97,8 +113,19 @@ class TestCumulativeSums:
             col_cumsum(a)
 
 
-GT_11 = SympGTPattern(1, ((1,), (1,)))
-GT_10 = SympGTPattern(1, ((0,), (1,)))
+@pytest.mark.parametrize("cls,field,rows", [
+    (UTurnASM, "entries", ((1, 0), (-1, 1), (1, 0), (0, 0))),
+    (CompassPointMatrix, "entries", (("WE",), ("NE",))),
+    (SympGTPattern, "rows", ((1,), (2,), (3, 1), (3, 1))),
+])
+def test_rank_is_half_the_row_count(cls, field, rows):
+    # the rows are all an object holds, so no rank of its own can disagree
+    assert [f.name for f in dataclasses.fields(cls)] == [field]
+    assert cls(rows).n == len(rows) // 2
+
+
+GT_11 = SympGTPattern(((1,), (1,)))
+GT_10 = SympGTPattern(((0,), (1,)))
 
 
 class TestValidateGTP:
@@ -110,15 +137,25 @@ class TestValidateGTP:
         assert validate_gtp(GT_10)[0]
 
     def test_both_zero_rejected(self):
-        ok, bad = validate_gtp(SympGTPattern(1, ((0,), (0,))))
+        ok, bad = validate_gtp(SympGTPattern(((0,), (0,))))
         assert not ok
         assert any(v.startswith("seed") for v in bad)
 
     def test_shape_error(self):
         with pytest.raises(GTShapeError):
-            validate_gtp(SympGTPattern(2, ((1,), (1,))))
+            validate_gtp(SympGTPattern(((1,), (1,), (2, 1))))
         with pytest.raises(GTShapeError, match="rank n must be at least 1, got 0"):
-            validate_gtp(SympGTPattern(0, ()))
+            validate_gtp(SympGTPattern(()))
+
+    @pytest.mark.parametrize("rows,message", [
+        (((1,), (2,), (3, 1), (3, 1), (4, 2, 0)), "expected 4 rows, got 5"),
+        (((1,),), "rank n must be at least 1, got 0"),
+    ])
+    def test_rows_that_fix_no_rank_are_refused(self, rows, message):
+        # the rank is half the row count, so an odd count or fewer than two
+        # rows is no pattern
+        with pytest.raises(GTShapeError, match=message):
+            validate_gtp(SympGTPattern(rows))
 
 
 class TestEnumerateGTP:

@@ -1,7 +1,7 @@
 import pytest
 
 import golden as G
-from symptok.matrices import CompassPointMatrix, UTurnASM
+from symptok.matrices import CompassPointMatrix, GTShapeError, UTurnASM
 from symptok.render import InputFormatError, from_json_data, to_json_data
 
 
@@ -31,9 +31,8 @@ def test_asm_entries_must_be_integers(rows):
 
 
 def test_small_matrices_load():
-    assert from_json_data([[1, 0], [0, 1]]) == UTurnASM(1, ((1, 0), (0, 1)))
-    assert from_json_data([["SW"], ["NE"]]) == CompassPointMatrix(
-        1, (("SW",), ("NE",)))
+    assert from_json_data([[1, 0], [0, 1]]) == UTurnASM(((1, 0), (0, 1)))
+    assert from_json_data([["SW"], ["NE"]]) == CompassPointMatrix((("SW",), ("NE",)))
 
 
 @pytest.mark.parametrize("level", [0, -1, 1.0, True])
@@ -55,4 +54,15 @@ def test_tableau_letter_level_must_be_a_positive_integer(level):
 ])
 def test_pattern_n_and_entries_must_be_integers(doc):
     with pytest.raises(InputFormatError):
+        from_json_data(doc)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"n": 2, "rows": [[1], [2]]}, "expected 4 rows, got 2"),
+    ({"n": 1, "rows": [[1], [2], [3, 1], [3, 1]]}, "expected 2 rows, got 4"),
+    ({"n": 0, "rows": []}, "rank n must be at least 1, got 0"),
+])
+def test_pattern_n_must_be_half_the_row_count(doc, message):
+    # the rows fix the rank, so an "n" that disagrees with them is refused
+    with pytest.raises(GTShapeError, match=message):
         from_json_data(doc)

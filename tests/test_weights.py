@@ -100,23 +100,23 @@ class TestCompassWeights:
         assert wgt_cpm(G.A, "CPM_XY_ALT") == G.golden_weight()
 
     def test_rank_one_xy(self):
-        a = UTurnASM(1, ((1,), (0,)))
+        a = UTurnASM(((1,), (0,)))
         assert wgt_cpm(a, "CPM_XY") == X1 + Y1
         assert wgt_cpm(a, "CPM_XY_ALT") == X1 + Y1
 
     def test_rank_one_q(self):
-        a1 = UTurnASM(1, ((1,), (0,)))
-        a2 = UTurnASM(1, ((0,), (1,)))
+        a1 = UTurnASM(((1,), (0,)))
+        a2 = UTurnASM(((0,), (1,)))
         assert wgt_cpm(a1, "CPM_Q_PLAIN") == (ONE + Q) * X1
         assert wgt_cpm(a2, "CPM_Q_PLAIN") == (ONE + V(QVAR, -1)) * V(xvar(1), -1)
 
     def test_unknown_scheme(self):
         with pytest.raises(UnknownSchemeError):
-            wgt_cpm(UTurnASM(1, ((1,), (0,))), "ST_XY")
+            wgt_cpm(UTurnASM(((1,), (0,))), "ST_XY")
 
 
-GT11 = SympGTPattern(1, ((1,), (1,)))
-GT10 = SympGTPattern(1, ((0,), (1,)))
+GT11 = SympGTPattern(((1,), (1,)))
+GT10 = SympGTPattern(((0,), (1,)))
 
 
 class TestPatternWeights:
@@ -190,15 +190,15 @@ class TestLemmaCounts:
         assert top["we_bar"] + top["nw_bar"] + top["ne_bar"] == 1
 
     def test_rank_one_counts(self):
-        c = uasm_to_cpm(UTurnASM(1, ((1,), (0,))))
+        c = uasm_to_cpm(UTurnASM(((1,), (0,))))
         row = lemma_counts(c)[0]
         assert row["we_bar"] + row["nw_bar"] + row["ne_bar"] == 1
-        c = uasm_to_cpm(UTurnASM(1, ((0,), (1,))))
+        c = uasm_to_cpm(UTurnASM(((0,), (1,))))
         assert lemma_counts(c)[0]["we_bar"] == 1
 
     def test_violation_detected(self):
         from symptok.matrices import CompassPointMatrix
-        fake = CompassPointMatrix(1, (("NS",), ("WE",)))
+        fake = CompassPointMatrix((("NS",), ("WE",)))
         with pytest.raises(LemmaViolationError):
             lemma_counts(fake)
 
