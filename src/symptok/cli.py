@@ -164,23 +164,14 @@ def _cmd_weight(args) -> int:
         return _fail(f"scheme {scheme} expects a {family} object")
     if args.annotate and family != "st":
         return _fail("--annotate applies to the ST_XY and ST_Q schemes only")
-    identities.check_conventions(scheme, f"scheme {scheme}", c0_mode=args.c0,
-                                 st_q_neighbour=args.neighbour)
-    if scheme == "T_DEFORMED":
-        poly = weights.wgt_t(obj, deformed=True)
-    elif scheme == "QT_DEFORMED":
-        poly = weights.wgt_qt(obj, deformed=True)
-    elif scheme == "ST_XY":
-        poly = weights.wgt_st(obj)
-    elif scheme == "ST_Q":
-        poly = weights.wgt_st_q(obj, args.neighbour)
-    elif family == "uasm":
-        poly = weights.wgt_cpm(obj, scheme, args.c0)
-    elif scheme == "GT_QX":
+    weights.check_conventions(scheme, f"scheme {scheme}", c0_mode=args.c0,
+                              st_q_neighbour=args.neighbour)
+    if scheme == "GT_QX":
         print(weights.qx_weight_factored(obj))
         return 0
-    else:
-        poly = weights.wgt_gtp(obj, scheme)
+    # a primed tableau is one priming, which the summed QT_DEFORMED path does not see
+    poly = (weights.wgt_qt(obj, deformed=True) if scheme == "QT_DEFORMED"
+            else weights.path_weight(obj, scheme, args.neighbour, args.c0))
     print(poly.to_text())
     if args.annotate:
         print(_annotated(obj, scheme, args.neighbour))
@@ -228,8 +219,8 @@ def _cmd_render(args) -> int:
 
 
 def _add_weight_knobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c0", choices=identities.CONVENTIONS["c0_mode"], default="full")
-    p.add_argument("--neighbour", choices=identities.CONVENTIONS["st_q_neighbour"],
+    p.add_argument("--c0", choices=weights.CONVENTIONS["c0_mode"], default="full")
+    p.add_argument("--neighbour", choices=weights.CONVENTIONS["st_q_neighbour"],
                    default="below")
 
 
@@ -238,7 +229,7 @@ def _add_verify_knobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--prime", type=int, default=MERSENNE31)
-    p.add_argument("--cpm-q-scheme", choices=identities.CONVENTIONS["cpm_q_scheme"],
+    p.add_argument("--cpm-q-scheme", choices=weights.CONVENTIONS["cpm_q_scheme"],
                    default="plain")
     _add_weight_knobs(p)
     p.add_argument("--no-timing", action="store_true",

@@ -23,18 +23,12 @@ field (MODULAR).  One engine serves both modes; the mode only picks the
 value type that each local factor of weights.factor_table is lifted to: the
 LaurentPoly itself, or an algebra.Residues holding its values at the points.
 Every left side, and sp_mu on the right, goes through one letter-step
-transfer.  The cells of a tableau with letter <= c form a shape, so a
-tableau is a path of shapes, one strip per letter; paths that reach the same
-shape are merged into one entry.  The same shapes are the rows of a GT
-pattern and the column sums of a U-turn ASM after each alphabet row, so one
-walk serves every family, and three families of step callbacks name the
-local factors of a step from the shapes before and after it: letters of an
-ordinary tableau, cell cases of a shifted one, and the saturation marks or
-compass codes of the pattern or matrix row that the step builds.  No object
-is enumerated.
-
-The per-object weights of the weights module serve the tests as the
-reference; all but wgt_t and wgt_qt multiply the same table entries.
+transfer: every object of every family is a path of shapes, one strip per
+letter, and the transfer sums the products of the weights module's step
+callbacks over all paths, merging paths that reach the same shape.  No
+object is enumerated.  weights.path_weight multiplies the same callbacks
+along one object's path, and the tests check both against per-object
+weights of their own (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -71,11 +65,11 @@ from .shapes import (  # InvalidRankError is re-exported for the callers of veri
     add_staircase,
     as_partition,
     as_rank,
-    letter,
     letter_level,
     partitions_up_to,
 )
-from .weights import UnknownConventionError
+# the convention errors are re-exported for the callers of verify
+from .weights import UnknownConventionError, UnusedConventionError, check_conventions
 
 
 @dataclass(frozen=True)
@@ -137,11 +131,6 @@ class ModularParameterError(ValueError):
     """Trials or a modulus under which a modular verdict would not be earned."""
 
 
-class UnusedConventionError(ValueError):
-    """A convention knob set away from its default for a weighing that never
-    reads it, where the output would not show that it did nothing."""
-
-
 class InvalidWeightError(ValueError):
     """A sweep bound max_weight below 0, where no shape mu is left to check."""
 
@@ -158,29 +147,6 @@ FALLBACK_OBJECT_CAP = 10 ** 6
 #: follows the shapes the transfer walks, and modular mode has no limit.
 SYMBOLIC_OBJECT_CAP = 10 ** 6
 
-#: The accepted names of each convention knob, the default first.
-CONVENTIONS = {
-    "cpm_q_scheme": ("plain", "norm"),
-    "c0_mode": ("full", "literal"),
-    "st_q_neighbour": ("below", "above"),
-}
-
-
-def check_conventions(scheme: str, reader: str, **given: str) -> None:
-    """Refuse the convention knobs given for a weighing under scheme: an
-    unknown name raises UnknownConventionError, and a knob set away from its
-    default that scheme never reads (weights.SCHEMES) raises
-    UnusedConventionError naming reader.  verify and the CLI's weight command
-    share this rule."""
-    for name, value in given.items():
-        if value not in CONVENTIONS[name]:
-            raise UnknownConventionError(f"unknown {name} {value!r}")
-    reads = weights.SCHEMES[scheme].reads
-    for name, value in given.items():
-        if value != CONVENTIONS[name][0] and name not in reads:
-            raise UnusedConventionError(f"{name} {value!r} is not read by {reader}")
-
-
 # -- character sums and product sides -----------------------------------------
 
 
@@ -193,7 +159,8 @@ def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     """Sum of wgt_t over all rank-n tableaux of shape mu."""
     n = as_rank(n)
     scheme = "T_DEFORMED" if deformed else "T"
-    return _transfer(mu, n, weights.factor_table(scheme, n), _exact, _letter_cells)[0]
+    return _transfer(mu, n, weights.factor_table(scheme, n), _exact,
+                     weights._letter_cells)[0]
 
 
 def _xy_factors(n: int, deformed: bool = False, y=weights._y) -> List[LaurentPoly]:
@@ -240,7 +207,8 @@ def _right_side(identity: str, mu, n: int, lift: Lift):
     """sp_mu times the rhs_factors, in the value type of lift."""
     factors = rhs_factors(identity, n)
     scheme = "T_DEFORMED" if IDENTITY_ROWS[identity].keeps_t else "T"
-    out = _transfer(mu, n, weights.factor_table(scheme, n), lift, _letter_cells)[0]
+    out = _transfer(mu, n, weights.factor_table(scheme, n), lift,
+                    weights._letter_cells)[0]
     for f in factors:
         out = out * lift(f)
     return out
@@ -268,16 +236,10 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
 
 def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
                st_q_neighbour: str, lift: Lift):
-    """The left side in the value type of lift, and its object count.  The
-    step callback follows the family that scheme weighs."""
+    """The left side in the value type of lift, and its object count, under
+    the step callback of the family that scheme weighs."""
     table = weights.factor_table(scheme, n)
-    family = weights.SCHEMES[scheme].family
-    if family == "uasm":
-        cells = _compass_cells(lam[0], table)
-    elif family == "gtp":
-        cells = _pattern_cells(table)
-    else:  # "st" and "qt": shifted tableaux, primed ones summed cell by cell
-        cells = _shifted_cells(st_q_neighbour)
+    cells = weights._step_cells(scheme, table, lam[0], st_q_neighbour)
     total, count, primed = _transfer(lam, n, table, lift, cells)
     if scheme == "CPM_Q_NORM":
         total = total * lift(weights.cpm_q_norm_prefactor(n, c0_mode))
@@ -297,17 +259,14 @@ def _transfer(lam, n: int, table: Mapping, lift: Lift, cells):
     (from 0) holds no letter below level i + 1 (T3, ST4), and a cell of
     letter c needs a smaller letter at its offset in row i - 1 (directly
     above it by T2, up-left on its diagonal by ST3), so step c takes S to
-    the T with S_i <= T_i <= min(lam_i, S_(i-1)).  cells(c, S, T) gives the
-    step's (id, power) pairs and its count of free cells, or None where the
-    family forbids T.  Three families of callbacks share the walk:
-    _letter_cells (ordinary tableaux, for sp_mu), _shifted_cells (shifted
-    tableaux) and, through the bijections, the families that the shifted
-    paths index: S_c is GT pattern row c (_pattern_cells) and the column
-    sums of a U-turn ASM after alphabet row c (_compass_cells).  Each level
-    maps a shape to the summed product, count and primed count of its
-    paths.  No two cells of one letter share an offset, so a shape that
-    leaves some offset more cells than there are letters left is dropped.
-    Each distinct step's product is computed once.
+    the T with S_i <= T_i <= min(lam_i, S_(i-1)).  cells(c, S, T), one of
+    the weights module's step callbacks, gives the step's (id, power) pairs
+    and its count of free cells, or None where the family forbids T; S_c is
+    also GT pattern row c and the column sums of a U-turn ASM after
+    alphabet row c.  Each level maps a shape to the summed product, count
+    and primed count of its paths.  No two cells of one letter share an
+    offset, so a shape that leaves some offset more cells than there are
+    letters left is dropped.  Each distinct step's product is computed once.
     """
     lam = as_partition(lam)
     if len(lam) > n:
@@ -342,115 +301,6 @@ def _transfer(lam, n: int, table: Mapping, lift: Lift, cells):
                           (old[0] + value_t, old[1] + count, old[2] + primed_t))
         level = nxt
     return level.get(lam, (lift(ZERO), 0, 0))
-
-
-def _letter_cells(c: int, S, T):
-    """Ordinary tableaux: every strip is allowed, and each new cell carries
-    its letter."""
-    grown = sum(T) - sum(S)
-    return ((c, grown),) if grown else (), 0
-
-
-def _shifted_step(c: int, T) -> bool:
-    """Whether a shifted tableau may reach T with letter c: T is strict and
-    row i holds a cell by the barred letter of level i + 1 (ST4)."""
-    return not (any(b and b >= a for a, b in zip(T, T[1:])) or any(
-        not t and c >= letter(i + 1, True) for i, t in enumerate(T)))
-
-
-def _shifted_cells(neighbour: str):
-    """Shifted tableaux (steps as _shifted_step).  A new cell whose left
-    neighbour is new too is "left".  A row's first new cell, at offset s,
-    takes the neighbour case when the cell below it (offset s - 1 of the
-    next row) or, in the "above" reading, above it (offset s + 1 of the
-    previous row) is new too, and is "free" otherwise."""
-    def cells(c: int, S, T):
-        if not _shifted_step(c, T):
-            return None
-        Sp, Tp = (0,) + S + (0,), (0,) + T + (0,)
-        lefts = nears = frees = 0
-        for i in range(1, len(Sp) - 1):
-            s = Sp[i]
-            if Tp[i] > s:
-                lefts += Tp[i] - s - 1
-                if (Sp[i + 1] <= s - 1 < Tp[i + 1] if neighbour == "below"
-                        else Sp[i - 1] <= s + 1 < Tp[i - 1]):
-                    nears += 1
-                else:
-                    frees += 1
-        counts = (((c, "left"), lefts), ((c, neighbour), nears), ((c, "free"), frees))
-        return tuple((fid, e) for fid, e in counts if e), frees
-    return cells
-
-
-def _pattern_cells(table: Mapping, narrow_le: bool = False):
-    """Strict GT patterns.  S_c is pattern row c: m(k, j) = S_(2k-1)[j-1]
-    and mb(k, j) = S_(2k)[j-1] (the bijections' dictionary), so the steps
-    are the shifted ones, and step c at level k marks the unbarred ("u",
-    odd c) or barred ("b", even c) positions of level k from the triples
-    (T[j-1], S[j-1], T[j]), j < k; the diagonal is B when T[k-1] > S[k-1]
-    (S[k-1] = mb(k-1, k) = 0 on odd steps).  Its x part is x_k^(|T|-|S|) on
-    odd steps and x_k^(|S|-|T|) on even ones.  Under GT_QX a step counts
-    ("B",) per B mark off the diagonal, plus the joint diagonal on even
-    steps, and ("q",) per R mark on odd steps and L mark on even ones;
-    narrow_le leaves the diagonal L out (the rejected set-builder L_e)."""
-    statistics = ("q",) in table
-
-    def cells(c: int, S, T):
-        if not _shifted_step(c, T):
-            return None
-        k, odd = letter_level(c), c % 2
-        marks = {"B": 0, "L": 0, "R": 0}
-        for j in range(k - 1):
-            marks["L" if T[j] == S[j] else "R" if S[j] == T[j + 1] else "B"] += 1
-        diagonal = "B" if T[k - 1] > S[k - 1] else "L"
-        grown = sum(T) - sum(S)
-        ids = [(("x", k, 1 if odd else -1), grown)] if grown else []
-        if statistics:
-            b = marks["B"] + (not odd and S[k - 1] > 0 and diagonal == "B")
-            q = marks["R"] if odd else marks["L"] + (diagonal == "L" and not narrow_le)
-            ids += [(fid, e) for fid, e in ((("B",), b), (("q",), q)) if e]
-        else:
-            marks[diagonal] += 1
-            side = "u" if odd else "b"
-            ids += [((side, mark, k), e) for mark, e in marks.items()
-                    if e and (side, mark, k) in table]
-        return tuple(ids), 0
-    return cells
-
-
-def _compass_cells(width: int, table: Mapping):
-    """U-turn ASMs of width columns through their compass codes.  Column v
-    has summed to 1 after alphabet row c exactly when v is a part of S_c
-    (uasm_to_gtp), so the steps are the shifted ones and row c is the 0/1
-    column vector of T minus that of S: +1 is WE, -1 is NS, and a 0 takes
-    its code from the sign of its nearest nonzero above (+1 when its column
-    is marked in S) and to its right (+1 when the row sums to 1 right of
-    it).  The ids are the (code, c) in the table, plus (TURN, c) when the
-    table has it and the row's first entry starts a strip."""
-    # only the U-turn families read the recoding, so importing this module
-    # does not load the bijections
-    from .bijections import _ZERO_CODES
-
-    def cells(c: int, S, T):
-        if not _shifted_step(c, T):
-            return None
-        before, after = set(S), set(T)
-        counts: Dict[str, int] = {}
-        east = 0
-        for v in range(width, 0, -1):
-            d = (v in after) - (v in before)
-            if d:
-                code = "WE" if d > 0 else "NS"
-            else:
-                code = _ZERO_CODES[(1 if v in before else -1, 1 if east else -1)]
-            counts[code] = counts.get(code, 0) + 1
-            east += d
-        ids = sorted(((code, c), e) for code, e in counts.items() if (code, c) in table)
-        if code in weights._TURN_START and (weights._TURN, c) in table:
-            ids.append(((weights._TURN, c), 1))
-        return tuple(ids), 0
-    return cells
 
 
 # -- reports --------------------------------------------------------------------
@@ -740,6 +590,7 @@ def _le_setbuilder_sweep(n: int, max_weight: int) -> dict:
     cases = []
     for mu in _sweep_shapes(max_weight, n):
         lam = add_staircase(mu, n)
-        lhs = _transfer(lam, n, table, _exact, _pattern_cells(table, narrow_le=True))[0]
+        lhs = _transfer(lam, n, table, _exact,
+                        weights._pattern_cells(table, narrow_le=True))[0]
         cases.append((mu, lhs == rhs_product("COR_GT_QX", mu, n)))
     return _finding(cases)

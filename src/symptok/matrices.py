@@ -118,6 +118,8 @@ def validate_uasm(a: UTurnASM, lam=None) -> Tuple[bool, List[str]]:
     one) is reported as UA5 problems, after the rules it breaks.
     """
     n = a.n
+    if n < 1:
+        raise DimensionMismatchError(f"a U-turn ASM has 2n >= 2 rows, got {len(a.entries)}")
     if lam is not None:
         lam = as_strict_partition(lam)
         if len(lam) != n:
@@ -202,25 +204,22 @@ def _check_zero_one(rows, which: str) -> None:
 # -- GT pattern validation and enumeration -------------------------------------
 
 
-def _check_gtp_rank(n: int, rows) -> None:
-    """Refuse a rank below 1, or rows that are not 2n of them."""
+def _check_gtp_rows(n: int, rows) -> None:
+    """Refuse a rank below 1, rows that are not 2n of them, or a level k
+    whose two rows do not hold k entries each.  For a pattern, n is half the
+    row count, so this refuses an odd count or fewer than two."""
     if n < 1:
         raise GTShapeError(f"GT pattern rank n must be at least 1, got {n}")
     if len(rows) != 2 * n:
         raise GTShapeError(f"expected {2 * n} rows, got {len(rows)}")
-
-
-def _check_gtp_shape(g: SympGTPattern) -> None:
-    # n is half the row count, so this refuses an odd count or fewer than two
-    _check_gtp_rank(g.n, g.rows)
-    for k in range(1, g.n + 1):
-        if len(g.rows[2 * k - 2]) != k or len(g.rows[2 * k - 1]) != k:
+    for k in range(1, n + 1):
+        if len(rows[2 * k - 2]) != k or len(rows[2 * k - 1]) != k:
             raise GTShapeError(f"rows for level {k} do not have length {k}")
 
 
 def validate_gtp(g: SympGTPattern) -> Tuple[bool, List[str]]:
     """Check betweenness, strictness, nonnegativity, and the seed rule."""
-    _check_gtp_shape(g)
+    _check_gtp_rows(g.n, g.rows)
     bad: List[str] = []
     if any(v < 0 for row in g.rows for v in row):
         bad.append("entries: negative value")

@@ -18,7 +18,7 @@ import json
 from typing import List, Tuple, Union
 
 from .matrices import (CPM_CODES, CompassPointMatrix, SympGTPattern, UTurnASM,
-                       _check_gtp_rank)
+                       _check_gtp_rows)
 from .shapes import letter, letter_barred, letter_level, letter_str
 from .tableaux import PrimedShiftedTableau, ShiftedTableau, SymplecticTableau
 
@@ -131,7 +131,8 @@ def from_json_data(data) -> AnyObject:
                 raise InputFormatError("pattern rows must be an array of arrays")
             if any(type(v) is not int for v in [data["n"], *(v for r in rows for v in r)]):
                 raise InputFormatError("pattern n and entries must be integers")
-            _check_gtp_rank(data["n"], rows)  # the rows fix the rank; "n" must agree
+            # the rows fix the rank, so "n" must agree, and each level its lengths
+            _check_gtp_rows(data["n"], rows)
             return SympGTPattern(tuple(tuple(r) for r in rows))
     raise InputFormatError("unrecognised object layout")
 

@@ -1,4 +1,4 @@
-"""Weight functions for tableaux, U-turn ASMs (via compass codes), and
+"""Weighing schemes for tableaux, U-turn ASMs (via compass codes), and
 Gelfand-Tsetlin patterns, all producing exact Laurent polynomials.
 
 Scheme ids (the CLI speaks these names):
@@ -16,28 +16,37 @@ Scheme ids (the CLI speaks these names):
   GT_Q         GT_XY specialised along y_k = q x_k
   GT_QX        the statistics form (1+q)^B q^(Ro+Le) x^xwgt
 
-The two q-weighting ambiguities keep switchable variants: wgt_st_q takes the
+The two q-weighting ambiguities keep switchable variants: ST_Q takes the
 neighbour convention ("below" is the specialisation-consistent default,
-"above" the rejected alternative) and wgt_cpm takes the CPM_Q_NORM prefactor
-mode ("full" default, "literal" the rejected (1+q)/q^(n(n+1)/2)).
+"above" the rejected alternative) and CPM_Q_NORM the prefactor mode ("full"
+default, "literal" the rejected (1+q)/q^(n(n+1)/2)).
 
-Every scheme is a product of local factors kept in factor_table (end of
-module): T_DEFORMED and T (its t = 1 form, the weight of sp_mu) per letter,
-ST_XY, QT_DEFORMED (the primed sum of primed_weight_sum) and ST_Q per
-(letter, neighbour case), and the CPM and GT schemes as listed there.  The
-xy builders make ST_Q, CPM_Q_PLAIN and GT_Q along y_k = q x_k; CPM_Q_NORM
-and GT_QX, which are no such specialisation, are written by hand.  The
-per-object weights multiply the entries, except wgt_t and wgt_qt, which sum
-the exponents of one monomial; the engine lifts the same entries to
-polynomials or to values at sample points.
+Every scheme is a product of local factors kept in factor_table: T_DEFORMED
+and T (its t = 1 form, the weight of sp_mu) per letter, ST_XY, QT_DEFORMED
+(the sum over the primings) and ST_Q per (letter, neighbour case), and the
+CPM and GT schemes as listed there.  The xy builders make ST_Q, CPM_Q_PLAIN
+and GT_Q along y_k = q x_k; CPM_Q_NORM and GT_QX, which are no such
+specialisation, are written by hand.
+
+Which factors an object takes is written once, as step callbacks.  The
+cells of a tableau with letter <= c form a shape S_c, so a tableau is a path
+S_0 -> ... -> S_2n of shapes, which are also the rows of a GT pattern and
+the column sums of a U-turn ASM after each alphabet row.  A callback names
+the factors of one step from the shapes before and after it.  The engine
+(identities._transfer) sums their products over all paths, and path_weight
+multiplies them along one object's path.  Only wgt_qt weighs cell by cell:
+it weighs one priming, which the summed QT_DEFORMED factors do not see.  The
+tests' per-object weights (tests/oracles.py) share only factor_table with
+the callbacks, as the independent check of both.
 
 SCHEMES holds one row per scheme the CLI speaks: the object family it weighs
 and the convention knobs it reads.  Adding a scheme is one row there, with
-its factors in factor_table.
+its factors in factor_table and its family's callback in _step_cells.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -47,22 +56,31 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from .algebra import ONE, QVAR, TVAR, LaurentPoly, xvar, yvar
 from .matrices import (
     CPM_CODES,
-    CompassPointMatrix,
     SympGTPattern,
     UTurnASM,
-    classify_blr,
+    _check_gtp_rows,
+    col_cumsum,
 )
-from .shapes import as_rank, letter_level
+from .shapes import as_rank, letter, letter_level
 from .tableaux import (
     PrimedShiftedTableau,
     ShiftedTableau,
     SymplecticTableau,
     UnknownConventionError,
-    cell_cases,
 )
 
 class UnknownSchemeError(ValueError):
-    pass
+    """A scheme id that no row names, or one that weighs another family."""
+
+
+class ForbiddenPathError(ValueError):
+    """An object whose rows give no path of its family: rows that the path
+    does not read back, or a step that the family forbids."""
+
+
+class UnusedConventionError(ValueError):
+    """A convention knob set away from its default for a weighing that never
+    reads it, where the output would not show that it did nothing."""
 
 
 @dataclass(frozen=True)
@@ -90,6 +108,37 @@ SCHEMES = {
 }
 
 CPM_SCHEMES = tuple(name for name, row in SCHEMES.items() if row.family == "uasm")
+
+#: The accepted names of each convention knob, the default first.
+CONVENTIONS = {
+    "cpm_q_scheme": ("plain", "norm"),
+    "c0_mode": ("full", "literal"),
+    "st_q_neighbour": ("below", "above"),
+}
+
+
+def _row(scheme: str) -> Scheme:
+    """The SCHEMES row of scheme; T, the weighting of sp_mu's tableaux, is
+    T_DEFORMED at t = 1 and no CLI scheme."""
+    row = SCHEMES.get("T_DEFORMED" if scheme == "T" else scheme)
+    if row is None:
+        raise UnknownSchemeError(scheme)
+    return row
+
+
+def check_conventions(scheme: str, reader: str, **given: str) -> None:
+    """Refuse the convention knobs given for a weighing under scheme: an
+    unknown name raises UnknownConventionError, and a knob set away from its
+    default that scheme never reads (SCHEMES) raises UnusedConventionError
+    naming reader.  verify, path_weight and the CLI's weight command share
+    this rule."""
+    for name, value in given.items():
+        if value not in CONVENTIONS[name]:
+            raise UnknownConventionError(f"unknown {name} {value!r}")
+    reads = _row(scheme).reads
+    for name, value in given.items():
+        if value != CONVENTIONS[name][0] and name not in reads:
+            raise UnusedConventionError(f"{name} {value!r} is not read by {reader}")
 
 
 def _x(k: int, e: int = 1) -> LaurentPoly:
@@ -121,16 +170,12 @@ def _letter_rank(rows: Iterable[Iterable[int]]) -> int:
     return letter_level(max((code for row in rows for code in row), default=1))
 
 
-def _cell_monomial(cells: Iterable[Tuple[int, bool]], deformed: bool) -> LaurentPoly:
-    """The product of the (code, primed) cells' factors k, k', kbar, kbar'
-    -> x_k, y_k, t^2/x_k, t^2/y_k (t = 1 if undeformed).
-
-    The exponents are summed into one monomial, without factor_table, so
-    that the engine's sums are checked against an independent reference and
-    a cell of a high letter costs no table of its whole rank.
-    """
+def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
+    """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k
+    (t = 1 if undeformed), summed into one monomial without factor_table, so
+    that a cell of a high letter costs no table of its whole rank."""
     exps = Counter()
-    for code, primed in cells:
+    for _, _, code, primed in qt.cells():
         v = (yvar if primed else xvar)(letter_level(code))
         if code % 2:
             exps[v] += 1
@@ -141,15 +186,10 @@ def _cell_monomial(cells: Iterable[Tuple[int, bool]], deformed: bool) -> Laurent
     return LaurentPoly.monomial(exps)
 
 
-def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
-    """Product over cells: k -> x_k, kbar -> t^2 x_k^-1 (t = 1 if undeformed)."""
-    return _cell_monomial(((code, False) for _, _, code in t.cells()), deformed)
-
-
-def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
-    """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k."""
-    return _cell_monomial(((code, primed) for _, _, code, primed in qt.cells()),
-                          deformed)
+def _letter_factor(scheme: str, code: int) -> LaurentPoly:
+    """T's k -> x_k and kbar -> 1/x_k, kbar times t^2 under T_DEFORMED."""
+    t2 = _t2() if scheme == "T_DEFORMED" and not code % 2 else ONE
+    return t2 * _x(letter_level(code), 1 if code % 2 else -1)
 
 
 def _st_case_factor_xy(code: int, case: str, y=_y) -> LaurentPoly:
@@ -160,33 +200,6 @@ def _st_case_factor_xy(code: int, case: str, y=_y) -> LaurentPoly:
     if case in ("below", "above"):
         return y(k, e)
     return _x(k, e) + y(k, e)
-
-
-def wgt_st(st: ShiftedTableau) -> LaurentPoly:
-    """Three-case rule: equal-left keeps x, equal-below keeps y, free cells
-    take x + y; barred letters use the inverted variables."""
-    return _product(factor_table("ST_XY", _letter_rank(st.rows)), cell_cases(st))
-
-
-def primed_weight_sum(st: ShiftedTableau, deformed: bool = False) -> LaurentPoly:
-    """Sum of wgt_qt over all primings of st, computed cell by cell.
-
-    A free cell contributes x + y (times t^2 when barred and deformed);
-    forced cells contribute their single weight.  Equals wgt_st at t = 1.
-    """
-    scheme = "QT_DEFORMED" if deformed else "ST_XY"
-    return _product(factor_table(scheme, _letter_rank(st.rows)), cell_cases(st))
-
-
-def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
-    """The y_k = q x_k specialisation of wgt_st.
-
-    neighbour="below" matches the substitution cell for cell; "above" is the
-    alternative reading (the doubled factor moves to the lower cell of each
-    vertical pair) kept only so reports can evaluate it.
-    """
-    return _product(factor_table("ST_Q", _letter_rank(st.rows)),
-                    cell_cases(st, neighbour))
 
 
 # -- compass-point weights ------------------------------------------------------
@@ -221,29 +234,6 @@ def cpm_q_norm_prefactor(n: int, c0_mode: str = "full") -> LaurentPoly:
     return (ONE + _q()) ** exponent * _q(-(n * (n + 1)) // 2)
 
 
-def cpm_factor_ids(c: CompassPointMatrix, scheme: str) -> List[Tuple[str, int]]:
-    """(code, row) of every entry whose factor is not 1, plus (TURN, row) for
-    each row that starts a strip when the scheme has that term."""
-    table = factor_table(scheme, c.n)
-    ids: List[Tuple[str, int]] = []
-    for i, row in enumerate(c.entries, start=1):
-        ids += [fid for code in row if (fid := (code, i)) in table]
-        if row[0] in _TURN_START and (_TURN, i) in table:
-            ids.append((_TURN, i))
-    return ids
-
-
-def wgt_cpm(a: UTurnASM, scheme: str, c0_mode: str = "full") -> LaurentPoly:
-    """Weight of a U-turn ASM through its compass-point recoding."""
-    from .bijections import uasm_to_cpm
-
-    if scheme not in CPM_SCHEMES:
-        raise UnknownSchemeError(scheme)
-    out = cpm_q_norm_prefactor(a.n, c0_mode) if scheme == "CPM_Q_NORM" else ONE
-    ids = cpm_factor_ids(uasm_to_cpm(a), scheme)
-    return out * _product(factor_table(scheme, a.n), ids)
-
-
 # -- pattern weights --------------------------------------------------------------
 
 
@@ -253,93 +243,15 @@ def _gt_mark_factor(side: str, mark: str, k: int, y=_y) -> LaurentPoly:
     return {"B": _x(k, e) + y(k, e), "L": _x(k, e), "R": y(k, e)}[mark]
 
 
-def _x_exponents(g: SympGTPattern) -> Dict[int, int]:
-    """Net x_k exponent per level: sum_j (2 m(k,j) - mb(k,j) - mb(k-1,j))."""
-    return {
-        k: sum(2 * g.m(k, j) - g.mb(k, j) - g.mb(k - 1, j) for j in range(1, k + 1))
-        for k in range(1, g.n + 1)
-    }
-
-
-def gt_factor_ids(g: SympGTPattern, scheme: str) -> List[tuple]:
-    """|e| unit ids ("x", k, sign of e) per level, then the mark ids
-    (side, mark, k) of every position (GT_XY, GT_Q), or B ids for 1+q and
-    Ro+Le ids for q (GT_QX)."""
-    table = factor_table(scheme, g.n)
-    if scheme == "GT_QX":
-        s = gt_statistics(g)
-        exps = s.x_exponents
-        marks_ids = [("B",)] * s.b + [("q",)] * (s.r_odd + s.l_even)
-    else:
-        marks = classify_blr(g)
-        exps = _x_exponents(g)
-        marks_ids = [
-            fid for (k, j), u in marks.unbarred.items()
-            for fid in (("u", u, k), ("b", marks.barred[(k, j)], k)) if fid in table
-        ]
-    ids: List[tuple] = []
-    for k, e in exps.items():
-        ids += [("x", k, 1 if e > 0 else -1)] * abs(e)
-    return ids + marks_ids
-
-
-def wgt_gtp(g: SympGTPattern, scheme: str) -> LaurentPoly:
-    """Saturation-mark weighting of a pattern (xy or q-specialised form)."""
-    if scheme not in ("GT_XY", "GT_Q"):
-        raise UnknownSchemeError(scheme)
-    return _product(factor_table(scheme, g.n), gt_factor_ids(g, scheme))
-
-
-@dataclass(frozen=True)
-class GTStatistics:
-    """The counting statistics of a pattern and its x-exponent vector."""
-
-    b: int
-    r_odd: int
-    l_even: int
-    x_exponents: Dict[int, int]
-
-
-def gt_statistics(g: SympGTPattern) -> GTStatistics:
-    """B counts doubly-strict positions (diagonal pairs jointly), R_o counts
-    unbarred right-saturations, L_e barred left-saturations; exponents are
-    sum_j (2 m(k,j) - mb(k,j) - mb(k-1,j)) per level."""
-    marks = classify_blr(g)
-    b = r_odd = l_even = 0
-    for k in range(1, g.n + 1):
-        for j in range(1, k):
-            b += (marks.unbarred[(k, j)] == "B") + (marks.barred[(k, j)] == "B")
-        b += (marks.unbarred[(k, k)] == "B") and (marks.barred[(k, k)] == "B")
-        for j in range(1, k + 1):
-            r_odd += marks.unbarred[(k, j)] == "R"
-            l_even += marks.barred[(k, j)] == "L"
-    return GTStatistics(b, r_odd, l_even, _x_exponents(g))
-
-
-def qx_weight(g: SympGTPattern) -> LaurentPoly:
-    """(1+q)^B q^(Ro+Le) x^xwgt as an expanded polynomial."""
-    return _product(factor_table("GT_QX", g.n), gt_factor_ids(g, "GT_QX"))
-
-
 def qx_weight_factored(g: SympGTPattern) -> str:
-    """Display form like ``(1+q)^7 * q^7 * x2 * x4^-4``."""
-    s = gt_statistics(g)
-    parts: List[str] = []
-    if s.b == 1:
-        parts.append("(1+q)")
-    elif s.b > 1:
-        parts.append(f"(1+q)^{s.b}")
-    e = s.r_odd + s.l_even
-    if e == 1:
-        parts.append("q")
-    elif e > 1:
-        parts.append(f"q^{e}")
-    for k in sorted(s.x_exponents):
-        exp = s.x_exponents[k]
-        if exp == 1:
-            parts.append(f"x{k}")
-        elif exp:
-            parts.append(f"x{k}^{exp}")
+    """GT_QX's display form like ``(1+q)^7 * q^7 * x2 * x4^-4``: B, Ro+Le
+    and the x exponents are the counts of its ids along g's path."""
+    counts = Counter()
+    for fid, e in _path_ids(g, "GT_QX")[2]:
+        counts[fid] += e
+    powers = [("(1+q)", counts[("B",)]), ("q", counts[("q",)])] + [
+        (f"x{k}", counts[("x", k, 1)] - counts[("x", k, -1)]) for k in range(1, g.n + 1)]
+    parts = [base if e == 1 else f"{base}^{e}" for base, e in powers if e]
     return " * ".join(parts) if parts else "1"
 
 
@@ -347,9 +259,7 @@ def qx_weight_factored(g: SympGTPattern) -> str:
 #
 # Every scheme weighs an object by a product of local factors.
 # factor_table(scheme, n) names every factor that is not 1 by a small id;
-# tableaux.cell_cases, cpm_factor_ids and gt_factor_ids list the ids
-# of one object.  The weights above other than wgt_t and wgt_qt multiply the
-# table entries, and the engine lifts the same entries to its value type.
+# the step callbacks below name the ids of each step of a path.
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -358,7 +268,6 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
 
       T, T_DEFORMED           letter code (the weights of sp_mu's tableaux)
       ST_XY, QT_DEFORMED      (code, case), case in left / below / free
-                              (wgt_st and primed_weight_sum)
       ST_Q                    (code, case), case in left / below / above / free
       CPM_*        (compass code, row) and (TURN, row), rows 1..2n
       GT_XY, GT_Q  (side, mark, level), side "u" or "b", and ("x", level, +-1)
@@ -372,9 +281,7 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
     levels = range(1, n + 1)
     codes = range(1, 2 * n + 1)
     if scheme in ("T", "T_DEFORMED"):
-        t2 = _t2() if scheme == "T_DEFORMED" else ONE
-        table = {code: _x(letter_level(code)) if code % 2
-                 else t2 * _x(letter_level(code), -1) for code in codes}
+        table = {code: _letter_factor(scheme, code) for code in codes}
     elif scheme in ("ST_XY", "QT_DEFORMED"):
         t2 = _t2() if scheme == "QT_DEFORMED" else ONE
         table = {(code, case): _st_case_factor_xy(code, case) * (ONE if code % 2 else t2)
@@ -397,9 +304,249 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
     return MappingProxyType({fid: f for fid, f in table.items() if f != ONE})
 
 
-def _product(table: Mapping[object, LaurentPoly], ids: Iterable[object]) -> LaurentPoly:
-    # one-term factors first, while the running product is still one term
+# -- step callbacks -------------------------------------------------------------------
+#
+# cells(c, S, T) gives the (id, power) pairs of the step S -> T taken with
+# letter c, and its count of free cells, or None where the family forbids T.
+
+
+def _letter_cells(c: int, S, T):
+    """Ordinary tableaux: every strip is allowed, and each new cell carries
+    its letter."""
+    grown = sum(T) - sum(S)
+    return ((c, grown),) if grown else (), 0
+
+
+def _shifted_step(c: int, T) -> bool:
+    """Whether a shifted tableau may reach T with letter c: T is strict and
+    row i holds a cell by the barred letter of level i + 1 (ST4)."""
+    return not (any(b and b >= a for a, b in zip(T, T[1:])) or any(
+        not t and c >= letter(i + 1, True) for i, t in enumerate(T)))
+
+
+def _shifted_cells(neighbour: str):
+    """Shifted tableaux (steps as _shifted_step).  A new cell whose left
+    neighbour is new too is "left".  A row's first new cell, at offset s,
+    takes the neighbour case when the cell below it (offset s - 1 of the
+    next row) or, in the "above" reading, above it (offset s + 1 of the
+    previous row) is new too, and is "free" otherwise."""
+    def cells(c: int, S, T):
+        if not _shifted_step(c, T):
+            return None
+        Sp, Tp = (0,) + S + (0,), (0,) + T + (0,)
+        lefts = nears = frees = 0
+        for i in range(1, len(Sp) - 1):
+            s = Sp[i]
+            if Tp[i] > s:
+                lefts += Tp[i] - s - 1
+                if (Sp[i + 1] <= s - 1 < Tp[i + 1] if neighbour == "below"
+                        else Sp[i - 1] <= s + 1 < Tp[i - 1]):
+                    nears += 1
+                else:
+                    frees += 1
+        counts = (((c, "left"), lefts), ((c, neighbour), nears), ((c, "free"), frees))
+        return tuple((fid, e) for fid, e in counts if e), frees
+    return cells
+
+
+def _pattern_cells(table: Mapping, narrow_le: bool = False):
+    """Strict GT patterns.  S_c is pattern row c: m(k, j) = S_(2k-1)[j-1]
+    and mb(k, j) = S_(2k)[j-1] (the bijections' dictionary), so the steps
+    are the shifted ones, and step c at level k marks the unbarred ("u",
+    odd c) or barred ("b", even c) positions of level k from the triples
+    (T[j-1], S[j-1], T[j]), j < k; the diagonal is B when T[k-1] > S[k-1]
+    (S[k-1] = mb(k-1, k) = 0 on odd steps).  Its x part is x_k^(|T|-|S|) on
+    odd steps and x_k^(|S|-|T|) on even ones.  Under GT_QX a step counts
+    ("B",) per B mark off the diagonal, plus the joint diagonal on even
+    steps, and ("q",) per R mark on odd steps and L mark on even ones;
+    narrow_le leaves the diagonal L out (the rejected set-builder L_e)."""
+    statistics = ("q",) in table
+
+    def cells(c: int, S, T):
+        if not _shifted_step(c, T):
+            return None
+        k, odd = letter_level(c), c % 2
+        marks = {"B": 0, "L": 0, "R": 0}
+        for j in range(k - 1):
+            marks["L" if T[j] == S[j] else "R" if S[j] == T[j + 1] else "B"] += 1
+        diagonal = "B" if T[k - 1] > S[k - 1] else "L"
+        grown = sum(T) - sum(S)
+        ids = [(("x", k, 1 if odd else -1), grown)] if grown else []
+        if statistics:
+            b = marks["B"] + (not odd and S[k - 1] > 0 and diagonal == "B")
+            q = marks["R"] if odd else marks["L"] + (diagonal == "L" and not narrow_le)
+            ids += [(fid, e) for fid, e in ((("B",), b), (("q",), q)) if e]
+        else:
+            marks[diagonal] += 1
+            side = "u" if odd else "b"
+            ids += [((side, mark, k), e) for mark, e in marks.items()
+                    if e and (side, mark, k) in table]
+        return tuple(ids), 0
+    return cells
+
+
+def _compass_cells(width: int, table: Mapping):
+    """U-turn ASMs of width columns through their compass codes.  Column v
+    has summed to 1 after alphabet row c exactly when v is a part of S_c
+    (uasm_to_gtp), so the steps are the shifted ones and row c is the 0/1
+    column vector of T minus that of S: +1 is WE, -1 is NS, and a 0 takes
+    its code from the sign of its nearest nonzero above (+1 when its column
+    is marked in S) and to its right (+1 when the row sums to 1 right of
+    it).  The ids are the (code, c) in the table, plus (TURN, c) when the
+    table has it and the row's first entry starts a strip."""
+    # only the U-turn families read the recoding, so importing this module
+    # does not load the bijections
+    from .bijections import _ZERO_CODES
+
+    def cells(c: int, S, T):
+        if not _shifted_step(c, T):
+            return None
+        before, after = set(S), set(T)
+        counts: Dict[str, int] = {}
+        east = 0
+        for v in range(width, 0, -1):
+            d = (v in after) - (v in before)
+            if d:
+                code = "WE" if d > 0 else "NS"
+            else:
+                code = _ZERO_CODES[(1 if v in before else -1, 1 if east else -1)]
+            counts[code] = counts.get(code, 0) + 1
+            east += d
+        ids = sorted(((code, c), e) for code, e in counts.items() if (code, c) in table)
+        if code in _TURN_START and (_TURN, c) in table:
+            ids.append(((_TURN, c), 1))
+        return tuple(ids), 0
+    return cells
+
+
+def _step_cells(scheme: str, table: Mapping, width: int, neighbour: str):
+    """The step callback of the family that scheme weighs; width is the
+    column count of a U-turn ASM, and neighbour the ST_Q reading."""
+    family = _row(scheme).family
+    if family == "t":
+        return _letter_cells
+    if family == "uasm":
+        return _compass_cells(width, table)
+    if family == "gtp":
+        return _pattern_cells(table)
+    return _shifted_cells(neighbour)  # "st", and "qt" summed over primings
+
+
+# -- one object's path ----------------------------------------------------------------
+
+#: The class whose rows give each family's paths; QT_DEFORMED weighs a
+#: shifted tableau by the sum over its primings.
+_PATH_KINDS = {"t": SymplecticTableau, "st": ShiftedTableau, "qt": ShiftedTableau,
+               "uasm": UTurnASM, "gtp": SympGTPattern}
+
+
+def _path(obj, family: str) -> Tuple[int, List[tuple]]:
+    """The rank of obj and its shapes S_1, ..., S_2n, zero-padded to one
+    length: per tableau row the count of letters <= c, pattern row c, or
+    the parts of the column sums after alphabet row c.  Rows that the
+    shapes do not give back raise ForbiddenPathError."""
+    if family == "gtp":
+        _check_gtp_rows(obj.n, obj.rows)
+        return obj.n, [tuple(row) + (0,) * (obj.n - len(row)) for row in obj.rows]
+    if family == "uasm":
+        if obj.n < 1 or len(obj.entries) % 2 or len(set(map(len, obj.entries))) > 1:
+            raise ForbiddenPathError(f"a U-turn ASM has 2n >= 2 rows of one length, "
+                                     f"got {list(map(len, obj.entries))}")
+        try:
+            sums = col_cumsum(obj)
+        except ValueError as exc:
+            raise ForbiddenPathError(str(exc)) from None
+        path = [tuple(v for v in range(len(s), 0, -1) if s[v - 1]) for s in sums]
+        if path[-1][:1] != (obj.m,):  # UA5: lambda_1 is the last column
+            raise ForbiddenPathError(f"column {obj.m} is no part of {path[-1]}")
+        size = max(obj.n, *map(len, path))
+        return obj.n, [p + (0,) * (size - len(p)) for p in path]
+    rows = obj.rows
+    if any(list(row) != sorted(row) or min(row, default=1) < 1 for row in rows):
+        raise ForbiddenPathError(f"rows {rows} are no weakly increasing letters")
+    # a shifted tableau has a row per level (ST4); an ordinary one needs no
+    # empty rows, so a few cells of a high letter walk short shapes
+    n = _letter_rank(rows)
+    pad = () if family == "t" else (0,) * max(n - len(rows), 0)
+    return n, [tuple(bisect_right(row, c) for row in rows) + pad
+               for c in range(1, 2 * n + 1)]
+
+
+def _path_ids(obj, scheme: str, neighbour: str = "below"):
+    """The rank of obj, the scheme's factor table, and the (fid, e) that the
+    scheme's step callback gives for each step S -> T of obj's path from
+    S_0 = 0.  A step that leaves S_i <= T_i <= S_(i-1), or changes a row
+    i >= k at level k (the engine's walk takes neither), or that the
+    callback refuses raises ForbiddenPathError; an object of another family
+    UnknownSchemeError."""
+    family = _row(scheme).family
+    if type(obj) is not _PATH_KINDS[family]:
+        raise UnknownSchemeError(f"scheme {scheme} weighs no {type(obj).__name__}")
+    n, path = _path(obj, family)
+    if family == "t":  # its own letters only: a high letter needs no table of its rank
+        table = {code: _letter_factor(scheme, code) for row in obj.rows for code in row}
+    else:
+        table = factor_table(scheme, n)
+    cells = _step_cells(scheme, table, obj.m if family == "uasm" else 0, neighbour)
+    S, ids = (0,) * len(path[0]), []
+    for c, T in enumerate(path, start=1):
+        k = letter_level(c)
+        step = cells(c, S, T) if (
+            all(s <= t for s, t in zip(S, T)) and S[k:] == T[k:]
+            and all(t <= s for t, s in zip(T[1:], S))) else None
+        if step is None:
+            raise ForbiddenPathError(f"no {family} object steps from {S} to {T} by letter {c}")
+        ids += step[0]
+        S = T
+    return n, table, ids
+
+
+def path_weight(obj, scheme: str, neighbour: str = "below",
+                c0_mode: str = "full") -> LaurentPoly:
+    """obj's weight under scheme: the product of table[fid] ** e over the
+    (fid, e) of the steps of its path (_path_ids), times the prefactor
+    under CPM_Q_NORM.  The knobs go through check_conventions."""
+    check_conventions(scheme, f"scheme {scheme}", c0_mode=c0_mode,
+                      st_q_neighbour=neighbour)
+    n, table, ids = _path_ids(obj, scheme, neighbour)
+    factors = [table[fid] for fid, e in ids for _ in range(e)]
+    if scheme == "CPM_Q_NORM":
+        factors.append(cpm_q_norm_prefactor(n, c0_mode))
     out = ONE
-    for f in sorted((table[fid] for fid in ids), key=LaurentPoly.num_terms):
+    for f in sorted(factors, key=LaurentPoly.num_terms):  # one-term factors first
         out = out * f
     return out
+
+
+# -- the traced per-object weights ----------------------------------------------------
+#
+# perfbench/layers.py's tracer resolves each of these as
+# vars(symptok.weights)[name]; they can go once its TRACED drops them.
+
+
+def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
+    return path_weight(t, "T_DEFORMED" if deformed else "T")
+
+
+def wgt_st(st: ShiftedTableau) -> LaurentPoly:
+    return path_weight(st, "ST_XY")
+
+
+def primed_weight_sum(st: ShiftedTableau, deformed: bool = False) -> LaurentPoly:
+    return path_weight(st, "QT_DEFORMED" if deformed else "ST_XY")
+
+
+def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
+    return path_weight(st, "ST_Q", neighbour)
+
+
+def wgt_cpm(a: UTurnASM, scheme: str, c0_mode: str = "full") -> LaurentPoly:
+    return path_weight(a, scheme, c0_mode=c0_mode)
+
+
+def wgt_gtp(g: SympGTPattern, scheme: str) -> LaurentPoly:
+    return path_weight(g, scheme)
+
+
+def qx_weight(g: SympGTPattern) -> LaurentPoly:
+    return path_weight(g, "GT_QX")

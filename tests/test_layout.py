@@ -13,9 +13,16 @@ syntax, not by name, so no scan of names can find their callers.
 Every public module-level function that takes a rank ``n`` must have a case
 in ``test_shapes.RANK_TAKERS``, the table of calls that must refuse a rank
 that is not an int of at least 1.
+
+Every ``(module, attribute)`` that ``perfbench/layers.py`` traces must
+resolve the way its tracer resolves it, so that renaming or removing one
+fails here rather than in a traced benchmark run.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -91,3 +98,32 @@ def test_every_rank_taker_is_in_the_refusal_table():
     assert takers == set(RANK_TAKERS), (
         f"missing from RANK_TAKERS: {sorted(takers - set(RANK_TAKERS))}; "
         f"no rank n: {sorted(set(RANK_TAKERS) - takers)}")
+
+
+def _traced() -> tuple:
+    """perfbench/layers.py's TRACED, read by importing the file (and the
+    spans module it imports) without changing it."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_layers",
+                                                      ROOT / "perfbench" / "layers.py")
+        layers = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(layers)
+    finally:
+        sys.path.remove(bench)
+    return layers.TRACED
+
+
+def test_every_traced_name_resolves_as_the_tracer_resolves_it():
+    # spans.Tracer.install reads vars(module)[attr], or vars(Class)[method]
+    # of getattr(module, Class) for "Class.method"
+    unresolved = []
+    for module, attr, *_ in _traced():
+        owner = importlib.import_module(module)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name, None)
+        if owner is None or attr not in vars(owner):
+            unresolved.append(f"{module}.{attr}")
+    assert not unresolved, f"the benchmark traces names that are gone: {unresolved}"

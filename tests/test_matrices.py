@@ -55,6 +55,14 @@ class TestValidateUASM:
             with pytest.raises(DimensionMismatchError):
                 validate_uasm(UTurnASM(entries), lam)
 
+    @pytest.mark.parametrize("entries", [((1,),), ()])
+    def test_fewer_than_two_rows_are_named_as_such(self, entries):
+        # one row once read as "expected 0 x 1", a shape of rank 0
+        for lam in (None, (1,)):
+            with pytest.raises(DimensionMismatchError,
+                               match=f"2n >= 2 rows, got {len(entries)}$"):
+                validate_uasm(UTurnASM(entries), lam)
+
     def test_lambda_read_off_the_columns(self):
         assert validate_uasm(G.A) == (True, [])
         assert validate_uasm(A1)[0] and validate_uasm(A2)[0]

@@ -66,3 +66,15 @@ def test_pattern_n_must_be_half_the_row_count(doc, message):
     # the rows fix the rank, so an "n" that disagrees with them is refused
     with pytest.raises(GTShapeError, match=message):
         from_json_data(doc)
+
+
+@pytest.mark.parametrize("rows,level", [
+    ([[1], [2], [3], [4]], 2),
+    ([[1, 0], [2], [3, 1], [4, 1]], 1),
+    ([[1], [2], [3, 1, 0], [4, 1]], 2),
+])
+def test_pattern_rows_must_have_their_level_lengths(rows, level):
+    # a short row once loaded, and bijections.gtp_to_st then raised a raw
+    # IndexError
+    with pytest.raises(GTShapeError, match=f"rows for level {level} do not have length"):
+        from_json_data({"n": 2, "rows": rows})

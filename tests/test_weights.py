@@ -1,27 +1,42 @@
+from functools import lru_cache
+from itertools import product
+
 import pytest
 
 import golden as G
-from oracles import LemmaViolationError, le_statistic_setbuilder, lemma_counts, substitute
-from symptok.algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
-from symptok.shapes import letter
-from symptok.bijections import gtp_to_st, st_to_gtp, st_to_uasm, uasm_to_cpm
-from symptok.matrices import SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm
-from symptok.tableaux import ShiftedTableau, SymplecticTableau, enumerate_st, enumerate_t, primings
-from symptok.weights import (
-    UnknownConventionError,
-    UnknownSchemeError,
-    cpm_q_norm_prefactor,
-    factor_table,
+from oracles import (
+    LemmaViolationError,
     gt_statistics,
+    le_statistic_setbuilder,
+    lemma_counts,
     primed_weight_sum,
     qx_weight,
-    qx_weight_factored,
+    substitute,
     wgt_cpm,
     wgt_gtp,
-    wgt_qt,
     wgt_st,
     wgt_st_q,
     wgt_t,
+)
+from symptok.algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
+from symptok.identities import GRID_RANKS
+from symptok.shapes import add_staircase, letter, partitions_up_to
+from symptok.bijections import gtp_to_st, st_to_gtp, st_to_uasm, uasm_to_cpm
+from symptok.matrices import (SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm,
+                              validate_gtp, validate_uasm)
+from symptok.tableaux import (ShiftedTableau, SymplecticTableau, enumerate_st, enumerate_t,
+                              primings, validate_st, validate_t)
+from symptok.weights import (
+    ForbiddenPathError,
+    UnknownConventionError,
+    UnknownSchemeError,
+    UnusedConventionError,
+    _path,
+    cpm_q_norm_prefactor,
+    factor_table,
+    path_weight,
+    qx_weight_factored,
+    wgt_qt,
 )
 
 
@@ -56,7 +71,10 @@ class TestTableauWeights:
         factor_table.cache_clear()
         t = SymplecticTableau((1,), ((letter(4000, False),),))
         assert wgt_t(t, deformed=True) == V(xvar(4000))
+        assert path_weight(t, "T_DEFORMED") == V(xvar(4000))
         assert factor_table.cache_info().currsize == 0
+        # nor does its path pad its one row with the 3,999 empty rows of its rank
+        assert {len(S) for S in _path(t, "t")[1]} == {1}
 
     def test_character_sum_rank_two(self):
         total = LaurentPoly.zero()
@@ -275,3 +293,158 @@ def test_p7_statistics_form_carries_the_prefactor(lam, n):
 def test_p8_lemma_holds_on_every_matrix(lam, n):
     for a in enumerate_uasm(lam, n):
         lemma_counts(uasm_to_cpm(a))
+
+
+# -- one rule per scheme: the path product against the per-object oracles ---------
+
+#: (scheme, path_weight knobs, family, oracle weight of one object): the
+#: eleven CLI schemes, T (sp_mu's weighting), the "above" ST_Q reading and
+#: the "literal" CPM_Q_NORM prefactor.  QT_DEFORMED weighs a shifted tableau
+#: by the sum over its primings.
+PATH_VARIANTS = [
+    ("T", {}, "t", wgt_t),
+    ("T_DEFORMED", {}, "t", lambda t: wgt_t(t, deformed=True)),
+    ("ST_XY", {}, "st", wgt_st),
+    ("QT_DEFORMED", {}, "st", lambda st: primed_weight_sum(st, deformed=True)),
+    ("ST_Q", {}, "st", wgt_st_q),
+    ("ST_Q", {"neighbour": "above"}, "st", lambda st: wgt_st_q(st, "above")),
+    *((scheme, {}, "uasm", lambda a, s=scheme: wgt_cpm(a, s))
+      for scheme in ("CPM_XY", "CPM_XY_ALT", "CPM_Q_PLAIN", "CPM_Q_NORM")),
+    ("CPM_Q_NORM", {"c0_mode": "literal"}, "uasm",
+     lambda a: wgt_cpm(a, "CPM_Q_NORM", "literal")),
+    ("GT_XY", {}, "gtp", lambda g: wgt_gtp(g, "GT_XY")),
+    ("GT_Q", {}, "gtp", lambda g: wgt_gtp(g, "GT_Q")),
+    ("GT_QX", {}, "gtp", qx_weight),
+]
+
+#: The C4 grid's shapes (identities.GRID_RANKS) as (mu, n), but for n = 3
+#: only up to |mu| = 1: its |mu| = 2 shapes hold 3,068 of the grid's 4,691
+#: objects of each family, and would triple the test's time.
+PATH_RANKS = tuple((n, min(top, 1) if n == 3 else top) for n, top in GRID_RANKS)
+PATH_CASES = [(mu, n) for n, top in PATH_RANKS for mu in partitions_up_to(top, n)]
+
+
+@lru_cache(maxsize=None)
+def path_objects(family, mu, n):
+    lam = add_staircase(mu, n)
+    enumerate_ = {"t": lambda: enumerate_t(mu, n), "st": lambda: enumerate_st(lam, n),
+                  "uasm": lambda: enumerate_uasm(lam, n),
+                  "gtp": lambda: enumerate_gtp(lam, n)}[family]
+    return tuple(enumerate_())
+
+
+@pytest.mark.parametrize(
+    "scheme,knobs,family,oracle", PATH_VARIANTS,
+    ids=[scheme + "".join(f"-{v}" for v in knobs.values())
+         for scheme, knobs, _, _ in PATH_VARIANTS])
+def test_path_weight_matches_the_per_object_oracle(scheme, knobs, family, oracle):
+    # the engine's step callbacks along each object's own path, against the
+    # cell, entry and mark rules of tests/oracles.py, on every object of the
+    # C4 shapes
+    objects = 0
+    for mu, n in PATH_CASES:
+        for obj in path_objects(family, mu, n):
+            assert path_weight(obj, scheme, **knobs) == oracle(obj), (scheme, obj)
+            objects += 1
+    assert objects > 100
+
+
+@pytest.mark.parametrize("obj,scheme", [
+    # betweenness: mb(1,1) = 1 < m(1,1) = 2
+    (SympGTPattern(((2,), (1,))), "GT_XY"),
+    # seed rule: m(1,1) = mb(1,1) = 0
+    (SympGTPattern(((0,), (0,))), "GT_QX"),
+    # interlacing across levels: m(2,1) = 5 > ... and row 1' = (1) < m(2,2)
+    (SympGTPattern(((1,), (2,), (5, 3), (6, 4))), "GT_Q"),
+    # column sums leaving {0, 1}
+    (UTurnASM(((1,), (1,))), "CPM_XY"),
+    (UTurnASM(((-1,), (1,))), "CPM_Q_NORM"),
+    # three rows, and rows of two lengths
+    (UTurnASM(((1,), (0,), (0,))), "CPM_XY_ALT"),
+    (UTurnASM(((1, 0), (0,))), "CPM_XY"),
+    # a shifted row below level 1 holding a 1 (ST4), and two 1s on a diagonal
+    (ShiftedTableau((1, 1), ((1,), (1,))), "ST_XY"),
+    (ShiftedTableau((2, 1), ((1, 1), (2,))), "ST_Q"),
+    # a decreasing row, and a letter code below 1
+    (ShiftedTableau((2,), ((2, 1),)), "QT_DEFORMED"),
+    (SymplecticTableau((1,), ((0,),)), "T"),
+    # an ordinary column that does not increase strictly
+    (SymplecticTableau((1, 1), ((3,), (3,))), "T_DEFORMED"),
+])
+def test_path_weight_refuses_a_forbidden_step(obj, scheme):
+    # unvalidated objects built in Python: the per-object rules would weigh
+    # them, the path has a step that no object of the family takes
+    with pytest.raises(ForbiddenPathError):
+        path_weight(obj, scheme)
+
+
+@pytest.mark.parametrize("obj,scheme", [
+    (G.GT, "ST_XY"), (G.ST, "GT_QX"), (G.A, "GT_XY"), (G.CPM, "CPM_XY"),
+    (G.QT, "QT_DEFORMED"), (G.ST, "T_DEFORMED"), (None, "ST_Q"), (G.ST, "NOPE"),
+])
+def test_path_weight_refuses_an_object_of_another_family(obj, scheme):
+    with pytest.raises(UnknownSchemeError):
+        path_weight(obj, scheme)
+
+
+def test_path_weight_refuses_a_convention_its_scheme_does_not_read():
+    with pytest.raises(UnusedConventionError, match="not read by scheme ST_XY"):
+        path_weight(G.ST, "ST_XY", neighbour="above")
+    with pytest.raises(UnknownConventionError):
+        path_weight(G.ST, "ST_Q", neighbour="bogus")
+
+
+def factored_value(text):
+    """The polynomial that a qx_weight_factored text names."""
+    out = ONE
+    for part in text.split(" * "):
+        base, _, exp = part.partition("^")
+        e = int(exp or 1)
+        if base.startswith("x"):
+            out = out * V(xvar(int(base[1:])), e)
+        elif base != "1":
+            out = out * (ONE + Q if base == "(1+q)" else Q) ** e
+    return out
+
+
+def test_factored_qx_weight_names_the_oracle_polynomial():
+    # (1+q)^B q^E x^X fixes B, E and X, so the text, which counts the GT_QX
+    # ids along the path, says what the statistics of the oracle say
+    for mu, n in PATH_CASES:
+        for g in path_objects("gtp", mu, n):
+            assert factored_value(qx_weight_factored(g)) == qx_weight(g), g
+
+
+def small_objects():
+    """Every small object, valid or not, with its validator's verdict: GT
+    patterns of rank 2 with entries up to 3, {-1, 0, 1} matrices of 2 x 1..3
+    and 4 x 2, and tableaux of small shapes over their whole alphabet."""
+    for entries in product(range(4), repeat=6):
+        g = SympGTPattern((entries[:1], entries[1:2], entries[2:4], entries[4:]))
+        yield g, "GT_QX", validate_gtp(g)[0]
+    for rows, width in ((2, 1), (2, 2), (2, 3), (4, 2)):
+        for entries in product((-1, 0, 1), repeat=rows * width):
+            a = UTurnASM(tuple(entries[i:i + width] for i in range(0, rows * width, width)))
+            yield a, "CPM_XY_ALT", validate_uasm(a)[0]
+    for shape in ((1,), (2, 1), (3, 1), (3, 2)):
+        for codes in product(range(1, 2 * len(shape) + 1), repeat=sum(shape)):
+            rows = tuple(codes[sum(shape[:i]):sum(shape[:i + 1])] for i in range(len(shape)))
+            st = ShiftedTableau(shape, rows)
+            yield st, "ST_Q", validate_st(st)[0]
+            t = SymplecticTableau(shape, rows)
+            yield t, "T", validate_t(t, len(shape))[0]
+
+
+def test_path_weight_accepts_exactly_the_objects_their_validators_accept():
+    # the steps that the engine walks are the family's rules: an object
+    # whose path leaves them is refused, and every other one is valid
+    verdicts = {True: 0, False: 0}
+    for obj, scheme, valid in small_objects():
+        try:
+            path_weight(obj, scheme)
+            accepted = True
+        except ForbiddenPathError:
+            accepted = False
+        assert accepted == valid, obj
+        verdicts[valid] += 1
+    assert min(verdicts.values()) > 100, verdicts
