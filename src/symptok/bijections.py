@@ -85,7 +85,11 @@ def gtp_to_st(g: SympGTPattern) -> ShiftedTableau:
 
 
 def uasm_to_st(a: UTurnASM) -> ShiftedTableau:
-    """Read diagonals off the right-to-left row sums."""
+    """Read diagonals off the right-to-left row sums.
+
+    A matrix that is no U-turn ASM raises matrices.CumulativeSumError when
+    its row sums leave {0,1}, or shapes.NotStrictError when its diagonals
+    give no strict shape."""
     profile = row_cumsum(a)
     m = a.m
     diagonals: List[List[int]] = [[] for _ in range(m)]

@@ -477,13 +477,19 @@ def verify_sweep(identity: str, n: int, max_weight: int, mode: str = "symbolic",
 # -- the big modular case ---------------------------------------------------------
 
 
-def largest_feasible_subshape(target, cap: int) -> Tuple[Tuple[int, ...], int]:
+def largest_feasible_subshape(target, cap: int, table: Optional[Dict] = None
+                              ) -> Tuple[Tuple[int, ...], int]:
     """Largest (by weight, then lex) strict lambda contained in target whose
     staircase complement is a partition and whose object count is <= cap.
 
     Candidates are tried from the largest down, so the first one that fits
-    is the answer and the larger ones are the only ones counted.
+    is the answer and the larger ones are the only ones counted.  Every
+    candidate is counted through one dict of GT row sub-counts (count_gtp's
+    table), so a row below several candidates is counted once; it is the
+    caller's table if one is passed, else a fresh one freed on return.
     """
+    if table is None:
+        table = {}
     target = tuple(target)
 
     def strict(prefix: Tuple[int, ...], length: int):
@@ -499,7 +505,7 @@ def largest_feasible_subshape(target, cap: int) -> Tuple[Tuple[int, ...], int]:
     candidates = [lam for length in range(len(target), 0, -1)
                   for lam in strict((), length)]
     for lam in sorted(candidates, key=lambda lam: (sum(lam), lam), reverse=True):
-        cnt = count_gtp(lam, len(lam))
+        cnt = count_gtp(lam, len(lam), table)
         if cnt <= cap:
             return lam, cnt
     raise ScaleExceededError(f"no subshape of {target} fits under {cap}")
@@ -515,15 +521,21 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
     The fallback dates from when modular cost grew with the object count;
     verify itself now runs the requested case in modular mode whatever its
     size.  It stays while the at_scale benchmark pins its answer.
+
+    The requested count and every candidate count of the search share one
+    dict of GT row sub-counts, so each row is counted once per call; the
+    dict is freed when the call returns.
     """
     _check_modular(trials, seed, prime)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
-    count = count_gtp(lam, n)
+    table: Dict = {}
+    count = count_gtp(lam, n, table)
     if count <= FALLBACK_OBJECT_CAP:
         return verify("THM_ST", mu, n, "modular", trials=trials, seed=seed,
                       prime=prime)
-    fallback_lam, fallback_count = largest_feasible_subshape(lam, FALLBACK_OBJECT_CAP)
+    fallback_lam, fallback_count = largest_feasible_subshape(
+        lam, FALLBACK_OBJECT_CAP, table)
     fn = len(fallback_lam)
     fmu = tuple(fallback_lam[i] - (fn - i) for i in range(fn))
     report = verify("THM_ST", fmu, fn, "modular", trials=trials, seed=seed,

@@ -33,15 +33,18 @@ Each pattern position carries exactly one of three saturation marks:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .shapes import BadLengthError, as_rank, as_strict_partition
 
 
 class DimensionMismatchError(ValueError):
     """Matrix dimensions do not match 2n x lambda_1."""
+
+
+class CumulativeSumError(ValueError):
+    """Cumulative row or column sums leave {0,1}: the matrix is no U-turn ASM."""
 
 
 class GTShapeError(ValueError):
@@ -198,7 +201,7 @@ def col_cumsum(a: UTurnASM) -> Tuple[Tuple[int, ...], ...]:
 
 def _check_zero_one(rows, which: str) -> None:
     if any(v not in (0, 1) for row in rows for v in row):
-        raise ValueError(f"{which} cumulative sums leave {{0,1}}: invalid matrix")
+        raise CumulativeSumError(f"{which} cumulative sums leave {{0,1}}: invalid matrix")
 
 
 # -- GT pattern validation and enumeration -------------------------------------
@@ -241,14 +244,30 @@ def validate_gtp(g: SympGTPattern) -> Tuple[bool, List[str]]:
     return (not bad, bad)
 
 
-def _interlace(above: Tuple[int, ...], length: int) -> Iterator[Tuple[int, ...]]:
+def _interlace(above: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
     """Strictly decreasing nonnegative rows r of the given length with
-    above[j] >= r[j] >= above[j+1] (a missing above[j+1] reads as 0)."""
+    above[j] >= r[j] >= above[j+1] (a missing above[j+1] reads as 0), in
+    lexicographic order.
+
+    Rows are built entry by entry, so no row that breaks strictness is
+    formed.  low[j] is the least r[j] that leaves room for a strict tail, so
+    every prefix built extends to at least one row.  count_gtp expands a
+    row once per table of sub-counts; the fallback search shares one table
+    across its candidates, freed when the search returns.
+    """
+    if length == 0:
+        return [()]
     padded = above + (0,) * (length + 1 - len(above))
-    ranges = [range(padded[j + 1], padded[j] + 1) for j in range(length)]
-    for r in itertools.product(*ranges):
-        if all(r[j] > r[j + 1] for j in range(length - 1)):
-            yield r
+    low = list(padded[1:length + 1])
+    for j in range(length - 2, -1, -1):
+        low[j] = max(low[j], low[j + 1] + 1)
+    if any(low[j] > padded[j] for j in range(length)):
+        return []
+    rows = [(v,) for v in range(low[0], padded[0] + 1)]
+    for j in range(1, length):
+        lo, hi = low[j], padded[j]
+        rows = [r + (v,) for r in rows for v in range(lo, min(hi, r[-1] - 1) + 1)]
+    return rows
 
 
 def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
@@ -276,28 +295,42 @@ def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
     yield from descend(n, lam, [lam])
 
 
-def count_gtp(lam, n: int) -> int:
-    """|GT^lambda(n)| by transfer over rows, without materialising patterns."""
+def count_gtp(lam, n: int, table: Optional[Dict] = None) -> int:
+    """|GT^lambda(n)|, counted top-down without materialising patterns.
+
+    The patterns below a row depend only on that row and on whether it is
+    barred (its level is its length), so each row's sub-count is computed
+    once and kept in table.  Callers that count several shapes, like
+    identities.verify_big_modular's fallback search, pass one dict to every
+    call and share the sub-counts; without it each call counts in a fresh
+    dict, freed when it returns.
+    """
     n = as_rank(n)
     lam = as_strict_partition(lam)
     if len(lam) != n:
         raise BadLengthError(f"{lam} does not have length n={n}")
-    current: Dict[Tuple[int, ...], int] = {lam: 1}
-    for k in range(n, 0, -1):
-        nxt: Dict[Tuple[int, ...], int] = {}
-        for row, cnt in current.items():
-            for r in _interlace(row, k):
-                if r[-1] == 0 and row[-1] == 0:
-                    continue
-                nxt[r] = nxt.get(r, 0) + cnt
-        current = nxt
-        if k > 1:
-            nxt = {}
-            for row, cnt in current.items():
-                for r in _interlace(row, k - 1):
-                    nxt[r] = nxt.get(r, 0) + cnt
-            current = nxt
-    return sum(current.values())
+    return _count_below(lam, True, {} if table is None else table)
+
+
+def _count_below(row: Tuple[int, ...], barred: bool, table: Dict) -> int:
+    """Patterns below row k' (barred) or row k (unbarred), k = len(row),
+    read from or added to table."""
+    key = (row, barred)
+    count = table.get(key)
+    if count is not None:
+        return count
+    count = 0
+    if barred:
+        for r in _interlace(row, len(row)):
+            if r[-1] or row[-1]:  # seed rule at (k,k)
+                count += _count_below(r, False, table)
+    elif len(row) == 1:
+        count = 1
+    else:
+        for r in _interlace(row, len(row) - 1):
+            count += _count_below(r, True, table)
+    table[key] = count
+    return count
 
 
 def classify_blr(g: SympGTPattern) -> BLRClassification:

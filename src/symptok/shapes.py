@@ -26,6 +26,11 @@ class InvalidRankError(ValueError):
     """A rank n that is not an int of at least 1 (see as_rank)."""
 
 
+class NotStrictError(ValueError):
+    """Parts that must form a strict partition have a part below 1 or do
+    not strictly decrease (see as_strict_partition)."""
+
+
 def as_rank(n: int) -> int:
     """n, refused with InvalidRankError unless it is an int (a bool is not)
     of at least 1.  Every public function that takes a rank calls this,
@@ -66,9 +71,9 @@ def as_partition(parts: Sequence[int]) -> Tuple[int, ...]:
 def as_strict_partition(parts: Sequence[int]) -> Tuple[int, ...]:
     parts = _int_parts(parts)
     if any(p <= 0 for p in parts):
-        raise ValueError(f"nonpositive part in strict partition {parts}")
+        raise NotStrictError(f"nonpositive part in strict partition {parts}")
     if any(parts[i] <= parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"parts not strictly decreasing: {parts}")
+        raise NotStrictError(f"parts not strictly decreasing: {parts}")
     return parts
 
 

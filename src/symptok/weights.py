@@ -56,6 +56,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from .algebra import ONE, QVAR, TVAR, LaurentPoly, xvar, yvar
 from .matrices import (
     CPM_CODES,
+    CumulativeSumError,
     SympGTPattern,
     UTurnASM,
     _check_gtp_rows,
@@ -454,7 +455,7 @@ def _path(obj, family: str) -> Tuple[int, List[tuple]]:
                                      f"got {list(map(len, obj.entries))}")
         try:
             sums = col_cumsum(obj)
-        except ValueError as exc:
+        except CumulativeSumError as exc:
             raise ForbiddenPathError(str(exc)) from None
         path = [tuple(v for v in range(len(s), 0, -1) if s[v - 1]) for s in sums]
         if path[-1][:1] != (obj.m,):  # UA5: lambda_1 is the last column

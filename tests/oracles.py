@@ -2,13 +2,13 @@
 
 Each recomputes, by a route of its own, something the package computes:
 the weight of one object, the U-turn ASMs of a shape by brute force, the
-compass-row counting identities, the narrow L_e statistic of the rejected
-reading, variable substitution in a Laurent polynomial, sp_mu mod p by the
-Weyl character formula, and the GT left sides mod p by a walk over pattern
-rows.  They read the package's public types, the weights and the GT walk
-also its factor tables and its cell, mark and row helpers, and nothing of
-the engine they check.  pytest does not collect this file; the tests import
-it as they import golden.py.
+compass-row counting identities, the interlacing rows below a GT row, the
+narrow L_e statistic of the rejected reading, variable substitution in a
+Laurent polynomial, sp_mu mod p by the Weyl character formula, and the GT
+left sides mod p by a walk over pattern rows.  They read the package's
+public types, the weights and the GT walk also its factor tables and its
+cell, mark and row helpers, and nothing of the engine they check.  pytest
+does not collect this file; the tests import it as they import golden.py.
 
 The per-object weights (wgt_t ... qx_weight) weigh an object cell by cell,
 entry by entry or position by position, where the package weighs it along
@@ -354,6 +354,19 @@ def weyl_sp_mu(mu, n: int, point: Mapping[Var, int], prime: int,
         raise ZeroDivisionError("the Weyl denominator vanishes at this point")
     value = det([mu[i] + n - i for i in range(n)]) * pow(den, -1, prime) % prime
     return value * pow(point[TVAR], sum(mu), prime) % prime if deformed else value
+
+
+# -- interlacing GT rows ------------------------------------------------------------
+
+
+def interlace(above: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
+    """The rows r of the given length with above[j] >= r[j] >= above[j+1]
+    (a missing above[j+1] reads as 0) that strictly decrease: every product
+    of the entries' ranges, in lexicographic order, filtered."""
+    padded = above + (0,) * (length + 1 - len(above))
+    ranges = [range(padded[j + 1], padded[j] + 1) for j in range(length)]
+    return [r for r in itertools.product(*ranges)
+            if all(r[j] > r[j + 1] for j in range(length - 1))]
 
 
 # -- GT left sides by a walk over pattern rows -------------------------------------

@@ -12,6 +12,7 @@ from symptok.bijections import (
     uasm_to_st,
 )
 from symptok.matrices import SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm
+from symptok.shapes import NotStrictError
 from symptok.tableaux import ShiftedTableau, enumerate_st
 
 A1 = UTurnASM(((1,), (0,)))
@@ -95,6 +96,14 @@ def test_compass_recoding_guards_against_broken_alternation():
     broken = UTurnASM(((1,), (0,), (1,), (0,)))
     with pytest.raises(UnmatchedPatternError, match="south breaks"):
         uasm_to_cpm(broken)
+
+
+def test_matrix_to_tableau_refuses_a_non_uasm_with_a_typed_error():
+    # both rows of level 1 turn in column 1, so diagonal 1 holds letters 1 and
+    # 1' and the shape (1, 1) is not strict
+    with pytest.raises(NotStrictError) as exc:
+        uasm_to_st(UTurnASM(((1,), (1,))))
+    assert str(exc.value) == "parts not strictly decreasing: (1, 1)"
 
 
 def test_strip_start_identity_per_row():

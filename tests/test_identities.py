@@ -25,7 +25,7 @@ from oracles import (
     wgt_st_q,
     wgt_t,
 )
-from symptok import identities
+from symptok import identities, matrices
 from symptok.algebra import (
     MERSENNE31,
     QVAR,
@@ -737,6 +737,36 @@ class TestBigModular:
         assert fb["cap"] == identities.FALLBACK_OBJECT_CAP
         assert fb["chosen"]["objects"] <= identities.FALLBACK_OBJECT_CAP
 
+    def test_fallback_search_counts_each_row_once(self, monkeypatch):
+        # a GT row's sub-count depends only on the row and whether it is
+        # barred, so one call expands each (row, length) once however many
+        # candidates lie above it, and keeps nothing once it returns
+        interlace, count = matrices._interlace, matrices.count_gtp
+        expanded, counted = [], []
+
+        def expanding(above, length):
+            expanded.append((above, length))
+            return interlace(above, length)
+
+        def counting(lam, n, table=None):
+            got = count(lam, n, table)
+            counted.append((lam, n, table, got))
+            return got
+
+        monkeypatch.setattr(matrices, "_interlace", expanding)
+        monkeypatch.setattr(identities, "count_gtp", counting)
+        verify_big_modular((4, 3, 3), 5, trials=2, seed=1)
+        assert len(expanded) <= len(set(expanded))
+        assert len(counted) > 2
+        assert all(table is counted[0][2] is not None for _, _, table, _ in counted)
+        cold = []
+        for _ in range(2):
+            expanded.clear()
+            count((9, 7, 6, 2, 1), 5)
+            cold.append(len(expanded))
+        assert cold[0] == cold[1] > 0
+        assert all(got == count(lam, n) for lam, n, _, got in counted)
+
     @pytest.mark.parametrize("knobs", [
         {"trials": 0}, {"prime": 65536}, {"trials": 2.5}, {"seed": True},
         {"prime": 2147483647.0},
@@ -745,7 +775,7 @@ class TestBigModular:
                                                            knobs):
         # a run that verify would refuse counts no objects and searches no
         # fallback first
-        def count_gtp(lam, n):
+        def count_gtp(*args):
             raise AssertionError("objects counted before the checks")
         monkeypatch.setattr(identities, "count_gtp", count_gtp)
         with pytest.raises(ModularParameterError):

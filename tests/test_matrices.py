@@ -1,15 +1,18 @@
 import dataclasses
+import itertools
 
 import pytest
 
 import golden as G
-from oracles import brute_force_uasm
+from oracles import brute_force_uasm, interlace
 from symptok.matrices import (
     CompassPointMatrix,
+    CumulativeSumError,
     DimensionMismatchError,
     GTShapeError,
     SympGTPattern,
     UTurnASM,
+    _interlace,
     classify_blr,
     col_cumsum,
     count_gtp,
@@ -120,6 +123,18 @@ class TestCumulativeSums:
             row_cumsum(a)
             col_cumsum(a)
 
+    @pytest.mark.parametrize("cumsum,entries,which", [
+        (col_cumsum, ((1,), (1,)), "column"),
+        # each row of ((1,), (1,)) sums to 1, so the row sums need a row
+        # holding two 1s to leave {0,1}
+        (row_cumsum, ((1, 1), (0, 0)), "row"),
+    ])
+    def test_sums_leaving_zero_one_raise_a_typed_error(self, cumsum, entries,
+                                                      which):
+        with pytest.raises(CumulativeSumError) as exc:
+            cumsum(UTurnASM(entries))
+        assert str(exc.value) == f"{which} cumulative sums leave {{0,1}}: invalid matrix"
+
 
 @pytest.mark.parametrize("cls,field,rows", [
     (UTurnASM, "entries", ((1, 0), (-1, 1), (1, 0), (0, 0))),
@@ -185,6 +200,16 @@ class TestEnumerateGTP:
     def test_every_output_validates(self):
         for g in enumerate_gtp((4, 2, 1), 3):
             assert validate_gtp(g)[0]
+
+
+def test_interlace_matches_product_and_filter():
+    # every strict row with parts <= 9, to both lengths a GT row below it has;
+    # enumerate_gtp yields patterns in the order _interlace yields rows
+    for size in range(1, 6):
+        for above in itertools.combinations(range(9, -1, -1), size):
+            for length in (size, size - 1):
+                assert list(_interlace(above, length)) == interlace(above, length), (
+                    above, length)
 
 
 class TestClassifyBLR:
