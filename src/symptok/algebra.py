@@ -29,8 +29,10 @@ fixed list of points mod a prime, with the same +, * and ** taken point by
 point.
 
 Two polynomials are equal iff their term maps are equal, so all arithmetic
-keeps results canonical.  Values are immutable after construction; every
-operation allocates a fresh result.
+keeps results canonical.  Values are immutable after construction: every
+operator allocates a fresh result, except that ``p ** 1`` is p itself.  The
+exceptions are the private ``_iadd`` and ``_isub_product``, which write into
+a sum that only their caller holds.
 """
 
 from __future__ import annotations
@@ -284,6 +286,42 @@ class LaurentPoly:
                 del out[mono]
         return LaurentPoly._make(out, max(self._bound, other._bound))
 
+    def _iadd(self, other: "LaurentPoly") -> "LaurentPoly":
+        """self + other, written into self: only for a sum that its caller
+        made and no one else holds (the transfer's merged accumulators)."""
+        out = self._terms
+        get = out.get
+        for mono, c in other._terms.items():
+            s = get(mono, 0) + c
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+        self._bound = max(self._bound, other._bound)
+        return self
+
+    def _isub_product(self, a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
+        """self - a * b, written into self as _iadd writes, without building
+        a * b."""
+        bound = a._bound + b._bound
+        if bound > MAX_EXPONENT:
+            bound = _product_bound(a._terms, b._terms)
+        out = self._terms
+        get = out.get
+        big, small = a._terms, b._terms
+        if len(big) < len(small):
+            big, small = small, big
+        for mb, cb in small.items():
+            for ma, ca in big.items():
+                mono = ma + mb
+                s = get(mono, 0) - ca * cb
+                if s:
+                    out[mono] = s
+                else:
+                    del out[mono]
+        self._bound = max(self._bound, bound)
+        return self
+
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({m: -c for m, c in self._terms.items()}, self._bound)
 
@@ -323,6 +361,8 @@ class LaurentPoly:
         # square-and-multiply never ends on a negative n
         if n < 0:
             raise ValueError(f"negative power {n}")
+        if n == 1:
+            return self
         result = LaurentPoly.const(1)
         base = self
         while n:
@@ -414,11 +454,26 @@ class Residues:
         p = self.prime
         return Residues([(a + b) % p for a, b in zip(self.values, other.values)], p)
 
+    def _iadd(self, other: "Residues") -> "Residues":
+        """self + other, written into self, as LaurentPoly._iadd."""
+        p = self.prime
+        self.values = [(a + b) % p for a, b in zip(self.values, other.values)]
+        return self
+
+    def _isub_product(self, a: "Residues", b: "Residues") -> "Residues":
+        """self - a * b, written into self, as LaurentPoly._isub_product."""
+        p = self.prime
+        self.values = [(s - x * y) % p
+                       for s, x, y in zip(self.values, a.values, b.values)]
+        return self
+
     def __mul__(self, other: "Residues") -> "Residues":
         p = self.prime
         return Residues([a * b % p for a, b in zip(self.values, other.values)], p)
 
     def __pow__(self, e: int) -> "Residues":
+        if e == 1:
+            return self
         p = self.prime
         return Residues([pow(a, e, p) for a in self.values], p)
 

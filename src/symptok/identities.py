@@ -25,7 +25,10 @@ LaurentPoly itself, or an algebra.Residues holding its values at the points.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
 letter, and the transfer sums the products of the weights module's step
-callbacks over all paths, merging paths that reach the same shape.  No
+callbacks over all paths, merging paths that reach the same shape.  What
+it keeps at a shape does not depend on where the paths go next, so one walk
+serves many targets: verify_sweep walks every mu's left side at once and
+every sp_mu at once, and verify is the same engine with one target.  No
 object is enumerated.  weights.path_weight multiplies the same callbacks
 along one object's path, and the tests check both against per-object
 weights of their own (tests/oracles.py).
@@ -157,10 +160,16 @@ def _exact(f: LaurentPoly) -> LaurentPoly:
 
 def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     """Sum of wgt_t over all rank-n tableaux of shape mu."""
-    n = as_rank(n)
-    scheme = "T_DEFORMED" if deformed else "T"
-    return _transfer(mu, n, weights.factor_table(scheme, n), _exact,
-                     weights._letter_cells)[0]
+    [value] = _characters((mu,), as_rank(n), deformed, _exact).values()
+    return value
+
+
+def _characters(mus, n: int, deformed: bool, lift: Lift) -> Dict[tuple, object]:
+    """sp_mu, or its t-deformation, of every mu of mus (partitions), in the
+    value type of lift, from one walk."""
+    table = weights.factor_table("T_DEFORMED" if deformed else "T", n)
+    walked = _transfer(mus, n, table, lift, weights._letter_cells)
+    return {mu: value for mu, (value, _, _) in walked.items()}
 
 
 def _xy_factors(n: int, deformed: bool = False, y=weights._y) -> List[LaurentPoly]:
@@ -203,20 +212,19 @@ def rhs_factors(identity: str, n: int) -> List[LaurentPoly]:
     return factors(n, deformed=True) if row.keeps_t else factors(n)
 
 
-def _right_side(identity: str, mu, n: int, lift: Lift):
-    """sp_mu times the rhs_factors, in the value type of lift."""
-    factors = rhs_factors(identity, n)
-    scheme = "T_DEFORMED" if IDENTITY_ROWS[identity].keeps_t else "T"
-    out = _transfer(mu, n, weights.factor_table(scheme, n), lift,
-                    weights._letter_cells)[0]
-    for f in factors:
-        out = out * lift(f)
-    return out
+def _right_factors(identity: str, mus, n: int, lift: Lift):
+    """The right side of every mu of mus (partitions) as its two factors, in
+    the value type of lift: {mu: sp_mu} from one walk, and the product of
+    the rhs_factors, built once."""
+    staircase = reduce(operator.mul, map(lift, rhs_factors(identity, n)))
+    return _characters(mus, n, IDENTITY_ROWS[identity].keeps_t, lift), staircase
 
 
 def rhs_product(identity: str, mu, n: int) -> LaurentPoly:
     """Exact expanded right side including the sp_mu factor."""
-    return _right_side(identity, mu, n, _exact)
+    characters, staircase = _right_factors(identity, (mu,), n, _exact)
+    [value] = characters.values()
+    return value * staircase
 
 
 # -- left sides ----------------------------------------------------------------
@@ -234,59 +242,95 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
     return scheme
 
 
-def _left_side(identity: str, lam, n: int, scheme: str, c0_mode: str,
-               st_q_neighbour: str, lift: Lift):
-    """The left side in the value type of lift, and its object count, under
-    the step callback of the family that scheme weighs."""
+def _left_side(identity: str, lams, n: int, scheme: str, c0_mode: str,
+               st_q_neighbour: str, lift: Lift) -> Dict[tuple, tuple]:
+    """{lam: (left side, object count)} for every lam of lams (strict, of
+    length n), in the value type of lift, from one walk under the step
+    callback of the family that scheme weighs.  A U-turn ASM's columns past
+    lam_1 are all SE, a code that no factor table holds, so one walk as
+    wide as the widest lam weighs every target's matrices."""
     table = weights.factor_table(scheme, n)
-    cells = weights._step_cells(scheme, table, lam[0], st_q_neighbour)
-    total, count, primed = _transfer(lam, n, table, lift, cells)
-    if scheme == "CPM_Q_NORM":
-        total = total * lift(weights.cpm_q_norm_prefactor(n, c0_mode))
-    return total, primed if IDENTITY_ROWS[identity].counts_primed else count
+    cells = weights._step_cells(scheme, table, max(lam[0] for lam in lams),
+                                st_q_neighbour)
+    counts_primed = IDENTITY_ROWS[identity].counts_primed
+    prefactor = (lift(weights.cpm_q_norm_prefactor(n, c0_mode))
+                 if scheme == "CPM_Q_NORM" else None)
+    out = {}
+    for lam, (total, count, primed) in _transfer(lams, n, table, lift, cells).items():
+        if prefactor is not None:
+            total = total * prefactor
+        out[lam] = (total, primed if counts_primed else count)
+    return out
 
 
 # -- the letter-step transfer ------------------------------------------------------
 
 
-def _transfer(lam, n: int, table: Mapping, lift: Lift, cells):
-    """Sum over the rank-n tableaux of shape lam of the product of their
-    cells' factors table[fid], in the value type of lift, with the tableau
-    count and the primed count (2^free per tableau).
+def _reaches(T, lam, letters_left: int) -> bool:
+    """Whether a path through shape T can still end at lam: T fits in lam,
+    and no offset a needs a cell in more rows (those with T_i <= a < lam_i)
+    than there are letters left, since no two cells of one letter share an
+    offset."""
+    return all(t <= top for t, top in zip(T, lam)) and all(
+        sum(b <= a < top for b, top in zip(T, lam)) <= letters_left for a in T)
+
+
+def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple, tuple]:
+    """For each shape lam of targets, the sum over the rank-n tableaux of
+    shape lam of the product of their cells' factors table[fid], in the
+    value type of lift, with the tableau count and the primed count
+    (2^free per tableau): {lam: (value, count, primed)}, lam as as_partition
+    gives it, and (lift(ZERO), 0, 0) for a lam that no path reaches.
 
     The cells with letter <= c form a shape S_c, so a tableau is a path
     S_0 = (0, ..., 0) -> S_1 -> ... -> S_2n = lam of row lengths.  Row i
     (from 0) holds no letter below level i + 1 (T3, ST4), and a cell of
     letter c needs a smaller letter at its offset in row i - 1 (directly
     above it by T2, up-left on its diagonal by ST3), so step c takes S to
-    the T with S_i <= T_i <= min(lam_i, S_(i-1)).  cells(c, S, T), one of
-    the weights module's step callbacks, gives the step's (id, power) pairs
-    and its count of free cells, or None where the family forbids T; S_c is
-    also GT pattern row c and the column sums of a U-turn ASM after
-    alphabet row c.  Each level maps a shape to the summed product, count
-    and primed count of its paths.  No two cells of one letter share an
-    offset, so a shape that leaves some offset more cells than there are
-    letters left is dropped.  Each distinct step's product is computed once.
+    the T with S_i <= T_i <= min(top_i, S_(i-1)), top the componentwise
+    maximum of the targets (zero-padded to the longest).  cells(c, S, T),
+    one of the weights module's step callbacks, gives the step's (id,
+    power) pairs and its count of free cells, or None where the family
+    forbids T; S_c is also GT pattern row c and the column sums of a U-turn
+    ASM after alphabet row c.  Each level maps a shape to the summed
+    product, count and primed count of its paths, which do not depend on
+    where the paths go next, so one walk serves every target.  A shape is
+    kept while some target can still be reached (_reaches).  Each distinct
+    step's product is computed once.
+
+    Memory follows one level and the next: each shape is popped off its
+    level as its steps are taken, and merges add in place into the sums
+    the walk owns.  The first path to reach T is stored as it is; a later
+    one is added into it in place (_iadd) once the walk owns it, that is
+    when it is a product the walk just made or a sum of an earlier merge,
+    and otherwise makes a fresh sum with one +.  So no value the walk did
+    not make, such as lift(ONE), a cached product or a table factor, is
+    written to, and each returned value is the caller's own to write to.
     """
-    lam = as_partition(lam)
-    if len(lam) > n:
-        raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
+    lams = [as_partition(lam) for lam in targets]
+    for lam in lams:
+        if len(lam) > n:
+            raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
+    width = max(map(len, lams), default=0)
+    padded = [lam + (0,) * (width - len(lam)) for lam in lams]
+    top = tuple(map(max, zip(*padded)))
     vals = {fid: lift(f) for fid, f in table.items()}
     products: Dict[tuple, object] = {}
-    level = {(0,) * len(lam): (lift(ONE), 1, 1)}
+    # shape -> [value, count, primed, whether the walk owns value]
+    level = {(0,) * width: [lift(ONE), 1, 1, False]}
     for c in range(1, 2 * n + 1):
-        rows, letters_left = min(len(lam), letter_level(c)), 2 * n - c
+        rows, letters_left = min(width, letter_level(c)), 2 * n - c
         nxt, alive = {}, {}
-        for S, (value, count, primed) in level.items():
-            ranges = [range(S[i], min(lam[i], S[i - 1] if i else lam[0]) + 1)
+        while level:
+            S, (value, count, primed, _) = level.popitem()
+            ranges = [range(S[i], min(top[i], S[i - 1] if i else top[0]) + 1)
                       for i in range(rows)]
             for head in product(*ranges):
                 T = head + S[rows:]
                 ok = alive.get(T)
                 if ok is None:
-                    ok = alive[T] = all(
-                        sum(b <= a < top for b, top in zip(T, lam)) <= letters_left
-                        for a in T)
+                    ok = alive[T] = any(_reaches(T, lam, letters_left)
+                                        for lam in padded)
                 step = cells(c, S, T) if ok else None
                 if step is None:
                     continue
@@ -297,10 +341,21 @@ def _transfer(lam, n: int, table: Mapping, lift: Lift, cells):
                         operator.mul, (vals[fid] ** e for fid, e in ids))
                 value_t = value * f if ids else value
                 primed_t, old = primed << free, nxt.get(T)
-                nxt[T] = ((value_t, count, primed_t) if old is None else
-                          (old[0] + value_t, old[1] + count, old[2] + primed_t))
+                if old is None:
+                    nxt[T] = [value_t, count, primed_t, bool(ids)]
+                    continue
+                if old[3]:
+                    old[0]._iadd(value_t)
+                else:
+                    old[0], old[3] = old[0] + value_t, True
+                old[1] += count
+                old[2] += primed_t
         level = nxt
-    return level.get(lam, (lift(ZERO), 0, 0))
+    zero, out = lift(ZERO), {}
+    for lam, key in zip(lams, padded):
+        value, count, primed, made = level.get(key) or (zero, 0, 0, False)
+        out[lam] = (value if made else value + zero, count, primed)
+    return out
 
 
 # -- reports --------------------------------------------------------------------
@@ -391,6 +446,19 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     up front and has no object limit: the report's object count comes from
     the transfer, whose cost follows the shapes it walks.
     """
+    return _verify_cases(identity, (mu,), n, mode, trials, seed, prime,
+                         cpm_q_scheme, c0_mode, st_q_neighbour)[0]
+
+
+def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
+                  prime: int, cpm_q_scheme: str, c0_mode: str,
+                  st_q_neighbour: str) -> List[VerificationReport]:
+    """verify() of every mu of mus, one report each, in their order.  The
+    cases share one walk of the left sides, one walk of the sp_mu and one
+    staircase product; in modular mode they share the sample points too.
+
+    Each report's millis is its share of the shared work (the walks and the
+    product, split evenly) plus the time of its own comparison."""
     if identity not in IDENTITIES:
         raise UnknownIdentityError(identity)
     if mode not in ("symbolic", "modular"):
@@ -398,14 +466,15 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
     scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
     if mode == "modular":
         _check_modular(trials, seed, prime)
-    mu = as_partition(mu)
-    lam = add_staircase(mu, n)
+    cases = [(mu, add_staircase(mu, n)) for mu in map(as_partition, mus)]
+    mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
     if mode == "symbolic":
-        count = count_gtp(lam, n)
-        if count > SYMBOLIC_OBJECT_CAP:
-            raise ScaleExceededError(
-                f"{count} objects for lambda={lam}; symbolic mode expands at "
-                f"most {SYMBOLIC_OBJECT_CAP}, modular mode has no such limit")
+        for lam in lams:
+            count = count_gtp(lam, n)
+            if count > SYMBOLIC_OBJECT_CAP:
+                raise ScaleExceededError(
+                    f"{count} objects for lambda={lam}; symbolic mode expands at "
+                    f"most {SYMBOLIC_OBJECT_CAP}, modular mode has no such limit")
     params: dict = {}
     if identity == "COR_UASM_Q":
         params["cpm_q_scheme"] = cpm_q_scheme
@@ -413,6 +482,8 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
             params["c0_mode"] = c0_mode
     if identity == "COR_ST_Q" and st_q_neighbour != "below":
         params["st_q_neighbour"] = st_q_neighbour
+    if mode == "modular":
+        params.update({"trials": trials, "seed": seed, "prime": prime})
 
     start = time.perf_counter()
     if mode == "symbolic":
@@ -422,33 +493,41 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
         variables = _identity_variables(identity, n)
         points = [random_point(variables, rng, prime) for _ in range(trials)]
         lift = lambda f: Residues.lift(f, points, prime)
-    lhs, objects = _left_side(identity, lam, n, scheme, c0_mode,
-                              st_q_neighbour, lift)
-    rhs = _right_side(identity, mu, n, lift)
-    equal = lhs == rhs
+    lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
+    characters, staircase = _right_factors(identity, mus, n, lift)
+    shared = (time.perf_counter() - start) / len(mus)
 
-    if mode == "symbolic":
-        counterexample = None if equal else _first_difference(lhs, rhs)
-        return VerificationReport(
-            identity, n, mu, lam, "SYMBOLIC", objects,
-            lhs.num_terms(), rhs.num_terms(), equal, counterexample,
-            (time.perf_counter() - start) * 1000.0, params,
-        )
-    params.update({"trials": trials, "seed": seed, "prime": prime})
-    counterexample = None
-    if not equal:
-        idx = next(i for i, (a, b) in enumerate(zip(lhs.values, rhs.values))
-                   if a != b)
-        counterexample = {
-            "trial": idx,
-            "point": {var_name(v): points[idx][v] for v in sorted(points[idx])},
-            "lhsValue": lhs.values[idx],
-            "rhsValue": rhs.values[idx],
-        }
-    return VerificationReport(
-        identity, n, mu, lam, "MODULAR", objects, None, None, equal,
-        counterexample, (time.perf_counter() - start) * 1000.0, params,
-    )
+    zero, reports = lift(ZERO), []
+    for mu, lam in cases:
+        start = time.perf_counter()
+        lhs, objects = lefts.pop(lam)
+        character = characters.pop(mu)
+        terms = (lhs.num_terms(),) * 2 if mode == "symbolic" else (None, None)
+        equal = lhs._isub_product(character, staircase) == zero
+        counterexample = None
+        if not equal:  # lhs holds lhs - rhs now
+            rhs = character * staircase
+            lhs = lhs + rhs
+            if mode == "symbolic":
+                terms = terms[0], rhs.num_terms()
+                counterexample = _first_difference(lhs, rhs)
+            else:
+                counterexample = _first_mismatch(lhs, rhs, points)
+        millis = (shared + time.perf_counter() - start) * 1000.0
+        reports.append(VerificationReport(
+            identity, n, mu, lam, mode.upper(), objects, *terms, equal,
+            counterexample, millis, dict(params)))
+    return reports
+
+
+def _first_mismatch(lhs: Residues, rhs: Residues, points) -> dict:
+    idx = next(i for i, (a, b) in enumerate(zip(lhs.values, rhs.values)) if a != b)
+    return {
+        "trial": idx,
+        "point": {var_name(v): points[idx][v] for v in sorted(points[idx])},
+        "lhsValue": lhs.values[idx],
+        "rhsValue": rhs.values[idx],
+    }
 
 
 def _sweep_shapes(max_weight: int, n: int):
@@ -463,15 +542,19 @@ def _sweep_shapes(max_weight: int, n: int):
 
 
 def verify_sweep(identity: str, n: int, max_weight: int, mode: str = "symbolic",
-                 workers: int = 1, **kwargs) -> List[VerificationReport]:
-    """verify() over all mu with |mu| <= max_weight, in (|mu|, mu) order.
+                 workers: int = 1, trials: int = 20, seed: int = 0,
+                 prime: int = MERSENNE31, cpm_q_scheme: str = "plain",
+                 c0_mode: str = "full", st_q_neighbour: str = "below"
+                 ) -> List[VerificationReport]:
+    """verify() over all mu with |mu| <= max_weight, in (|mu|, mu) order,
+    with the same reports but one walk of each side for the whole sweep.
 
     The sweep runs serially; workers accepts only 1.
     """
     if workers != 1:
         raise ValueError(f"the sweep runs serially; workers must be 1, got {workers}")
-    return [verify(identity, mu, n, mode, **kwargs)
-            for mu in _sweep_shapes(max_weight, n)]
+    return _verify_cases(identity, _sweep_shapes(max_weight, n), n, mode,
+                         trials, seed, prime, cpm_q_scheme, c0_mode, st_q_neighbour)
 
 
 # -- the big modular case ---------------------------------------------------------
@@ -598,11 +681,11 @@ def _finding(cases: List[Tuple[Tuple[int, ...], bool]]) -> dict:
 
 def _le_setbuilder_sweep(n: int, max_weight: int) -> dict:
     """COR_GT_QX with the narrower L_e that stops at j = k-1."""
+    cases = [(mu, add_staircase(mu, n)) for mu in _sweep_shapes(max_weight, n)]
+    mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
     table = weights.factor_table("GT_QX", n)
-    cases = []
-    for mu in _sweep_shapes(max_weight, n):
-        lam = add_staircase(mu, n)
-        lhs = _transfer(lam, n, table, _exact,
-                        weights._pattern_cells(table, narrow_le=True))[0]
-        cases.append((mu, lhs == rhs_product("COR_GT_QX", mu, n)))
-    return _finding(cases)
+    lefts = _transfer(lams, n, table, _exact,
+                      weights._pattern_cells(table, narrow_le=True))
+    characters, staircase = _right_factors("COR_GT_QX", mus, n, _exact)
+    return _finding([(mu, lefts[lam][0] == characters[mu] * staircase)
+                     for mu, lam in cases])

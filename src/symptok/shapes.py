@@ -26,6 +26,11 @@ class InvalidRankError(ValueError):
     """A rank n that is not an int of at least 1 (see as_rank)."""
 
 
+class NotAPartitionError(ValueError):
+    """Parts that are not a sequence of ints, or that have a negative part
+    or do not weakly decrease (see as_partition)."""
+
+
 class NotStrictError(ValueError):
     """Parts that must form a strict partition have a part below 1 or do
     not strictly decrease (see as_strict_partition)."""
@@ -45,24 +50,26 @@ def as_rank(n: int) -> int:
 def _int_parts(parts: Sequence[int]) -> Tuple[int, ...]:
     """The parts as a tuple.  Parts that are not a sequence (a number, None),
     or a part whose type is not int (a float, a bool, a character of a
-    string), raise ValueError rather than being read as another number."""
+    string), raise NotAPartitionError rather than being read as another
+    number."""
     try:
         parts = tuple(parts)
     except TypeError:
-        raise ValueError(f"shape {parts!r} is not a sequence of parts") from None
+        raise NotAPartitionError(f"shape {parts!r} is not a sequence of parts") from None
     for p in parts:
         if type(p) is not int:
-            raise ValueError(f"part {p!r} of {parts} is not an integer")
+            raise NotAPartitionError(f"part {p!r} of {parts} is not an integer")
     return parts
 
 
 def as_partition(parts: Sequence[int]) -> Tuple[int, ...]:
-    """Validate weak decrease and trim trailing zeros."""
+    """Validate weak decrease and trim trailing zeros; a shape that is no
+    partition raises NotAPartitionError."""
     parts = _int_parts(parts)
     if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in {parts}")
+        raise NotAPartitionError(f"negative part in {parts}")
     if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"parts not weakly decreasing: {parts}")
+        raise NotAPartitionError(f"parts not weakly decreasing: {parts}")
     while parts and parts[-1] == 0:
         parts = parts[:-1]
     return parts

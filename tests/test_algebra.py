@@ -285,3 +285,52 @@ class TestResiduesLift:
         points = [dict.fromkeys(self.VARS, 3), {**dict.fromkeys(self.VARS, 3), TVAR: 14}]
         with pytest.raises(NonInvertiblePointError):
             Residues.lift(self.P, points, 7)
+
+
+class TestInPlace:
+    """The transfer's private in-place arithmetic: _iadd and _isub_product
+    write into the value they are called on and agree with + and * - ."""
+
+    A = (X1 + Q) ** 3 - mono({xvar(1): -1, yvar(1): 2}, 4)
+    B = X1 * Y1 - Q ** 2 + ONE
+
+    def copy(self, p):
+        return p + LaurentPoly.zero()
+
+    def test_iadd_matches_add_and_writes_into_self(self):
+        acc = self.copy(self.A)
+        assert acc._iadd(self.B) is acc
+        assert acc == self.A + self.B
+        assert acc._iadd(-(self.A + self.B)) == LaurentPoly.zero()
+        assert not acc.terms  # cancelled terms are gone, not kept at 0
+
+    def test_isub_product_matches_subtracting_the_product(self):
+        acc = self.copy(self.A)
+        assert acc._isub_product(self.B, self.A) is acc
+        assert acc == self.A - self.B * self.A
+        acc = self.copy(self.A * self.B)
+        assert acc._isub_product(self.A, self.B).is_zero()
+
+    def test_isub_product_checks_the_exponent_bound(self):
+        big = mono({xvar(1): MAX_EXPONENT})
+        with pytest.raises(ExponentOverflowError):
+            self.copy(ONE)._isub_product(big, X1)
+        acc = self.copy(ONE)
+        acc._isub_product(big, mono({xvar(1): -1}))  # fits: x1^(MAX - 1)
+        assert acc == ONE - mono({xvar(1): MAX_EXPONENT - 1})
+
+    def test_residues_in_place_match_the_operators(self):
+        rng = random.Random(12)
+        points = [random_point([xvar(1), yvar(1), QVAR], rng) for _ in range(4)]
+        a, b = (Residues.lift(p, points, MERSENNE31) for p in (self.A, self.B))
+        acc = Residues(list(a.values), MERSENNE31)
+        assert acc._iadd(b) is acc and acc == a + b
+        acc._isub_product(a, b)
+        assert acc == Residues.lift(self.A + self.B - self.A * self.B, points,
+                                    MERSENNE31)
+
+    def test_first_power_is_the_value_itself(self):
+        # the transfer raises most factors to the power 1; that copies nothing
+        assert self.A ** 1 is self.A
+        r = Residues([3, 5], 7)
+        assert r ** 1 is r and (r ** 2).values == [2, 4]

@@ -25,7 +25,7 @@ from oracles import (
     wgt_st_q,
     wgt_t,
 )
-from symptok import identities, matrices
+from symptok import algebra, identities, matrices, weights
 from symptok.algebra import (
     MERSENNE31,
     QVAR,
@@ -37,7 +37,10 @@ from symptok.algebra import (
     yvar,
 )
 from symptok.identities import (
+    GRID_RANKS,
+    GRID_VARIANTS,
     IDENTITIES,
+    REJECTED_VARIANTS,
     InvalidRankError,
     InvalidWeightError,
     ModularParameterError,
@@ -71,6 +74,7 @@ from symptok.tableaux import (
 )
 from symptok.weights import (
     CPM_SCHEMES,
+    _compass_cells,
     _letter_cells,
     _pattern_cells,
     _shifted_cells,
@@ -394,10 +398,10 @@ def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
             for p, pt in enumerate(points):
                 want[p] = (want[p] + w.eval_mod(pt, MERSENNE31)) % MERSENNE31
         c0_mode = knobs.get("c0_mode", "full")
-        got = _left_side(identity, lam, n, scheme, c0_mode, "below", exact)
+        got = _left_side(identity, (lam,), n, scheme, c0_mode, "below", exact)[lam]
         assert got == (total, objects), (mu, n)
-        got = _left_side(identity, lam, n, scheme, c0_mode, "below",
-                         modular_lift(points))
+        got = _left_side(identity, (lam,), n, scheme, c0_mode, "below",
+                         modular_lift(points))[lam]
         assert (got[0].values, got[1]) == (want, objects), (mu, n)
 
 
@@ -414,8 +418,8 @@ def test_narrow_le_transfer_matches_per_object_statistics():
             want = want + (ONE + Q) ** s.b * mono({v: e for v, e in exps.items() if e})
             objects += 1
         table = factor_table("GT_QX", n)
-        got, count, _ = _transfer(lam, n, table, exact,
-                                  _pattern_cells(table, narrow_le=True))
+        got, count, _ = _transfer((lam,), n, table, exact,
+                                  _pattern_cells(table, narrow_le=True))[lam]
         assert (got, count) == (want, objects), (mu, n)
 
 
@@ -472,13 +476,13 @@ def test_walkers_match_per_object_weights(mode):
             reference = walker_reference(mu, n)
             for (identity, neighbour), (total, objects) in reference.items():
                 scheme = _factor_scheme(identity, "plain", "full", neighbour)
-                got, got_objects = _left_side(identity, lam, n, scheme, "full",
-                                              neighbour, lift)
+                got, got_objects = _left_side(identity, (lam,), n, scheme, "full",
+                                              neighbour, lift)[lam]
                 assert got == lift(total) and got_objects == objects, (
                     identity, neighbour, mu, n)
         for deformed, (total, objects) in sp_reference(mu, n).items():
             table = factor_table("T_DEFORMED" if deformed else "T", n)
-            got, got_objects, _ = _transfer(mu, n, table, lift, _letter_cells)
+            got, got_objects, _ = _transfer((mu,), n, table, lift, _letter_cells)[mu]
             assert got == lift(total) and got_objects == objects, (deformed, mu, n)
 
 
@@ -490,7 +494,7 @@ def weyl_points(n):
 
 def transfer_sp_mu(mu, n, deformed, points):
     table = factor_table("T_DEFORMED" if deformed else "T", n)
-    return _transfer(mu, n, table, modular_lift(points), _letter_cells)[0].values
+    return _transfer((mu,), n, table, modular_lift(points), _letter_cells)[mu][0].values
 
 
 @pytest.mark.parametrize("deformed", [False, True])
@@ -568,7 +572,7 @@ def test_shifted_walker_matches_per_object_weights_at_rank_four():
             for fid in cell_cases(st, neighbour):
                 weight = weight * vals[fid]
             want = want + weight
-        got = _left_side(identity, lam, n, scheme, "full", neighbour, lift)
+        got = _left_side(identity, (lam,), n, scheme, "full", neighbour, lift)[lam]
         assert got == (want, objects), (identity, neighbour)
 
 
@@ -598,8 +602,8 @@ def test_pattern_and_compass_transfer_match_per_object_weights_at_rank_four():
         if scheme == "CPM_Q_NORM":
             prefactor = lift(cpm_q_norm_prefactor(n, c0_mode)).values
             want = [a * v % MERSENNE31 for a, v in zip(want, prefactor)]
-        got, got_objects = _left_side(identity, lam, n, scheme, c0_mode, "below",
-                                      lift)
+        got, got_objects = _left_side(identity, (lam,), n, scheme, c0_mode, "below",
+                                      lift)[lam]
         assert (got.values, got_objects) == (want, len(objs)), (scheme, c0_mode)
 
 
@@ -609,8 +613,8 @@ def test_pattern_and_compass_transfer_match_per_object_weights_at_rank_four():
 def test_transfer_count_matches_gt_pattern_count(lam, n):
     # count_gtp walks interlacing GT rows and shares no code with the
     # transfer; (9,7,6) has 175,274 tableaux and (4,3,2,1) 10,336
-    _, count, _ = _transfer(lam, n, factor_table("ST_XY", n), modular_lift([]),
-                            _shifted_cells("below"))
+    _, count, _ = _transfer((lam,), n, factor_table("ST_XY", n), modular_lift([]),
+                            _shifted_cells("below"))[lam]
     assert count == count_gtp(lam, n)
 
 
@@ -815,3 +819,123 @@ def test_golden_shape_count_guard():
     # the running example is far beyond the symbolic cap
     with pytest.raises(ScaleExceededError):
         verify("THM_ST", G.MU, G.N)
+
+
+# -- one walk per sweep -------------------------------------------------------------
+
+SWEEP_VARIANTS = GRID_VARIANTS + REJECTED_VARIANTS
+SWEEP_IDS = ["-".join((identity, *knobs.values())) for identity, knobs in SWEEP_VARIANTS]
+
+
+@pytest.mark.parametrize("identity,knobs", SWEEP_VARIANTS, ids=SWEEP_IDS)
+def test_symbolic_sweep_reports_match_verify_per_mu(identity, knobs):
+    # the sweep walks every mu's left side and sp_mu at once; verify walks
+    # one target, and each mu's --no-timing report must not tell them apart
+    for n, max_weight in GRID_RANKS:
+        if n > 2:
+            continue
+        reports = verify_sweep(identity, n, max_weight, **knobs)
+        assert [r.mu for r in reports] == list(partitions_up_to(max_weight, n))
+        for r in reports:
+            want = verify(identity, r.mu, n, **knobs)
+            assert r.to_json_dict(include_timing=False) == \
+                want.to_json_dict(include_timing=False), (n, r.mu)
+        # the rejected conventions agree with the accepted ones at rank one
+        if n == 2 or (identity, knobs) in GRID_VARIANTS:
+            assert all(r.equal for r in reports) is ((identity, knobs) in GRID_VARIANTS)
+
+
+@pytest.mark.parametrize("identity,knobs", [("THM_ST", {}), *REJECTED_VARIANTS],
+                         ids=["THM_ST", *SWEEP_IDS[len(GRID_VARIANTS):]])
+def test_modular_sweep_reports_match_verify_per_mu(identity, knobs):
+    # one set of points serves the whole sweep, as each verify draws the same
+    # points from the seed; a rejected variant's counterexample is the same
+    reports = verify_sweep(identity, 3, 2, "modular", trials=4, seed=3, **knobs)
+    for r in reports:
+        want = verify(identity, r.mu, 3, "modular", trials=4, seed=3, **knobs)
+        assert r.to_json_dict(include_timing=False) == \
+            want.to_json_dict(include_timing=False), r.mu
+    failed = [r for r in reports if not r.equal]
+    assert bool(failed) is (identity != "THM_ST")
+    assert all(r.counterexample["lhsValue"] != r.counterexample["rhsValue"]
+               for r in failed)
+
+
+def test_a_sweep_walks_each_side_once(monkeypatch):
+    # one left-side walk and one sp_mu walk per sweep, each over every mu,
+    # and one staircase product; the narrow L_e control too
+    transfer, factors = identities._transfer, identities.rhs_factors
+    walks, products = [], []
+
+    def walking(targets, n, table, lift, cells):
+        targets = list(targets)
+        walks.append((len(targets), cells is _letter_cells))
+        return transfer(targets, n, table, lift, cells)
+
+    def multiplying(identity, n):
+        products.append(identity)
+        return factors(identity, n)
+
+    monkeypatch.setattr(identities, "_transfer", walking)
+    monkeypatch.setattr(identities, "rhs_factors", multiplying)
+    cases = len(list(partitions_up_to(3, 2)))
+    for sweep in (lambda: verify_sweep("COR_UASM", 2, 3),
+                  lambda: verify_sweep("PROP_T", 2, 3, "modular", trials=2),
+                  lambda: _le_setbuilder_sweep(2, 3)):
+        walks.clear()
+        products.clear()
+        sweep()
+        assert sorted(walks) == [(cases, False), (cases, True)]
+        assert len(products) == 1
+
+
+def test_sweeps_write_to_no_shared_value():
+    # the walk adds in place only into sums it made, and each case subtracts
+    # in place only from its own left side: ONE, ZERO and the cached factor
+    # tables, which the symbolic lift hands to the walk as they are, stay put
+    tables = {(scheme, n): factor_table(scheme, n)
+              for scheme in (*weights.SCHEMES, "T") for n in (1, 2, 3)}
+
+    def snapshot():
+        return ({key: {fid: f.terms for fid, f in table.items()}
+                 for key, table in tables.items()},
+                algebra.ONE.terms, algebra.ZERO.terms)
+
+    before = snapshot()
+    for identity, knobs in SWEEP_VARIANTS:
+        verify_sweep(identity, 2, 2, **knobs)
+        verify_sweep(identity, 3, 1, "modular", trials=2, **knobs)
+    ambiguity_report(2, 1)
+    assert snapshot() == before
+    assert all(factor_table(*key) is table for key, table in tables.items())
+
+
+def test_an_unreached_target_is_a_zero_of_its_own():
+    # (2, 2) is no strict shape, so no shifted tableau reaches it; the
+    # caller may write to what the walk returns, so it is not ZERO itself
+    table = factor_table("ST_XY", 2)
+    got = _transfer([(2, 2), (2, 1)], 2, table, exact, _shifted_cells("below"))
+    value, count, primed = got[(2, 2)]
+    assert (value, count, primed) == (LaurentPoly.zero(), 0, 0)
+    assert value is not algebra.ZERO and got[(2, 1)][1] == count_gtp((2, 1), 2)
+
+
+@pytest.mark.parametrize("scheme", CPM_SCHEMES)
+def test_no_compass_table_weighs_se(scheme):
+    # a U-turn ASM's columns past lam_1 are all SE, so a compass walk as wide
+    # as the widest target weighs a narrower target's matrices as its own
+    # walk does only while no table holds an SE factor
+    for n in range(1, 5):
+        assert [fid for fid in factor_table(scheme, n) if fid[0] == "SE"] == []
+
+
+@pytest.mark.parametrize("scheme", CPM_SCHEMES)
+def test_a_wider_compass_walk_gives_the_same_steps(scheme):
+    lam, n = (4, 2, 1), 3
+    table = factor_table(scheme, n)
+    narrow, wide = _compass_cells(lam[0], table), _compass_cells(lam[0] + 3, table)
+    shapes = list(product(*(range(part + 1) for part in lam)))
+    for S, T in product(shapes, shapes):
+        if all(s <= t for s, t in zip(S, T)):
+            for c in range(1, 2 * n + 1):
+                assert narrow(c, S, T) == wide(c, S, T), (S, T, c)

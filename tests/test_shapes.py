@@ -15,6 +15,7 @@ from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
 from symptok.shapes import (
     BadLengthError,
     InvalidRankError,
+    NotAPartitionError,
     RankTooSmallError,
     add_staircase,
     as_partition,
@@ -141,6 +142,25 @@ def test_shape_that_is_not_a_sequence_is_rejected(parse, shape):
     # tuple(shape) raised a TypeError, which the CLI does not map to exit 2
     with pytest.raises(ValueError, match="not a sequence"):
         parse(shape)
+
+
+@pytest.mark.parametrize("shape,message", [
+    (5, "shape 5 is not a sequence of parts"),
+    ((2, 1.0), "part 1.0 of (2, 1.0) is not an integer"),
+    ((2, -1), "negative part in (2, -1)"),
+    ((1, 2), "parts not weakly decreasing: (1, 2)"),
+])
+def test_a_shape_that_is_no_partition_has_its_own_error(shape, message):
+    # a typed error, as a strict partition's NotStrictError, and still a
+    # ValueError, which the CLI maps to exit 2; the entry points that take
+    # a shape pass it on
+    calls = [lambda: as_partition(shape), lambda: add_staircase(shape, 2),
+             lambda: verify_big_modular(shape, 2, trials=2),
+             lambda: verify("THM_ST", shape, 2), lambda: sp_mu(shape, 2)]
+    for call in calls:
+        with pytest.raises(NotAPartitionError) as exc:
+            call()
+        assert str(exc.value) == message and isinstance(exc.value, ValueError)
 
 
 #: One call per public function of the package that takes a rank n, every
