@@ -31,8 +31,8 @@ point.
 Two polynomials are equal iff their term maps are equal, so all arithmetic
 keeps results canonical.  Values are immutable after construction: every
 operator allocates a fresh result, except that ``p ** 1`` is p itself.  The
-exceptions are the private ``_iadd`` and ``_isub_product``, which write into
-a sum that only their caller holds.
+exception is the private ``_iadd_product``, a multiply-accumulate that
+writes into a sum that only its caller holds.
 """
 
 from __future__ import annotations
@@ -286,23 +286,11 @@ class LaurentPoly:
                 del out[mono]
         return LaurentPoly._make(out, max(self._bound, other._bound))
 
-    def _iadd(self, other: "LaurentPoly") -> "LaurentPoly":
-        """self + other, written into self: only for a sum that its caller
-        made and no one else holds (the transfer's merged accumulators)."""
-        out = self._terms
-        get = out.get
-        for mono, c in other._terms.items():
-            s = get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        self._bound = max(self._bound, other._bound)
-        return self
-
-    def _isub_product(self, a: "LaurentPoly", b: "LaurentPoly") -> "LaurentPoly":
-        """self - a * b, written into self as _iadd writes, without building
-        a * b."""
+    def _iadd_product(self, a: "LaurentPoly", b: "LaurentPoly",
+                      sign: int = 1) -> "LaurentPoly":
+        """self + sign * a * b, written into self without building a * b:
+        only for a sum that its caller made and no one else holds (the
+        transfer's merged sums, a case's left side)."""
         bound = a._bound + b._bound
         if bound > MAX_EXPONENT:
             bound = _product_bound(a._terms, b._terms)
@@ -312,9 +300,10 @@ class LaurentPoly:
         if len(big) < len(small):
             big, small = small, big
         for mb, cb in small.items():
+            cb *= sign
             for ma, ca in big.items():
                 mono = ma + mb
-                s = get(mono, 0) - ca * cb
+                s = get(mono, 0) + ca * cb
                 if s:
                     out[mono] = s
                 else:
@@ -454,16 +443,12 @@ class Residues:
         p = self.prime
         return Residues([(a + b) % p for a, b in zip(self.values, other.values)], p)
 
-    def _iadd(self, other: "Residues") -> "Residues":
-        """self + other, written into self, as LaurentPoly._iadd."""
+    def _iadd_product(self, a: "Residues", b: "Residues",
+                      sign: int = 1) -> "Residues":
+        """self + sign * a * b, written into self, as
+        LaurentPoly._iadd_product."""
         p = self.prime
-        self.values = [(a + b) % p for a, b in zip(self.values, other.values)]
-        return self
-
-    def _isub_product(self, a: "Residues", b: "Residues") -> "Residues":
-        """self - a * b, written into self, as LaurentPoly._isub_product."""
-        p = self.prime
-        self.values = [(s - x * y) % p
+        self.values = [(s + sign * x * y) % p
                        for s, x, y in zip(self.values, a.values, b.values)]
         return self
 

@@ -270,9 +270,11 @@ def _reaches(T, lam, letters_left: int) -> bool:
     """Whether a path through shape T can still end at lam: T fits in lam,
     and no offset a needs a cell in more rows (those with T_i <= a < lam_i)
     than there are letters left, since no two cells of one letter share an
-    offset."""
-    return all(t <= top for t, top in zip(T, lam)) and all(
-        sum(b <= a < top for b, top in zip(T, lam)) <= letters_left for a in T)
+    offset.  No offset needs more rows than T has, so the fit decides alone
+    while there are as many letters left."""
+    fits = all(t <= top for t, top in zip(T, lam))
+    return fits and (letters_left >= len(T) or all(
+        sum(b <= a < top for b, top in zip(T, lam)) <= letters_left for a in T))
 
 
 def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple, tuple]:
@@ -300,12 +302,12 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple,
 
     Memory follows one level and the next: each shape is popped off its
     level as its steps are taken, and merges add in place into the sums
-    the walk owns.  The first path to reach T is stored as it is; a later
-    one is added into it in place (_iadd) once the walk owns it, that is
-    when it is a product the walk just made or a sum of an earlier merge,
-    and otherwise makes a fresh sum with one +.  So no value the walk did
-    not make, such as lift(ONE), a cached product or a table factor, is
-    written to, and each returned value is the caller's own to write to.
+    the walk owns.  The first path to reach T stores value * f, or value
+    itself when the step has no ids (f = 1); a later one adds value * f into
+    the sum in place (_iadd_product), once a sum the walk does not own has
+    been copied.  So no product is built only to be added, no value the walk
+    did not make (lift(ONE), a cached product or a table factor) is written
+    to, and each returned value is the caller's own to write to.
     """
     lams = [as_partition(lam) for lam in targets]
     for lam in lams:
@@ -315,9 +317,9 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple,
     padded = [lam + (0,) * (width - len(lam)) for lam in lams]
     top = tuple(map(max, zip(*padded)))
     vals = {fid: lift(f) for fid, f in table.items()}
-    products: Dict[tuple, object] = {}
+    zero, products = lift(ZERO), {(): lift(ONE)}
     # shape -> [value, count, primed, whether the walk owns value]
-    level = {(0,) * width: [lift(ONE), 1, 1, False]}
+    level = {(0,) * width: [products[()], 1, 1, False]}
     for c in range(1, 2 * n + 1):
         rows, letters_left = min(width, letter_level(c)), 2 * n - c
         nxt, alive = {}, {}
@@ -336,22 +338,20 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple,
                     continue
                 ids, free = step
                 f = products.get(ids)
-                if f is None and ids:
+                if f is None:
                     f = products[ids] = reduce(
                         operator.mul, (vals[fid] ** e for fid, e in ids))
-                value_t = value * f if ids else value
                 primed_t, old = primed << free, nxt.get(T)
                 if old is None:
-                    nxt[T] = [value_t, count, primed_t, bool(ids)]
+                    nxt[T] = [value * f if ids else value, count, primed_t, bool(ids)]
                     continue
-                if old[3]:
-                    old[0]._iadd(value_t)
-                else:
-                    old[0], old[3] = old[0] + value_t, True
+                if not old[3]:
+                    old[0], old[3] = old[0] + zero, True
+                old[0]._iadd_product(value, f)
                 old[1] += count
                 old[2] += primed_t
         level = nxt
-    zero, out = lift(ZERO), {}
+    out = {}
     for lam, key in zip(lams, padded):
         value, count, primed, made = level.get(key) or (zero, 0, 0, False)
         out[lam] = (value if made else value + zero, count, primed)
@@ -452,10 +452,11 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
 
 def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
                   prime: int, cpm_q_scheme: str, c0_mode: str,
-                  st_q_neighbour: str) -> List[VerificationReport]:
+                  st_q_neighbour: str, right=None) -> List[VerificationReport]:
     """verify() of every mu of mus, one report each, in their order.  The
     cases share one walk of the left sides, one walk of the sp_mu and one
     staircase product; in modular mode they share the sample points too.
+    right, if given, is that (sp_mu, product) pair, shared by the caller.
 
     Each report's millis is its share of the shared work (the walks and the
     product, split evenly) plus the time of its own comparison."""
@@ -469,8 +470,9 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
     cases = [(mu, add_staircase(mu, n)) for mu in map(as_partition, mus)]
     mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
     if mode == "symbolic":
+        table: Dict = {}  # GT row sub-counts, shared by the sweep's lams
         for lam in lams:
-            count = count_gtp(lam, n)
+            count = count_gtp(lam, n, table)
             if count > SYMBOLIC_OBJECT_CAP:
                 raise ScaleExceededError(
                     f"{count} objects for lambda={lam}; symbolic mode expands at "
@@ -494,16 +496,16 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
         points = [random_point(variables, rng, prime) for _ in range(trials)]
         lift = lambda f: Residues.lift(f, points, prime)
     lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
-    characters, staircase = _right_factors(identity, mus, n, lift)
+    characters, staircase = right or _right_factors(identity, mus, n, lift)
     shared = (time.perf_counter() - start) / len(mus)
 
     zero, reports = lift(ZERO), []
     for mu, lam in cases:
         start = time.perf_counter()
         lhs, objects = lefts.pop(lam)
-        character = characters.pop(mu)
+        character = characters[mu]
         terms = (lhs.num_terms(),) * 2 if mode == "symbolic" else (None, None)
-        equal = lhs._isub_product(character, staircase) == zero
+        equal = lhs._iadd_product(character, staircase, -1) == zero
         counterexample = None
         if not equal:  # lhs holds lhs - rhs now
             rhs = character * staircase
@@ -641,11 +643,20 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
     """Machine-readable findings for the three under-determined conventions.
 
     Each finding lists, per mu, whether the variant satisfies the relevant
-    identity symbolically at the given rank.
+    identity symbolically at the given rank.  Every variant's right side is
+    sp_mu, undeformed, times the q or the qx product, so the six sweeps
+    share one sp_mu walk and one product per kind.
     """
+    mus = list(_sweep_shapes(max_weight, n))
+    characters = _characters(mus, n, False, _exact)
+    rights = {IDENTITY_ROWS[identity].product:
+              (characters, reduce(operator.mul, rhs_factors(identity, n)))
+              for identity in ("COR_ST_Q", "COR_GT_QX")}
 
-    def sweep(identity, **kw):
-        reports = verify_sweep(identity, n, max_weight, **kw)
+    def sweep(identity, cpm_q_scheme="plain", c0_mode="full", st_q_neighbour="below"):
+        reports = _verify_cases(identity, mus, n, "symbolic", 20, 0, MERSENNE31,
+                                cpm_q_scheme, c0_mode, st_q_neighbour,
+                                rights[IDENTITY_ROWS[identity].product])
         return _finding([(r.mu, r.equal) for r in reports])
 
     report = {
@@ -667,7 +678,7 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
         },
         "l_even_range": {
             "through_diagonal": sweep("COR_GT_QX"),
-            "stop_before_diagonal": _le_setbuilder_sweep(n, max_weight),
+            "stop_before_diagonal": _le_setbuilder_sweep(n, max_weight, rights["qx"]),
         },
     }
     return report
@@ -679,13 +690,14 @@ def _finding(cases: List[Tuple[Tuple[int, ...], bool]]) -> dict:
             "cases": [{"mu": list(mu), "equal": equal} for mu, equal in cases]}
 
 
-def _le_setbuilder_sweep(n: int, max_weight: int) -> dict:
-    """COR_GT_QX with the narrower L_e that stops at j = k-1."""
+def _le_setbuilder_sweep(n: int, max_weight: int, right=None) -> dict:
+    """COR_GT_QX with the narrower L_e that stops at j = k-1 (right: see
+    _verify_cases)."""
     cases = [(mu, add_staircase(mu, n)) for mu in _sweep_shapes(max_weight, n)]
     mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
     table = weights.factor_table("GT_QX", n)
     lefts = _transfer(lams, n, table, _exact,
                       weights._pattern_cells(table, narrow_le=True))
-    characters, staircase = _right_factors("COR_GT_QX", mus, n, _exact)
+    characters, staircase = right or _right_factors("COR_GT_QX", mus, n, _exact)
     return _finding([(mu, lefts[lam][0] == characters[mu] * staircase)
                      for mu, lam in cases])

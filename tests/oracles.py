@@ -4,8 +4,9 @@ Each recomputes, by a route of its own, something the package computes:
 the weight of one object, the U-turn ASMs of a shape by brute force, the
 compass-row counting identities, the interlacing rows below a GT row, the
 narrow L_e statistic of the rejected reading, variable substitution in a
-Laurent polynomial, sp_mu mod p by the Weyl character formula, and the GT
-left sides mod p by a walk over pattern rows.  They read the package's
+Laurent polynomial, sp_mu mod p by the Weyl character formula, the GT
+left sides mod p by a walk over pattern rows, and the transfer's test of
+whether a shape can still reach its target.  They read the package's
 public types, the weights and the GT walk also its factor tables and its
 cell, mark and row helpers, and nothing of the engine they check.  pytest
 does not collect this file; the tests import it as they import golden.py.
@@ -429,3 +430,17 @@ def gt_left_side(lam, n: int, scheme: str, points: List[Mapping[Var, int]],
                     nxt[lower] = nxt[lower] + w if lower in nxt else w
             level = nxt
     return level.get((), Residues.lift(LaurentPoly.zero(), points, prime))
+
+
+# -- the transfer's letters-left test ----------------------------------------------
+
+
+def reaches(T, lam, letters_left: int) -> bool:
+    """Whether a path of shapes through T can still end at lam (both of one
+    length): T fits in lam, and at each offset a the rows still to fill
+    there (T_i <= a < lam_i) are no more than the letters left, since no
+    two cells of one letter share an offset.  Every offset is counted, with
+    no early answer from the number of rows."""
+    fits = all(t <= top for t, top in zip(T, lam))
+    return fits and all(sum(b <= a < top for b, top in zip(T, lam)) <= letters_left
+                        for a in T)

@@ -288,8 +288,8 @@ class TestResiduesLift:
 
 
 class TestInPlace:
-    """The transfer's private in-place arithmetic: _iadd and _isub_product
-    write into the value they are called on and agree with + and * - ."""
+    """The private multiply-accumulate _iadd_product writes self + sign*a*b
+    into the value it is called on and agrees with +, - and *."""
 
     A = (X1 + Q) ** 3 - mono({xvar(1): -1, yvar(1): 2}, 4)
     B = X1 * Y1 - Q ** 2 + ONE
@@ -297,37 +297,40 @@ class TestInPlace:
     def copy(self, p):
         return p + LaurentPoly.zero()
 
-    def test_iadd_matches_add_and_writes_into_self(self):
+    def test_adding_a_product_matches_add_and_writes_into_self(self):
         acc = self.copy(self.A)
-        assert acc._iadd(self.B) is acc
-        assert acc == self.A + self.B
-        assert acc._iadd(-(self.A + self.B)) == LaurentPoly.zero()
+        assert acc._iadd_product(self.B, self.A) is acc
+        assert acc == self.A + self.B * self.A
+        assert acc._iadd_product(self.A + self.B * self.A, ONE, -1) == \
+            LaurentPoly.zero()
         assert not acc.terms  # cancelled terms are gone, not kept at 0
 
-    def test_isub_product_matches_subtracting_the_product(self):
+    def test_subtracting_a_product_matches_the_operators(self):
         acc = self.copy(self.A)
-        assert acc._isub_product(self.B, self.A) is acc
+        assert acc._iadd_product(self.B, self.A, -1) is acc
         assert acc == self.A - self.B * self.A
         acc = self.copy(self.A * self.B)
-        assert acc._isub_product(self.A, self.B).is_zero()
+        assert acc._iadd_product(self.A, self.B, -1).is_zero()
+        assert not acc.terms
 
-    def test_isub_product_checks_the_exponent_bound(self):
+    def test_the_product_checks_the_exponent_bound(self):
         big = mono({xvar(1): MAX_EXPONENT})
-        with pytest.raises(ExponentOverflowError):
-            self.copy(ONE)._isub_product(big, X1)
-        acc = self.copy(ONE)
-        acc._isub_product(big, mono({xvar(1): -1}))  # fits: x1^(MAX - 1)
-        assert acc == ONE - mono({xvar(1): MAX_EXPONENT - 1})
+        for sign in (1, -1):
+            with pytest.raises(ExponentOverflowError):
+                self.copy(ONE)._iadd_product(big, X1, sign)
+            acc = self.copy(ONE)
+            acc._iadd_product(big, mono({xvar(1): -1}), sign)  # fits: x1^(MAX - 1)
+            assert acc == ONE + mono({xvar(1): MAX_EXPONENT - 1}, sign)
 
     def test_residues_in_place_match_the_operators(self):
         rng = random.Random(12)
         points = [random_point([xvar(1), yvar(1), QVAR], rng) for _ in range(4)]
         a, b = (Residues.lift(p, points, MERSENNE31) for p in (self.A, self.B))
         acc = Residues(list(a.values), MERSENNE31)
-        assert acc._iadd(b) is acc and acc == a + b
-        acc._isub_product(a, b)
-        assert acc == Residues.lift(self.A + self.B - self.A * self.B, points,
-                                    MERSENNE31)
+        assert acc._iadd_product(b, a) is acc and acc == a + b * a
+        acc._iadd_product(a, b, -1)
+        assert acc == Residues.lift(self.A + self.B * self.A - self.A * self.B,
+                                    points, MERSENNE31)
 
     def test_first_power_is_the_value_itself(self):
         # the transfer raises most factors to the power 1; that copies nothing

@@ -1,9 +1,10 @@
 import gc
 import importlib.util
 import json
+import operator
 import random
-from functools import lru_cache
-from itertools import product
+from functools import lru_cache, reduce
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     le_statistic_setbuilder,
     primed_weight_sum,
     qx_weight,
+    reaches,
     substitute,
     weyl_sp_mu,
     wgt_cpm,
@@ -52,6 +54,7 @@ from symptok.identities import (
     _identity_variables,
     _le_setbuilder_sweep,
     _left_side,
+    _reaches,
     _transfer,
     ambiguity_report,
     largest_feasible_subshape,
@@ -861,9 +864,10 @@ def test_modular_sweep_reports_match_verify_per_mu(identity, knobs):
                for r in failed)
 
 
-def test_a_sweep_walks_each_side_once(monkeypatch):
-    # one left-side walk and one sp_mu walk per sweep, each over every mu,
-    # and one staircase product; the narrow L_e control too
+@pytest.fixture
+def counted(monkeypatch):
+    """Records each walk as (its target count, whether it walks sp_mu) and
+    the identity of each staircase product built."""
     transfer, factors = identities._transfer, identities.rhs_factors
     walks, products = [], []
 
@@ -878,6 +882,13 @@ def test_a_sweep_walks_each_side_once(monkeypatch):
 
     monkeypatch.setattr(identities, "_transfer", walking)
     monkeypatch.setattr(identities, "rhs_factors", multiplying)
+    return walks, products
+
+
+def test_a_sweep_walks_each_side_once(counted):
+    # one left-side walk and one sp_mu walk per sweep, each over every mu,
+    # and one staircase product; the narrow L_e control too
+    walks, products = counted
     cases = len(list(partitions_up_to(3, 2)))
     for sweep in (lambda: verify_sweep("COR_UASM", 2, 3),
                   lambda: verify_sweep("PROP_T", 2, 3, "modular", trials=2),
@@ -887,6 +898,17 @@ def test_a_sweep_walks_each_side_once(monkeypatch):
         sweep()
         assert sorted(walks) == [(cases, False), (cases, True)]
         assert len(products) == 1
+
+
+def test_the_ambiguity_report_walks_sp_mu_once(counted):
+    # its six sweeps all weigh the right side with sp_mu, undeformed, at one
+    # (n, max_weight): six left-side walks and one sp_mu walk, not six, and
+    # one q and one qx product, not four and two
+    walks, products = counted
+    ambiguity_report(2, 2)
+    cases = len(list(partitions_up_to(2, 2)))
+    assert sorted(walks) == [(cases, False)] * 6 + [(cases, True)]
+    assert sorted(products) == ["COR_GT_QX", "COR_ST_Q"]
 
 
 def test_sweeps_write_to_no_shared_value():
@@ -918,6 +940,53 @@ def test_an_unreached_target_is_a_zero_of_its_own():
     value, count, primed = got[(2, 2)]
     assert (value, count, primed) == (LaurentPoly.zero(), 0, 0)
     assert value is not algebra.ZERO and got[(2, 1)][1] == count_gtp((2, 1), 2)
+
+
+def test_a_later_path_builds_no_product(monkeypatch):
+    # a shape's first path stores value * f and every later one adds value * f
+    # into that sum in place, so the walk multiplies once per first arrival
+    # with ids, besides building each distinct step's product once
+    lam, n = (5, 3, 1), 3
+    table, cells = factor_table("ST_XY", n), _shifted_cells("below")
+    arrivals, first, steps = {}, set(), set()
+
+    def recording(c, S, T):
+        step = cells(c, S, T)
+        if step is not None:
+            arrivals[c, T] = arrivals.get((c, T), 0) + 1
+            if arrivals[c, T] == 1 and step[0]:
+                first.add((c, T))
+            steps.add(step[0])
+        return step
+
+    mul, calls = LaurentPoly.__mul__, [0]
+
+    def counting(self, other):
+        calls[0] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    got = _transfer([lam], n, table, exact, recording)
+    walked, calls[0] = calls[0], 0
+    for ids in steps - {()}:  # each distinct step's product, built once
+        reduce(operator.mul, (table[fid] ** e for fid, e in ids))
+    assert got[lam][1] == count_gtp(lam, n)
+    assert sum(arrivals.values()) > 2 * len(arrivals)  # many later paths
+    assert walked <= len(first) + calls[0]
+
+
+def test_reaches_matches_the_full_offset_count():
+    # with as many letters left as T has rows the fit alone decides; every
+    # shape of parts <= 6, fitting or not, against each strict lam of rank
+    # <= 4 with parts <= 6, at every number of letters left
+    for n in range(1, 5):
+        shapes = [T for T in product(range(7), repeat=n)
+                  if all(a >= b for a, b in zip(T, T[1:]))]
+        for lam in combinations(range(6, 0, -1), n):
+            for T in shapes:
+                for letters_left in range(2 * n + 1):
+                    assert _reaches(T, lam, letters_left) is \
+                        reaches(T, lam, letters_left), (T, lam, letters_left)
 
 
 @pytest.mark.parametrize("scheme", CPM_SCHEMES)
