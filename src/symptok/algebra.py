@@ -369,12 +369,12 @@ class LaurentPoly:
         Negative exponents go through the modular inverse, so every assigned
         value must be nonzero mod the modulus when such an exponent occurs.
         """
-        return self._values_mod([assignment], modulus)[0]
+        return self._values_mod([assignment], modulus, {})[0]
 
-    def _values_mod(self, points: List[Mapping[Var, int]], modulus: int) -> List[int]:
-        """eval_mod at each point.  Every monomial is unpacked once for all
-        the points, and each variable's values and inverses are read once."""
-        columns: Dict[int, List[int]] = {}  # slot s, or ~s for its inverses
+    def _values_mod(self, points: List[Mapping[Var, int]], modulus: int,
+                    columns: Dict[int, List[int]]) -> List[int]:
+        """eval_mod at each point, each monomial unpacked once for all of them,
+        and each variable's values (slot s) and inverses (~s) read once into columns."""
         totals = [0] * len(points)
         for key, coef in self._terms.items():
             term = [coef % modulus] * len(points)
@@ -434,10 +434,10 @@ class Residues:
 
     @classmethod
     def lift(cls, poly: LaurentPoly, points: List[Mapping[Var, int]],
-             prime: int) -> "Residues":
-        """The values of poly at the points; each monomial is unpacked once
-        for all of them."""
-        return cls(poly._values_mod(points, prime), prime)
+             prime: int, columns: Dict[int, List[int]] | None = None) -> "Residues":
+        """The values of poly at the points, as _values_mod: lifts at the
+        same points and prime may share their columns."""
+        return cls(poly._values_mod(points, prime, {} if columns is None else columns), prime)
 
     def __add__(self, other: "Residues") -> "Residues":
         p = self.prime
@@ -463,7 +463,8 @@ class Residues:
         return Residues([pow(a, e, p) for a in self.values], p)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Residues) and self.values == other.values
+        return (isinstance(other, Residues) and self.prime == other.prime
+                and self.values == other.values)
 
     def __repr__(self) -> str:
         return f"Residues({self.values}, {self.prime})"

@@ -250,13 +250,13 @@ def _left_side(identity: str, lams, n: int, scheme: str, c0_mode: str,
     lam_1 are all SE, a code that no factor table holds, so one walk as
     wide as the widest lam weighs every target's matrices."""
     table = weights.factor_table(scheme, n)
-    cells = weights._step_cells(scheme, table, max(lam[0] for lam in lams),
+    steps = weights._step_cells(scheme, table, max(lam[0] for lam in lams),
                                 st_q_neighbour)
     counts_primed = IDENTITY_ROWS[identity].counts_primed
     prefactor = (lift(weights.cpm_q_norm_prefactor(n, c0_mode))
                  if scheme == "CPM_Q_NORM" else None)
     out = {}
-    for lam, (total, count, primed) in _transfer(lams, n, table, lift, cells).items():
+    for lam, (total, count, primed) in _transfer(lams, n, table, lift, steps).items():
         if prefactor is not None:
             total = total * prefactor
         out[lam] = (total, primed if counts_primed else count)
@@ -277,7 +277,7 @@ def _reaches(T, lam, letters_left: int) -> bool:
         sum(b <= a < top for b, top in zip(T, lam)) <= letters_left for a in T))
 
 
-def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple, tuple]:
+def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple, tuple]:
     """For each shape lam of targets, the sum over the rank-n tableaux of
     shape lam of the product of their cells' factors table[fid], in the
     value type of lift, with the tableau count and the primed count
@@ -290,24 +290,25 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple,
     letter c needs a smaller letter at its offset in row i - 1 (directly
     above it by T2, up-left on its diagonal by ST3), so step c takes S to
     the T with S_i <= T_i <= min(top_i, S_(i-1)), top the componentwise
-    maximum of the targets (zero-padded to the longest).  cells(c, S, T),
-    one of the weights module's step callbacks, gives the step's (id,
-    power) pairs and its count of free cells, or None where the family
-    forbids T; S_c is also GT pattern row c and the column sums of a U-turn
-    ASM after alphabet row c.  Each level maps a shape to the summed
-    product, count and primed count of its paths, which do not depend on
-    where the paths go next, so one walk serves every target.  A shape is
-    kept while some target can still be reached (_reaches).  Each distinct
-    step's product is computed once.
+    maximum of the targets (zero-padded to the longest).  steps is a
+    family's (rule, cells) pair from the weights module: rule(c, T) says
+    whether letter c may take a path to T, and cells(c, S, T) gives an
+    allowed step's (id, power) pairs and count of free cells; S_c is also GT
+    pattern row c and the column sums of a U-turn ASM after alphabet row c.
+    Each level maps a shape to the summed product, count and primed count of
+    its paths, which do not depend on where the paths go next, so one walk
+    serves every target.  A shape is kept, checked once per level, while the
+    rule allows it and some target can still be reached (_reaches).
 
-    Memory follows one level and the next: each shape is popped off its
-    level as its steps are taken, and merges add in place into the sums
-    the walk owns.  The first path to reach T stores value * f, or value
-    itself when the step has no ids (f = 1); a later one adds value * f into
-    the sum in place (_iadd_product), once a sum the walk does not own has
-    been copied.  So no product is built only to be added, no value the walk
-    did not make (lift(ONE), a cached product or a table factor) is written
-    to, and each returned value is the caller's own to write to.
+    Each distinct step's product f is computed once.  Memory follows one
+    level and the next: each shape is popped off its level as its steps are
+    taken, and merges add in place into the sums the walk owns.  The first
+    path to reach T stores value * f, or value itself when the step has no
+    ids (f = 1); a later one adds value * f into the sum in place
+    (_iadd_product), once a sum the walk does not own has been copied.  So
+    no product is built only to be added, no value the walk did not make
+    (lift(ONE), a cached product or a table factor) is written to, and each
+    returned value is the caller's own to write to.
     """
     lams = [as_partition(lam) for lam in targets]
     for lam in lams:
@@ -316,6 +317,7 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple,
     width = max(map(len, lams), default=0)
     padded = [lam + (0,) * (width - len(lam)) for lam in lams]
     top = tuple(map(max, zip(*padded)))
+    rule, cells = steps
     vals = {fid: lift(f) for fid, f in table.items()}
     zero, products = lift(ZERO), {(): lift(ONE)}
     # shape -> [value, count, primed, whether the walk owns value]
@@ -331,12 +333,11 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, cells) -> Dict[tuple,
                 T = head + S[rows:]
                 ok = alive.get(T)
                 if ok is None:
-                    ok = alive[T] = any(_reaches(T, lam, letters_left)
-                                        for lam in padded)
-                step = cells(c, S, T) if ok else None
-                if step is None:
+                    ok = alive[T] = rule(c, T) and any(
+                        _reaches(T, lam, letters_left) for lam in padded)
+                if not ok:
                     continue
-                ids, free = step
+                ids, free = cells(c, S, T)
                 f = products.get(ids)
                 if f is None:
                     f = products[ids] = reduce(
@@ -494,7 +495,8 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
         rng = random.Random(seed)
         variables = _identity_variables(identity, n)
         points = [random_point(variables, rng, prime) for _ in range(trials)]
-        lift = lambda f: Residues.lift(f, points, prime)
+        columns: Dict = {}  # each variable's values and inverses, for this call
+        lift = lambda f: Residues.lift(f, points, prime, columns)
     lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
     characters, staircase = right or _right_factors(identity, mus, n, lift)
     shared = (time.perf_counter() - start) / len(mus)

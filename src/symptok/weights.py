@@ -32,12 +32,12 @@ Which factors an object takes is written once, as step callbacks.  The
 cells of a tableau with letter <= c form a shape S_c, so a tableau is a path
 S_0 -> ... -> S_2n of shapes, which are also the rows of a GT pattern and
 the column sums of a U-turn ASM after each alphabet row.  A callback names
-the factors of one step from the shapes before and after it.  The engine
-(identities._transfer) sums their products over all paths, and path_weight
-multiplies them along one object's path.  Only wgt_qt weighs cell by cell:
-it weighs one priming, which the summed QT_DEFORMED factors do not see.  The
-tests' per-object weights (tests/oracles.py) share only factor_table with
-the callbacks, as the independent check of both.
+the factors of a step between two shapes that its family's shape rule
+allows (_SHAPE_RULES).  The engine (identities._transfer) sums their
+products over all paths, and path_weight multiplies them along one path.
+Only wgt_qt weighs cell by cell: it weighs one priming, which the summed
+QT_DEFORMED factors do not see.  The per-object weights of tests/oracles.py
+share only factor_table with the callbacks, as the independent check of both.
 
 SCHEMES holds one row per scheme the CLI speaks: the object family it weighs
 and the convention knobs it reads.  Adding a scheme is one row there, with
@@ -307,15 +307,8 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
 
 # -- step callbacks -------------------------------------------------------------------
 #
-# cells(c, S, T) gives the (id, power) pairs of the step S -> T taken with
-# letter c, and its count of free cells, or None where the family forbids T.
-
-
-def _letter_cells(c: int, S, T):
-    """Ordinary tableaux: every strip is allowed, and each new cell carries
-    its letter."""
-    grown = sum(T) - sum(S)
-    return ((c, grown),) if grown else (), 0
+# A family's steps (rule, cells): rule(c, T) says whether letter c may reach T,
+# and cells(c, S, T) gives an allowed step's (id, power) pairs and free cells.
 
 
 def _shifted_step(c: int, T) -> bool:
@@ -325,15 +318,25 @@ def _shifted_step(c: int, T) -> bool:
         not t and c >= letter(i + 1, True) for i, t in enumerate(T)))
 
 
+def _letter_strip(c: int, S, T):
+    """Ordinary tableaux: each new cell carries its letter."""
+    grown = sum(T) - sum(S)
+    return ((c, grown),) if grown else (), 0
+
+
+#: Each family's shape rule: ordinary tableaux may reach every shape.
+_SHAPE_RULES = {"t": lambda c, T: True,
+                **dict.fromkeys(("st", "qt", "uasm", "gtp"), _shifted_step)}
+_letter_cells = _SHAPE_RULES["t"], _letter_strip
+
+
 def _shifted_cells(neighbour: str):
-    """Shifted tableaux (steps as _shifted_step).  A new cell whose left
-    neighbour is new too is "left".  A row's first new cell, at offset s,
-    takes the neighbour case when the cell below it (offset s - 1 of the
-    next row) or, in the "above" reading, above it (offset s + 1 of the
-    previous row) is new too, and is "free" otherwise."""
+    """Shifted tableaux.  A new cell whose left neighbour is new too is
+    "left".  A row's first new cell, at offset s, takes the neighbour case
+    when the cell below it (offset s - 1 of the next row) or, in the "above"
+    reading, above it (offset s + 1 of the previous row) is new too, and is
+    "free" otherwise."""
     def cells(c: int, S, T):
-        if not _shifted_step(c, T):
-            return None
         Sp, Tp = (0,) + S + (0,), (0,) + T + (0,)
         lefts = nears = frees = 0
         for i in range(1, len(Sp) - 1):
@@ -347,7 +350,7 @@ def _shifted_cells(neighbour: str):
                     frees += 1
         counts = (((c, "left"), lefts), ((c, neighbour), nears), ((c, "free"), frees))
         return tuple((fid, e) for fid, e in counts if e), frees
-    return cells
+    return _SHAPE_RULES["st"], cells
 
 
 def _pattern_cells(table: Mapping, narrow_le: bool = False):
@@ -364,8 +367,6 @@ def _pattern_cells(table: Mapping, narrow_le: bool = False):
     statistics = ("q",) in table
 
     def cells(c: int, S, T):
-        if not _shifted_step(c, T):
-            return None
         k, odd = letter_level(c), c % 2
         marks = {"B": 0, "L": 0, "R": 0}
         for j in range(k - 1):
@@ -383,7 +384,7 @@ def _pattern_cells(table: Mapping, narrow_le: bool = False):
             ids += [((side, mark, k), e) for mark, e in marks.items()
                     if e and (side, mark, k) in table]
         return tuple(ids), 0
-    return cells
+    return _SHAPE_RULES["gtp"], cells
 
 
 def _compass_cells(width: int, table: Mapping):
@@ -400,8 +401,6 @@ def _compass_cells(width: int, table: Mapping):
     from .bijections import _ZERO_CODES
 
     def cells(c: int, S, T):
-        if not _shifted_step(c, T):
-            return None
         before, after = set(S), set(T)
         counts: Dict[str, int] = {}
         east = 0
@@ -417,12 +416,12 @@ def _compass_cells(width: int, table: Mapping):
         if code in _TURN_START and (_TURN, c) in table:
             ids.append(((_TURN, c), 1))
         return tuple(ids), 0
-    return cells
+    return _SHAPE_RULES["uasm"], cells
 
 
 def _step_cells(scheme: str, table: Mapping, width: int, neighbour: str):
-    """The step callback of the family that scheme weighs; width is the
-    column count of a U-turn ASM, and neighbour the ST_Q reading."""
+    """The steps (rule, cells) of the family that scheme weighs; width is
+    the column count of a U-turn ASM, and neighbour the ST_Q reading."""
     family = _row(scheme).family
     if family == "t":
         return _letter_cells
@@ -477,9 +476,9 @@ def _path_ids(obj, scheme: str, neighbour: str = "below"):
     """The rank of obj, the scheme's factor table, and the (fid, e) that the
     scheme's step callback gives for each step S -> T of obj's path from
     S_0 = 0.  A step that leaves S_i <= T_i <= S_(i-1), or changes a row
-    i >= k at level k (the engine's walk takes neither), or that the
-    callback refuses raises ForbiddenPathError; an object of another family
-    UnknownSchemeError."""
+    i >= k at level k (the engine's walk takes neither), or reaches a shape
+    that the family's shape rule refuses raises ForbiddenPathError; an
+    object of another family UnknownSchemeError."""
     family = _row(scheme).family
     if type(obj) is not _PATH_KINDS[family]:
         raise UnknownSchemeError(f"scheme {scheme} weighs no {type(obj).__name__}")
@@ -488,16 +487,14 @@ def _path_ids(obj, scheme: str, neighbour: str = "below"):
         table = {code: _letter_factor(scheme, code) for row in obj.rows for code in row}
     else:
         table = factor_table(scheme, n)
-    cells = _step_cells(scheme, table, obj.m if family == "uasm" else 0, neighbour)
+    rule, cells = _step_cells(scheme, table, obj.m if family == "uasm" else 0, neighbour)
     S, ids = (0,) * len(path[0]), []
     for c, T in enumerate(path, start=1):
         k = letter_level(c)
-        step = cells(c, S, T) if (
-            all(s <= t for s, t in zip(S, T)) and S[k:] == T[k:]
-            and all(t <= s for t, s in zip(T[1:], S))) else None
-        if step is None:
+        if not (all(s <= t for s, t in zip(S, T)) and S[k:] == T[k:]
+                and all(t <= s for t, s in zip(T[1:], S)) and rule(c, T)):
             raise ForbiddenPathError(f"no {family} object steps from {S} to {T} by letter {c}")
-        ids += step[0]
+        ids += cells(c, S, T)[0]
         S = T
     return n, table, ids
 

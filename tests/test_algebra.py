@@ -286,6 +286,27 @@ class TestResiduesLift:
         with pytest.raises(NonInvertiblePointError):
             Residues.lift(self.P, points, 7)
 
+    def test_shared_columns_give_each_lift_its_own_values(self):
+        # lifts that share one columns dict read each variable's values and
+        # inverses once, and give what a lift of its own gives, as the
+        # oracles' lifts do
+        rng = random.Random(13)
+        points = [random_point(self.VARS, rng) for _ in range(5)]
+        polys = [self.P, X1 + Y1, mono({xvar(1): -1, QVAR: 2}, 3), ONE,
+                 LaurentPoly.zero(), (Q - X1) ** 2 * mono({yvar(1): -2})]
+        columns = {}
+        for p in polys:
+            assert Residues.lift(p, points, MERSENNE31, columns) == \
+                Residues.lift(p, points, MERSENNE31), p
+        # the values of x1, y1 and q, and the inverses of x1, y1 and t
+        assert sorted(columns) == [~3, ~2, ~0, 1, 2, 3]
+        assert columns[~2] == [pow(pt[xvar(1)], -1, MERSENNE31) for pt in points]
+
+    def test_residues_differ_under_another_prime(self):
+        assert Residues([1, 2], 7) != Residues([1, 2], 11)
+        assert Residues([1, 2], 7) == Residues([1, 2], 7)
+        assert Residues([1, 2], 7) != Residues([1, 3], 7)
+
 
 class TestInPlace:
     """The private multiply-accumulate _iadd_product writes self + sign*a*b

@@ -3,6 +3,8 @@ import importlib.util
 import json
 import operator
 import random
+import re
+from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, product
 from pathlib import Path
@@ -69,6 +71,7 @@ from symptok.bijections import uasm_to_cpm
 from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
 from symptok.shapes import RankTooSmallError, add_staircase, partitions_up_to
 from symptok.tableaux import (
+    ShiftedTableau,
     cell_cases,
     enumerate_st,
     enumerate_t,
@@ -83,6 +86,7 @@ from symptok.weights import (
     _shifted_cells,
     cpm_q_norm_prefactor,
     factor_table,
+    path_weight,
     wgt_qt,
 )
 
@@ -947,7 +951,7 @@ def test_a_later_path_builds_no_product(monkeypatch):
     # into that sum in place, so the walk multiplies once per first arrival
     # with ids, besides building each distinct step's product once
     lam, n = (5, 3, 1), 3
-    table, cells = factor_table("ST_XY", n), _shifted_cells("below")
+    table, (rule, cells) = factor_table("ST_XY", n), _shifted_cells("below")
     arrivals, first, steps = {}, set(), set()
 
     def recording(c, S, T):
@@ -966,13 +970,64 @@ def test_a_later_path_builds_no_product(monkeypatch):
         return mul(self, other)
 
     monkeypatch.setattr(LaurentPoly, "__mul__", counting)
-    got = _transfer([lam], n, table, exact, recording)
+    got = _transfer([lam], n, table, exact, (rule, recording))
     walked, calls[0] = calls[0], 0
     for ids in steps - {()}:  # each distinct step's product, built once
         reduce(operator.mul, (table[fid] ** e for fid, e in ids))
     assert got[lam][1] == count_gtp(lam, n)
     assert sum(arrivals.values()) > 2 * len(arrivals)  # many later paths
     assert walked <= len(first) + calls[0]
+
+
+def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
+    # the transfer checks a shape's rule where it first meets the shape on
+    # a level, not on every step into it; many steps reach each shape
+    lam, n = (5, 3, 1), 3
+    shifted, checks, steps = weights._SHAPE_RULES["st"], Counter(), [0]
+
+    def checking(c, T):
+        checks[c, T] += 1
+        return shifted(c, T)
+
+    monkeypatch.setitem(weights._SHAPE_RULES, "st", checking)
+    rule, cells = _shifted_cells("below")
+    assert rule is checking  # the family's steps carry the table's rule
+
+    def stepping(c, S, T):
+        steps[0] += 1
+        return cells(c, S, T)
+
+    got = _transfer([lam], n, factor_table("ST_XY", n), exact, (rule, stepping))
+    assert got[lam][1] == count_gtp(lam, n)
+    assert max(checks.values()) == 1 and steps[0] > 2 * len(checks)
+
+
+def test_a_modular_verify_reads_each_point_column_once(monkeypatch):
+    # every lift of one verify shares its variables' values and inverses at
+    # the points: at most one column per (variable, sign) of the identity
+    column, calls = algebra._column, Counter()
+
+    def counting(points, slot, inverse, modulus):
+        calls[slot, inverse] += 1
+        return column(points, slot, inverse, modulus)
+
+    monkeypatch.setattr(algebra, "_column", counting)
+    for identity, knobs in GRID_VARIANTS:
+        calls.clear()
+        assert verify(identity, (2,), 3, "modular", **knobs).equal
+        assert max(calls.values()) == 1, (identity, knobs)
+        assert len(calls) <= 2 * len(_identity_variables(identity, 3)), (identity, knobs)
+
+
+@pytest.mark.parametrize("st,step", [
+    # a non-strict shape (1, 1), and row 2 still empty after the barred 2
+    (ShiftedTableau((1, 1), ((1,), (3,))), "from (1, 0) to (1, 1) by letter 3"),
+    (ShiftedTableau((2,), ((1, 3),)), "from (2, 0) to (2, 0) by letter 4"),
+])
+def test_path_weight_refuses_a_shape_the_rule_forbids(st, step):
+    with pytest.raises(weights.ForbiddenPathError,
+                       match=re.escape(f"no st object steps {step}")):
+        path_weight(st, "ST_XY")
 
 
 def test_reaches_matches_the_full_offset_count():
@@ -1002,7 +1057,7 @@ def test_no_compass_table_weighs_se(scheme):
 def test_a_wider_compass_walk_gives_the_same_steps(scheme):
     lam, n = (4, 2, 1), 3
     table = factor_table(scheme, n)
-    narrow, wide = _compass_cells(lam[0], table), _compass_cells(lam[0] + 3, table)
+    (_, narrow), (_, wide) = (_compass_cells(w, table) for w in (lam[0], lam[0] + 3))
     shapes = list(product(*(range(part + 1) for part in lam)))
     for S, T in product(shapes, shapes):
         if all(s <= t for s, t in zip(S, T)):

@@ -17,6 +17,9 @@ that is not an int of at least 1.
 Every ``(module, attribute)`` that ``perfbench/layers.py`` traces must
 resolve the way its tracer resolves it, so that renaming or removing one
 fails here rather than in a traced benchmark run.
+
+The shifted shape rule is named once, in the family rule table of
+``weights``, so no step callback checks shapes itself.
 """
 
 import ast
@@ -127,3 +130,19 @@ def test_every_traced_name_resolves_as_the_tracer_resolves_it():
         if owner is None or attr not in vars(owner):
             unresolved.append(f"{module}.{attr}")
     assert not unresolved, f"the benchmark traces names that are gone: {unresolved}"
+
+
+def test_each_shape_rule_is_named_once_and_no_callback_checks_shapes():
+    # the shifted shape rule is written into the family rule table and read
+    # nowhere else: the engine checks it once per shape, so a step callback
+    # that checked it too would pay again on every step
+    named = [(path.stem, node.lineno) for path in MODULES
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Name) and node.id == "_shifted_step"
+             or isinstance(node, ast.Attribute) and node.attr == "_shifted_step"]
+    assert len(named) == 1, named
+    [table] = [node for node in _tree(PACKAGE / "weights.py").body
+               if isinstance(node, ast.Assign)
+               and [t.id for t in node.targets] == ["_SHAPE_RULES"]]
+    [(stem, line)] = named
+    assert stem == "weights" and table.lineno <= line <= table.end_lineno
