@@ -26,13 +26,15 @@ digits; ``terms`` gives canonical Monomial keys.
 
 Residues is the modular counterpart: the values of one polynomial at a
 fixed list of points mod a prime, with the same +, * and ** taken point by
-point.
+point.  Lifts and the operators give values reduced into [0, prime).  The
+private ``_iadd_product`` and ``_times`` leave theirs unreduced, for a sum
+that is reduced once (``_reduce``) when it is read.
 
 Two polynomials are equal iff their term maps are equal, so all arithmetic
 keeps results canonical.  Values are immutable after construction: every
 operator allocates a fresh result, except that ``p ** 1`` is p itself.  The
-exception is the private ``_iadd_product``, a multiply-accumulate that
-writes into a sum that only its caller holds.
+exceptions are the private ``_iadd_product``, a multiply-accumulate, and
+``_reduce``, which write into a value that only their caller holds.
 """
 
 from __future__ import annotations
@@ -311,6 +313,10 @@ class LaurentPoly:
         self._bound = max(self._bound, bound)
         return self
 
+    def _reduce(self) -> "LaurentPoly":
+        """A polynomial is never unreduced (Residues._reduce)."""
+        return self
+
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({m: -c for m, c in self._terms.items()}, self._bound)
 
@@ -346,6 +352,8 @@ class LaurentPoly:
                     del out[mono]
         return LaurentPoly._make(out, bound)
 
+    _times = __mul__  # as Residues._times, which leaves its product unreduced
+
     def __pow__(self, n: int) -> "LaurentPoly":
         # square-and-multiply never ends on a negative n
         if n < 0:
@@ -374,23 +382,27 @@ class LaurentPoly:
     def _values_mod(self, points: List[Mapping[Var, int]], modulus: int,
                     columns: Dict[int, List[int]]) -> List[int]:
         """eval_mod at each point, each monomial unpacked once for all of them,
-        and each variable's values (slot s) and inverses (~s) read once into columns."""
-        totals = [0] * len(points)
+        and each variable's values (slot s) and inverses (~s) read once into
+        columns.  The terms are summed unreduced and the totals reduced once;
+        a lone variable at power +-1 is its column itself."""
+        totals = None
         for key, coef in self._terms.items():
-            term = [coef % modulus] * len(points)
+            term = None
             for slot, e in _unpack(key):
                 col_id = slot if e > 0 else ~slot
                 col = columns.get(col_id)
                 if col is None:
                     col = columns[col_id] = _column(points, slot, e < 0, modulus)
-                e = abs(e)
-                if e == 1:
-                    term = [a * b % modulus for a, b in zip(term, col)]
-                else:
-                    term = [a * pow(b, e, modulus) % modulus
-                            for a, b in zip(term, col)]
-            totals = [(a + b) % modulus for a, b in zip(totals, term)]
-        return totals
+                if e not in (1, -1):
+                    col = [pow(b, abs(e), modulus) for b in col]
+                term = col if term is None else [
+                    a * b % modulus for a, b in zip(term, col)]
+            if term is None:
+                term = [coef] * len(points)
+            elif coef != 1:
+                term = [coef * b for b in term]
+            totals = term if totals is None else [a + b for a, b in zip(totals, term)]
+        return [a % modulus for a in totals or [0] * len(points)]
 
     # -- text form -----------------------------------------------------------
 
@@ -420,11 +432,19 @@ ZERO = LaurentPoly.zero()
 ONE = LaurentPoly.const(1)
 
 
+class ResidueMismatchError(ValueError):
+    """Residues of another prime or at another number of points."""
+
+
 class Residues:
     """The values of a polynomial at a fixed list of points mod a prime.
 
     ``+``, ``*`` and ``**`` act point by point, so sums and products of
-    lifted factors are the values of the polynomials' sums and products.
+    lifted factors are the values of the polynomials' sums and products;
+    their values are reduced into [0, prime).  The private ``_times`` and
+    ``_iadd_product`` skip the reduction: their values are congruent, not
+    reduced, until ``_reduce``.  Every operation on two operands raises
+    ResidueMismatchError unless they share the prime and the point count.
     """
 
     __slots__ = ("values", "prime")
@@ -439,22 +459,46 @@ class Residues:
         same points and prime may share their columns."""
         return cls(poly._values_mod(points, prime, {} if columns is None else columns), prime)
 
+    def _check(self, *others: "Residues") -> None:
+        for other in others:
+            if other.prime != self.prime or len(other.values) != len(self.values):
+                raise ResidueMismatchError(
+                    f"residues mod {other.prime} at {len(other.values)} points "
+                    f"against mod {self.prime} at {len(self.values)} points")
+
     def __add__(self, other: "Residues") -> "Residues":
+        self._check(other)
         p = self.prime
         return Residues([(a + b) % p for a, b in zip(self.values, other.values)], p)
 
     def _iadd_product(self, a: "Residues", b: "Residues",
                       sign: int = 1) -> "Residues":
-        """self + sign * a * b, written into self, as
-        LaurentPoly._iadd_product."""
+        """self + sign * a * b, written into self unreduced, as
+        LaurentPoly._iadd_product.  The transfer's merges add (sign 1); a
+        case subtracts once."""
+        self._check(a, b)
+        triples = zip(self.values, a.values, b.values)
+        if sign == 1:
+            self.values = [s + x * y for s, x, y in triples]
+        else:
+            self.values = [s + sign * x * y for s, x, y in triples]
+        return self
+
+    def _reduce(self) -> "Residues":
+        """self with its values reduced into [0, prime), written into self."""
         p = self.prime
-        self.values = [(s + sign * x * y) % p
-                       for s, x, y in zip(self.values, a.values, b.values)]
+        self.values = [a % p for a in self.values]
         return self
 
     def __mul__(self, other: "Residues") -> "Residues":
+        self._check(other)
         p = self.prime
         return Residues([a * b % p for a, b in zip(self.values, other.values)], p)
+
+    def _times(self, other: "Residues") -> "Residues":
+        """self * other, unreduced."""
+        self._check(other)
+        return Residues([a * b for a, b in zip(self.values, other.values)], self.prime)
 
     def __pow__(self, e: int) -> "Residues":
         if e == 1:

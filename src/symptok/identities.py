@@ -303,12 +303,14 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     Each distinct step's product f is computed once.  Memory follows one
     level and the next: each shape is popped off its level as its steps are
     taken, and merges add in place into the sums the walk owns.  The first
-    path to reach T stores value * f, or value itself when the step has no
-    ids (f = 1); a later one adds value * f into the sum in place
-    (_iadd_product), once a sum the walk does not own has been copied.  So
-    no product is built only to be added, no value the walk did not make
-    (lift(ONE), a cached product or a table factor) is written to, and each
-    returned value is the caller's own to write to.
+    path to reach T stores value * f unreduced (_times), or value itself
+    when the step has no ids (f = 1); a later one adds value * f into the
+    sum in place, unreduced (_iadd_product), once a sum the walk does not
+    own has been copied.  Each sum is reduced once, when its shape is popped
+    (_reduce; a no-op on polynomials).  So no product is built only to be
+    added, no value the walk did not make (lift(ONE), a cached product or a
+    table factor) is written to, and each returned value is reduced and the
+    caller's own to write to.
     """
     lams = [as_partition(lam) for lam in targets]
     for lam in lams:
@@ -326,7 +328,9 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
         rows, letters_left = min(width, letter_level(c)), 2 * n - c
         nxt, alive = {}, {}
         while level:
-            S, (value, count, primed, _) = level.popitem()
+            S, (value, count, primed, made) = level.popitem()
+            if made:
+                value._reduce()
             ranges = [range(S[i], min(top[i], S[i - 1] if i else top[0]) + 1)
                       for i in range(rows)]
             for head in product(*ranges):
@@ -344,7 +348,8 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
                         operator.mul, (vals[fid] ** e for fid, e in ids))
                 primed_t, old = primed << free, nxt.get(T)
                 if old is None:
-                    nxt[T] = [value * f if ids else value, count, primed_t, bool(ids)]
+                    nxt[T] = [value._times(f) if ids else value, count, primed_t,
+                              bool(ids)]
                     continue
                 if not old[3]:
                     old[0], old[3] = old[0] + zero, True
@@ -355,7 +360,7 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     out = {}
     for lam, key in zip(lams, padded):
         value, count, primed, made = level.get(key) or (zero, 0, 0, False)
-        out[lam] = (value if made else value + zero, count, primed)
+        out[lam] = (value._reduce() if made else value + zero, count, primed)
     return out
 
 
@@ -507,7 +512,7 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
         lhs, objects = lefts.pop(lam)
         character = characters[mu]
         terms = (lhs.num_terms(),) * 2 if mode == "symbolic" else (None, None)
-        equal = lhs._iadd_product(character, staircase, -1) == zero
+        equal = lhs._iadd_product(character, staircase, -1)._reduce() == zero
         counterexample = None
         if not equal:  # lhs holds lhs - rhs now
             rhs = character * staircase

@@ -395,27 +395,51 @@ def _compass_cells(width: int, table: Mapping):
     its code from the sign of its nearest nonzero above (+1 when its column
     is marked in S) and to its right (+1 when the row sums to 1 right of
     it).  The ids are the (code, c) in the table, plus (TURN, c) when the
-    table has it and the row's first entry starts a strip."""
+    table has it and the row's first entry starts a strip.
+
+    S and T are strict shapes whose parts interlace, as the shape rule and
+    the walk's steps give them, so the row is read by merging the two part
+    tuples from the right: a part of both is a zero under a mark, a part of
+    one is WE or NS, and the columns between two parts are zeros under no
+    mark, all of one code.  Which codes the table holds is decided once per
+    letter."""
     # only the U-turn families read the recoding, so importing this module
     # does not load the bijections
     from .bijections import _ZERO_CODES
+    # a 0 in a column marked in S, or not, by whether the row sums to 1 east of it
+    marked = _ZERO_CODES[1, -1], _ZERO_CODES[1, 1]
+    unmarked = _ZERO_CODES[-1, -1], _ZERO_CODES[-1, 1]
+    letters: Dict[int, tuple] = {}  # c -> the codes the table holds, in id order, and TURN
 
     def cells(c: int, S, T):
-        before, after = set(S), set(T)
-        counts: Dict[str, int] = {}
-        east = 0
-        for v in range(width, 0, -1):
-            d = (v in after) - (v in before)
-            if d:
-                code = "WE" if d > 0 else "NS"
+        held = letters.get(c)
+        if held is None:
+            held = letters[c] = ([code for code in sorted(CPM_CODES) if (code, c) in table],
+                                 (_TURN, c) in table)
+        counts = dict.fromkeys(CPM_CODES, 0)
+        S, T = S + (0,), T + (0,)
+        i = j = east = 0
+        right = width + 1  # the column right of the unread ones
+        while S[i] or T[j]:
+            s, t = S[i], T[j]
+            v = s if s > t else t
+            counts[unmarked[east != 0]] += right - v - 1
+            if s == t:
+                code, i, j = marked[east != 0], i + 1, j + 1
+            elif s < t:
+                code, east, j = "WE", east + 1, j + 1
             else:
-                code = _ZERO_CODES[(1 if v in before else -1, 1 if east else -1)]
-            counts[code] = counts.get(code, 0) + 1
-            east += d
-        ids = sorted(((code, c), e) for code, e in counts.items() if (code, c) in table)
-        if code in _TURN_START and (_TURN, c) in table:
-            ids.append(((_TURN, c), 1))
-        return tuple(ids), 0
+                code, east, i = "NS", east - 1, i + 1
+            counts[code] += 1
+            right = v
+        if right > 1:  # column 1 is no part
+            code = unmarked[east != 0]
+            counts[code] += right - 1
+        codes, turn = held
+        ids = tuple([((k, c), counts[k]) for k in codes if counts[k]])
+        if turn and code in _TURN_START:  # code is column 1's
+            ids += (((_TURN, c), 1),)
+        return ids, 0
     return _SHAPE_RULES["uasm"], cells
 
 

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from symptok.algebra import (
     ExponentOverflowError,
     LaurentPoly,
     NonInvertiblePointError,
+    ResidueMismatchError,
     Residues,
     UnassignedVariableError,
     _unpack,
@@ -307,6 +309,57 @@ class TestResiduesLift:
         assert Residues([1, 2], 7) == Residues([1, 2], 7)
         assert Residues([1, 2], 7) != Residues([1, 3], 7)
 
+    def test_a_lift_shares_no_list_with_its_columns(self):
+        # a lone variable's term is its column itself; the lift's values are
+        # still a list of their own, so writing to them leaves the column be
+        rng = random.Random(14)
+        points = [random_point(self.VARS, rng) for _ in range(3)]
+        columns = {}
+        lifted = Residues.lift(X1, points, MERSENNE31, columns)
+        assert lifted.values == columns[2] and lifted.values is not columns[2]
+        lifted._iadd_product(lifted, lifted)
+        assert columns[2] == [pt[xvar(1)] for pt in points]
+
+    def test_values_are_reduced(self):
+        rng = random.Random(15)
+        points = [random_point(self.VARS, rng, 7) for _ in range(4)]
+        for p in (self.P, -self.P, X1 + X1 + LaurentPoly.const(-3), LaurentPoly.const(-1)):
+            values = Residues.lift(p, points, 7).values
+            assert all(0 <= v < 7 for v in values), p
+            assert values == [p.eval_mod(pt, 7) for pt in points]
+
+
+class TestResiduesSample:
+    """Residues of two samples never meet: an operation on operands of
+    another prime or another point count raises ResidueMismatchError."""
+
+    def test_another_prime(self):
+        a, b = Residues([1, 2], 7), Residues([1, 2], 11)
+        for op in (operator.add, operator.mul, Residues._times):
+            with pytest.raises(ResidueMismatchError):
+                op(a, b)
+        with pytest.raises(ResidueMismatchError):
+            Residues([0, 0], 7)._iadd_product(a, b)
+
+    def test_another_point_count(self):
+        a, b = Residues([3], 7), Residues([3, 4], 7)
+        for op in (operator.add, operator.mul, Residues._times):
+            with pytest.raises(ResidueMismatchError):
+                op(a, b)
+            with pytest.raises(ResidueMismatchError):
+                op(b, a)
+        with pytest.raises(ResidueMismatchError):
+            Residues([0], 7)._iadd_product(a, b)
+        with pytest.raises(ResidueMismatchError):
+            Residues([0, 0], 7)._iadd_product(b, a)
+        assert issubclass(ResidueMismatchError, ValueError)
+
+    def test_one_sample_still_computes(self):
+        a, b = Residues([3, 5], 7), Residues([4, 6], 7)
+        assert (a + b).values == [0, 4] and (a * b).values == [5, 2]
+        assert a._times(b).values == [12, 30]
+        assert Residues([1, 1], 7)._iadd_product(a, b, -1)._reduce().values == [3, 6]
+
 
 class TestInPlace:
     """The private multiply-accumulate _iadd_product writes self + sign*a*b
@@ -348,10 +401,11 @@ class TestInPlace:
         points = [random_point([xvar(1), yvar(1), QVAR], rng) for _ in range(4)]
         a, b = (Residues.lift(p, points, MERSENNE31) for p in (self.A, self.B))
         acc = Residues(list(a.values), MERSENNE31)
-        assert acc._iadd_product(b, a) is acc and acc == a + b * a
+        # _iadd_product leaves its sum unreduced, so each comparison reduces
+        assert acc._iadd_product(b, a) is acc and acc._reduce() == a + b * a
         acc._iadd_product(a, b, -1)
-        assert acc == Residues.lift(self.A + self.B * self.A - self.A * self.B,
-                                    points, MERSENNE31)
+        assert acc._reduce() == Residues.lift(
+            self.A + self.B * self.A - self.A * self.B, points, MERSENNE31)
 
     def test_first_power_is_the_value_itself(self):
         # the transfer raises most factors to the power 1; that copies nothing

@@ -1019,6 +1019,88 @@ def test_a_modular_verify_reads_each_point_column_once(monkeypatch):
         assert len(calls) <= 2 * len(_identity_variables(identity, 3)), (identity, knobs)
 
 
+def _modular_steps(scheme, n, targets):
+    table = factor_table(scheme, n)
+    if scheme == "T":
+        return table, _letter_cells
+    width = max(lam[0] for lam in targets)
+    return table, weights._step_cells(scheme, table, width, "below")
+
+
+def _sample(n, seed):
+    rng = random.Random(seed)
+    variables = ([xvar(i) for i in range(1, n + 1)] + [yvar(i) for i in range(1, n + 1)]
+                 + [QVAR, TVAR])
+    return [random_point(variables, rng) for _ in range(3)]
+
+
+@pytest.mark.parametrize("scheme", (*weights.SCHEMES, "T"))
+def test_modular_transfer_returns_reduced_lifts_of_the_symbolic_values(scheme):
+    # sums are added unreduced and reduced once per shape: every value the
+    # walk returns lies in [0, p) and is the lift of the symbolic value
+    for n in (1, 2, 3):
+        mus = list(partitions_up_to(2, n))
+        targets = mus if scheme == "T" else [add_staircase(mu, n) for mu in mus]
+        table, steps = _modular_steps(scheme, n, targets)
+        points, columns = _sample(n, 20 + n), {}
+        got = _transfer(targets, n, table,
+                        lambda f: Residues.lift(f, points, MERSENNE31, columns), steps)
+        want = _transfer(targets, n, table, exact, steps)
+        for lam in targets:
+            value, count, primed = got[lam]
+            assert all(0 <= v < MERSENNE31 for v in value.values), (n, lam)
+            assert value == Residues.lift(want[lam][0], points, MERSENNE31), (n, lam)
+            assert (count, primed) == want[lam][1:], (n, lam)
+
+
+@pytest.mark.parametrize("scheme", ("ST_XY", "CPM_XY_ALT", "GT_QX", "T"))
+def test_a_modular_walk_writes_to_no_factor_or_product(monkeypatch, scheme):
+    # the walk writes only into sums it made: the lifted table factors,
+    # lift(ONE), lift(ZERO) and the cached step products keep their values;
+    # and it reduces a sum when it pops its shape, so the operands of every
+    # unreduced product and multiply-accumulate are reduced
+    n, made, operands = 3, [], []
+    targets = [(5, 3, 1), (4, 3, 1), (3, 2, 1)] if scheme != "T" else [(2, 1), (2,)]
+    table, steps = _modular_steps(scheme, n, targets)
+    points, columns = _sample(n, 7), {}
+
+    def recorded(value):
+        made.append((value, value.values, list(value.values)))
+        return value
+
+    def recording(op):  # a cached step product is built by * and **
+        return lambda self, other: recorded(op(self, other))
+
+    times, iadd_product = Residues._times, Residues._iadd_product
+
+    def timing(self, other):
+        operands.extend((self, other))
+        return times(self, other)
+
+    def adding(self, a, b, sign=1):
+        operands.extend((a, b))
+        return iadd_product(self, a, b, sign)
+
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(Residues, name, recording(getattr(Residues, name)))
+    monkeypatch.setattr(Residues, "_times", timing)
+    monkeypatch.setattr(Residues, "_iadd_product", adding)
+    got = _transfer(targets, n, table,
+                    lambda f: recorded(Residues.lift(f, points, MERSENNE31, columns)), steps)
+    assert len(made) > len(table) + 2 and operands
+    assert all(0 <= v < MERSENNE31 for value in operands for v in value.values)
+    assert all(value.values is held and held == values for value, held, values in made)
+    assert not {id(value) for value, _, _ in made} & {id(v) for v, _, _ in got.values()}
+
+
+@pytest.mark.parametrize("identity,knobs", REJECTED_VARIANTS)
+def test_a_rejected_convention_reports_reduced_values(identity, knobs):
+    r = verify(identity, (2,), 3, "modular", **knobs)
+    values = r.counterexample["lhsValue"], r.counterexample["rhsValue"]
+    assert not r.equal and values[0] != values[1]
+    assert all(0 <= v < MERSENNE31 for v in values)
+
+
 @pytest.mark.parametrize("st,step", [
     # a non-strict shape (1, 1), and row 2 still empty after the barred 2
     (ShiftedTableau((1, 1), ((1,), (3,))), "from (1, 0) to (1, 1) by letter 3"),
