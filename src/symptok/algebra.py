@@ -24,6 +24,10 @@ bounds, and its factors' exponents slot by slot only when that sum is past
 MAX_EXPONENT.  ``terms``, ``to_text`` and the modular evaluation unpack the
 digits; ``terms`` gives canonical Monomial keys.
 
+symptok.rings packs in exactly one call's variables instead, for the
+engine's symbolic mode: as many bits a slot as put every monomial of the
+call in one machine digit, when that is at least 5, and 16 otherwise.
+
 Residues is the modular counterpart: the values of one polynomial at a
 fixed list of points mod a prime, with the same +, * and ** taken point by
 point.  Lifts and the operators give values reduced into [0, prime).  The
@@ -34,7 +38,8 @@ Two polynomials are equal iff their term maps are equal, so all arithmetic
 keeps results canonical.  Values are immutable after construction: every
 operator allocates a fresh result, except that ``p ** 1`` is p itself.  The
 exceptions are the private ``_iadd_product``, a multiply-accumulate, and
-``_reduce``, which write into a value that only their caller holds.
+``_reduce``, which write into a value that only their caller holds.  One
+loop (_accumulate) multiplies and accumulates for every packing.
 """
 
 from __future__ import annotations
@@ -52,11 +57,9 @@ Monomial = Tuple[Tuple[Var, int], ...]
 MERSENNE31 = 2**31 - 1
 
 _DIGIT_BITS = 16
-_DIGIT_MASK = (1 << _DIGIT_BITS) - 1
-_DIGIT_HALF = 1 << (_DIGIT_BITS - 1)
 
 #: The largest absolute value of an exponent in a LaurentPoly.
-MAX_EXPONENT = _DIGIT_HALF - 1
+MAX_EXPONENT = (1 << (_DIGIT_BITS - 1)) - 1
 
 
 def xvar(i: int) -> Var:
@@ -119,40 +122,54 @@ def _slot_var(slot: int) -> Var:
     return (slot & 1, slot >> 1)  # KIND_X = 0, KIND_Y = 1
 
 
-def _check_exponent(v: Var, e: int) -> None:
-    if not -MAX_EXPONENT <= e <= MAX_EXPONENT:
-        raise ExponentOverflowError(
-            f"exponent {e} of {var_name(v)} is beyond +-{MAX_EXPONENT}")
+def _check_exponent(v: Var, e: int, limit: int = MAX_EXPONENT) -> None:
+    if not -limit <= e <= limit:
+        raise ExponentOverflowError(f"exponent {e} of {var_name(v)} is beyond +-{limit}")
+
+
+class _Shifts(dict):
+    """Var -> the shift of its slot's digit, each computed once."""
+
+    def __missing__(self, v: Var) -> int:
+        shift = self[v] = _DIGIT_BITS * _slot(v)
+        return shift
+
+
+_SHIFT = _Shifts()
 
 
 def _pack(exps: Mapping[Var, int]) -> Tuple[int, int]:
     """The packed monomial of an exponent map, and its largest |exponent|."""
     key = bound = 0
     for v, e in exps.items():
-        _check_exponent(v, e)
-        key += e << (_DIGIT_BITS * _slot(v))
-        bound = max(bound, abs(e))
+        key += e << _SHIFT[v]
+        if e > bound or -e > bound:
+            bound = abs(e)
+    if bound > MAX_EXPONENT:
+        for v, e in exps.items():
+            _check_exponent(v, e)
     return key, bound
 
 
-def _unpack(key: int) -> List[Tuple[int, int]]:
-    """The (slot, exponent) pairs of a packed monomial, lowest slot first.
-    A run of zero digits is jumped over by the key's trailing zero bits, so
-    a lone variable of a high slot costs one shift, not one per slot below
-    it."""
+def _unpack(key: int, bits: int = _DIGIT_BITS) -> List[Tuple[int, int]]:
+    """The (slot, exponent) pairs of a monomial packed at bits a slot,
+    lowest slot first.  A run of zero digits is jumped over by the key's
+    trailing zero bits, so a lone variable of a high slot costs one shift,
+    not one per slot below it."""
+    mask, half = (1 << bits) - 1, 1 << (bits - 1)
     out = []
     slot = 0
     while key:
-        e = key & _DIGIT_MASK
+        e = key & mask
         if not e:
-            skip = ((key & -key).bit_length() - 1) // _DIGIT_BITS
-            key >>= _DIGIT_BITS * skip
+            skip = ((key & -key).bit_length() - 1) // bits
+            key >>= bits * skip
             slot += skip
-            e = key & _DIGIT_MASK
-        if e >= _DIGIT_HALF:
-            e -= _DIGIT_MASK + 1
+            e = key & mask
+        if e >= half:
+            e -= mask + 1
         out.append((slot, e))
-        key = (key - e) >> _DIGIT_BITS
+        key = (key - e) >> bits
         slot += 1
     return out
 
@@ -161,31 +178,76 @@ def _monomial(key: int) -> Monomial:
     return tuple(sorted((_slot_var(s), e) for s, e in _unpack(key)))
 
 
-def _slot_ranges(terms: Iterable[int]) -> Dict[int, Tuple[int, int]]:
+def _slot_ranges(terms: Iterable[int], bits: int) -> Dict[int, Tuple[int, int]]:
     """Per slot, an interval holding the exponent of every monomial and 0."""
     ranges: Dict[int, Tuple[int, int]] = {}
     for key in terms:
-        for slot, e in _unpack(key):
+        for slot, e in _unpack(key, bits):
             lo, hi = ranges.get(slot, (0, 0))
             ranges[slot] = (min(lo, e), max(hi, e))
     return ranges
 
 
-def _product_bound(a: Iterable[int], b: Iterable[int]) -> int:
-    """A bound on the exponents of the products of a monomial of a and one
-    of b; raises ExponentOverflowError if one of them is past MAX_EXPONENT.
-    Per slot, the extreme sums lo_a + lo_b and hi_a + hi_b are attained by
-    some pair.  Widening an interval to hold 0 moves a sum at most to the
-    other factor's extreme, which fits, so no product that fits is refused."""
-    ra, rb = _slot_ranges(a), _slot_ranges(b)
-    bound = 0
+def _product_bounds(a: Iterable[int], b: Iterable[int], bits: int,
+                    variable=_slot_var) -> Dict[int, int]:
+    """Per slot, a bound on the |exponents| of the products of a monomial of
+    a and one of b, packed at bits a slot; raises ExponentOverflowError,
+    naming variable(slot), if one of them is past the slot's range.  Per
+    slot, the extreme sums lo_a + lo_b and hi_a + hi_b are attained by some
+    pair.  Widening an interval to hold 0 moves a sum at most to the other
+    factor's extreme, which fits, so no product that fits is refused."""
+    ra, rb = _slot_ranges(a, bits), _slot_ranges(b, bits)
+    limit, out = (1 << (bits - 1)) - 1, {}
     for slot in ra.keys() | rb.keys():
         lo_a, hi_a = ra.get(slot, (0, 0))
         lo_b, hi_b = rb.get(slot, (0, 0))
         for e in (lo_a + lo_b, hi_a + hi_b):
-            _check_exponent(_slot_var(slot), e)
-            bound = max(bound, abs(e))
-    return bound
+            _check_exponent(variable(slot), e, limit)
+        out[slot] = max(-lo_a - lo_b, hi_a + hi_b)
+    return out
+
+
+def _accumulate(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int],
+                sign: int = 1) -> Dict[int, int]:
+    """out + sign * a * b over monomials of one packing, with cancelled terms
+    dropped: the one multiply-accumulate loop of every product.  It writes
+    into out, except that an empty out gives way to a new dict of the first
+    row of products, which needs no lookups: its monomials are distinct.
+    The caller has checked the exponents."""
+    big, small = (a, b) if len(a) >= len(b) else (b, a)
+    rows = iter(small.items())
+    if not out and small:
+        mb, cb = next(rows)
+        cb *= sign
+        out = {ma + mb: ca * cb for ma, ca in big.items()}
+    get = out.get
+    for mb, cb in rows:
+        cb *= sign
+        for ma, ca in big.items():
+            mono = ma + mb
+            s = get(mono, 0) + ca * cb
+            if s:
+                out[mono] = s
+            else:
+                del out[mono]
+    return out
+
+
+def _power(base, n: int, one):
+    """base ** n by square-and-multiply from one, the unit of base's type;
+    base itself when n is 1."""
+    # square-and-multiply never ends on a negative n
+    if n < 0:
+        raise ValueError(f"negative power {n}")
+    if n == 1:
+        return base
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base if n > 1 else base
+        n >>= 1
+    return result
 
 
 def _column(points: List[Mapping[Var, int]], slot: int, inverse: bool,
@@ -238,7 +300,7 @@ class LaurentPoly:
     @classmethod
     def variable(cls, v: Var, exp: int = 1) -> "LaurentPoly":
         _check_exponent(v, exp)
-        return cls._make({exp << (_DIGIT_BITS * _slot(v)): 1}, abs(exp))
+        return cls._make({exp << _SHIFT[v]: 1}, abs(exp))
 
     @classmethod
     def monomial(cls, exps: Mapping[Var, int], coef: int = 1) -> "LaurentPoly":
@@ -288,35 +350,6 @@ class LaurentPoly:
                 del out[mono]
         return LaurentPoly._make(out, max(self._bound, other._bound))
 
-    def _iadd_product(self, a: "LaurentPoly", b: "LaurentPoly",
-                      sign: int = 1) -> "LaurentPoly":
-        """self + sign * a * b, written into self without building a * b:
-        only for a sum that its caller made and no one else holds (the
-        transfer's merged sums, a case's left side)."""
-        bound = a._bound + b._bound
-        if bound > MAX_EXPONENT:
-            bound = _product_bound(a._terms, b._terms)
-        out = self._terms
-        get = out.get
-        big, small = a._terms, b._terms
-        if len(big) < len(small):
-            big, small = small, big
-        for mb, cb in small.items():
-            cb *= sign
-            for ma, ca in big.items():
-                mono = ma + mb
-                s = get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        self._bound = max(self._bound, bound)
-        return self
-
-    def _reduce(self) -> "LaurentPoly":
-        """A polynomial is never unreduced (Residues._reduce)."""
-        return self
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({m: -c for m, c in self._terms.items()}, self._bound)
 
@@ -332,42 +365,11 @@ class LaurentPoly:
             return LaurentPoly.zero()
         bound = self._bound + other._bound
         if bound > MAX_EXPONENT:
-            bound = _product_bound(self._terms, other._terms)
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
-            big, small = small, big
-        # one row per term of the smaller factor; the first row's products
-        # are distinct monomials, so it needs no lookups
-        rows = iter(small.items())
-        mb, cb = next(rows)
-        out = {ma + mb: ca * cb for ma, ca in big.items()}
-        get = out.get
-        for mb, cb in rows:
-            for ma, ca in big.items():
-                mono = ma + mb
-                s = get(mono, 0) + ca * cb
-                if s:
-                    out[mono] = s
-                else:
-                    del out[mono]
-        return LaurentPoly._make(out, bound)
-
-    _times = __mul__  # as Residues._times, which leaves its product unreduced
+            bound = max(_product_bounds(self._terms, other._terms, _DIGIT_BITS).values())
+        return LaurentPoly._make(_accumulate({}, self._terms, other._terms), bound)
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        # square-and-multiply never ends on a negative n
-        if n < 0:
-            raise ValueError(f"negative power {n}")
-        if n == 1:
-            return self
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, LaurentPoly.const(1))
 
     # -- modular evaluation -------------------------------------------------
 

@@ -20,8 +20,11 @@ and the acceptance tests run.
 verify() checks one (identity, mu, n) case either by exact polynomial
 expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
 field (MODULAR).  One engine serves both modes; the mode only picks the
-value type that each local factor of weights.factor_table is lifted to: the
-LaurentPoly itself, or an algebra.Residues holding its values at the points.
+value type that each local factor of weights.factor_table is lifted to: a
+rings.Packed of a ring packed in exactly the call's variables (one machine
+digit a monomial at n <= 3, _symbolic), or an algebra.Residues
+holding its values at the points.  Public results and counterexamples come
+back as LaurentPoly.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
 letter, and the transfer sums the products of the weights module's step
@@ -42,16 +45,18 @@ import time
 from functools import reduce
 from itertools import product
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from . import weights
 from .algebra import (
+    _DIGIT_BITS,
     MERSENNE31,
     MILLER_RABIN_BOUND,
     ONE,
     QVAR,
     TVAR,
     ZERO,
+    ExponentOverflowError,
     LaurentPoly,
     Residues,
     is_prime,
@@ -73,6 +78,9 @@ from .shapes import (  # InvalidRankError is re-exported for the callers of veri
 )
 # the convention errors are re-exported for the callers of verify
 from .weights import UnknownConventionError, UnusedConventionError, check_conventions
+
+if TYPE_CHECKING:
+    from .rings import Packed, PackedRing
 
 
 @dataclass(frozen=True)
@@ -118,7 +126,7 @@ REJECTED_VARIANTS = (
 GRID_RANKS = ((1, 4), (2, 4), (3, 2))
 
 #: Maps a table factor to the value type the engine computes in.
-Lift = Callable[[LaurentPoly], Union[LaurentPoly, Residues]]
+Lift = Callable[[LaurentPoly], Union["Packed", Residues]]
 
 
 class UnknownIdentityError(ValueError):
@@ -153,15 +161,28 @@ SYMBOLIC_OBJECT_CAP = 10 ** 6
 # -- character sums and product sides -----------------------------------------
 
 
-def _exact(f: LaurentPoly) -> LaurentPoly:
-    """The symbolic lift: a factor stays the polynomial it is."""
-    return f
+def _symbolic(variables, run: Callable[["PackedRing"], object]):
+    """run(ring) in the packed ring of the variables, at its own width; a
+    run whose exponents outgrow that width runs again at 16 bits, where they
+    reach MAX_EXPONENT as in a LaurentPoly."""
+    from .rings import PackedRing  # only symbolic mode loads the rings
+    ring = PackedRing(variables)
+    try:
+        return run(ring)
+    except ExponentOverflowError:
+        if ring.bits == _DIGIT_BITS:
+            raise
+    return run(PackedRing(variables, _DIGIT_BITS))
 
 
 def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
     """Sum of wgt_t over all rank-n tableaux of shape mu."""
-    [value] = _characters((mu,), as_rank(n), deformed, _exact).values()
-    return value
+    n = as_rank(n)
+
+    def run(ring):
+        [value] = _characters((mu,), n, deformed, ring.lift).values()
+        return ring.poly(value)
+    return _symbolic([*map(xvar, range(1, n + 1)), TVAR], run)
 
 
 def _characters(mus, n: int, deformed: bool, lift: Lift) -> Dict[tuple, object]:
@@ -222,9 +243,11 @@ def _right_factors(identity: str, mus, n: int, lift: Lift):
 
 def rhs_product(identity: str, mu, n: int) -> LaurentPoly:
     """Exact expanded right side including the sp_mu factor."""
-    characters, staircase = _right_factors(identity, (mu,), n, _exact)
-    [value] = characters.values()
-    return value * staircase
+    def run(ring):
+        characters, staircase = _right_factors(identity, (mu,), n, ring.lift)
+        [value] = characters.values()
+        return ring.poly(value * staircase)
+    return _symbolic(_identity_variables(identity, n), run)
 
 
 # -- left sides ----------------------------------------------------------------
@@ -406,6 +429,9 @@ class VerificationReport:
 
 
 def _identity_variables(identity: str, n: int) -> List:
+    n = as_rank(n)
+    if identity not in IDENTITY_ROWS:
+        raise UnknownIdentityError(identity)
     row = IDENTITY_ROWS[identity]
     out = [xvar(i) for i in range(1, n + 1)]
     out += [yvar(i) for i in range(1, n + 1)] if row.product == "xy" else [QVAR]
@@ -462,7 +488,9 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
     """verify() of every mu of mus, one report each, in their order.  The
     cases share one walk of the left sides, one walk of the sp_mu and one
     staircase product; in modular mode they share the sample points too.
-    right, if given, is that (sp_mu, product) pair, shared by the caller.
+    Symbolic mode computes in the packed ring of the identity's variables
+    (_symbolic).  right, if given, is a (ring, sp_mu, product) triple that
+    the caller shares, and the cases run in its ring.
 
     Each report's millis is its share of the shared work (the walks and the
     product, split evenly) plus the time of its own comparison."""
@@ -493,40 +521,45 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
     if mode == "modular":
         params.update({"trials": trials, "seed": seed, "prime": prime})
 
-    start = time.perf_counter()
-    if mode == "symbolic":
-        lift: Lift = _exact
-    else:
-        rng = random.Random(seed)
-        variables = _identity_variables(identity, n)
-        points = [random_point(variables, rng, prime) for _ in range(trials)]
-        columns: Dict = {}  # each variable's values and inverses, for this call
-        lift = lambda f: Residues.lift(f, points, prime, columns)
-    lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
-    characters, staircase = right or _right_factors(identity, mus, n, lift)
-    shared = (time.perf_counter() - start) / len(mus)
+    variables = _identity_variables(identity, n)
 
-    zero, reports = lift(ZERO), []
-    for mu, lam in cases:
+    def run(ring: Optional[PackedRing]) -> List[VerificationReport]:
         start = time.perf_counter()
-        lhs, objects = lefts.pop(lam)
-        character = characters[mu]
-        terms = (lhs.num_terms(),) * 2 if mode == "symbolic" else (None, None)
-        equal = lhs._iadd_product(character, staircase, -1)._reduce() == zero
-        counterexample = None
-        if not equal:  # lhs holds lhs - rhs now
-            rhs = character * staircase
-            lhs = lhs + rhs
-            if mode == "symbolic":
-                terms = terms[0], rhs.num_terms()
-                counterexample = _first_difference(lhs, rhs)
-            else:
-                counterexample = _first_mismatch(lhs, rhs, points)
-        millis = (shared + time.perf_counter() - start) * 1000.0
-        reports.append(VerificationReport(
-            identity, n, mu, lam, mode.upper(), objects, *terms, equal,
-            counterexample, millis, dict(params)))
-    return reports
+        if ring:
+            lift: Lift = ring.lift
+        else:
+            rng = random.Random(seed)
+            points = [random_point(variables, rng, prime) for _ in range(trials)]
+            columns: Dict = {}  # each variable's values and inverses, for this call
+            lift = lambda f: Residues.lift(f, points, prime, columns)
+        lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
+        characters, staircase = right[1:] if right else _right_factors(identity, mus, n, lift)
+        shared = (time.perf_counter() - start) / len(mus)
+
+        zero, reports = lift(ZERO), []
+        for mu, lam in cases:
+            start = time.perf_counter()
+            lhs, objects = lefts.pop(lam)
+            character = characters[mu]
+            terms = (lhs.num_terms(),) * 2 if ring else (None, None)
+            equal = lhs._iadd_product(character, staircase, -1)._reduce() == zero
+            counterexample = None
+            if not equal:  # lhs holds lhs - rhs now
+                rhs = character * staircase
+                lhs = lhs + rhs
+                if ring:
+                    terms = terms[0], rhs.num_terms()
+                    counterexample = _first_difference(ring.poly(lhs), ring.poly(rhs))
+                else:
+                    counterexample = _first_mismatch(lhs, rhs, points)
+            millis = (shared + time.perf_counter() - start) * 1000.0
+            reports.append(VerificationReport(
+                identity, n, mu, lam, mode.upper(), objects, *terms, equal,
+                counterexample, millis, dict(params)))
+        return reports
+    if mode == "modular":
+        return run(None)
+    return run(right[0]) if right else _symbolic(variables, run)
 
 
 def _first_mismatch(lhs: Residues, rhs: Residues, points) -> dict:
@@ -655,9 +688,16 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
     share one sp_mu walk and one product per kind.
     """
     mus = list(_sweep_shapes(max_weight, n))
-    characters = _characters(mus, n, False, _exact)
+    # every variant's variables are those of COR_GT_QX: x1..xn and q
+    return _symbolic(_identity_variables("COR_GT_QX", n),
+                     lambda ring: _ambiguity_findings(n, max_weight, mus, ring))
+
+
+def _ambiguity_findings(n: int, max_weight: int, mus, ring: PackedRing) -> dict:
+    """ambiguity_report's findings, computed in ring."""
+    characters = _characters(mus, n, False, ring.lift)
     rights = {IDENTITY_ROWS[identity].product:
-              (characters, reduce(operator.mul, rhs_factors(identity, n)))
+              (ring, characters, reduce(operator.mul, map(ring.lift, rhs_factors(identity, n))))
               for identity in ("COR_ST_Q", "COR_GT_QX")}
 
     def sweep(identity, cpm_q_scheme="plain", c0_mode="full", st_q_neighbour="below"):
@@ -666,7 +706,7 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
                                 rights[IDENTITY_ROWS[identity].product])
         return _finding([(r.mu, r.equal) for r in reports])
 
-    report = {
+    return {
         "n": n,
         "max_weight": max_weight,
         "cpm_q_norm_prefactor": {
@@ -688,7 +728,6 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
             "stop_before_diagonal": _le_setbuilder_sweep(n, max_weight, rights["qx"]),
         },
     }
-    return report
 
 
 def _finding(cases: List[Tuple[Tuple[int, ...], bool]]) -> dict:
@@ -703,8 +742,12 @@ def _le_setbuilder_sweep(n: int, max_weight: int, right=None) -> dict:
     cases = [(mu, add_staircase(mu, n)) for mu in _sweep_shapes(max_weight, n)]
     mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
     table = weights.factor_table("GT_QX", n)
-    lefts = _transfer(lams, n, table, _exact,
-                      weights._pattern_cells(table, narrow_le=True))
-    characters, staircase = right or _right_factors("COR_GT_QX", mus, n, _exact)
-    return _finding([(mu, lefts[lam][0] == characters[mu] * staircase)
-                     for mu, lam in cases])
+
+    def run(ring: PackedRing) -> dict:
+        lefts = _transfer(lams, n, table, ring.lift,
+                          weights._pattern_cells(table, narrow_le=True))
+        characters, staircase = (right[1:] if right else
+                                 _right_factors("COR_GT_QX", mus, n, ring.lift))
+        return _finding([(mu, lefts[lam][0] == characters[mu] * staircase)
+                         for mu, lam in cases])
+    return run(right[0]) if right else _symbolic(_identity_variables("COR_GT_QX", n), run)

@@ -1,5 +1,6 @@
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from symptok.algebra import (
     xvar,
     yvar,
 )
+from symptok.rings import PackedRing, RingMismatchError, _ring_bits
 
 X1 = LaurentPoly.variable(xvar(1))
 Y1 = LaurentPoly.variable(yvar(1))
@@ -361,40 +363,123 @@ class TestResiduesSample:
         assert Residues([1, 1], 7)._iadd_product(a, b, -1)._reduce().values == [3, 6]
 
 
+class TestPackedRing:
+    """A PackedRing packs monomials in exactly its variables, each slot as
+    wide as _ring_bits gives, and its values act as the polynomials do."""
+
+    VARS = [xvar(1), xvar(2), yvar(1), TVAR, QVAR]
+
+    def test_lift_and_back_round_trips(self):
+        rng = random.Random(31)
+        rings = [PackedRing(self.VARS), PackedRing(self.VARS, 16), PackedRing(self.VARS, 4)]
+        assert [ring.bits for ring in rings] == [_ring_bits(5), 16, 4]
+        for _ in range(300):
+            p = _random_poly(rng, max_terms=6)  # exponents in -3..3
+            for ring in rings:
+                got = ring.poly(ring.lift(p))
+                assert got == p and got.to_text() == p.to_text(), (ring, p)
+
+    def test_operations_match_the_polynomials(self):
+        rng = random.Random(32)
+        ring = PackedRing(self.VARS)
+        for _ in range(300):
+            a, b, c = (_random_poly(rng) for _ in range(3))
+            la, lb, lc = map(ring.lift, (a, b, c))
+            assert ring.poly(la * lb) == a * b and ring.poly(la + lb) == a + b
+            assert ring.poly(la._times(lb)) == a * b and ring.poly(lb ** 2) == b ** 2
+            assert ring.poly(lc._iadd_product(la, lb, -1)) == c - a * b
+
+    def test_one_digit_keys_at_the_grid_ranks(self):
+        # n <= 3 with the xy variables and t: only PROP_T at n = 3 (seven
+        # variables) is past one machine digit and runs at 16 bits
+        digit = sys.int_info.bits_per_digit
+        for count in range(1, digit // 5 + 1):
+            bits = _ring_bits(count)
+            assert 5 <= bits <= 16 and bits * count <= digit, count
+        assert _ring_bits(digit // 5 + 1) == 16
+        ring = PackedRing([xvar(1), xvar(2), xvar(3), yvar(1), yvar(2), yvar(3)])
+        for e in (ring.max_exponent, -ring.max_exponent):
+            [key] = ring.lift(mono(dict.fromkeys(ring.variables, e)))._terms
+            assert abs(key) < 1 << digit
+
+    def test_two_rings_never_meet(self):
+        one, other = PackedRing([xvar(1), QVAR]), PackedRing([xvar(1), QVAR])
+        a, b = one.lift(X1 + Q), other.lift(X1 + Q)
+        for op in (operator.add, operator.mul, lambda u, v: u._times(v),
+                   lambda u, v: u._iadd_product(v, v), lambda u, v: one.lift(ONE)._iadd_product(u, v)):
+            with pytest.raises(RingMismatchError):
+                op(a, b)
+        with pytest.raises(RingMismatchError):
+            one.poly(b)
+        with pytest.raises(RingMismatchError, match="y1"):
+            one.lift(X1 + Y1)
+        assert a != b and issubclass(RingMismatchError, ValueError)
+
+    def test_a_product_past_a_narrow_slot_raises_instead_of_aliasing(self):
+        ring = PackedRing([xvar(1), yvar(1)], 5)
+        assert ring.max_exponent == 15
+        top = ring.lift(mono({xvar(1): 15}))
+        with pytest.raises(ExponentOverflowError):
+            ring.lift(mono({xvar(1): 16}))
+        # x1^15 * x1 would read as x1^-16 * y1 if the slot carried
+        for other in (X1, X1 * Y1, X1 + mono({xvar(1): -1})):
+            with pytest.raises(ExponentOverflowError):
+                top * ring.lift(other)
+            with pytest.raises(ExponentOverflowError):
+                ring.lift(ONE)._iadd_product(top, ring.lift(other), -1)
+        assert ring.poly(top * ring.lift(Y1 ** 15)) == mono({xvar(1): 15, yvar(1): 15})
+        # the summed bounds 9 + 7 are past 15, but no product is: it is kept
+        a, b = mono({xvar(1): 9}) + mono({xvar(1): -2}), mono({xvar(1): -7})
+        assert ring.poly(ring.lift(a) * ring.lift(b)) == a * b
+
+    def test_a_sum_bounds_every_term_it_took_in(self):
+        # in place or not, so a product of the sum is checked as its terms' are
+        ring = PackedRing([xvar(1), yvar(1)], 5)
+        top, x1, one = map(ring.lift, (mono({xvar(1): 15}), X1, ONE))
+        for total in (one + top, top + one, ring.lift(ONE)._iadd_product(top, one)):
+            with pytest.raises(ExponentOverflowError):
+                total * x1
+
+
 class TestInPlace:
     """The private multiply-accumulate _iadd_product writes self + sign*a*b
     into the value it is called on and agrees with +, - and *."""
 
     A = (X1 + Q) ** 3 - mono({xvar(1): -1, yvar(1): 2}, 4)
     B = X1 * Y1 - Q ** 2 + ONE
+    RING = PackedRing([xvar(1), yvar(1), QVAR])
 
     def copy(self, p):
-        return p + LaurentPoly.zero()
+        return self.RING.lift(p)
 
     def test_adding_a_product_matches_add_and_writes_into_self(self):
-        acc = self.copy(self.A)
-        assert acc._iadd_product(self.B, self.A) is acc
-        assert acc == self.A + self.B * self.A
-        assert acc._iadd_product(self.A + self.B * self.A, ONE, -1) == \
+        lift, poly = self.RING.lift, self.RING.poly
+        acc, a, b = self.copy(self.A), lift(self.A), lift(self.B)
+        assert acc._iadd_product(b, a) is acc
+        assert poly(acc) == self.A + self.B * self.A and acc == a + b * a
+        assert poly(acc._iadd_product(lift(self.A + self.B * self.A), lift(ONE), -1)) == \
             LaurentPoly.zero()
-        assert not acc.terms  # cancelled terms are gone, not kept at 0
+        assert not acc._terms  # cancelled terms are gone, not kept at 0
 
     def test_subtracting_a_product_matches_the_operators(self):
-        acc = self.copy(self.A)
-        assert acc._iadd_product(self.B, self.A, -1) is acc
-        assert acc == self.A - self.B * self.A
+        lift, poly = self.RING.lift, self.RING.poly
+        acc, a, b = self.copy(self.A), lift(self.A), lift(self.B)
+        assert acc._iadd_product(b, a, -1) is acc
+        assert poly(acc) == self.A - self.B * self.A
         acc = self.copy(self.A * self.B)
-        assert acc._iadd_product(self.A, self.B, -1).is_zero()
-        assert not acc.terms
+        assert poly(acc._iadd_product(a, b, -1)).is_zero()
+        assert not acc._terms
 
     def test_the_product_checks_the_exponent_bound(self):
-        big = mono({xvar(1): MAX_EXPONENT})
+        ring = PackedRing([xvar(1), yvar(1)], 16)
+        big, x1, x1_inverse = map(ring.lift, (mono({xvar(1): MAX_EXPONENT}), X1,
+                                              mono({xvar(1): -1})))
         for sign in (1, -1):
             with pytest.raises(ExponentOverflowError):
-                self.copy(ONE)._iadd_product(big, X1, sign)
-            acc = self.copy(ONE)
-            acc._iadd_product(big, mono({xvar(1): -1}), sign)  # fits: x1^(MAX - 1)
-            assert acc == ONE + mono({xvar(1): MAX_EXPONENT - 1}, sign)
+                ring.lift(ONE)._iadd_product(big, x1, sign)
+            acc = ring.lift(ONE)
+            acc._iadd_product(big, x1_inverse, sign)  # fits: x1^(MAX - 1)
+            assert ring.poly(acc) == ONE + mono({xvar(1): MAX_EXPONENT - 1}, sign)
 
     def test_residues_in_place_match_the_operators(self):
         rng = random.Random(12)
@@ -410,5 +495,7 @@ class TestInPlace:
     def test_first_power_is_the_value_itself(self):
         # the transfer raises most factors to the power 1; that copies nothing
         assert self.A ** 1 is self.A
+        a = self.RING.lift(self.A)
+        assert a ** 1 is a and self.RING.poly(a ** 2) == self.A ** 2
         r = Residues([3, 5], 7)
         assert r ** 1 is r and (r ** 2).values == [2, 4]

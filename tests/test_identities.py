@@ -2,8 +2,11 @@ import gc
 import importlib.util
 import json
 import operator
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from functools import lru_cache, reduce
 from itertools import combinations, product
@@ -29,7 +32,7 @@ from oracles import (
     wgt_st_q,
     wgt_t,
 )
-from symptok import algebra, identities, matrices, weights
+from symptok import algebra, identities, matrices, rings, weights
 from symptok.algebra import (
     MERSENNE31,
     QVAR,
@@ -69,7 +72,8 @@ from symptok.identities import (
 )
 from symptok.bijections import uasm_to_cpm
 from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
-from symptok.shapes import RankTooSmallError, add_staircase, partitions_up_to
+from symptok.rings import Packed, PackedRing
+from symptok.shapes import RankTooSmallError, add_staircase, letter_level, partitions_up_to
 from symptok.tableaux import (
     ShiftedTableau,
     cell_cases,
@@ -121,8 +125,10 @@ def q_delta_product(n, deformed=False):
     return out
 
 
-def exact(f):
-    return f
+#: The symbolic lift of the tests' own walks: a packed ring of every
+#: variable up to rank 5, 16 bits a slot.
+EXACT = PackedRing([*map(xvar, range(1, 6)), *map(yvar, range(1, 6)), QVAR, TVAR])
+exact = EXACT.lift
 
 
 def modular_lift(points):
@@ -406,7 +412,7 @@ def test_factor_kernel_matches_per_object_evaluation(identity, knobs, scheme,
                 want[p] = (want[p] + w.eval_mod(pt, MERSENNE31)) % MERSENNE31
         c0_mode = knobs.get("c0_mode", "full")
         got = _left_side(identity, (lam,), n, scheme, c0_mode, "below", exact)[lam]
-        assert got == (total, objects), (mu, n)
+        assert (EXACT.poly(got[0]), got[1]) == (total, objects), (mu, n)
         got = _left_side(identity, (lam,), n, scheme, c0_mode, "below",
                          modular_lift(points))[lam]
         assert (got[0].values, got[1]) == (want, objects), (mu, n)
@@ -427,7 +433,7 @@ def test_narrow_le_transfer_matches_per_object_statistics():
         table = factor_table("GT_QX", n)
         got, count, _ = _transfer((lam,), n, table, exact,
                                   _pattern_cells(table, narrow_le=True))[lam]
-        assert (got, count) == (want, objects), (mu, n)
+        assert (EXACT.poly(got), count) == (want, objects), (mu, n)
 
 
 @lru_cache(maxsize=None)
@@ -938,12 +944,14 @@ def test_sweeps_write_to_no_shared_value():
 
 def test_an_unreached_target_is_a_zero_of_its_own():
     # (2, 2) is no strict shape, so no shifted tableau reaches it; the
-    # caller may write to what the walk returns, so it is not ZERO itself
-    table = factor_table("ST_XY", 2)
-    got = _transfer([(2, 2), (2, 1)], 2, table, exact, _shifted_cells("below"))
+    # caller may write to what the walk returns, so it is not lift(ZERO) or
+    # any other value the walk lifted
+    table, lifted = factor_table("ST_XY", 2), []
+    got = _transfer([(2, 2), (2, 1)], 2, table, lambda f: lifted.append(exact(f)) or lifted[-1],
+                    _shifted_cells("below"))
     value, count, primed = got[(2, 2)]
-    assert (value, count, primed) == (LaurentPoly.zero(), 0, 0)
-    assert value is not algebra.ZERO and got[(2, 1)][1] == count_gtp((2, 1), 2)
+    assert (EXACT.poly(value), count, primed) == (LaurentPoly.zero(), 0, 0)
+    assert all(value is not v for v in lifted) and got[(2, 1)][1] == count_gtp((2, 1), 2)
 
 
 def test_a_later_path_builds_no_product(monkeypatch):
@@ -963,17 +971,20 @@ def test_a_later_path_builds_no_product(monkeypatch):
             steps.add(step[0])
         return step
 
-    mul, calls = LaurentPoly.__mul__, [0]
+    calls = [0]
 
-    def counting(self, other):
-        calls[0] += 1
-        return mul(self, other)
+    def counting(op):
+        def count(self, other):
+            calls[0] += 1
+            return op(self, other)
+        return count
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    for name in ("__mul__", "_times"):
+        monkeypatch.setattr(Packed, name, counting(getattr(Packed, name)))
     got = _transfer([lam], n, table, exact, (rule, recording))
     walked, calls[0] = calls[0], 0
     for ids in steps - {()}:  # each distinct step's product, built once
-        reduce(operator.mul, (table[fid] ** e for fid, e in ids))
+        reduce(operator.mul, (exact(table[fid]) ** e for fid, e in ids))
     assert got[lam][1] == count_gtp(lam, n)
     assert sum(arrivals.values()) > 2 * len(arrivals)  # many later paths
     assert walked <= len(first) + calls[0]
@@ -1049,7 +1060,8 @@ def test_modular_transfer_returns_reduced_lifts_of_the_symbolic_values(scheme):
         for lam in targets:
             value, count, primed = got[lam]
             assert all(0 <= v < MERSENNE31 for v in value.values), (n, lam)
-            assert value == Residues.lift(want[lam][0], points, MERSENNE31), (n, lam)
+            assert value == Residues.lift(EXACT.poly(want[lam][0]), points, MERSENNE31), \
+                (n, lam)
             assert (count, primed) == want[lam][1:], (n, lam)
 
 
@@ -1091,6 +1103,46 @@ def test_a_modular_walk_writes_to_no_factor_or_product(monkeypatch, scheme):
     assert all(0 <= v < MERSENNE31 for value in operands for v in value.values)
     assert all(value.values is held and held == values for value, held, values in made)
     assert not {id(value) for value, _, _ in made} & {id(v) for v, _, _ in got.values()}
+
+
+def test_only_symbolic_mode_loads_the_rings():
+    # a modular verify compiles none of the symbolic value type
+    code = ("import sys; from symptok.identities import verify; "
+            "verify('THM_ST', (1,), 2, 'modular', trials=2); print('symptok.rings' in sys.modules); "
+            "verify('THM_ST', (1,), 2); print('symptok.rings' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(identities.__file__).parent.parent)),
+                         check=True).stdout
+    assert out.split() == ["False", "True"]
+
+
+def test_a_ring_too_narrow_runs_again_at_16_bits(monkeypatch):
+    # every symbolic entry point, at a width whose exponents stop at 1: each
+    # call's first ring overflows, and the run at 16 bits gives the report
+    # and the polynomials that the call's own width gives
+    calls = [
+        lambda: [r.to_json_dict(False) for r in verify_sweep("COR_GT", 2, 2)],
+        lambda: verify("COR_UASM_Q", (1,), 2, cpm_q_scheme="norm",
+                       c0_mode="literal").to_json_dict(False),
+        lambda: ambiguity_report(2, 1),
+        lambda: _le_setbuilder_sweep(2, 2),
+        lambda: sp_mu((2, 1), 2, deformed=True),
+        lambda: rhs_product("PROP_T", (1,), 2),
+    ]
+    want = [call() for call in calls]
+    init, widths = PackedRing.__init__, []
+
+    def recording(self, variables, bits=None):
+        init(self, variables, bits)
+        widths.append(self.bits)
+
+    monkeypatch.setattr(rings, "_ring_bits", lambda count: 2)
+    monkeypatch.setattr(PackedRing, "__init__", recording)
+    for call, expected in zip(calls, want):
+        widths.clear()
+        assert call() == expected
+        assert widths == [2, 16]
+    assert not want[1]["equal"] and want[1]["counterexample"]
 
 
 @pytest.mark.parametrize("identity,knobs", REJECTED_VARIANTS)
@@ -1137,11 +1189,20 @@ def test_no_compass_table_weighs_se(scheme):
 
 @pytest.mark.parametrize("scheme", CPM_SCHEMES)
 def test_a_wider_compass_walk_gives_the_same_steps(scheme):
+    # on every step a walk takes, as _transfer and weights._path_ids take
+    # them: S reached by letter c - 1 (the empty shape before letter 1), T
+    # allowed by the shape rule, S <= T interlacing, rows from level k on kept
     lam, n = (4, 2, 1), 3
     table = factor_table(scheme, n)
-    (_, narrow), (_, wide) = (_compass_cells(w, table) for w in (lam[0], lam[0] + 3))
+    (rule, narrow), (_, wide) = (_compass_cells(w, table) for w in (lam[0], lam[0] + 3))
     shapes = list(product(*(range(part + 1) for part in lam)))
+    steps = 0
     for S, T in product(shapes, shapes):
-        if all(s <= t for s, t in zip(S, T)):
-            for c in range(1, 2 * n + 1):
+        for c in range(1, 2 * n + 1):
+            k = letter_level(c)
+            if ((rule(c - 1, S) if c > 1 else not any(S)) and rule(c, T)
+                    and all(s <= t for s, t in zip(S, T)) and S[k:] == T[k:]
+                    and all(t <= s for t, s in zip(T[1:], S))):
+                steps += 1
                 assert narrow(c, S, T) == wide(c, S, T), (S, T, c)
+    assert steps > 100
