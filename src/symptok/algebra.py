@@ -28,11 +28,13 @@ symptok.rings packs in exactly one call's variables instead, for the
 engine's symbolic mode: as many bits a slot as put every monomial of the
 call in one machine digit, when that is at least 5, and 16 otherwise.
 
-Residues is the modular counterpart: the values of one polynomial at a
-fixed list of points mod a prime, with the same +, * and ** taken point by
-point.  Lifts and the operators give values reduced into [0, prime).  The
-private ``_iadd_product`` and ``_times`` leave theirs unreduced, for a sum
-that is reduced once (``_reduce``) when it is read.
+Residues is the modular counterpart: the values of one polynomial at the
+points of a Sample, one call's points mod a prime, with the same +, * and
+** taken point by point.  In both value types, lifts and the operators give
+reduced values, while the private ``_iadd_product`` and ``_times`` may
+leave theirs unreduced (Residues not yet in [0, prime), rings.Packed with
+cancelled terms at 0), for a sum that is reduced once (``_reduce``) when it
+is read.
 
 Two polynomials are equal iff their term maps are equal, so all arithmetic
 keeps results canonical.  Values are immutable after construction: every
@@ -209,11 +211,12 @@ def _product_bounds(a: Iterable[int], b: Iterable[int], bits: int,
 
 def _accumulate(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int],
                 sign: int = 1) -> Dict[int, int]:
-    """out + sign * a * b over monomials of one packing, with cancelled terms
-    dropped: the one multiply-accumulate loop of every product.  It writes
-    into out, except that an empty out gives way to a new dict of the first
-    row of products, which needs no lookups: its monomials are distinct.
-    The caller has checked the exponents."""
+    """out + sign * a * b over monomials of one packing: the one
+    multiply-accumulate loop of every product.  It writes into out, except
+    that an empty out gives way to a new dict of the first row of products,
+    which needs no lookups: its monomials are distinct.  A cancelled term
+    stays at 0 for the caller to drop (_drop_zeros).  The caller has checked
+    the exponents."""
     big, small = (a, b) if len(a) >= len(b) else (b, a)
     rows = iter(small.items())
     if not out and small:
@@ -225,12 +228,13 @@ def _accumulate(out: Dict[int, int], a: Mapping[int, int], b: Mapping[int, int],
         cb *= sign
         for ma, ca in big.items():
             mono = ma + mb
-            s = get(mono, 0) + ca * cb
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
+            out[mono] = get(mono, 0) + ca * cb
     return out
+
+
+def _drop_zeros(terms: Dict[int, int]) -> Dict[int, int]:
+    """terms without its zero coefficients; terms itself if it has none."""
+    return {m: c for m, c in terms.items() if c} if 0 in terms.values() else terms
 
 
 def _power(base, n: int, one):
@@ -366,7 +370,8 @@ class LaurentPoly:
         bound = self._bound + other._bound
         if bound > MAX_EXPONENT:
             bound = max(_product_bounds(self._terms, other._terms, _DIGIT_BITS).values())
-        return LaurentPoly._make(_accumulate({}, self._terms, other._terms), bound)
+        return LaurentPoly._make(_drop_zeros(_accumulate({}, self._terms, other._terms)),
+                                 bound)
 
     def __pow__(self, n: int) -> "LaurentPoly":
         return _power(self, n, LaurentPoly.const(1))
@@ -435,50 +440,54 @@ ONE = LaurentPoly.const(1)
 
 
 class ResidueMismatchError(ValueError):
-    """Residues of another prime or at another number of points."""
+    """Residues of two samples."""
+
+
+class Sample:
+    """One call's points of a prime field: the prime, the points, and the
+    columns that its lifts share (_values_mod).  ``lift`` gives a
+    polynomial's Residues here."""
+
+    __slots__ = ("points", "prime", "columns")
+
+    def __init__(self, points: List[Mapping[Var, int]], prime: int):
+        self.points, self.prime = points, prime
+        self.columns: Dict[int, List[int]] = {}
+
+    def lift(self, poly: LaurentPoly) -> "Residues":
+        """The values of poly at the points, reduced, as _values_mod."""
+        return Residues(poly._values_mod(self.points, self.prime, self.columns), self)
 
 
 class Residues:
-    """The values of a polynomial at a fixed list of points mod a prime.
+    """The values of a polynomial at the points of a Sample.
 
     ``+``, ``*`` and ``**`` act point by point, so sums and products of
     lifted factors are the values of the polynomials' sums and products;
-    their values are reduced into [0, prime).  The private ``_times`` and
-    ``_iadd_product`` skip the reduction: their values are congruent, not
-    reduced, until ``_reduce``.  Every operation on two operands raises
-    ResidueMismatchError unless they share the prime and the point count.
+    they and lifts give values reduced into [0, prime).  The private
+    ``_times`` and ``_iadd_product`` skip the reduction until ``_reduce``
+    reduces in place.  An operation on residues of two samples raises
+    ResidueMismatchError, even at one prime and point count; ``==``
+    compares the prime and the values.
     """
 
-    __slots__ = ("values", "prime")
+    __slots__ = ("values", "sample")
 
-    def __init__(self, values: List[int], prime: int):
-        self.values, self.prime = values, prime
-
-    @classmethod
-    def lift(cls, poly: LaurentPoly, points: List[Mapping[Var, int]],
-             prime: int, columns: Dict[int, List[int]] | None = None) -> "Residues":
-        """The values of poly at the points, as _values_mod: lifts at the
-        same points and prime may share their columns."""
-        return cls(poly._values_mod(points, prime, {} if columns is None else columns), prime)
-
-    def _check(self, *others: "Residues") -> None:
-        for other in others:
-            if other.prime != self.prime or len(other.values) != len(self.values):
-                raise ResidueMismatchError(
-                    f"residues mod {other.prime} at {len(other.values)} points "
-                    f"against mod {self.prime} at {len(self.values)} points")
+    def __init__(self, values: List[int], sample: Sample):
+        self.values, self.sample = values, sample
 
     def __add__(self, other: "Residues") -> "Residues":
-        self._check(other)
-        p = self.prime
-        return Residues([(a + b) % p for a, b in zip(self.values, other.values)], p)
+        if other.sample is not self.sample:
+            raise ResidueMismatchError("residues of two samples")
+        p = self.sample.prime
+        return Residues([(a + b) % p for a, b in zip(self.values, other.values)], self.sample)
 
     def _iadd_product(self, a: "Residues", b: "Residues",
                       sign: int = 1) -> "Residues":
-        """self + sign * a * b, written into self unreduced, as
-        LaurentPoly._iadd_product.  The transfer's merges add (sign 1); a
-        case subtracts once."""
-        self._check(a, b)
+        """self + sign * a * b, written into self unreduced.  The transfer's
+        merges add (sign 1); a case subtracts once."""
+        if a.sample is not self.sample or b.sample is not self.sample:
+            raise ResidueMismatchError("residues of two samples")
         triples = zip(self.values, a.values, b.values)
         if sign == 1:
             self.values = [s + x * y for s, x, y in triples]
@@ -488,32 +497,34 @@ class Residues:
 
     def _reduce(self) -> "Residues":
         """self with its values reduced into [0, prime), written into self."""
-        p = self.prime
+        p = self.sample.prime
         self.values = [a % p for a in self.values]
         return self
 
     def __mul__(self, other: "Residues") -> "Residues":
-        self._check(other)
-        p = self.prime
-        return Residues([a * b % p for a, b in zip(self.values, other.values)], p)
+        if other.sample is not self.sample:
+            raise ResidueMismatchError("residues of two samples")
+        p = self.sample.prime
+        return Residues([a * b % p for a, b in zip(self.values, other.values)], self.sample)
 
     def _times(self, other: "Residues") -> "Residues":
         """self * other, unreduced."""
-        self._check(other)
-        return Residues([a * b for a, b in zip(self.values, other.values)], self.prime)
+        if other.sample is not self.sample:
+            raise ResidueMismatchError("residues of two samples")
+        return Residues([a * b for a, b in zip(self.values, other.values)], self.sample)
 
     def __pow__(self, e: int) -> "Residues":
         if e == 1:
             return self
-        p = self.prime
-        return Residues([pow(a, e, p) for a in self.values], p)
+        p = self.sample.prime
+        return Residues([pow(a, e, p) for a in self.values], self.sample)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Residues) and self.prime == other.prime
+        return (isinstance(other, Residues) and self.sample.prime == other.sample.prime
                 and self.values == other.values)
 
     def __repr__(self) -> str:
-        return f"Residues({self.values}, {self.prime})"
+        return f"Residues({self.values}, mod {self.sample.prime})"
 
 
 #: Miller-Rabin with the first 13 primes as bases decides primality of
@@ -554,4 +565,4 @@ def random_point(variables: Iterable[Var], rng: random.Random,
     Coordinates are drawn in sorted variable order so a seeded generator
     yields a reproducible point.
     """
-    return {v: rng.randint(1, modulus - 1) for v in sorted(set(variables))}
+    return {v: rng.randrange(1, modulus) for v in sorted(set(variables))}

@@ -22,9 +22,9 @@ expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
 field (MODULAR).  One engine serves both modes; the mode only picks the
 value type that each local factor of weights.factor_table is lifted to: a
 rings.Packed of a ring packed in exactly the call's variables (one machine
-digit a monomial at n <= 3, _symbolic), or an algebra.Residues
-holding its values at the points.  Public results and counterexamples come
-back as LaurentPoly.
+digit a monomial at n <= 3, _symbolic), or an algebra.Residues holding its
+values at the points of the call's algebra.Sample.  Public results and
+counterexamples come back as LaurentPoly.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
 letter, and the transfer sums the products of the weights module's step
@@ -59,6 +59,7 @@ from .algebra import (
     ExponentOverflowError,
     LaurentPoly,
     Residues,
+    Sample,
     is_prime,
     monomial_text,
     random_point,
@@ -330,10 +331,11 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     when the step has no ids (f = 1); a later one adds value * f into the
     sum in place, unreduced (_iadd_product), once a sum the walk does not
     own has been copied.  Each sum is reduced once, when its shape is popped
-    (_reduce; a no-op on polynomials).  So no product is built only to be
-    added, no value the walk did not make (lift(ONE), a cached product or a
-    table factor) is written to, and each returned value is reduced and the
-    caller's own to write to.
+    (_reduce), and each step product once, by the last * of its factors'
+    powers: the products before it are unreduced (_times).  So no product
+    is built only to be added, no value the walk did not make (lift(ONE), a
+    cached product or a table factor) is written to, and each returned
+    value is reduced and the caller's own to write to.
     """
     lams = [as_partition(lam) for lam in targets]
     for lam in lams:
@@ -367,8 +369,9 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
                 ids, free = cells(c, S, T)
                 f = products.get(ids)
                 if f is None:
+                    *rest, last = [vals[fid] ** e for fid, e in ids]
                     f = products[ids] = reduce(
-                        operator.mul, (vals[fid] ** e for fid, e in ids))
+                        lambda a, b: a._times(b), rest) * last if rest else last
                 primed_t, old = primed << free, nxt.get(T)
                 if old is None:
                     nxt[T] = [value._times(f) if ids else value, count, primed_t,
@@ -529,9 +532,8 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
             lift: Lift = ring.lift
         else:
             rng = random.Random(seed)
-            points = [random_point(variables, rng, prime) for _ in range(trials)]
-            columns: Dict = {}  # each variable's values and inverses, for this call
-            lift = lambda f: Residues.lift(f, points, prime, columns)
+            lift = Sample([random_point(variables, rng, prime) for _ in range(trials)],
+                          prime).lift
         lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
         characters, staircase = right[1:] if right else _right_factors(identity, mus, n, lift)
         shared = (time.perf_counter() - start) / len(mus)
@@ -551,7 +553,7 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
                     terms = terms[0], rhs.num_terms()
                     counterexample = _first_difference(ring.poly(lhs), ring.poly(rhs))
                 else:
-                    counterexample = _first_mismatch(lhs, rhs, points)
+                    counterexample = _first_mismatch(lhs, rhs)
             millis = (shared + time.perf_counter() - start) * 1000.0
             reports.append(VerificationReport(
                 identity, n, mu, lam, mode.upper(), objects, *terms, equal,
@@ -562,7 +564,8 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
     return run(right[0]) if right else _symbolic(variables, run)
 
 
-def _first_mismatch(lhs: Residues, rhs: Residues, points) -> dict:
+def _first_mismatch(lhs: Residues, rhs: Residues) -> dict:
+    points = lhs.sample.points
     idx = next(i for i, (a, b) in enumerate(zip(lhs.values, rhs.values)) if a != b)
     return {
         "trial": idx,

@@ -29,6 +29,7 @@ from .algebra import (
     Var,
     _accumulate,
     _check_exponent,
+    _drop_zeros,
     _power,
     _product_bounds,
     _slot,
@@ -85,12 +86,12 @@ class PackedRing:
         return Packed(terms, bound, self)
 
     def poly(self, value: "Packed") -> LaurentPoly:
-        """value as the LaurentPoly it stands for."""
+        """value, reduced or not, as the LaurentPoly it stands for."""
         if value.ring is not self:
             raise RingMismatchError(f"a value of {value.ring!r}, not of {self!r}")
         shifts = [_SHIFT[v] for v in self.variables]
         terms = {sum(e << shifts[s] for s, e in _unpack(key, self.bits)): c
-                 for key, c in value._terms.items()}
+                 for key, c in value._terms.items() if c}
         return LaurentPoly._make(terms, max(
             (e for _, e in _unpack(value._bound, self.bits)), default=0))
 
@@ -111,26 +112,22 @@ class PackedRing:
 
 class Packed:
     """A value of a PackedRing, the engine's symbolic value type as Residues
-    is its modular one: {packed monomial: coefficient}, no zero
-    coefficients, and a bound on each slot's |exponents|, packed as the
-    monomials are, with every guard bit clear.  A lift's or a sum's
-    bounds are the OR of its terms': at least the largest of each slot's,
-    and still under its guard bit.  ``+``, ``*``, ``**`` and
-    ``==`` act as on the LaurentPoly, ``_times`` is ``*``, and
-    ``_iadd_product`` writes self + sign * a * b into self, only for a sum
-    its caller made and no one else holds.  A value is never unreduced, so
-    ``_reduce`` is self.  An operation on values of two rings raises
-    RingMismatchError."""
+    is its modular one: {packed monomial: coefficient} and a bound on each
+    slot's |exponents|, packed as the monomials are, with every guard bit
+    clear.  A lift's or a sum's bounds are the OR of its terms': at least
+    the largest of each slot's, and still under its guard bit.  ``+``,
+    ``*`` and ``**`` act as on the LaurentPoly and, as lifts do, give
+    reduced values: no zero coefficient, which ``==`` needs.  The private
+    ``_times`` (``*`` unreduced) and ``_iadd_product`` (self + sign * a * b
+    written into self, only for a sum its caller made and no one else
+    holds) may keep cancelled terms at 0 until ``_reduce`` drops them in
+    place; the ring's ``poly`` reads either.  An operation on values of
+    two rings raises RingMismatchError."""
 
     __slots__ = ("_terms", "_bound", "ring")
 
     def __init__(self, terms: Dict[int, int], bound: int, ring: PackedRing):
         self._terms, self._bound, self.ring = terms, bound, ring
-
-    def _check(self, *others: "Packed") -> None:
-        for other in others:
-            if other.ring is not self.ring:
-                raise RingMismatchError(f"values of {other.ring!r} and {self.ring!r}")
 
     def num_terms(self) -> int:
         return len(self._terms)
@@ -140,25 +137,30 @@ class Packed:
                 and self._terms == other._terms)
 
     def __add__(self, other: "Packed") -> "Packed":
-        self._check(other)
+        if other.ring is not self.ring:
+            raise RingMismatchError("values of two rings")
         return Packed(_accumulate(dict(self._terms), other._terms, {0: 1}),
-                      self._bound | other._bound, self.ring)
+                      self._bound | other._bound, self.ring)._reduce()
 
     def __mul__(self, other: "Packed") -> "Packed":
-        self._check(other)
+        return self._times(other)._reduce()
+
+    def _times(self, other: "Packed") -> "Packed":
+        if other.ring is not self.ring:
+            raise RingMismatchError("values of two rings")
         return Packed(_accumulate({}, self._terms, other._terms),
                       self.ring._product_bound(self, other), self.ring)
 
-    _times = __mul__
-
     def _iadd_product(self, a: "Packed", b: "Packed", sign: int = 1) -> "Packed":
-        self._check(a, b)
+        if a.ring is not self.ring or b.ring is not self.ring:
+            raise RingMismatchError("values of two rings")
         bound = self.ring._product_bound(a, b)
         self._terms = _accumulate(self._terms, a._terms, b._terms, sign)
         self._bound |= bound
         return self
 
     def _reduce(self) -> "Packed":
+        self._terms = _drop_zeros(self._terms)
         return self
 
     def __pow__(self, n: int) -> "Packed":

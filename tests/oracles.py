@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Dict, Iterable, List, Mapping, Tuple
 
-from symptok.algebra import ONE, TVAR, LaurentPoly, Residues, Var, xvar
+from symptok.algebra import ONE, TVAR, LaurentPoly, Residues, Sample, Var, xvar
 from symptok.bijections import uasm_to_cpm
 from symptok.matrices import (
     CompassPointMatrix,
@@ -389,9 +389,9 @@ def gt_left_side(lam, n: int, scheme: str, points: List[Mapping[Var, int]],
     counts (1+q) per B mark, the diagonal pair jointly, and q per unbarred R
     and barred L mark; narrow_le leaves the diagonal L out (the rejected
     reading).  Every factor is a factor_table entry, lifted once."""
-    vals = {fid: Residues.lift(f, points, prime)
-            for fid, f in factor_table(scheme, n).items()}
-    one = Residues.lift(ONE, points, prime)
+    lift = Sample(points, prime).lift
+    vals = {fid: lift(f) for fid, f in factor_table(scheme, n).items()}
+    one = lift(ONE)
 
     def step_ids(k: int, upper, lower, barred: bool) -> tuple:
         marks = [_mark(upper[j], lower[j], upper[j + 1]) for j in range(k - 1)]
@@ -429,7 +429,7 @@ def gt_left_side(lam, n: int, scheme: str, points: List[Mapping[Var, int]],
                     w = value * f
                     nxt[lower] = nxt[lower] + w if lower in nxt else w
             level = nxt
-    return level.get((), Residues.lift(LaurentPoly.zero(), points, prime))
+    return level.get((), lift(LaurentPoly.zero()))
 
 
 # -- the transfer's letters-left test ----------------------------------------------

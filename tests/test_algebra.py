@@ -17,6 +17,7 @@ from symptok.algebra import (
     NonInvertiblePointError,
     ResidueMismatchError,
     Residues,
+    Sample,
     UnassignedVariableError,
     _unpack,
     random_point,
@@ -33,6 +34,11 @@ ONE = LaurentPoly.const(1)
 
 def mono(exps, coef=1):
     return LaurentPoly.monomial(exps, coef)
+
+
+def sample(prime, count):
+    """A sample of count points (none of them read) mod prime."""
+    return Sample([{}] * count, prime)
 
 
 class TestAdd:
@@ -91,6 +97,21 @@ class TestEvalMod:
         p = mono({xvar(1): -1})
         with pytest.raises(NonInvertiblePointError):
             p.eval_mod({xvar(1): 7}, 7)
+
+    def test_random_points_at_seed_0(self):
+        # the points of a modular report at n = 3: drawn in sorted variable
+        # order, whatever order they are given in
+        variables = [*map(xvar, (1, 2, 3)), *map(yvar, (1, 2, 3)), TVAR, QVAR]
+        for modulus, want in (
+                (MERSENNE31, [[1813382119, 827308000, 1627694679, 1911784258, 903170603,
+                               86939547, 556019486, 2073320062],
+                              [1097954098, 1043521779, 869589437, 1971893210, 1683194653,
+                               1782095537, 651359109, 2078334660]]),
+                (7, [[4, 4, 1, 3, 5, 4, 4, 3], [4, 3, 5, 2, 5, 2, 3, 2]])):
+            rng = random.Random(0)
+            points = [random_point(variables[::-1], rng, modulus) for _ in range(2)]
+            assert [list(pt) for pt in points] == [variables] * 2
+            assert [list(pt.values()) for pt in points] == want, modulus
 
 
 class TestEqual:
@@ -277,47 +298,47 @@ class TestResiduesLift:
     def test_values_are_the_point_evaluations(self):
         rng = random.Random(11)
         points = [random_point(self.VARS, rng) for _ in range(6)]
-        assert Residues.lift(self.P, points, MERSENNE31).values == [
+        assert Sample(points, MERSENNE31).lift(self.P).values == [
             self.P.eval_mod(pt, MERSENNE31) for pt in points]
 
     def test_unassigned_variable(self):
         points = [dict.fromkeys(self.VARS, 3), dict.fromkeys(self.VARS[:3], 3)]
         with pytest.raises(UnassignedVariableError):
-            Residues.lift(self.P, points, 7)
+            Sample(points, 7).lift(self.P)
 
     def test_non_invertible_point(self):
         points = [dict.fromkeys(self.VARS, 3), {**dict.fromkeys(self.VARS, 3), TVAR: 14}]
         with pytest.raises(NonInvertiblePointError):
-            Residues.lift(self.P, points, 7)
+            Sample(points, 7).lift(self.P)
 
     def test_shared_columns_give_each_lift_its_own_values(self):
-        # lifts that share one columns dict read each variable's values and
-        # inverses once, and give what a lift of its own gives, as the
-        # oracles' lifts do
+        # the lifts of one sample share its columns, read each variable's
+        # values and inverses once, and give what a sample of their own gives
         rng = random.Random(13)
         points = [random_point(self.VARS, rng) for _ in range(5)]
         polys = [self.P, X1 + Y1, mono({xvar(1): -1, QVAR: 2}, 3), ONE,
                  LaurentPoly.zero(), (Q - X1) ** 2 * mono({yvar(1): -2})]
-        columns = {}
+        shared = Sample(points, MERSENNE31)
         for p in polys:
-            assert Residues.lift(p, points, MERSENNE31, columns) == \
-                Residues.lift(p, points, MERSENNE31), p
+            assert shared.lift(p) == Sample(points, MERSENNE31).lift(p), p
         # the values of x1, y1 and q, and the inverses of x1, y1 and t
-        assert sorted(columns) == [~3, ~2, ~0, 1, 2, 3]
-        assert columns[~2] == [pow(pt[xvar(1)], -1, MERSENNE31) for pt in points]
+        assert sorted(shared.columns) == [~3, ~2, ~0, 1, 2, 3]
+        assert shared.columns[~2] == [pow(pt[xvar(1)], -1, MERSENNE31) for pt in points]
 
     def test_residues_differ_under_another_prime(self):
-        assert Residues([1, 2], 7) != Residues([1, 2], 11)
-        assert Residues([1, 2], 7) == Residues([1, 2], 7)
-        assert Residues([1, 2], 7) != Residues([1, 3], 7)
+        # == compares the prime and the values, of one sample or not
+        seven = sample(7, 2)
+        assert Residues([1, 2], seven) != Residues([1, 2], sample(11, 2))
+        assert Residues([1, 2], seven) == Residues([1, 2], seven) == Residues([1, 2], sample(7, 2))
+        assert Residues([1, 2], seven) != Residues([1, 3], seven)
 
     def test_a_lift_shares_no_list_with_its_columns(self):
         # a lone variable's term is its column itself; the lift's values are
         # still a list of their own, so writing to them leaves the column be
         rng = random.Random(14)
         points = [random_point(self.VARS, rng) for _ in range(3)]
-        columns = {}
-        lifted = Residues.lift(X1, points, MERSENNE31, columns)
+        columns = (shared := Sample(points, MERSENNE31)).columns
+        lifted = shared.lift(X1)
         assert lifted.values == columns[2] and lifted.values is not columns[2]
         lifted._iadd_product(lifted, lifted)
         assert columns[2] == [pt[xvar(1)] for pt in points]
@@ -326,41 +347,48 @@ class TestResiduesLift:
         rng = random.Random(15)
         points = [random_point(self.VARS, rng, 7) for _ in range(4)]
         for p in (self.P, -self.P, X1 + X1 + LaurentPoly.const(-3), LaurentPoly.const(-1)):
-            values = Residues.lift(p, points, 7).values
+            values = Sample(points, 7).lift(p).values
             assert all(0 <= v < 7 for v in values), p
             assert values == [p.eval_mod(pt, 7) for pt in points]
 
 
 class TestResiduesSample:
     """Residues of two samples never meet: an operation on operands of
-    another prime or another point count raises ResidueMismatchError."""
+    another sample raises ResidueMismatchError, whatever its prime and
+    point count."""
+
+    OPS = (operator.add, operator.mul, Residues._times,
+           lambda u, v: u._iadd_product(u, v), lambda u, v: u._iadd_product(v, u))
+
+    def refuse(self, a, b):
+        for op in self.OPS:
+            for u, v in ((a, b), (b, a)):
+                with pytest.raises(ResidueMismatchError):
+                    op(u, v)
 
     def test_another_prime(self):
-        a, b = Residues([1, 2], 7), Residues([1, 2], 11)
-        for op in (operator.add, operator.mul, Residues._times):
-            with pytest.raises(ResidueMismatchError):
-                op(a, b)
-        with pytest.raises(ResidueMismatchError):
-            Residues([0, 0], 7)._iadd_product(a, b)
+        self.refuse(Residues([1, 2], sample(7, 2)), Residues([1, 2], sample(11, 2)))
 
     def test_another_point_count(self):
-        a, b = Residues([3], 7), Residues([3, 4], 7)
-        for op in (operator.add, operator.mul, Residues._times):
-            with pytest.raises(ResidueMismatchError):
-                op(a, b)
-            with pytest.raises(ResidueMismatchError):
-                op(b, a)
-        with pytest.raises(ResidueMismatchError):
-            Residues([0], 7)._iadd_product(a, b)
-        with pytest.raises(ResidueMismatchError):
-            Residues([0, 0], 7)._iadd_product(b, a)
+        self.refuse(Residues([3], sample(7, 1)), Residues([3, 4], sample(7, 2)))
         assert issubclass(ResidueMismatchError, ValueError)
 
+    def test_another_sample_of_the_same_prime_and_points(self):
+        rng = random.Random(16)
+        points = [random_point([xvar(1), QVAR], rng) for _ in range(3)]
+        one, other = Sample(points, MERSENNE31), Sample(points, MERSENNE31)
+        a, b = one.lift(X1 + Q), other.lift(X1 + Q)
+        assert a == b  # the same values, which still do not mix
+        self.refuse(a, b)
+        with pytest.raises(ResidueMismatchError, match="two samples"):
+            one.lift(ONE)._iadd_product(a, b)
+
     def test_one_sample_still_computes(self):
-        a, b = Residues([3, 5], 7), Residues([4, 6], 7)
+        seven = sample(7, 2)
+        a, b = Residues([3, 5], seven), Residues([4, 6], seven)
         assert (a + b).values == [0, 4] and (a * b).values == [5, 2]
         assert a._times(b).values == [12, 30]
-        assert Residues([1, 1], 7)._iadd_product(a, b, -1)._reduce().values == [3, 6]
+        assert Residues([1, 1], seven)._iadd_product(a, b, -1)._reduce().values == [3, 6]
 
 
 class TestPackedRing:
@@ -388,6 +416,30 @@ class TestPackedRing:
             assert ring.poly(la * lb) == a * b and ring.poly(la + lb) == a + b
             assert ring.poly(la._times(lb)) == a * b and ring.poly(lb ** 2) == b ** 2
             assert ring.poly(lc._iadd_product(la, lb, -1)) == c - a * b
+
+    def test_reducing_gives_what_the_operators_give(self):
+        # _times and _iadd_product keep cancelled terms at 0; poly reads such
+        # a value right, and once reduced it is what *, + and the
+        # polynomials' operations give, with no zero coefficient
+        ring = PackedRing(self.VARS)
+        lift, poly = ring.lift, ring.poly
+        rng = random.Random(33)
+        cancelling = [(X1 + Q, X1 - Q, ONE), (X1 + Q, Q - X1, (X1 + Q) * (X1 - Q)),
+                      (ONE - X1 * Y1, ONE + X1 * Y1, X1 * X1 * Y1 * Y1)]
+        for a, b, c in cancelling:
+            assert 0 in lift(c)._iadd_product(lift(a), lift(b))._terms.values()
+        assert 0 in lift(X1 + Q)._times(lift(X1 - Q))._terms.values()
+        for a, b, c in cancelling + [tuple(_random_poly(rng) for _ in range(3))
+                                     for _ in range(300)]:
+            la, lb, lc = map(lift, (a, b, c))
+            for got, want, by_operators in (
+                    (la._times(lb), a * b, la * lb),
+                    (lift(c)._iadd_product(la, lb), c + a * b, lc + la * lb),
+                    (lift(c)._iadd_product(la, lb, -1), c - a * b, lc + la * lift(-b))):
+                assert poly(got) == want, (a, b, c)
+                assert got._reduce() == by_operators == lift(want), (a, b, c)
+                assert 0 not in got._terms.values() and 0 not in want._terms.values()
+            assert not (la + lift(-a))._terms and not (a * b - b * a)._terms
 
     def test_one_digit_keys_at_the_grid_ranks(self):
         # n <= 3 with the xy variables and t: only PROP_T at n = 3 (seven
@@ -459,7 +511,7 @@ class TestInPlace:
         assert poly(acc) == self.A + self.B * self.A and acc == a + b * a
         assert poly(acc._iadd_product(lift(self.A + self.B * self.A), lift(ONE), -1)) == \
             LaurentPoly.zero()
-        assert not acc._terms  # cancelled terms are gone, not kept at 0
+        assert not acc._reduce()._terms  # reduced, cancelled terms are gone
 
     def test_subtracting_a_product_matches_the_operators(self):
         lift, poly = self.RING.lift, self.RING.poly
@@ -468,7 +520,7 @@ class TestInPlace:
         assert poly(acc) == self.A - self.B * self.A
         acc = self.copy(self.A * self.B)
         assert poly(acc._iadd_product(a, b, -1)).is_zero()
-        assert not acc._terms
+        assert not acc._reduce()._terms
 
     def test_the_product_checks_the_exponent_bound(self):
         ring = PackedRing([xvar(1), yvar(1)], 16)
@@ -484,18 +536,17 @@ class TestInPlace:
     def test_residues_in_place_match_the_operators(self):
         rng = random.Random(12)
         points = [random_point([xvar(1), yvar(1), QVAR], rng) for _ in range(4)]
-        a, b = (Residues.lift(p, points, MERSENNE31) for p in (self.A, self.B))
-        acc = Residues(list(a.values), MERSENNE31)
+        a, b = map((shared := Sample(points, MERSENNE31)).lift, (self.A, self.B))
+        acc = Residues(list(a.values), shared)
         # _iadd_product leaves its sum unreduced, so each comparison reduces
         assert acc._iadd_product(b, a) is acc and acc._reduce() == a + b * a
         acc._iadd_product(a, b, -1)
-        assert acc._reduce() == Residues.lift(
-            self.A + self.B * self.A - self.A * self.B, points, MERSENNE31)
+        assert acc._reduce() == shared.lift(self.A + self.B * self.A - self.A * self.B)
 
     def test_first_power_is_the_value_itself(self):
         # the transfer raises most factors to the power 1; that copies nothing
         assert self.A ** 1 is self.A
         a = self.RING.lift(self.A)
         assert a ** 1 is a and self.RING.poly(a ** 2) == self.A ** 2
-        r = Residues([3, 5], 7)
+        r = Residues([3, 5], sample(7, 2))
         assert r ** 1 is r and (r ** 2).values == [2, 4]

@@ -39,6 +39,7 @@ from symptok.algebra import (
     TVAR,
     LaurentPoly,
     Residues,
+    Sample,
     random_point,
     xvar,
     yvar,
@@ -132,7 +133,7 @@ exact = EXACT.lift
 
 
 def modular_lift(points):
-    return lambda f: Residues.lift(f, points, MERSENNE31)
+    return Sample(points, MERSENNE31).lift
 
 
 class TestCharacterSums:
@@ -542,9 +543,10 @@ def test_gt_row_walk_matches_the_weyl_right_side_at_the_real_case(identity):
     variables = [xvar(j) for j in range(1, n + 1)] \
         + [yvar(j) for j in range(1, n + 1)] + [QVAR]
     points = [random_point(variables, rng) for _ in range(20)]
-    want = Residues([weyl_sp_mu(mu, n, pt, MERSENNE31) for pt in points], MERSENNE31)
+    sample = Sample(points, MERSENNE31)
+    want = Residues([weyl_sp_mu(mu, n, pt, MERSENNE31) for pt in points], sample)
     for f in rhs_factors(identity, n):
-        want = want * Residues.lift(f, points, MERSENNE31)
+        want = want * sample.lift(f)
     scheme = identities.IDENTITY_ROWS[identity].scheme
 
     def left(shape, narrow_le=False):
@@ -979,8 +981,7 @@ def test_a_later_path_builds_no_product(monkeypatch):
             return op(self, other)
         return count
 
-    for name in ("__mul__", "_times"):
-        monkeypatch.setattr(Packed, name, counting(getattr(Packed, name)))
+    monkeypatch.setattr(Packed, "_times", counting(Packed._times))  # * is _times too
     got = _transfer([lam], n, table, exact, (rule, recording))
     walked, calls[0] = calls[0], 0
     for ids in steps - {()}:  # each distinct step's product, built once
@@ -1053,56 +1054,115 @@ def test_modular_transfer_returns_reduced_lifts_of_the_symbolic_values(scheme):
         mus = list(partitions_up_to(2, n))
         targets = mus if scheme == "T" else [add_staircase(mu, n) for mu in mus]
         table, steps = _modular_steps(scheme, n, targets)
-        points, columns = _sample(n, 20 + n), {}
-        got = _transfer(targets, n, table,
-                        lambda f: Residues.lift(f, points, MERSENNE31, columns), steps)
+        sample = Sample(_sample(n, 20 + n), MERSENNE31)
+        got = _transfer(targets, n, table, sample.lift, steps)
         want = _transfer(targets, n, table, exact, steps)
         for lam in targets:
             value, count, primed = got[lam]
             assert all(0 <= v < MERSENNE31 for v in value.values), (n, lam)
-            assert value == Residues.lift(EXACT.poly(want[lam][0]), points, MERSENNE31), \
-                (n, lam)
+            assert value == sample.lift(EXACT.poly(want[lam][0])), (n, lam)
             assert (count, primed) == want[lam][1:], (n, lam)
+
+
+def _check_walk(monkeypatch, scheme, value_type, lift, held, reduced):
+    """Walk _transfer at n = 3 under the step rule of scheme, in value_type,
+    and check that it writes only into sums it made: the lifted table
+    factors, lift(ONE), lift(ZERO), the powers and the cached step products
+    keep the list or dict that holds their numbers (held) and its numbers,
+    and none of them is returned.  It reduces a sum when it pops its shape,
+    so every operand is reduced when used, but for the partial products of
+    a step product of several factors: values that _times made and only one
+    more product read, once, as its left operand."""
+    n, made, operands, products = 3, {}, [], []
+    targets = [(5, 3, 1), (4, 3, 1), (3, 2, 1)] if scheme != "T" else [(2, 1), (2,)]
+    table, steps = _modular_steps(scheme, n, targets)
+
+    def recorded(value):  # at first sight: the value, its holder, a copy
+        made.setdefault(id(value), (value, held(value), type(held(value))(held(value))))
+        return value
+
+    def recording(op):
+        return lambda self, other: recorded(op(self, other))
+
+    times, iadd_product = value_type._times, value_type._iadd_product
+
+    def timing(self, other):  # other is a power or a step product
+        operands.extend(((self, reduced(self), True), (recorded(other), reduced(other), False)))
+        products.append(times(self, other))
+        return products[-1]
+
+    def adding(self, a, b, sign=1):
+        operands.extend(((a, reduced(a), False), (recorded(b), reduced(b), False)))
+        return iadd_product(self, a, b, sign)
+
+    for name in ("__mul__", "__pow__"):
+        monkeypatch.setattr(value_type, name, recording(getattr(value_type, name)))
+    monkeypatch.setattr(value_type, "_times", timing)
+    monkeypatch.setattr(value_type, "_iadd_product", adding)
+    got = _transfer(targets, n, table, lambda f: recorded(lift(f)), steps)
+    returned = {id(value) for value, _, _ in got.values()}
+    assert len(made) > len(table) + 2 and operands
+    assert all(held(value) is numbers and numbers == copy
+               for value, numbers, copy in made.values())
+    assert not made.keys() & returned
+    assert all(reduced(value) for value, _, _ in got.values())
+    uses = Counter(id(value) for value, _, _ in operands)
+    made_by_times = {id(value) for value in products}
+    for value, was_reduced, left in operands:
+        if not was_reduced:  # a partial product
+            assert left and id(value) in made_by_times and uses[id(value)] == 1
+            assert id(value) not in returned
 
 
 @pytest.mark.parametrize("scheme", ("ST_XY", "CPM_XY_ALT", "GT_QX", "T"))
 def test_a_modular_walk_writes_to_no_factor_or_product(monkeypatch, scheme):
-    # the walk writes only into sums it made: the lifted table factors,
-    # lift(ONE), lift(ZERO) and the cached step products keep their values;
-    # and it reduces a sum when it pops its shape, so the operands of every
-    # unreduced product and multiply-accumulate are reduced
-    n, made, operands = 3, [], []
-    targets = [(5, 3, 1), (4, 3, 1), (3, 2, 1)] if scheme != "T" else [(2, 1), (2,)]
-    table, steps = _modular_steps(scheme, n, targets)
-    points, columns = _sample(n, 7), {}
+    sample = Sample(_sample(3, 7), MERSENNE31)
+    _check_walk(monkeypatch, scheme, Residues, sample.lift, lambda value: value.values,
+                lambda value: all(0 <= v < MERSENNE31 for v in value.values))
 
-    def recorded(value):
-        made.append((value, value.values, list(value.values)))
-        return value
 
-    def recording(op):  # a cached step product is built by * and **
-        return lambda self, other: recorded(op(self, other))
+@pytest.mark.parametrize("scheme", ("ST_XY", "CPM_XY_ALT", "GT_QX", "T"))
+def test_a_symbolic_walk_writes_to_no_factor_or_product(monkeypatch, scheme):
+    # in the ring, a reduced value is one with no zero coefficient
+    _check_walk(monkeypatch, scheme, Packed, exact, lambda value: value._terms,
+                lambda value: 0 not in value._terms.values())
 
-    times, iadd_product = Residues._times, Residues._iadd_product
 
-    def timing(self, other):
-        operands.extend((self, other))
-        return times(self, other)
+@pytest.mark.parametrize("scheme", ("ST_XY", "CPM_XY_ALT", "GT_QX"))
+def test_a_step_product_is_reduced_once(monkeypatch, scheme):
+    # each distinct step's product is its factors' powers multiplied
+    # unreduced (_times) but for the last product (*), so building it takes
+    # one reducing list operation, besides one per factor raised past the
+    # first power
+    n, targets = 3, [(5, 3, 1), (4, 3, 1), (3, 2, 1)]
+    table, (rule, cells) = _modular_steps(scheme, n, targets)
+    distinct, counts, reduced, right = set(), Counter(), [], {}
 
-    def adding(self, a, b, sign=1):
-        operands.extend((a, b))
-        return iadd_product(self, a, b, sign)
+    def recording(c, S, T):
+        step = cells(c, S, T)
+        distinct.add(step[0])
+        return step
 
-    for name in ("__mul__", "__pow__"):
-        monkeypatch.setattr(Residues, name, recording(getattr(Residues, name)))
-    monkeypatch.setattr(Residues, "_times", timing)
-    monkeypatch.setattr(Residues, "_iadd_product", adding)
-    got = _transfer(targets, n, table,
-                    lambda f: recorded(Residues.lift(f, points, MERSENNE31, columns)), steps)
-    assert len(made) > len(table) + 2 and operands
-    assert all(0 <= v < MERSENNE31 for value in operands for v in value.values)
-    assert all(value.values is held and held == values for value, held, values in made)
-    assert not {id(value) for value, _, _ in made} & {id(v) for v, _, _ in got.values()}
+    def counting(name, op):
+        def count(self, *args):
+            if name == "_reduce":
+                reduced.append(self)
+            elif name in ("_times", "_iadd_product"):
+                operand = args[0] if name == "_times" else args[1]
+                right[id(operand)] = operand  # held, so no other value takes its id
+            elif name == "__mul__" or args[0] != 1:  # x ** 1 is x itself
+                counts[name] += 1
+            return op(self, *args)
+        return count
+
+    for name in ("__mul__", "__pow__", "_reduce", "_times", "_iadd_product"):
+        monkeypatch.setattr(Residues, name, counting(name, getattr(Residues, name)))
+    sample = Sample(_sample(n, 8), MERSENNE31)
+    _transfer(targets, n, table, sample.lift, (rule, recording))
+    reductions = counts["__mul__"] + sum(id(value) in right for value in reduced)
+    assert reductions == sum(len(ids) > 1 for ids in distinct)
+    assert counts["__pow__"] == sum(e != 1 for ids in distinct for _, e in ids)
+    assert max(map(len, distinct)) >= 3  # where a product per factor pair costs more
 
 
 def test_only_symbolic_mode_loads_the_rings():
