@@ -47,6 +47,8 @@ loop (_accumulate) multiplies and accumulates for every packing.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 KIND_X, KIND_Y, KIND_T, KIND_Q = 0, 1, 2, 3
@@ -97,7 +99,8 @@ class UnassignedVariableError(KeyError):
 
 
 class NonInvertiblePointError(ZeroDivisionError):
-    """A variable with a negative exponent is assigned 0 mod the modulus."""
+    """A variable with a negative exponent is assigned a value that is not
+    invertible mod the modulus."""
 
 
 class ExponentOverflowError(ValueError):
@@ -263,10 +266,18 @@ def _column(points: List[Mapping[Var, int]], slot: int, inverse: bool,
         col = [pt[v] % modulus for pt in points]
     except KeyError:
         raise UnassignedVariableError(var_name(v)) from None
-    if inverse:
+    if inverse and col:
+        # Montgomery's trick: one inverse of the product, 3 (len - 1) products
         if 0 in col:
             raise NonInvertiblePointError(var_name(v))
-        col = [pow(a, -1, modulus) for a in col]
+        prefix = list(accumulate(col, lambda a, b: a * b % modulus))
+        try:
+            inv = pow(prefix[-1], -1, modulus)
+        except ValueError:  # a value shares a factor with a composite modulus
+            raise NonInvertiblePointError(var_name(v)) from None
+        for i in range(len(col) - 1, 0, -1):
+            col[i], inv = inv * prefix[i - 1] % modulus, inv * col[i] % modulus
+        col[0] = inv
     return col
 
 
@@ -381,8 +392,9 @@ class LaurentPoly:
     def eval_mod(self, assignment: Mapping[Var, int], modulus: int) -> int:
         """Value of the polynomial at a point of the prime field.
 
-        Negative exponents go through the modular inverse, so every assigned
-        value must be nonzero mod the modulus when such an exponent occurs.
+        Negative exponents go through the modular inverse, so a variable
+        that such an exponent occurs on must be assigned a value invertible
+        mod the modulus, or NonInvertiblePointError names it.
         """
         return self._values_mod([assignment], modulus, {})[0]
 
@@ -514,6 +526,8 @@ class Residues:
         return Residues([a * b for a, b in zip(self.values, other.values)], self.sample)
 
     def __pow__(self, e: int) -> "Residues":
+        if e < 0:
+            raise ValueError(f"negative power {e}")
         if e == 1:
             return self
         p = self.sample.prime
@@ -527,14 +541,20 @@ class Residues:
         return f"Residues({self.values}, mod {self.sample.prime})"
 
 
-#: Miller-Rabin with the first 13 primes as bases decides primality of
-#: every integer below this bound (Sorenson and Webster, 2015).
-MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+#: psi_k: Miller-Rabin with the first k primes as bases decides primality of
+#: every integer below it (OEIS A014233; Jiang and Deng, 2014; Sorenson and
+#: Webster, 2015).
+_MR_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 341550071728321, 3825123056546413051,
+           3825123056546413051, 3825123056546413051,
+           318665857834031151167461, 3317044064679887385961981)
+MILLER_RABIN_BOUND = _MR_PSI[-1]
 
 
 def is_prime(m: int) -> bool:
-    """Deterministic Miller-Rabin test, for m below MILLER_RABIN_BOUND."""
+    """Deterministic Miller-Rabin test, for m below MILLER_RABIN_BOUND, over
+    the shortest prefix of _MR_BASES whose psi_k exceeds m."""
     if m >= MILLER_RABIN_BOUND:
         raise ValueError(f"{m} is past the deterministic Miller-Rabin bound")
     if m < 2:
@@ -545,7 +565,7 @@ def is_prime(m: int) -> bool:
     d, s = m - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[:bisect_right(_MR_PSI, m) + 1]:
         x = pow(a, d, m)
         if x in (1, m - 1):
             continue

@@ -324,18 +324,20 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     serves every target.  A shape is kept, checked once per level, while the
     rule allows it and some target can still be reached (_reaches).
 
-    Each distinct step's product f is computed once.  Memory follows one
-    level and the next: each shape is popped off its level as its steps are
-    taken, and merges add in place into the sums the walk owns.  The first
-    path to reach T stores value * f unreduced (_times), or value itself
-    when the step has no ids (f = 1); a later one adds value * f into the
-    sum in place, unreduced (_iadd_product), once a sum the walk does not
-    own has been copied.  Each sum is reduced once, when its shape is popped
-    (_reduce), and each step product once, by the last * of its factors'
-    powers: the products before it are unreduced (_times).  So no product
-    is built only to be added, no value the walk did not make (lift(ONE), a
-    cached product or a table factor) is written to, and each returned
-    value is reduced and the caller's own to write to.
+    Each factor is lifted, and raised to each power past the first, once a
+    walk, when a step first needs it, and each distinct step's product f is
+    computed once.  Memory follows one level and the next: each shape is
+    popped off its level as its steps are taken, and merges add in place
+    into the sums the walk owns.  The first path to reach T stores value * f
+    unreduced (_times), or value itself when the step has no ids (f = 1); a
+    later one adds value * f into the sum in place, unreduced
+    (_iadd_product), once a sum the walk does not own has been copied.  Each
+    sum is reduced once, when its shape is popped (_reduce), and each step
+    product once, by the last * of its factors' powers: the products before
+    it are unreduced (_times).  So no product is built only to be added, no
+    value the walk did not make (lift(ONE), a cached product or a factor's
+    power) is written to, and each returned value is reduced and the
+    caller's own to write to.
     """
     lams = [as_partition(lam) for lam in targets]
     for lam in lams:
@@ -345,7 +347,19 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     padded = [lam + (0,) * (width - len(lam)) for lam in lams]
     top = tuple(map(max, zip(*padded)))
     rule, cells = steps
-    vals = {fid: lift(f) for fid, f in table.items()}
+    powers = {}  # (fid, e) -> lift(table[fid]) ** e, made on first use
+
+    def power(key):
+        f = powers.get(key)
+        if f is None:
+            fid, e = key
+            f = powers.get((fid, 1))
+            if f is None:
+                f = powers[fid, 1] = lift(table[fid])
+            if e != 1:
+                f = powers[key] = f ** e
+        return f
+
     zero, products = lift(ZERO), {(): lift(ONE)}
     # shape -> [value, count, primed, whether the walk owns value]
     level = {(0,) * width: [products[()], 1, 1, False]}
@@ -369,7 +383,7 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
                 ids, free = cells(c, S, T)
                 f = products.get(ids)
                 if f is None:
-                    *rest, last = [vals[fid] ** e for fid, e in ids]
+                    *rest, last = map(power, ids)
                     f = products[ids] = reduce(
                         lambda a, b: a._times(b), rest) * last if rest else last
                 primed_t, old = primed << free, nxt.get(T)

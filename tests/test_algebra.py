@@ -1,12 +1,14 @@
 import operator
 import random
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import substitute
+from symptok import algebra
 from symptok.algebra import (
     MAX_EXPONENT,
     MERSENNE31,
@@ -19,7 +21,10 @@ from symptok.algebra import (
     Residues,
     Sample,
     UnassignedVariableError,
+    _column,
+    _slot,
     _unpack,
+    is_prime,
     random_point,
     xvar,
     yvar,
@@ -97,6 +102,17 @@ class TestEvalMod:
         p = mono({xvar(1): -1})
         with pytest.raises(NonInvertiblePointError):
             p.eval_mod({xvar(1): 7}, 7)
+
+    def test_non_invertible_mod_a_composite(self):
+        # 3 is nonzero but not invertible mod 9: the error names the variable
+        # at a composite modulus as at a prime, and fails the whole column
+        p = LaurentPoly.variable(xvar(1), -1)
+        assert p.eval_mod({xvar(1): 2}, 9) == 5
+        for point, modulus in (({xvar(1): 3}, 9), ({xvar(1): 14}, 7)):
+            with pytest.raises(NonInvertiblePointError, match="^'?x1'?$"):
+                p.eval_mod(point, modulus)
+        with pytest.raises(NonInvertiblePointError, match="x1"):
+            Sample([{xvar(1): 2}, {xvar(1): 6}, {xvar(1): 4}], 9).lift(p + X1)
 
     def test_random_points_at_seed_0(self):
         # the points of a modular report at n = 3: drawn in sorted variable
@@ -192,9 +208,68 @@ def test_power_matches_repeated_product():
 
 
 def test_negative_power_raises():
-    # square-and-multiply would never end on a negative exponent
-    with pytest.raises(ValueError):
-        mono({xvar(1): 2}) ** -1
+    # square-and-multiply would never end on a negative exponent, and no
+    # value type inverts silently
+    ring = PackedRing([xvar(1)])
+    seven = Sample([{xvar(1): 3}, {xvar(1): 5}], 7)
+    for value in (mono({xvar(1): 2}), ring.lift(X1), seven.lift(X1),
+                  seven.lift(LaurentPoly.zero())):
+        with pytest.raises(ValueError, match="negative power -1"):
+            value ** -1
+    assert (seven.lift(X1) ** 0).values == [1, 1]
+
+
+def _primes_by_trial_division(m):
+    return m >= 2 and all(m % d for d in range(2, isqrt(m) + 1))
+
+
+class TestIsPrime:
+    #: psi_k, the least strong pseudoprime to the first k prime bases, at
+    #: each k where it grows (OEIS A014233)
+    PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+           341550071728321, 3825123056546413051, 318665857834031151167461)
+
+    def test_agrees_with_trial_division_below_100000(self):
+        assert [m for m in range(100000) if is_prime(m)] == [
+            m for m in range(100000) if _primes_by_trial_division(m)]
+
+    def test_strong_pseudoprimes_are_composite(self):
+        assert not any(map(is_prime, self.PSI))
+
+    def test_mersenne_primes(self):
+        assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+        assert not is_prime(2**29 - 1) and not is_prime(2**31 + 1)
+
+    def test_shortest_base_prefix(self, monkeypatch):
+        # one witness pow per base, 2^31 - 1 < psi_4 needing four
+        calls = []
+        monkeypatch.setattr(algebra, "pow",
+                            lambda *args: calls.append(args) or pow(*args), raising=False)
+        for m, bases in ((2**31 - 1, 4), (2039, 1), (2053, 2), (2**61 - 1, 9)):
+            calls.clear()
+            assert is_prime(m)
+            assert [a for a, _, _ in calls] == list(algebra._MR_BASES[:bases]), m
+
+    def test_past_the_bound(self):
+        with pytest.raises(ValueError):
+            is_prime(algebra.MILLER_RABIN_BOUND)
+
+
+@pytest.mark.parametrize("modulus", (65537, MERSENNE31, 2**61 - 1))
+def test_column_inverses_are_the_pointwise_inverses(monkeypatch, modulus):
+    # batch inversion: one pow(., -1, p) a column, whatever its length
+    rng = random.Random(modulus)
+    inverses = []
+    monkeypatch.setattr(algebra, "pow", lambda *args: inverses.append(args[1] == -1)
+                        or pow(*args), raising=False)
+    for length in (0, 1, 2, 20):
+        points = [random_point([xvar(1)], rng, modulus) for _ in range(length)]
+        inverses.clear()
+        assert _column(points, _slot(xvar(1)), True, modulus) == [
+            pow(pt[xvar(1)], -1, modulus) for pt in points]
+        assert sum(inverses) == min(length, 1)
+        assert _column(points, _slot(xvar(1)), False, modulus) == [
+            pt[xvar(1)] for pt in points]
 
 
 def test_substitute_unit_monomials():

@@ -1132,11 +1132,11 @@ def test_a_symbolic_walk_writes_to_no_factor_or_product(monkeypatch, scheme):
 def test_a_step_product_is_reduced_once(monkeypatch, scheme):
     # each distinct step's product is its factors' powers multiplied
     # unreduced (_times) but for the last product (*), so building it takes
-    # one reducing list operation, besides one per factor raised past the
-    # first power
+    # one reducing list operation, and each factor is lifted, and raised to
+    # each power past the first, once a walk
     n, targets = 3, [(5, 3, 1), (4, 3, 1), (3, 2, 1)]
     table, (rule, cells) = _modular_steps(scheme, n, targets)
-    distinct, counts, reduced, right = set(), Counter(), [], {}
+    distinct, counts, reduced, right, lifted = set(), Counter(), [], {}, []
 
     def recording(c, S, T):
         step = cells(c, S, T)
@@ -1158,10 +1158,16 @@ def test_a_step_product_is_reduced_once(monkeypatch, scheme):
     for name in ("__mul__", "__pow__", "_reduce", "_times", "_iadd_product"):
         monkeypatch.setattr(Residues, name, counting(name, getattr(Residues, name)))
     sample = Sample(_sample(n, 8), MERSENNE31)
-    _transfer(targets, n, table, sample.lift, (rule, recording))
+    _transfer(targets, n, table, lambda f: lifted.append(f) or sample.lift(f),
+              (rule, recording))
     reductions = counts["__mul__"] + sum(id(value) in right for value in reduced)
     assert reductions == sum(len(ids) > 1 for ids in distinct)
-    assert counts["__pow__"] == sum(e != 1 for ids in distinct for _, e in ids)
+    pairs = {pair for ids in distinct for pair in ids}
+    assert counts["__pow__"] == sum(e != 1 for _, e in pairs)
+    assert counts["__pow__"] < sum(e != 1 for ids in distinct for _, e in ids)
+    # the factors the steps hold, besides 0 and 1
+    assert sorted(map(LaurentPoly.to_text, lifted[2:])) == sorted(
+        table[fid].to_text() for fid in {fid for fid, _ in pairs})
     assert max(map(len, distinct)) >= 3  # where a product per factor pair costs more
 
 
