@@ -396,24 +396,28 @@ class LaurentPoly:
         that such an exponent occurs on must be assigned a value invertible
         mod the modulus, or NonInvertiblePointError names it.
         """
-        return self._values_mod([assignment], modulus, {})[0]
+        return self._values_mod([assignment], modulus, {}, {})[0]
 
     def _values_mod(self, points: List[Mapping[Var, int]], modulus: int,
-                    columns: Dict[int, List[int]]) -> List[int]:
+                    columns: Dict[int, List[int]],
+                    powers: Dict[Tuple[int, int], List[int]]) -> List[int]:
         """eval_mod at each point, each monomial unpacked once for all of them,
-        and each variable's values (slot s) and inverses (~s) read once into
-        columns.  The terms are summed unreduced and the totals reduced once;
-        a lone variable at power +-1 is its column itself."""
+        each variable's values (slot s) and inverses (~s) read once into
+        columns, and each power e past +-1 of them raised once into powers,
+        under (s, e).  The terms are summed unreduced and the totals reduced
+        once; a lone variable at power +-1 is its column itself."""
         totals = None
         for key, coef in self._terms.items():
             term = None
             for slot, e in _unpack(key):
-                col_id = slot if e > 0 else ~slot
-                col = columns.get(col_id)
+                col = powers.get((slot, e)) if e not in (1, -1) else None
                 if col is None:
-                    col = columns[col_id] = _column(points, slot, e < 0, modulus)
-                if e not in (1, -1):
-                    col = [pow(b, abs(e), modulus) for b in col]
+                    col_id = slot if e > 0 else ~slot
+                    col = columns.get(col_id)
+                    if col is None:
+                        col = columns[col_id] = _column(points, slot, e < 0, modulus)
+                    if e not in (1, -1):
+                        col = powers[slot, e] = [pow(b, abs(e), modulus) for b in col]
                 term = col if term is None else [
                     a * b % modulus for a, b in zip(term, col)]
             if term is None:
@@ -457,18 +461,20 @@ class ResidueMismatchError(ValueError):
 
 class Sample:
     """One call's points of a prime field: the prime, the points, and the
-    columns that its lifts share (_values_mod).  ``lift`` gives a
-    polynomial's Residues here."""
+    columns and powered columns that its lifts share (_values_mod).
+    ``lift`` gives a polynomial's Residues here."""
 
-    __slots__ = ("points", "prime", "columns")
+    __slots__ = ("points", "prime", "columns", "powers")
 
     def __init__(self, points: List[Mapping[Var, int]], prime: int):
         self.points, self.prime = points, prime
         self.columns: Dict[int, List[int]] = {}
+        self.powers: Dict[Tuple[int, int], List[int]] = {}
 
     def lift(self, poly: LaurentPoly) -> "Residues":
         """The values of poly at the points, reduced, as _values_mod."""
-        return Residues(poly._values_mod(self.points, self.prime, self.columns), self)
+        return Residues(poly._values_mod(self.points, self.prime, self.columns,
+                                         self.powers), self)
 
 
 class Residues:

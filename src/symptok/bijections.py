@@ -26,7 +26,7 @@ that redundancy is checked and any violation raises UnmatchedPatternError.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .matrices import (
     CompassPointMatrix,
@@ -35,7 +35,7 @@ from .matrices import (
     col_cumsum,
     row_cumsum,
 )
-from .shapes import as_strict_partition, conjugate, letter_level
+from .shapes import _ZERO_CODES, as_strict_partition, conjugate, letter_level
 from .tableaux import ShiftedTableau
 
 
@@ -146,14 +146,6 @@ def uasm_to_gtp(a: UTurnASM) -> SympGTPattern:
         row = sorted(marked, reverse=True) + [0] * (k - len(marked))
         rows.append(tuple(row))
     return SympGTPattern(tuple(rows))
-
-
-_ZERO_CODES: Dict[Tuple[int, int], str] = {
-    (1, -1): "NE",
-    (-1, -1): "SE",
-    (1, 1): "NW",
-    (-1, 1): "SW",
-}
 
 
 def uasm_to_cpm(a: UTurnASM) -> CompassPointMatrix:

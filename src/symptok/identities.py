@@ -44,8 +44,8 @@ import random
 import time
 from functools import reduce
 from itertools import product
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Tuple, Union)
 
 from . import weights
 from .algebra import (
@@ -67,13 +67,13 @@ from .algebra import (
     xvar,
     yvar,
 )
-from .matrices import count_gtp
 from .shapes import (  # InvalidRankError is re-exported for the callers of verify
     InvalidRankError,
     RankTooSmallError,
     add_staircase,
     as_partition,
     as_rank,
+    count_gtp,
     letter_level,
     partitions_up_to,
 )
@@ -84,8 +84,7 @@ if TYPE_CHECKING:
     from .rings import Packed, PackedRing
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     """What tells one identity from another; the shared engine does the rest."""
 
     scheme: str  # the left side's factor-table scheme (weights.SCHEMES)
@@ -407,20 +406,36 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
 # -- reports --------------------------------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    n: int
-    mu: Tuple[int, ...]
-    lam: Tuple[int, ...]
-    mode: str
-    objects: int
-    lhs_terms: Optional[int]
-    rhs_terms: Optional[int]
-    equal: bool
-    counterexample: Optional[dict]
-    millis: float
-    params: dict = field(default_factory=dict)
+    """One checked case: what ran, what it counted and its verdict.  The
+    fields compare one by one; params is a dict of each report's own."""
+
+    __slots__ = ("identity", "n", "mu", "lam", "mode", "objects", "lhs_terms",
+                 "rhs_terms", "equal", "counterexample", "millis", "params")
+    __hash__ = None  # params is mutable
+
+    def __init__(self, identity: str, n: int, mu: Tuple[int, ...], lam: Tuple[int, ...],
+                 mode: str, objects: int, lhs_terms: Optional[int],
+                 rhs_terms: Optional[int], equal: bool, counterexample: Optional[dict],
+                 millis: float, params: Optional[dict] = None):
+        self.identity, self.n, self.mu, self.lam = identity, n, mu, lam
+        self.mode, self.objects = mode, objects
+        self.lhs_terms, self.rhs_terms = lhs_terms, rhs_terms
+        self.equal, self.counterexample, self.millis = equal, counterexample, millis
+        self.params = {} if params is None else params
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
 
     def to_json_dict(self, include_timing: bool = True) -> dict:
         out = {

@@ -34,9 +34,19 @@ Each pattern position carries exactly one of three saturation marks:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Tuple
 
-from .shapes import BadLengthError, as_rank, as_strict_partition
+# CPM_CODES and the GT row counting live in shapes, where the engine reads
+# them without this module; they are re-exported here
+from .shapes import (
+    CPM_CODES,
+    BadLengthError,
+    _count_below,
+    _interlace,
+    as_rank,
+    as_strict_partition,
+    count_gtp,
+)
 
 
 class DimensionMismatchError(ValueError):
@@ -49,9 +59,6 @@ class CumulativeSumError(ValueError):
 
 class GTShapeError(ValueError):
     """Pattern rows do not have the triangular lengths 1,1,2,2,...,n,n."""
-
-
-CPM_CODES = ("WE", "NS", "NE", "SE", "NW", "SW")
 
 
 @dataclass(frozen=True)
@@ -244,32 +251,6 @@ def validate_gtp(g: SympGTPattern) -> Tuple[bool, List[str]]:
     return (not bad, bad)
 
 
-def _interlace(above: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
-    """Strictly decreasing nonnegative rows r of the given length with
-    above[j] >= r[j] >= above[j+1] (a missing above[j+1] reads as 0), in
-    lexicographic order.
-
-    Rows are built entry by entry, so no row that breaks strictness is
-    formed.  low[j] is the least r[j] that leaves room for a strict tail, so
-    every prefix built extends to at least one row.  count_gtp expands a
-    row once per table of sub-counts; the fallback search shares one table
-    across its candidates, freed when the search returns.
-    """
-    if length == 0:
-        return [()]
-    padded = above + (0,) * (length + 1 - len(above))
-    low = list(padded[1:length + 1])
-    for j in range(length - 2, -1, -1):
-        low[j] = max(low[j], low[j + 1] + 1)
-    if any(low[j] > padded[j] for j in range(length)):
-        return []
-    rows = [(v,) for v in range(low[0], padded[0] + 1)]
-    for j in range(1, length):
-        lo, hi = low[j], padded[j]
-        rows = [r + (v,) for r in rows for v in range(lo, min(hi, r[-1] - 1) + 1)]
-    return rows
-
-
 def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
     """All strict patterns with top row lambda, generated top row downward."""
     lam = as_strict_partition(lam)
@@ -293,44 +274,6 @@ def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:
             stack.pop()
 
     yield from descend(n, lam, [lam])
-
-
-def count_gtp(lam, n: int, table: Optional[Dict] = None) -> int:
-    """|GT^lambda(n)|, counted top-down without materialising patterns.
-
-    The patterns below a row depend only on that row and on whether it is
-    barred (its level is its length), so each row's sub-count is computed
-    once and kept in table.  Callers that count several shapes, like
-    identities.verify_big_modular's fallback search, pass one dict to every
-    call and share the sub-counts; without it each call counts in a fresh
-    dict, freed when it returns.
-    """
-    n = as_rank(n)
-    lam = as_strict_partition(lam)
-    if len(lam) != n:
-        raise BadLengthError(f"{lam} does not have length n={n}")
-    return _count_below(lam, True, {} if table is None else table)
-
-
-def _count_below(row: Tuple[int, ...], barred: bool, table: Dict) -> int:
-    """Patterns below row k' (barred) or row k (unbarred), k = len(row),
-    read from or added to table."""
-    key = (row, barred)
-    count = table.get(key)
-    if count is not None:
-        return count
-    count = 0
-    if barred:
-        for r in _interlace(row, len(row)):
-            if r[-1] or row[-1]:  # seed rule at (k,k)
-                count += _count_below(r, False, table)
-    elif len(row) == 1:
-        count = 1
-    else:
-        for r in _interlace(row, len(row) - 1):
-            count += _count_below(r, True, table)
-    table[key] = count
-    return count
 
 
 def classify_blr(g: SympGTPattern) -> BLRClassification:

@@ -28,10 +28,13 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
+# UnknownConventionError lives in shapes, where the engine reads it without
+# this module; it is re-exported here
 from .shapes import (
     BadLengthError,
     InvalidRankError,
     RankTooSmallError,
+    UnknownConventionError,
     as_partition,
     as_rank,
     as_strict_partition,
@@ -42,10 +45,6 @@ from .shapes import (
 
 class ShapeMismatchError(ValueError):
     """Rows do not cover the cells of the declared shape."""
-
-
-class UnknownConventionError(ValueError):
-    """A convention name (neighbour, c0 mode, q scheme) that no variant has."""
 
 
 @dataclass(frozen=True)

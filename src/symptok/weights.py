@@ -48,27 +48,27 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from .algebra import ONE, QVAR, TVAR, LaurentPoly, xvar, yvar
-from .matrices import (
+# the convention error is re-exported for the callers of check_conventions
+from .shapes import (
+    _ZERO_CODES,
     CPM_CODES,
-    CumulativeSumError,
-    SympGTPattern,
-    UTurnASM,
-    _check_gtp_rows,
-    col_cumsum,
-)
-from .shapes import as_rank, letter, letter_level
-from .tableaux import (
-    PrimedShiftedTableau,
-    ShiftedTableau,
-    SymplecticTableau,
     UnknownConventionError,
+    as_rank,
+    letter,
+    letter_level,
 )
+
+# the engine weighs no object, so only _path and _path_ids load the object
+# modules, when one object is weighed
+if TYPE_CHECKING:
+    from .matrices import SympGTPattern, UTurnASM
+    from .tableaux import PrimedShiftedTableau, ShiftedTableau, SymplecticTableau
+
 
 class UnknownSchemeError(ValueError):
     """A scheme id that no row names, or one that weighs another family."""
@@ -84,8 +84,7 @@ class UnusedConventionError(ValueError):
     reads it, where the output would not show that it did nothing."""
 
 
-@dataclass(frozen=True)
-class Scheme:
+class Scheme(NamedTuple):
     """What a weighing scheme weighs and which convention knobs it reads."""
 
     family: str  # "t", "qt", "st", "uasm" or "gtp": a key of cli.FAMILIES
@@ -403,9 +402,6 @@ def _compass_cells(width: int, table: Mapping):
     one is WE or NS, and the columns between two parts are zeros under no
     mark, all of one code.  Which codes the table holds is decided once per
     letter."""
-    # only the U-turn families read the recoding, so importing this module
-    # does not load the bijections
-    from .bijections import _ZERO_CODES
     # a 0 in a column marked in S, or not, by whether the row sums to 1 east of it
     marked = _ZERO_CODES[1, -1], _ZERO_CODES[1, 1]
     unmarked = _ZERO_CODES[-1, -1], _ZERO_CODES[-1, 1]
@@ -458,17 +454,12 @@ def _step_cells(scheme: str, table: Mapping, width: int, neighbour: str):
 
 # -- one object's path ----------------------------------------------------------------
 
-#: The class whose rows give each family's paths; QT_DEFORMED weighs a
-#: shifted tableau by the sum over its primings.
-_PATH_KINDS = {"t": SymplecticTableau, "st": ShiftedTableau, "qt": ShiftedTableau,
-               "uasm": UTurnASM, "gtp": SympGTPattern}
-
-
 def _path(obj, family: str) -> Tuple[int, List[tuple]]:
     """The rank of obj and its shapes S_1, ..., S_2n, zero-padded to one
     length: per tableau row the count of letters <= c, pattern row c, or
     the parts of the column sums after alphabet row c.  Rows that the
     shapes do not give back raise ForbiddenPathError."""
+    from .matrices import CumulativeSumError, _check_gtp_rows, col_cumsum
     if family == "gtp":
         _check_gtp_rows(obj.n, obj.rows)
         return obj.n, [tuple(row) + (0,) * (obj.n - len(row)) for row in obj.rows]
@@ -503,8 +494,14 @@ def _path_ids(obj, scheme: str, neighbour: str = "below"):
     i >= k at level k (the engine's walk takes neither), or reaches a shape
     that the family's shape rule refuses raises ForbiddenPathError; an
     object of another family UnknownSchemeError."""
+    from .matrices import SympGTPattern, UTurnASM
+    from .tableaux import ShiftedTableau, SymplecticTableau
+    # the class whose rows give each family's paths; QT_DEFORMED weighs a
+    # shifted tableau by the sum over its primings
+    kinds = {"t": SymplecticTableau, "st": ShiftedTableau, "qt": ShiftedTableau,
+             "uasm": UTurnASM, "gtp": SympGTPattern}
     family = _row(scheme).family
-    if type(obj) is not _PATH_KINDS[family]:
+    if type(obj) is not kinds[family]:
         raise UnknownSchemeError(f"scheme {scheme} weighs no {type(obj).__name__}")
     n, path = _path(obj, family)
     if family == "t":  # its own letters only: a high letter needs no table of its rank

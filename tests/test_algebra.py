@@ -1,7 +1,7 @@
 import operator
 import random
 import sys
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import given, settings
@@ -399,6 +399,33 @@ class TestResiduesLift:
         # the values of x1, y1 and q, and the inverses of x1, y1 and t
         assert sorted(shared.columns) == [~3, ~2, ~0, 1, 2, 3]
         assert shared.columns[~2] == [pow(pt[xvar(1)], -1, MERSENNE31) for pt in points]
+
+    def test_each_power_of_a_column_is_raised_once_per_sample(self, monkeypatch):
+        # a variable at a power past +-1 is one point-wise pow list per
+        # (sample, variable, exponent), kept in the sample however many
+        # terms and lifts hold it, and the values stay the point evaluations
+        rng = random.Random(16)
+        points = [random_point(self.VARS, rng) for _ in range(5)]
+        polys = [self.P, X1 ** 3 * Y1 + X1 ** 3 - mono({xvar(1): -2}, 4),
+                 (Q - X1) ** 3 * mono({yvar(1): -2}), X1 ** 3, mono({QVAR: 2, TVAR: -1})]
+        want = [[sum(c * prod(pow(pt[v], e, MERSENNE31) for v, e in m)
+                     for m, c in p.terms.items()) % MERSENNE31 for pt in points]
+                for p in polys]
+        held = [(v, e) for p in polys for m in p.terms for v, e in m if e not in (1, -1)]
+        assert len(held) > len(set(held)) > 4
+        raised = []
+
+        def counting(base, e, modulus):
+            raised.append(e)
+            return pow(base, e, modulus)
+        monkeypatch.setattr(algebra, "pow", counting, raising=False)
+        shared = Sample(points, MERSENNE31)
+        assert [shared.lift(p).values for p in polys] == want
+        assert sorted(shared.powers) == sorted((_slot(v), e) for v, e in set(held))
+        assert sum(e not in (1, -1) for e in raised) == len(points) * len(set(held))
+        # a second sample raises its own
+        again = Sample(points, MERSENNE31)
+        assert again.lift(polys[1]).values == want[1] and again.powers != shared.powers
 
     def test_residues_differ_under_another_prime(self):
         # == compares the prime and the values, of one sample or not

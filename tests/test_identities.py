@@ -32,7 +32,7 @@ from oracles import (
     wgt_st_q,
     wgt_t,
 )
-from symptok import algebra, identities, matrices, rings, weights
+from symptok import algebra, identities, rings, shapes, weights
 from symptok.algebra import (
     MERSENNE31,
     QVAR,
@@ -56,6 +56,7 @@ from symptok.identities import (
     UnknownConventionError,
     UnknownIdentityError,
     UnusedConventionError,
+    VerificationReport,
     _factor_scheme,
     _identity_variables,
     _le_setbuilder_sweep,
@@ -760,7 +761,7 @@ class TestBigModular:
         # a GT row's sub-count depends only on the row and whether it is
         # barred, so one call expands each (row, length) once however many
         # candidates lie above it, and keeps nothing once it returns
-        interlace, count = matrices._interlace, matrices.count_gtp
+        interlace, count = shapes._interlace, shapes.count_gtp
         expanded, counted = [], []
 
         def expanding(above, length):
@@ -772,7 +773,7 @@ class TestBigModular:
             counted.append((lam, n, table, got))
             return got
 
-        monkeypatch.setattr(matrices, "_interlace", expanding)
+        monkeypatch.setattr(shapes, "_interlace", expanding)
         monkeypatch.setattr(identities, "count_gtp", counting)
         verify_big_modular((4, 3, 3), 5, trials=2, seed=1)
         assert len(expanded) <= len(set(expanded))
@@ -1180,6 +1181,87 @@ def test_only_symbolic_mode_loads_the_rings():
                          env=dict(os.environ, PYTHONPATH=str(Path(identities.__file__).parent.parent)),
                          check=True).stdout
     assert out.split() == ["False", "True"]
+
+
+def test_the_engine_loads_no_object_family():
+    # the transfer builds no tableau, matrix or pattern, so neither mode, the
+    # big modular case nor the ambiguity report loads an object module, the
+    # CLI or the dataclasses (which import inspect)
+    code = ("import sys, symptok; from symptok import identities; "
+            "identities.verify('COR_UASM', (1,), 2, 'modular', trials=2); "
+            "identities.verify('COR_GT_QX', (1,), 2, 'modular', trials=2); "
+            "identities.verify_sweep('COR_UASM_Q', 2, 1, cpm_q_scheme='norm'); "
+            "identities.verify_big_modular((4, 3, 3), 5, trials=2); "
+            "identities.ambiguity_report(2, 2); "
+            "print(sorted(m for m in sys.modules if m.startswith('symptok') "
+            "or m in ('dataclasses', 'inspect')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(Path(identities.__file__).parent.parent)),
+                         check=True).stdout
+    assert out.strip() == str(["symptok", "symptok.algebra", "symptok.identities",
+                               "symptok.rings", "symptok.shapes", "symptok.weights"])
+
+
+class TestRecords:
+    """The engine's record types are plain classes: immutable rows, and a
+    report with a params dict of its own."""
+
+    FIELDS = ("THM_ST", 2, (1,), (3, 1), "MODULAR", 10, None, None, True, None, 1.5)
+
+    def test_a_report_is_built_positionally_with_params_of_its_own(self):
+        a, b = VerificationReport(*self.FIELDS), VerificationReport(*self.FIELDS)
+        assert a.params == b.params == {} and a.params is not b.params
+        a.params["trials"] = 20
+        assert b.params == {} and a != b
+        assert VerificationReport(*self.FIELDS, {"x": 1}).params == {"x": 1}
+        assert VerificationReport(*self.FIELDS, params={"x": 1}).params == {"x": 1}
+
+    def test_reports_compare_field_by_field(self):
+        a = VerificationReport(*self.FIELDS)
+        assert a == VerificationReport(*self.FIELDS) and not a != VerificationReport(*self.FIELDS)
+        for i, other in enumerate(("COR_GT", 3, (2,), (4, 1), "SYMBOLIC", 11, 4, 5, False,
+                                   {"trial": 0}, 2.5)):
+            changed = list(self.FIELDS)
+            changed[i] = other
+            assert a != VerificationReport(*changed), i
+        assert a != self.FIELDS and a != object()
+        with pytest.raises(TypeError):
+            hash(a)
+        assert repr(a) == (
+            "VerificationReport(identity='THM_ST', n=2, mu=(1,), lam=(3, 1), "
+            "mode='MODULAR', objects=10, lhs_terms=None, rhs_terms=None, equal=True, "
+            "counterexample=None, millis=1.5, params={})")
+
+    def test_to_json_dict_is_unchanged(self):
+        report = VerificationReport("COR_UASM_Q", 2, (1,), (3, 1), "MODULAR", 10, None, None,
+                                    False, {"trial": 3, "lhsValue": 1, "rhsValue": 2}, 1.23456,
+                                    {"cpm_q_scheme": "plain", "trials": 20})
+        want = ('{"identity": "COR_UASM_Q", "n": 2, "mu": [1], "lambda": [3, 1], '
+                '"mode": "MODULAR", "counts": {"objects": 10, "lhsTerms": null, '
+                '"rhsTerms": null}, "equal": false, "counterexample": {"trial": 3, '
+                '"lhsValue": 1, "rhsValue": 2}, "params": {"cpm_q_scheme": "plain", '
+                '"trials": 20}, "millis": 1.235}')
+        assert json.dumps(report.to_json_dict()) == want
+        assert json.dumps(report.to_json_dict(False)) == want.replace(', "millis": 1.235', "")
+        bare = VerificationReport("THM_ST", 1, (), (1,), "SYMBOLIC", 1, 1, 1, True, None, 0.0)
+        assert json.dumps(bare.to_json_dict(False)) == (
+            '{"identity": "THM_ST", "n": 1, "mu": [], "lambda": [1], "mode": "SYMBOLIC", '
+            '"counts": {"objects": 1, "lhsTerms": 1, "rhsTerms": 1}, "equal": true}')
+
+    @pytest.mark.parametrize("rows", [identities.IDENTITY_ROWS, weights.SCHEMES],
+                             ids=["IDENTITY_ROWS", "SCHEMES"])
+    def test_rows_are_immutable_and_hashable(self, rows):
+        for name, row in rows.items():
+            for field in row._fields:
+                with pytest.raises(AttributeError):
+                    setattr(row, field, getattr(row, field))
+            copy = type(row)(*row)
+            assert copy is not row and copy == row and {row: name}[copy] == name
+        assert identities.IDENTITY_ROWS["PROP_T"] == identities.Identity(
+            "QT_DEFORMED", "xy", keeps_t=True, counts_primed=True)
+        assert repr(identities.IDENTITY_ROWS["THM_ST"]) == (
+            "Identity(scheme='ST_XY', product='xy', keeps_t=False, counts_primed=False)")
+        assert repr(weights.SCHEMES["ST_Q"]) == "Scheme(family='st', reads=('st_q_neighbour',))"
 
 
 def test_a_ring_too_narrow_runs_again_at_16_bits(monkeypatch):

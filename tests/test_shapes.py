@@ -11,7 +11,7 @@ from symptok.identities import (
     verify_big_modular,
     verify_sweep,
 )
-from symptok.matrices import count_gtp, enumerate_gtp, enumerate_uasm
+from symptok.matrices import enumerate_gtp, enumerate_uasm
 from symptok.shapes import (
     BadLengthError,
     InvalidRankError,
@@ -22,6 +22,7 @@ from symptok.shapes import (
     as_rank,
     as_strict_partition,
     conjugate,
+    count_gtp,
     letter,
     letter_barred,
     letter_level,
@@ -168,12 +169,12 @@ def test_a_shape_that_is_no_partition_has_its_own_error(shape, message):
 RANK_TAKERS = {
     "shapes.as_rank": as_rank,
     "shapes.add_staircase": lambda n: add_staircase((), n),
+    "shapes.count_gtp": lambda n: count_gtp((1,), n),
     "tableaux.enumerate_t": lambda n: list(enumerate_t((1,), n)),
     "tableaux.enumerate_st": lambda n: list(enumerate_st((1,), n)),
     "tableaux.validate_t": lambda n: validate_t(SymplecticTableau((1,), ((1,),)), n),
     "matrices.enumerate_gtp": lambda n: list(enumerate_gtp((1,), n)),
     "matrices.enumerate_uasm": lambda n: list(enumerate_uasm((1,), n)),
-    "matrices.count_gtp": lambda n: count_gtp((1,), n),
     "weights.factor_table": lambda n: factor_table("ST_XY", n),
     "weights.cpm_q_norm_prefactor": lambda n: cpm_q_norm_prefactor(n),
     "identities.sp_mu": lambda n: sp_mu((1,), n),

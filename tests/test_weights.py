@@ -1,5 +1,10 @@
+import json
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -448,3 +453,26 @@ def test_path_weight_accepts_exactly_the_objects_their_validators_accept():
         assert accepted == valid, obj
         verdicts[valid] += 1
     assert min(verdicts.values()) > 100, verdicts
+
+
+def test_path_weight_loads_the_object_modules_itself():
+    # the weights module imports no object module: path_weight, in an
+    # interpreter that loaded weights first, finds each family's class on
+    # its own and gives one object of each family the oracle's weight
+    tests = Path(__file__).resolve().parent
+    code = ("import json, sys; from symptok import weights; "
+            "loaded = [m for m in ('symptok.tableaux', 'symptok.matrices') if m in sys.modules]; "
+            f"sys.path.insert(0, {str(tests)!r}); import golden as G; "
+            "from symptok.tableaux import SymplecticTableau; "
+            "T = SymplecticTableau((2, 1), ((1, 2), (3,))); "
+            "cases = [(T, 'T_DEFORMED'), (G.ST, 'ST_XY'), (G.ST, 'QT_DEFORMED'), "
+            "(G.A, 'CPM_Q_NORM'), (G.GT, 'GT_QX')]; "
+            "print(json.dumps([loaded] + [weights.path_weight(o, s).to_text() for o, s in cases]))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(tests.parent / "src")),
+                         check=True).stdout
+    t = SymplecticTableau((2, 1), ((1, 2), (3,)))
+    want = [wgt_t(t, deformed=True), wgt_st(G.ST), primed_weight_sum(G.ST, deformed=True),
+            wgt_cpm(G.A, "CPM_Q_NORM"), qx_weight(G.GT)]
+    assert want[1] == G.golden_weight()
+    assert json.loads(out) == [[]] + [w.to_text() for w in want]
