@@ -14,29 +14,17 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from functools import lru_cache
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from . import bijections, identities, render, weights
+from . import identities, weights
 from .algebra import MERSENNE31, LaurentPoly, monomial_text
-from .matrices import (SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm,
-                       validate_gtp, validate_uasm)
-from .tableaux import (
-    PrimedShiftedTableau,
-    ShiftedTableau,
-    SymplecticTableau,
-    cell_cases,
-    enumerate_st,
-    enumerate_t,
-    primings,
-    validate_qt,
-    validate_st,
-    validate_t,
-)
+
+if TYPE_CHECKING:
+    from .tableaux import ShiftedTableau
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """An object family the CLI names: its class, the check an object of it
     read from a file must pass, and its enumerator (shape, rank)."""
 
@@ -45,19 +33,32 @@ class Family:
     enumerate: Callable[[tuple, int], Iterable[object]]
 
 
-#: One row per family, in the order --family lists them; the families of
-#: weights.SCHEMES are among its keys.  A compass matrix is no family: it has
-#: neither a check nor an enumerator.
-FAMILIES = {
-    "st": Family(ShiftedTableau, validate_st, enumerate_st),
-    "t": Family(SymplecticTableau,
-                lambda t: validate_t(t, weights._letter_rank(t.rows)), enumerate_t),
-    "qt": Family(PrimedShiftedTableau, validate_qt,
-                 lambda shape, n: (qt for st in enumerate_st(shape, n)
-                                   for qt in primings(st))),
-    "uasm": Family(UTurnASM, validate_uasm, enumerate_uasm),  # lambda from column sums
-    "gtp": Family(SympGTPattern, validate_gtp, enumerate_gtp),
-}
+#: The families --family lists, in order; the families of weights.SCHEMES are
+#: among them.  A compass matrix is no family: it has neither a check nor an
+#: enumerator.
+FAMILY_NAMES = ("st", "t", "qt", "uasm", "gtp")
+
+
+@lru_cache(maxsize=1)
+def families() -> Dict[str, Family]:
+    """One row per family of FAMILY_NAMES, in its order.  Only the commands
+    that read or make objects build the rows, so verify and sweep load no
+    object module."""
+    from .matrices import (SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm,
+                           validate_gtp, validate_uasm)
+    from .tableaux import (PrimedShiftedTableau, ShiftedTableau, SymplecticTableau,
+                           enumerate_st, enumerate_t, primings, validate_qt, validate_st,
+                           validate_t)
+    return {
+        "st": Family(ShiftedTableau, validate_st, enumerate_st),
+        "t": Family(SymplecticTableau,
+                    lambda t: validate_t(t, weights._letter_rank(t.rows)), enumerate_t),
+        "qt": Family(PrimedShiftedTableau, validate_qt,
+                     lambda shape, n: (qt for st in enumerate_st(shape, n)
+                                       for qt in primings(st))),
+        "uasm": Family(UTurnASM, validate_uasm, enumerate_uasm),  # lambda from column sums
+        "gtp": Family(SympGTPattern, validate_gtp, enumerate_gtp),
+    }
 
 
 def _partition_arg(text: str):
@@ -70,9 +71,10 @@ def _partition_arg(text: str):
 def _load_object(path: str):
     """The object in the JSON file at path, refused with InputFormatError
     when it breaks its family's rules."""
+    from . import render
     with open(path, "r", encoding="utf-8") as fh:
         obj = render.from_json(fh.read())
-    for family in FAMILIES.values():
+    for family in families().values():
         if type(obj) is family.kind:
             bad = family.check(obj)[1]
             if bad:
@@ -90,7 +92,8 @@ def _fail(msg: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    stream = FAMILIES[args.family].enumerate(_partition_arg(args.shape), args.n)
+    from . import render
+    stream = families()[args.family].enumerate(_partition_arg(args.shape), args.n)
     if args.count_only:
         print(sum(1 for _ in stream))
         return 0
@@ -100,13 +103,15 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_bijection(args) -> int:
+    from . import bijections, render
     obj = _load_object(args.input)
-    if not isinstance(obj, FAMILIES[args.source].kind):
+    rows = families()
+    if not isinstance(obj, rows[args.source].kind):
         return _fail(f"input is not a {args.source} object")
-    if isinstance(obj, ShiftedTableau):
+    if isinstance(obj, rows["st"].kind):
         st = obj
         a, g = bijections.st_to_uasm(st), bijections.st_to_gtp(st)
-    elif isinstance(obj, UTurnASM):
+    elif isinstance(obj, rows["uasm"].kind):
         a = obj
         st, g = bijections.uasm_to_st(a), bijections.uasm_to_gtp(a)
     else:
@@ -126,6 +131,8 @@ def _cmd_bijection(args) -> int:
 
 
 def _annotated(st: ShiftedTableau, scheme: str, neighbour: str) -> str:
+    from . import render
+    from .tableaux import cell_cases
     table = weights.factor_table(scheme, weights._letter_rank(st.rows))
     # row-major; ST_XY reads only "below", where the ST_Q cases are ST_XY's
     ids = iter(cell_cases(st, neighbour))
@@ -160,7 +167,7 @@ def _cmd_weight(args) -> int:
     obj = _load_object(args.input)
     scheme = args.scheme
     family = weights.SCHEMES[scheme].family
-    if not isinstance(obj, FAMILIES[family].kind):
+    if not isinstance(obj, families()[family].kind):
         return _fail(f"scheme {scheme} expects a {family} object")
     if args.annotate and family != "st":
         return _fail("--annotate applies to the ST_XY and ST_Q schemes only")
@@ -207,6 +214,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import render
     obj = _load_object(args.input)
     if args.format == "json":
         print(render.to_json(obj))
@@ -241,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list a combinatorial family")
-    p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--family", choices=FAMILY_NAMES, required=True)
     p.add_argument("--lambda", dest="shape", required=True,
                    help="comma-separated shape; empty string for the empty shape")
     p.add_argument("--n", type=int, required=True)

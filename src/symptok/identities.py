@@ -28,13 +28,17 @@ counterexamples come back as LaurentPoly.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
 letter, and the transfer sums the products of the weights module's step
-callbacks over all paths, merging paths that reach the same shape.  What
-it keeps at a shape does not depend on where the paths go next, so one walk
-serves many targets: verify_sweep walks every mu's left side at once and
-every sp_mu at once, and verify is the same engine with one target.  No
-object is enumerated.  weights.path_weight multiplies the same callbacks
-along one object's path, and the tests check both against per-object
-weights of their own (tests/oracles.py).
+callbacks over all paths, merging paths that reach the same shape.  Which
+steps the paths take depends only on the family's shape rule, the rank and
+the targets, so one graph serves every family: the shifted tableaux, the
+U-turn ASMs and the GT patterns share a rule, and _shape_graph keeps the
+SHAPE_GRAPHS_KEPT most recently used graphs, at 8 bytes a step.
+What the walk keeps at a shape does not depend on where the paths go next,
+so one walk serves many targets too: verify_sweep walks every mu's left
+side at once and every sp_mu at once, and verify is the same engine with
+one target.  No object is enumerated.  weights.path_weight multiplies the
+same callbacks along one object's path, and the tests check both against
+per-object weights of their own (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from __future__ import annotations
 import operator
 import random
 import time
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import product
 from typing import (TYPE_CHECKING, Callable, Dict, List, Mapping, NamedTuple, Optional,
                     Tuple, Union)
@@ -300,12 +304,17 @@ def _reaches(T, lam, letters_left: int) -> bool:
         sum(b <= a < top for b, top in zip(T, lam)) <= letters_left for a in T))
 
 
-def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple, tuple]:
-    """For each shape lam of targets, the sum over the rank-n tableaux of
-    shape lam of the product of their cells' factors table[fid], in the
-    value type of lift, with the tableau count and the primed count
-    (2^free per tableau): {lam: (value, count, primed)}, lam as as_partition
-    gives it, and (lift(ZERO), 0, 0) for a lam that no path reaches.
+#: Largest number of shape graphs kept: a symbolic_grid pass walks six.
+SHAPE_GRAPHS_KEPT = 16
+
+
+@lru_cache(maxsize=SHAPE_GRAPHS_KEPT)
+def _shape_graph(rule, n: int, targets: Tuple[tuple, ...]) -> tuple:
+    """The steps of rank-n paths under rule towards targets (zero-padded
+    to one length), per letter c = 1, ..., 2n: the shapes S_c reached, in
+    the order first reached, and the steps S -> T into them as two
+    array('I') of the indices of S among the shapes of letter c - 1 and of
+    T among these, grouped by source, the last source first.
 
     The cells with letter <= c form a shape S_c, so a tableau is a path
     S_0 = (0, ..., 0) -> S_1 -> ... -> S_2n = lam of row lengths.  Row i
@@ -313,25 +322,68 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     letter c needs a smaller letter at its offset in row i - 1 (directly
     above it by T2, up-left on its diagonal by ST3), so step c takes S to
     the T with S_i <= T_i <= min(top_i, S_(i-1)), top the componentwise
-    maximum of the targets (zero-padded to the longest).  steps is a
-    family's (rule, cells) pair from the weights module: rule(c, T) says
+    maximum of the targets.  A shape is kept, checked once per letter and
+    nowhere else, while rule(c, T) allows it and some target can still be
+    reached (_reaches).  A graph costs 8 bytes a step besides its shapes;
+    the SHAPE_GRAPHS_KEPT most recently used are kept, and each is shared:
+    nothing may write to it."""
+    from array import array  # an extension module: loaded on the first walk
+    width = len(targets[0]) if targets else 0
+    top = tuple(map(max, zip(*targets)))
+    shapes, graph = ((0,) * width,), []
+    for c in range(1, 2 * n + 1):
+        rows, letters_left = min(width, letter_level(c)), 2 * n - c
+        index, reached = {}, []  # T -> its index, or -1 where it is not kept
+        sources, dests = array("I"), array("I")
+        for i in range(len(shapes) - 1, -1, -1):
+            S = shapes[i]
+            ranges = [range(S[r], min(top[r], S[r - 1] if r else top[0]) + 1)
+                      for r in range(rows)]
+            for head in product(*ranges):
+                T = head + S[rows:]
+                j = index.get(T)
+                if j is None:
+                    j = index[T] = len(reached) if rule(c, T) and any(
+                        _reaches(T, lam, letters_left) for lam in targets) else -1
+                    if j >= 0:
+                        reached.append(T)
+                if j >= 0:
+                    sources.append(i)
+                    dests.append(j)
+        shapes = tuple(reached)
+        graph.append((shapes, sources, dests))
+    return tuple(graph)
+
+
+def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple, tuple]:
+    """For each shape lam of targets, the sum over the rank-n tableaux of
+    shape lam of the product of their cells' factors table[fid], in the
+    value type of lift, with the tableau count and the primed count
+    (2^free per tableau): {lam: (value, count, primed)}, lam as as_partition
+    gives it, and (lift(ZERO), 0, 0) for a lam that no path reaches.
+
+    A tableau is a path of shapes, one per letter (_shape_graph).  steps is
+    a family's (rule, cells) pair from the weights module: rule(c, T) says
     whether letter c may take a path to T, and cells(c, S, T) gives an
     allowed step's (id, power) pairs and count of free cells; S_c is also GT
     pattern row c and the column sums of a U-turn ASM after alphabet row c.
-    Each level maps a shape to the summed product, count and primed count of
-    its paths, which do not depend on where the paths go next, so one walk
-    serves every target.  A shape is kept, checked once per level, while the
-    rule allows it and some target can still be reached (_reaches).
+    Which steps the paths take depends only on the rule, the rank and the
+    targets, so one cached graph serves every family of a rule: the shifted
+    tableaux, the GT patterns and the U-turn ASMs share theirs.  The targets
+    are checked before the cache is read, so a refused call adds no graph.
+    Each shape maps to the summed product, count and primed count of its
+    paths, which do not depend on where the paths go next, so one walk
+    serves every target.
 
     Each factor is lifted, and raised to each power past the first, once a
     walk, when a step first needs it, and each distinct step's product f is
-    computed once.  Memory follows one level and the next: each shape is
-    popped off its level as its steps are taken, and merges add in place
+    computed once.  Memory follows one letter's shapes and the next: each
+    shape is dropped once its steps are taken, and merges add in place
     into the sums the walk owns.  The first path to reach T stores value * f
     unreduced (_times), or value itself when the step has no ids (f = 1); a
     later one adds value * f into the sum in place, unreduced
     (_iadd_product), once a sum the walk does not own has been copied.  Each
-    sum is reduced once, when its shape is popped (_reduce), and each step
+    sum is reduced once, when its steps are taken (_reduce), and each step
     product once, by the last * of its factors' powers: the products before
     it are unreduced (_times).  So no product is built only to be added, no
     value the walk did not make (lift(ONE), a cached product or a factor's
@@ -344,8 +396,8 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
             raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
     width = max(map(len, lams), default=0)
     padded = [lam + (0,) * (width - len(lam)) for lam in lams]
-    top = tuple(map(max, zip(*padded)))
     rule, cells = steps
+    graph = _shape_graph(rule, n, tuple(sorted(set(padded))))
     powers = {}  # (fid, e) -> lift(table[fid]) ** e, made on first use
 
     def power(key):
@@ -360,45 +412,39 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
         return f
 
     zero, products = lift(ZERO), {(): lift(ONE)}
-    # shape -> [value, count, primed, whether the walk owns value]
-    level = {(0,) * width: [products[()], 1, 1, False]}
-    for c in range(1, 2 * n + 1):
-        rows, letters_left = min(width, letter_level(c)), 2 * n - c
-        nxt, alive = {}, {}
-        while level:
-            S, (value, count, primed, made) = level.popitem()
-            if made:
-                value._reduce()
-            ranges = [range(S[i], min(top[i], S[i - 1] if i else top[0]) + 1)
-                      for i in range(rows)]
-            for head in product(*ranges):
-                T = head + S[rows:]
-                ok = alive.get(T)
-                if ok is None:
-                    ok = alive[T] = rule(c, T) and any(
-                        _reaches(T, lam, letters_left) for lam in padded)
-                if not ok:
-                    continue
-                ids, free = cells(c, S, T)
-                f = products.get(ids)
-                if f is None:
-                    *rest, last = map(power, ids)
-                    f = products[ids] = reduce(
-                        lambda a, b: a._times(b), rest) * last if rest else last
-                primed_t, old = primed << free, nxt.get(T)
-                if old is None:
-                    nxt[T] = [value._times(f) if ids else value, count, primed_t,
-                              bool(ids)]
-                    continue
-                if not old[3]:
-                    old[0], old[3] = old[0] + zero, True
-                old[0]._iadd_product(value, f)
-                old[1] += count
-                old[2] += primed_t
-        level = nxt
+    # per shape: [value, count, primed, whether the walk owns value]
+    shapes, level = ((0,) * width,), [[products[()], 1, 1, False]]
+    for c, (reached, sources, dests) in enumerate(graph, start=1):
+        nxt = [None] * len(reached)
+        i = -1
+        for source, j in zip(sources, dests):
+            if source != i:
+                i, S = source, shapes[source]
+                value, count, primed, made = level[i]
+                level[i] = None
+                if made:
+                    value._reduce()
+            T = reached[j]
+            ids, free = cells(c, S, T)
+            f = products.get(ids)
+            if f is None:
+                *rest, last = map(power, ids)
+                f = products[ids] = reduce(
+                    lambda a, b: a._times(b), rest) * last if rest else last
+            primed_t, old = primed << free, nxt[j]
+            if old is None:
+                nxt[j] = [value._times(f) if ids else value, count, primed_t, bool(ids)]
+                continue
+            if not old[3]:
+                old[0], old[3] = old[0] + zero, True
+            old[0]._iadd_product(value, f)
+            old[1] += count
+            old[2] += primed_t
+        shapes, level = reached, nxt
+    ends = dict(zip(shapes, level))
     out = {}
     for lam, key in zip(lams, padded):
-        value, count, primed, made = level.get(key) or (zero, 0, 0, False)
+        value, count, primed, made = ends.get(key) or (zero, 0, 0, False)
         out[lam] = (value._reduce() if made else value + zero, count, primed)
     return out
 

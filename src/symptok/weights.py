@@ -87,7 +87,7 @@ class UnusedConventionError(ValueError):
 class Scheme(NamedTuple):
     """What a weighing scheme weighs and which convention knobs it reads."""
 
-    family: str  # "t", "qt", "st", "uasm" or "gtp": a key of cli.FAMILIES
+    family: str  # "t", "qt", "st", "uasm" or "gtp": a key of cli.families()
     reads: Tuple[str, ...] = ()
 
 

@@ -434,18 +434,39 @@ class TestRender:
 
 
 class TestFamilies:
+    def test_the_rows_follow_the_listed_names(self):
+        from symptok.cli import FAMILY_NAMES, families
+        assert tuple(families()) == FAMILY_NAMES
+
+    def test_verify_and_sweep_load_no_object_family(self):
+        # a verification builds no object, so the CLI loads the family rows,
+        # and with them the object modules and the dataclasses, only for the
+        # commands that read or make objects
+        code = ("import sys; from symptok.cli import main; "
+                "main(['verify', '--id', 'COR_UASM', '--mu', '1', '--n', '2']); "
+                "main(['sweep', '--id', 'COR_GT_QX', '--n', '2', '--max-weight', '1', "
+                "'--mode', 'modular', '--trials', '2']); "
+                "print(sorted(m for m in sys.modules if m.startswith('symptok') "
+                "or m in ('dataclasses', 'inspect')))")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+        assert out.splitlines()[-1] == str(
+            ["symptok", "symptok.algebra", "symptok.cli", "symptok.identities",
+             "symptok.rings", "symptok.shapes", "symptok.weights"])
+
     def test_every_scheme_weighs_a_family_the_cli_names(self):
-        # the weight command looks a scheme's family up in FAMILIES
-        from symptok.cli import FAMILIES
+        # the weight command looks a scheme's family up in families()
+        from symptok.cli import families
         from symptok.weights import SCHEMES
         unknown = {name: row.family for name, row in SCHEMES.items()
-                   if row.family not in FAMILIES}
-        assert not unknown, f"families missing from cli.FAMILIES: {unknown}"
+                   if row.family not in families()}
+        assert not unknown, f"families missing from cli.families(): {unknown}"
 
     @pytest.mark.parametrize("name", ["st", "t", "qt", "uasm", "gtp"])
     def test_each_row_enumerates_objects_its_check_accepts(self, name):
-        from symptok.cli import FAMILIES
-        family = FAMILIES[name]
+        from symptok.cli import families
+        family = families()[name]
         objects = list(family.enumerate((2, 1), 2))
         assert objects
         for obj in objects:

@@ -924,25 +924,43 @@ def test_the_ambiguity_report_walks_sp_mu_once(counted):
     assert sorted(products) == ["COR_GT_QX", "COR_ST_Q"]
 
 
-def test_sweeps_write_to_no_shared_value():
+def test_sweeps_write_to_no_shared_value(monkeypatch):
     # the walk adds in place only into sums it made, and each case subtracts
-    # in place only from its own left side: ONE, ZERO and the cached factor
-    # tables, which the symbolic lift hands to the walk as they are, stay put
+    # in place only from its own left side: ONE, ZERO, the cached factor
+    # tables, which the symbolic lift hands to the walk as they are, and the
+    # cached shape graphs, which every walk of their rule, rank and targets
+    # reads, stay put
     tables = {(scheme, n): factor_table(scheme, n)
               for scheme in (*weights.SCHEMES, "T") for n in (1, 2, 3)}
+    shape_graph, graphs = identities._shape_graph, {}
+
+    def recording(*key):
+        graphs[key] = shape_graph(*key)
+        return graphs[key]
+
+    def sweeps():
+        for identity, knobs in SWEEP_VARIANTS:
+            verify_sweep(identity, 2, 2, **knobs)
+            verify_sweep(identity, 3, 1, "modular", trials=2, **knobs)
+        ambiguity_report(2, 1)
 
     def snapshot():
         return ({key: {fid: f.terms for fid, f in table.items()}
                  for key, table in tables.items()},
+                {key: [(shapes, list(sources), list(dests))
+                       for shapes, sources, dests in graph]
+                 for key, graph in graphs.items()},
                 algebra.ONE.terms, algebra.ZERO.terms)
 
+    with monkeypatch.context() as patch:  # the graphs the sweeps walk
+        patch.setattr(identities, "_shape_graph", recording)
+        sweeps()
+    assert 2 < len(graphs) <= identities.SHAPE_GRAPHS_KEPT
     before = snapshot()
-    for identity, knobs in SWEEP_VARIANTS:
-        verify_sweep(identity, 2, 2, **knobs)
-        verify_sweep(identity, 3, 1, "modular", trials=2, **knobs)
-    ambiguity_report(2, 1)
+    sweeps()
     assert snapshot() == before
     assert all(factor_table(*key) is table for key, table in tables.items())
+    assert all(shape_graph(*key) is graph for key, graph in graphs.items())
 
 
 def test_an_unreached_target_is_a_zero_of_its_own():
@@ -993,26 +1011,56 @@ def test_a_later_path_builds_no_product(monkeypatch):
 
 
 def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
-    # the transfer checks a shape's rule where it first meets the shape on
-    # a level, not on every step into it; many steps reach each shape
+    # the shape graph checks a shape's rule where it first meets the shape on
+    # a level, not on every step into it, and the shifted tableaux and the GT
+    # patterns of one lam walk one graph; many steps reach each shape
     lam, n = (5, 3, 1), 3
-    shifted, checks, steps = weights._SHAPE_RULES["st"], Counter(), [0]
+    shifted, checks = weights._SHAPE_RULES["st"], Counter()
 
     def checking(c, T):
         checks[c, T] += 1
         return shifted(c, T)
 
-    monkeypatch.setitem(weights._SHAPE_RULES, "st", checking)
-    rule, cells = _shifted_cells("below")
-    assert rule is checking  # the family's steps carry the table's rule
+    for family in ("st", "qt", "uasm", "gtp"):
+        monkeypatch.setitem(weights._SHAPE_RULES, family, checking)
+    gt_table = factor_table("GT_XY", n)
+    walks = ((factor_table("ST_XY", n), _shifted_cells("below")),
+             (gt_table, _pattern_cells(gt_table)))
+    steps = []
+    for table, (rule, cells) in walks:
+        assert rule is checking  # the family's steps carry the table's rule
+        steps.append(0)
 
-    def stepping(c, S, T):
-        steps[0] += 1
-        return cells(c, S, T)
+        def stepping(c, S, T, cells=cells):
+            steps[-1] += 1
+            return cells(c, S, T)
 
-    got = _transfer([lam], n, factor_table("ST_XY", n), exact, (rule, stepping))
-    assert got[lam][1] == count_gtp(lam, n)
-    assert max(checks.values()) == 1 and steps[0] > 2 * len(checks)
+        got = _transfer([lam], n, table, exact, (rule, stepping))
+        assert got[lam][1] == count_gtp(lam, n)
+    assert max(checks.values()) == 1
+    assert steps[0] == steps[1] > 2 * len(checks)
+
+
+def test_every_grid_variant_walks_one_of_two_shape_graphs():
+    # at one case the ten variants' left sides walk one shifted-rule graph,
+    # whatever their family, and their sp_mu one letter-rule graph
+    identities._shape_graph.cache_clear()
+    for identity, knobs in GRID_VARIANTS:
+        assert verify(identity, (2,), 3, "modular", **knobs).equal
+    info = identities._shape_graph.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 18, 2)
+
+
+@pytest.mark.parametrize("lam,error", [((4, 2, 1), RankTooSmallError),
+                                        ((1, 2), shapes.NotAPartitionError),
+                                        ((2, -1), shapes.NotAPartitionError)])
+def test_a_refused_walk_adds_no_shape_graph(lam, error):
+    # the targets are checked before the cache is read
+    identities._shape_graph.cache_clear()
+    with pytest.raises(error):
+        _transfer([(2, 1), lam], 2, factor_table("ST_XY", 2), exact, _shifted_cells("below"))
+    info = identities._shape_graph.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
 
 def test_a_modular_verify_reads_each_point_column_once(monkeypatch):
