@@ -27,18 +27,20 @@ values at the points of the call's algebra.Sample.  Public results and
 counterexamples come back as LaurentPoly.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
-letter, and the transfer sums the products of the weights module's step
-callbacks over all paths, merging paths that reach the same shape.  Which
-steps the paths take depends only on the family's shape rule, the rank and
-the targets, so one graph serves every family: the shifted tableaux, the
-U-turn ASMs and the GT patterns share a rule, and _shape_graph keeps the
-SHAPE_GRAPHS_KEPT most recently used graphs, at 8 bytes a step.
+letter, and the transfer sums the step products named by the weights
+module's step callbacks over all paths, merging paths that reach the same
+shape.  Which steps the paths take depends only on the family's shape
+rule, the rank and the targets, so one graph serves every family: the
+shifted tableaux, the U-turn ASMs and the GT patterns share a rule, and
+_shape_graph keeps the SHAPE_GRAPHS_KEPT most recently used graphs, at 8
+bytes a step.
 What the walk keeps at a shape does not depend on where the paths go next,
 so one walk serves many targets too: verify_sweep walks every mu's left
 side at once and every sp_mu at once, and verify is the same engine with
 one target.  No object is enumerated.  weights.path_weight multiplies the
-same callbacks along one object's path, and the tests check both against
-per-object weights of their own (tests/oracles.py).
+factors that the same callbacks name along one object's path, and the
+tests check both against per-object weights of their own
+(tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -272,8 +274,8 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
 def _left_side(identity: str, lams, n: int, scheme: str, c0_mode: str,
                st_q_neighbour: str, lift: Lift) -> Dict[tuple, tuple]:
     """{lam: (left side, object count)} for every lam of lams (strict, of
-    length n), in the value type of lift, from one walk under the step
-    callback of the family that scheme weighs.  A U-turn ASM's columns past
+    length n), in the value type of lift, from one walk under the steps of
+    the family that scheme weighs.  A U-turn ASM's columns past
     lam_1 are all SE, a code that no factor table holds, so one walk as
     wide as the widest lam weighs every target's matrices."""
     table = weights.factor_table(scheme, n)
@@ -363,10 +365,12 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     gives it, and (lift(ZERO), 0, 0) for a lam that no path reaches.
 
     A tableau is a path of shapes, one per letter (_shape_graph).  steps is
-    a family's (rule, cells) pair from the weights module: rule(c, T) says
-    whether letter c may take a path to T, and cells(c, S, T) gives an
-    allowed step's (id, power) pairs and count of free cells; S_c is also GT
-    pattern row c and the column sums of a U-turn ASM after alphabet row c.
+    a family's (rule, key, ids) triple from the weights module: rule(c, T)
+    says whether letter c may take a path to T, key(c, S, T) gives an
+    allowed step's key, a flat tuple of cell counts, and its count of free
+    cells, and ids(c, key) the (id, power) pairs of every step of letter c
+    with that key; S_c is also GT pattern row c and the column sums of a
+    U-turn ASM after alphabet row c.
     Which steps the paths take depends only on the rule, the rank and the
     targets, so one cached graph serves every family of a rule: the shifted
     tableaux, the GT patterns and the U-turn ASMs share theirs.  The targets
@@ -376,19 +380,21 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     serves every target.
 
     Each factor is lifted, and raised to each power past the first, once a
-    walk, when a step first needs it, and each distinct step's product f is
-    computed once.  Memory follows one letter's shapes and the next: each
-    shape is dropped once its steps are taken, and merges add in place
-    into the sums the walk owns.  The first path to reach T stores value * f
-    unreduced (_times), or value itself when the step has no ids (f = 1); a
-    later one adds value * f into the sum in place, unreduced
-    (_iadd_product), once a sum the walk does not own has been copied.  Each
-    sum is reduced once, when its steps are taken (_reduce), and each step
-    product once, by the last * of its factors' powers: the products before
-    it are unreduced (_times).  So no product is built only to be added, no
-    value the walk did not make (lift(ONE), a cached product or a factor's
-    power) is written to, and each returned value is reduced and the
-    caller's own to write to.
+    walk, when a step first needs it.  Each letter keeps one product dict
+    by key: the walk calls key once per step, and ids and the product f of
+    the named powers only for a key the letter has not seen, so it builds
+    one product per letter and id list.  Memory follows one letter's shapes
+    and the next: each shape is dropped once its steps are taken, and merges
+    add in place into the sums the walk owns.  The first path to reach T
+    stores value * f unreduced (_times), or value itself when the key names
+    no ids (f = 1); a later one adds value * f into the sum in place,
+    unreduced (_iadd_product), once a sum the walk does not own has been
+    copied.  Each sum is reduced once, when its steps are taken (_reduce),
+    and each step product once, by the last * of its factors' powers: the
+    products before it are unreduced (_times).  So no product is built only
+    to be added, no value the walk did not make (lift(ONE), a cached product
+    or a factor's power) is written to, and each returned value is reduced
+    and the caller's own to write to.
     """
     lams = [as_partition(lam) for lam in targets]
     for lam in lams:
@@ -396,26 +402,27 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
             raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
     width = max(map(len, lams), default=0)
     padded = [lam + (0,) * (width - len(lam)) for lam in lams]
-    rule, cells = steps
+    rule, key, ids = steps
     graph = _shape_graph(rule, n, tuple(sorted(set(padded))))
     powers = {}  # (fid, e) -> lift(table[fid]) ** e, made on first use
 
-    def power(key):
-        f = powers.get(key)
+    def power(pair):
+        f = powers.get(pair)
         if f is None:
-            fid, e = key
+            fid, e = pair
             f = powers.get((fid, 1))
             if f is None:
                 f = powers[fid, 1] = lift(table[fid])
             if e != 1:
-                f = powers[key] = f ** e
+                f = powers[pair] = f ** e
         return f
 
-    zero, products = lift(ZERO), {(): lift(ONE)}
+    zero, one = lift(ZERO), lift(ONE)
     # per shape: [value, count, primed, whether the walk owns value]
-    shapes, level = ((0,) * width,), [[products[()], 1, 1, False]]
+    shapes, level = ((0,) * width,), [[one, 1, 1, False]]
     for c, (reached, sources, dests) in enumerate(graph, start=1):
         nxt = [None] * len(reached)
+        products = {}  # key -> the product of its ids, one when it has none
         i = -1
         for source, j in zip(sources, dests):
             if source != i:
@@ -424,16 +431,18 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
                 level[i] = None
                 if made:
                     value._reduce()
-            T = reached[j]
-            ids, free = cells(c, S, T)
-            f = products.get(ids)
+            k, free = key(c, S, reached[j])
+            f = products.get(k)
             if f is None:
-                *rest, last = map(power, ids)
-                f = products[ids] = reduce(
-                    lambda a, b: a._times(b), rest) * last if rest else last
+                named, f = ids(c, k), one
+                if named:
+                    *rest, last = map(power, named)
+                    f = reduce(lambda a, b: a._times(b), rest) * last if rest else last
+                products[k] = f
             primed_t, old = primed << free, nxt[j]
             if old is None:
-                nxt[j] = [value._times(f) if ids else value, count, primed_t, bool(ids)]
+                nxt[j] = [value if f is one else value._times(f), count, primed_t,
+                          f is not one]
                 continue
             if not old[3]:
                 old[0], old[3] = old[0] + zero, True
@@ -443,8 +452,8 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
         shapes, level = reached, nxt
     ends = dict(zip(shapes, level))
     out = {}
-    for lam, key in zip(lams, padded):
-        value, count, primed, made = ends.get(key) or (zero, 0, 0, False)
+    for lam, end in zip(lams, padded):
+        value, count, primed, made = ends.get(end) or (zero, 0, 0, False)
         out[lam] = (value._reduce() if made else value + zero, count, primed)
     return out
 

@@ -31,17 +31,21 @@ specialisation, are written by hand.
 Which factors an object takes is written once, as step callbacks.  The
 cells of a tableau with letter <= c form a shape S_c, so a tableau is a path
 S_0 -> ... -> S_2n of shapes, which are also the rows of a GT pattern and
-the column sums of a U-turn ASM after each alphabet row.  A callback names
-the factors of a step between two shapes that its family's shape rule
-allows (_SHAPE_RULES).  The engine (identities._transfer) sums their
-products over all paths, and path_weight multiplies them along one path.
-Only wgt_qt weighs cell by cell: it weighs one priming, which the summed
-QT_DEFORMED factors do not see.  The per-object weights of tests/oracles.py
-share only factor_table with the callbacks, as the independent check of both.
+the column sums of a U-turn ASM after each alphabet row.  A family's steps
+are a triple (rule, key, ids): its shape rule (_SHAPE_RULES) says which
+shapes a step may reach, key(c, S, T) counts the cells of a step of letter
+c into a flat tuple of small ints, and ids(c, key) names the factors of
+every step of letter c with that key, two keys of one letter naming two
+different id lists.  The engine (identities._transfer) keeps one product
+per letter and key and sums the products over all paths; path_weight
+multiplies the named factors along one path.  Only wgt_qt weighs cell by
+cell: it weighs one priming, which the summed QT_DEFORMED factors do not
+see.  The per-object weights of tests/oracles.py share only factor_table
+with the callbacks, as the independent check of both.
 
 SCHEMES holds one row per scheme the CLI speaks: the object family it weighs
 and the convention knobs it reads.  Adding a scheme is one row there, with
-its factors in factor_table and its family's callback in _step_cells.
+its factors in factor_table and its family's steps in _step_cells.
 """
 
 from __future__ import annotations
@@ -49,13 +53,14 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 from .algebra import ONE, QVAR, TVAR, LaurentPoly, xvar, yvar
 # the convention error is re-exported for the callers of check_conventions
 from .shapes import (
-    _ZERO_CODES,
     CPM_CODES,
     UnknownConventionError,
     as_rank,
@@ -174,15 +179,17 @@ def wgt_qt(qt: PrimedShiftedTableau, deformed: bool = False) -> LaurentPoly:
     """Product over cells: k, k', kbar, kbar' -> x_k, y_k, t^2/x_k, t^2/y_k
     (t = 1 if undeformed), summed into one monomial without factor_table, so
     that a cell of a high letter costs no table of its whole rank."""
-    exps = Counter()
-    for _, _, code, primed in qt.cells():
+    exps = {}
+    # one update per distinct (letter, primed) pair, by its cell count
+    cells = zip(chain.from_iterable(qt.base.rows), chain.from_iterable(qt.primed))
+    for (code, primed), count in Counter(cells).items():
         v = (yvar if primed else xvar)(letter_level(code))
         if code % 2:
-            exps[v] += 1
+            exps[v] = exps.get(v, 0) + count
         else:  # barred: invert, and deform by t^2
-            exps[v] -= 1
+            exps[v] = exps.get(v, 0) - count
             if deformed:
-                exps[TVAR] += 2
+                exps[TVAR] = exps.get(TVAR, 0) + 2 * count
     return LaurentPoly.monomial(exps)
 
 
@@ -204,7 +211,6 @@ def _st_case_factor_xy(code: int, case: str, y=_y) -> LaurentPoly:
 
 # -- compass-point weights ------------------------------------------------------
 
-_TURN_START = frozenset(("WE", "SW", "NW"))
 _TURN = "TURN"  # id code of the CPM_XY_ALT first-column term
 
 
@@ -259,7 +265,8 @@ def qx_weight_factored(g: SympGTPattern) -> str:
 #
 # Every scheme weighs an object by a product of local factors.
 # factor_table(scheme, n) names every factor that is not 1 by a small id;
-# the step callbacks below name the ids of each step of a path.
+# the step callbacks below count each step of a path into a key and name
+# the ids of each key.
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -306,8 +313,12 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
 
 # -- step callbacks -------------------------------------------------------------------
 #
-# A family's steps (rule, cells): rule(c, T) says whether letter c may reach T,
-# and cells(c, S, T) gives an allowed step's (id, power) pairs and free cells.
+# A family's steps (rule, key, ids): rule(c, T) says whether letter c may reach
+# T, key(c, S, T) counts an allowed step's cells into a flat tuple of small
+# ints and gives its free cells, and ids(c, key) names the (id, power) pairs
+# of every step of letter c with that key.  Two keys of one letter name
+# different ids, so a walk names and multiplies each letter's factors once
+# per key.
 
 
 def _shifted_step(c: int, T) -> bool:
@@ -317,16 +328,19 @@ def _shifted_step(c: int, T) -> bool:
         not t and c >= letter(i + 1, True) for i, t in enumerate(T)))
 
 
-def _letter_strip(c: int, S, T):
-    """Ordinary tableaux: each new cell carries its letter."""
-    grown = sum(T) - sum(S)
-    return ((c, grown),) if grown else (), 0
+def _letter_key(c: int, S, T):
+    """Ordinary tableaux: the cells grown, each of which carries its letter."""
+    return (sum(T) - sum(S),), 0
+
+
+def _letter_ids(c: int, key):
+    return ((c, key[0]),) if key[0] else ()
 
 
 #: Each family's shape rule: ordinary tableaux may reach every shape.
 _SHAPE_RULES = {"t": lambda c, T: True,
                 **dict.fromkeys(("st", "qt", "uasm", "gtp"), _shifted_step)}
-_letter_cells = _SHAPE_RULES["t"], _letter_strip
+_letter_cells = _SHAPE_RULES["t"], _letter_key, _letter_ids
 
 
 def _shifted_cells(neighbour: str):
@@ -334,22 +348,27 @@ def _shifted_cells(neighbour: str):
     "left".  A row's first new cell, at offset s, takes the neighbour case
     when the cell below it (offset s - 1 of the next row) or, in the "above"
     reading, above it (offset s + 1 of the previous row) is new too, and is
-    "free" otherwise."""
-    def cells(c: int, S, T):
-        Sp, Tp = (0,) + S + (0,), (0,) + T + (0,)
+    "free" otherwise.  The key counts the (left, neighbour, free) cells."""
+    below = neighbour == "below"
+
+    def key(c: int, S, T):
         lefts = nears = frees = 0
-        for i in range(1, len(Sp) - 1):
-            s = Sp[i]
-            if Tp[i] > s:
-                lefts += Tp[i] - s - 1
-                if (Sp[i + 1] <= s - 1 < Tp[i + 1] if neighbour == "below"
-                        else Sp[i - 1] <= s + 1 < Tp[i - 1]):
+        rows, last = (c + 1) >> 1, len(S) - 1  # rows from level k on are kept
+        for i in range(rows if rows <= last else last + 1):
+            s, t = S[i], T[i]
+            if t > s:
+                lefts += t - s - 1
+                if (i < last and S[i + 1] < s <= T[i + 1] if below
+                        else i and S[i - 1] <= s + 1 < T[i - 1]):
                     nears += 1
                 else:
                     frees += 1
-        counts = (((c, "left"), lefts), ((c, neighbour), nears), ((c, "free"), frees))
-        return tuple((fid, e) for fid, e in counts if e), frees
-    return _SHAPE_RULES["st"], cells
+        return (lefts, nears, frees), frees
+
+    def ids(c: int, key):
+        cases = ((c, "left"), (c, neighbour), (c, "free"))
+        return tuple([(fid, e) for fid, e in zip(cases, key) if e])
+    return _SHAPE_RULES["st"], key, ids
 
 
 def _pattern_cells(table: Mapping, narrow_le: bool = False):
@@ -362,28 +381,34 @@ def _pattern_cells(table: Mapping, narrow_le: bool = False):
     odd steps and x_k^(|S|-|T|) on even ones.  Under GT_QX a step counts
     ("B",) per B mark off the diagonal, plus the joint diagonal on even
     steps, and ("q",) per R mark on odd steps and L mark on even ones;
-    narrow_le leaves the diagonal L out (the rejected set-builder L_e)."""
+    narrow_le leaves the diagonal L out (the rejected set-builder L_e).
+    The key is (cells grown, B, L, R), or (cells grown, B, q) under GT_QX."""
     statistics = ("q",) in table
 
-    def cells(c: int, S, T):
-        k, odd = letter_level(c), c % 2
-        marks = {"B": 0, "L": 0, "R": 0}
+    def key(c: int, S, T):
+        k, odd = (c + 1) >> 1, c & 1  # letter_level(c), and whether c is unbarred
+        b = l = r = 0
         for j in range(k - 1):
-            marks["L" if T[j] == S[j] else "R" if S[j] == T[j + 1] else "B"] += 1
-        diagonal = "B" if T[k - 1] > S[k - 1] else "L"
+            if T[j] == S[j]:
+                l += 1
+            elif S[j] == T[j + 1]:
+                r += 1
+            else:
+                b += 1
+        diagonal = T[k - 1] > S[k - 1]  # a B mark, else an L mark
         grown = sum(T) - sum(S)
-        ids = [(("x", k, 1 if odd else -1), grown)] if grown else []
         if statistics:
-            b = marks["B"] + (not odd and S[k - 1] > 0 and diagonal == "B")
-            q = marks["R"] if odd else marks["L"] + (diagonal == "L" and not narrow_le)
-            ids += [(fid, e) for fid, e in ((("B",), b), (("q",), q)) if e]
-        else:
-            marks[diagonal] += 1
-            side = "u" if odd else "b"
-            ids += [((side, mark, k), e) for mark, e in marks.items()
-                    if e and (side, mark, k) in table]
-        return tuple(ids), 0
-    return _SHAPE_RULES["gtp"], cells
+            return (grown, b + (diagonal and not odd and S[k - 1] > 0),
+                    r if odd else l + (not diagonal and not narrow_le)), 0
+        return (grown, b + diagonal, l + (not diagonal), r), 0
+
+    def ids(c: int, key):
+        k, odd = letter_level(c), c % 2
+        marks = [("B",), ("q",)] if statistics else [
+            ("u" if odd else "b", mark, k) for mark in "BLR"]
+        return tuple([(fid, e) for fid, e in zip([("x", k, 1 if odd else -1)] + marks, key)
+                      if e and fid in table])
+    return _SHAPE_RULES["gtp"], key, ids
 
 
 def _compass_cells(width: int, table: Mapping):
@@ -400,47 +425,59 @@ def _compass_cells(width: int, table: Mapping):
     the walk's steps give them, so the row is read by merging the two part
     tuples from the right: a part of both is a zero under a mark, a part of
     one is WE or NS, and the columns between two parts are zeros under no
-    mark, all of one code.  Which codes the table holds is decided once per
-    letter."""
-    # a 0 in a column marked in S, or not, by whether the row sums to 1 east of it
-    marked = _ZERO_CODES[1, -1], _ZERO_CODES[1, 1]
-    unmarked = _ZERO_CODES[-1, -1], _ZERO_CODES[-1, 1]
-    letters: Dict[int, tuple] = {}  # c -> the codes the table holds, in id order, and TURN
+    mark, all of one code.  The key holds the counts of only the codes that
+    the table holds in row c, in id order, and last whether the row takes
+    the TURN factor; which codes those are is decided once per letter."""
+    letters: Dict[int, tuple] = {}  # c -> the key's picker, and whether TURN is held
 
-    def cells(c: int, S, T):
-        held = letters.get(c)
-        if held is None:
-            held = letters[c] = ([code for code in sorted(CPM_CODES) if (code, c) in table],
-                                 (_TURN, c) in table)
-        counts = dict.fromkeys(CPM_CODES, 0)
-        S, T = S + (0,), T + (0,)
-        i = j = east = 0
+    def codes(c: int) -> List[str]:  # the codes the table holds in row c, in id order
+        return [code for code in sorted(CPM_CODES) if (code, c) in table]
+
+    def held(c: int) -> tuple:
+        return itemgetter(*map(CPM_CODES.index, codes(c)), 6), (_TURN, c) in table
+
+    def key(c: int, S, T):
+        pick, turn = letters.get(c) or letters.setdefault(c, held(c))
+        si, ti = iter(S), iter(T)
+        s, t = next(si, 0), next(ti, 0)
         right = width + 1  # the column right of the unread ones
-        while S[i] or T[j]:
-            s, t = S[i], T[j]
+        east = we = ns = ne = nw = sw = 0
+        while s or t:
             v = s if s > t else t
-            counts[unmarked[east != 0]] += right - v - 1
-            if s == t:
-                code, i, j = marked[east != 0], i + 1, j + 1
+            if east:  # the zeros under no mark between v and right are SW, else SE
+                sw += right - v - 1
+            if s == t:  # a zero under a mark
+                if east:
+                    nw += 1
+                else:
+                    ne += 1
+                s, t = next(si, 0), next(ti, 0)
             elif s < t:
-                code, east, j = "WE", east + 1, j + 1
+                we += 1
+                east += 1
+                t = next(ti, 0)
             else:
-                code, east, i = "NS", east - 1, i + 1
-            counts[code] += 1
+                ns += 1
+                east -= 1
+                s = next(si, 0)
             right = v
-        if right > 1:  # column 1 is no part
-            code = unmarked[east != 0]
-            counts[code] += right - 1
-        codes, turn = held
-        ids = tuple([((k, c), counts[k]) for k in codes if counts[k]])
-        if turn and code in _TURN_START:  # code is column 1's
-            ids += (((_TURN, c), 1),)
-        return ids, 0
-    return _SHAPE_RULES["uasm"], cells
+        if east:  # column 1 and the zeros right of it, if it is no part
+            sw += right - 1
+        if turn:  # column 1 is WE, or a zero with the row summing to 1 east of it
+            turn = east != 0 if (1 in S) == (1 in T) else 1 in T
+        # the counts in CPM_CODES order
+        return pick((we, ns, ne, width - we - ns - ne - nw - sw, nw, sw, turn)), 0
+
+    def ids(c: int, key):
+        out = [((code, c), e) for code, e in zip(codes(c), key) if e]
+        if key[-1]:
+            out.append(((_TURN, c), 1))
+        return tuple(out)
+    return _SHAPE_RULES["uasm"], key, ids
 
 
 def _step_cells(scheme: str, table: Mapping, width: int, neighbour: str):
-    """The steps (rule, cells) of the family that scheme weighs; width is
+    """The steps (rule, key, ids) of the family that scheme weighs; width is
     the column count of a U-turn ASM, and neighbour the ST_Q reading."""
     family = _row(scheme).family
     if family == "t":
@@ -489,8 +526,8 @@ def _path(obj, family: str) -> Tuple[int, List[tuple]]:
 
 def _path_ids(obj, scheme: str, neighbour: str = "below"):
     """The rank of obj, the scheme's factor table, and the (fid, e) that the
-    scheme's step callback gives for each step S -> T of obj's path from
-    S_0 = 0.  A step that leaves S_i <= T_i <= S_(i-1), or changes a row
+    scheme's steps name, ids(c, key(c, S, T)), for each step S -> T of obj's
+    path from S_0 = 0.  A step that leaves S_i <= T_i <= S_(i-1), or changes a row
     i >= k at level k (the engine's walk takes neither), or reaches a shape
     that the family's shape rule refuses raises ForbiddenPathError; an
     object of another family UnknownSchemeError."""
@@ -508,16 +545,16 @@ def _path_ids(obj, scheme: str, neighbour: str = "below"):
         table = {code: _letter_factor(scheme, code) for row in obj.rows for code in row}
     else:
         table = factor_table(scheme, n)
-    rule, cells = _step_cells(scheme, table, obj.m if family == "uasm" else 0, neighbour)
-    S, ids = (0,) * len(path[0]), []
+    rule, key, ids = _step_cells(scheme, table, obj.m if family == "uasm" else 0, neighbour)
+    S, out = (0,) * len(path[0]), []
     for c, T in enumerate(path, start=1):
         k = letter_level(c)
         if not (all(s <= t for s, t in zip(S, T)) and S[k:] == T[k:]
                 and all(t <= s for t, s in zip(T[1:], S)) and rule(c, T)):
             raise ForbiddenPathError(f"no {family} object steps from {S} to {T} by letter {c}")
-        ids += cells(c, S, T)[0]
+        out += ids(c, key(c, S, T)[0])
         S = T
-    return n, table, ids
+    return n, table, out
 
 
 def path_weight(obj, scheme: str, neighbour: str = "below",

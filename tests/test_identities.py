@@ -884,10 +884,10 @@ def counted(monkeypatch):
     transfer, factors = identities._transfer, identities.rhs_factors
     walks, products = [], []
 
-    def walking(targets, n, table, lift, cells):
+    def walking(targets, n, table, lift, steps):
         targets = list(targets)
-        walks.append((len(targets), cells is _letter_cells))
-        return transfer(targets, n, table, lift, cells)
+        walks.append((len(targets), steps is _letter_cells))
+        return transfer(targets, n, table, lift, steps)
 
     def multiplying(identity, n):
         products.append(identity)
@@ -978,18 +978,18 @@ def test_an_unreached_target_is_a_zero_of_its_own():
 def test_a_later_path_builds_no_product(monkeypatch):
     # a shape's first path stores value * f and every later one adds value * f
     # into that sum in place, so the walk multiplies once per first arrival
-    # with ids, besides building each distinct step's product once
+    # with ids, besides building each distinct (letter, ids)'s product once
     lam, n = (5, 3, 1), 3
-    table, (rule, cells) = factor_table("ST_XY", n), _shifted_cells("below")
+    table, (rule, key, ids) = factor_table("ST_XY", n), _shifted_cells("below")
     arrivals, first, steps = {}, set(), set()
 
     def recording(c, S, T):
-        step = cells(c, S, T)
-        if step is not None:
-            arrivals[c, T] = arrivals.get((c, T), 0) + 1
-            if arrivals[c, T] == 1 and step[0]:
-                first.add((c, T))
-            steps.add(step[0])
+        step = key(c, S, T)
+        named = ids(c, step[0])
+        arrivals[c, T] = arrivals.get((c, T), 0) + 1
+        if arrivals[c, T] == 1 and named:
+            first.add((c, T))
+        steps.add((c, named))
         return step
 
     calls = [0]
@@ -1001,10 +1001,11 @@ def test_a_later_path_builds_no_product(monkeypatch):
         return count
 
     monkeypatch.setattr(Packed, "_times", counting(Packed._times))  # * is _times too
-    got = _transfer([lam], n, table, exact, (rule, recording))
+    got = _transfer([lam], n, table, exact, (rule, recording, ids))
     walked, calls[0] = calls[0], 0
-    for ids in steps - {()}:  # each distinct step's product, built once
-        reduce(operator.mul, (exact(table[fid]) ** e for fid, e in ids))
+    for _, named in steps:  # each distinct step's product, built once
+        if named:
+            reduce(operator.mul, (exact(table[fid]) ** e for fid, e in named))
     assert got[lam][1] == count_gtp(lam, n)
     assert sum(arrivals.values()) > 2 * len(arrivals)  # many later paths
     assert walked <= len(first) + calls[0]
@@ -1013,7 +1014,8 @@ def test_a_later_path_builds_no_product(monkeypatch):
 def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
     # the shape graph checks a shape's rule where it first meets the shape on
     # a level, not on every step into it, and the shifted tableaux and the GT
-    # patterns of one lam walk one graph; many steps reach each shape
+    # patterns of one lam walk one graph; many steps reach each shape, and
+    # each walk counts the cells of each of them once
     lam, n = (5, 3, 1), 3
     shifted, checks = weights._SHAPE_RULES["st"], Counter()
 
@@ -1027,18 +1029,20 @@ def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
     walks = ((factor_table("ST_XY", n), _shifted_cells("below")),
              (gt_table, _pattern_cells(gt_table)))
     steps = []
-    for table, (rule, cells) in walks:
+    for table, (rule, key, ids) in walks:
         assert rule is checking  # the family's steps carry the table's rule
         steps.append(0)
 
-        def stepping(c, S, T, cells=cells):
+        def stepping(c, S, T, key=key):
             steps[-1] += 1
-            return cells(c, S, T)
+            return key(c, S, T)
 
-        got = _transfer([lam], n, table, exact, (rule, stepping))
+        got = _transfer([lam], n, table, exact, (rule, stepping, ids))
         assert got[lam][1] == count_gtp(lam, n)
+    graph = identities._shape_graph(checking, n, (lam,))
     assert max(checks.values()) == 1
-    assert steps[0] == steps[1] > 2 * len(checks)
+    assert steps[0] == steps[1] == sum(len(sources) for _, sources, _ in graph)
+    assert steps[0] > 2 * len(checks)
 
 
 def test_every_grid_variant_walks_one_of_two_shape_graphs():
@@ -1179,18 +1183,24 @@ def test_a_symbolic_walk_writes_to_no_factor_or_product(monkeypatch, scheme):
 
 @pytest.mark.parametrize("scheme", ("ST_XY", "CPM_XY_ALT", "GT_QX"))
 def test_a_step_product_is_reduced_once(monkeypatch, scheme):
-    # each distinct step's product is its factors' powers multiplied
-    # unreduced (_times) but for the last product (*), so building it takes
-    # one reducing list operation, and each factor is lifted, and raised to
-    # each power past the first, once a walk
+    # each distinct (letter, ids)'s product is its factors' powers
+    # multiplied unreduced (_times) but for the last product (*), so building
+    # it takes one reducing list operation, and each factor is lifted, and
+    # raised to each power past the first, once a walk; the walk names the
+    # ids of each letter's keys once, and two keys of a letter name two ids
     n, targets = 3, [(5, 3, 1), (4, 3, 1), (3, 2, 1)]
-    table, (rule, cells) = _modular_steps(scheme, n, targets)
+    table, (rule, key, ids) = _modular_steps(scheme, n, targets)
     distinct, counts, reduced, right, lifted = set(), Counter(), [], {}, []
+    named = Counter()
 
     def recording(c, S, T):
-        step = cells(c, S, T)
-        distinct.add(step[0])
+        step = key(c, S, T)
+        distinct.add((c, ids(c, step[0])))
         return step
+
+    def naming(c, k):
+        named[c, k] += 1
+        return ids(c, k)
 
     def counting(name, op):
         def count(self, *args):
@@ -1208,16 +1218,17 @@ def test_a_step_product_is_reduced_once(monkeypatch, scheme):
         monkeypatch.setattr(Residues, name, counting(name, getattr(Residues, name)))
     sample = Sample(_sample(n, 8), MERSENNE31)
     _transfer(targets, n, table, lambda f: lifted.append(f) or sample.lift(f),
-              (rule, recording))
+              (rule, recording, naming))
+    assert max(named.values()) == 1 and len(named) == len(distinct)
     reductions = counts["__mul__"] + sum(id(value) in right for value in reduced)
-    assert reductions == sum(len(ids) > 1 for ids in distinct)
-    pairs = {pair for ids in distinct for pair in ids}
+    assert reductions == sum(len(step) > 1 for _, step in distinct)
+    pairs = {pair for _, step in distinct for pair in step}
     assert counts["__pow__"] == sum(e != 1 for _, e in pairs)
-    assert counts["__pow__"] < sum(e != 1 for ids in distinct for _, e in ids)
+    assert counts["__pow__"] < sum(e != 1 for _, step in distinct for _, e in step)
     # the factors the steps hold, besides 0 and 1
     assert sorted(map(LaurentPoly.to_text, lifted[2:])) == sorted(
         table[fid].to_text() for fid in {fid for fid, _ in pairs})
-    assert max(map(len, distinct)) >= 3  # where a product per factor pair costs more
+    assert max(len(step) for _, step in distinct) >= 3  # where a product per factor pair costs more
 
 
 def test_only_symbolic_mode_loads_the_rings():
@@ -1390,7 +1401,7 @@ def test_a_wider_compass_walk_gives_the_same_steps(scheme):
     # allowed by the shape rule, S <= T interlacing, rows from level k on kept
     lam, n = (4, 2, 1), 3
     table = factor_table(scheme, n)
-    (rule, narrow), (_, wide) = (_compass_cells(w, table) for w in (lam[0], lam[0] + 3))
+    (rule, narrow, _), (_, wide, _) = (_compass_cells(w, table) for w in (lam[0], lam[0] + 3))
     shapes = list(product(*(range(part + 1) for part in lam)))
     steps = 0
     for S, T in product(shapes, shapes):
