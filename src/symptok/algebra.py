@@ -462,7 +462,10 @@ class ResidueMismatchError(ValueError):
 class Sample:
     """One call's points of a prime field: the prime, the points, and the
     columns and powered columns that its lifts share (_values_mod).
-    ``lift`` gives a polynomial's Residues here."""
+    ``lift`` gives a polynomial's Residues here.  As a value space of the
+    engine, as a rings.PackedRing is, it also gives a value's term count,
+    None since residues count no terms (``terms``), and where two unequal
+    values first differ (``first_difference``)."""
 
     __slots__ = ("points", "prime", "columns", "powers")
 
@@ -475,6 +478,18 @@ class Sample:
         """The values of poly at the points, reduced, as _values_mod."""
         return Residues(poly._values_mod(self.points, self.prime, self.columns,
                                          self.powers), self)
+
+    def terms(self, value: "Residues") -> None:
+        return None
+
+    def first_difference(self, lhs: "Residues", rhs: "Residues") -> dict:
+        """Where two unequal values differ first: the first trial whose values
+        differ, its point by variable name in sorted variable order, and the
+        two values there."""
+        idx = next(i for i, (a, b) in enumerate(zip(lhs.values, rhs.values)) if a != b)
+        point = self.points[idx]
+        return {"trial": idx, "point": {var_name(v): point[v] for v in sorted(point)},
+                "lhsValue": lhs.values[idx], "rhsValue": rhs.values[idx]}
 
 
 class Residues:

@@ -20,11 +20,13 @@ and the acceptance tests run.
 verify() checks one (identity, mu, n) case either by exact polynomial
 expansion (SYMBOLIC) or by evaluation at seeded random points of a prime
 field (MODULAR).  One engine serves both modes; the mode only picks the
-value type that each local factor of weights.factor_table is lifted to: a
-rings.Packed of a ring packed in exactly the call's variables (one machine
-digit a monomial at n <= 3, _symbolic), or an algebra.Residues holding its
-values at the points of the call's algebra.Sample.  Public results and
-counterexamples come back as LaurentPoly.
+call's value space, one per call: a rings.PackedRing of exactly the call's
+variables (one machine digit a monomial at n <= 3, _symbolic), whose
+values are rings.Packed, or an algebra.Sample of seeded points, whose
+values are algebra.Residues.  The space lifts each local factor of
+weights.factor_table, counts a value's terms and reads where two values
+first differ, so one comparison (_compare) serves both modes, the sweeps
+and the ambiguity findings.  Public results come back as LaurentPoly.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
 letter, and the transfer sums the step products named by the weights
@@ -67,9 +69,7 @@ from .algebra import (
     Residues,
     Sample,
     is_prime,
-    monomial_text,
     random_point,
-    var_name,
     xvar,
     yvar,
 )
@@ -239,20 +239,17 @@ def rhs_factors(identity: str, n: int) -> List[LaurentPoly]:
     return factors(n, deformed=True) if row.keeps_t else factors(n)
 
 
-def _right_factors(identity: str, mus, n: int, lift: Lift):
-    """The right side of every mu of mus (partitions) as its two factors, in
-    the value type of lift: {mu: sp_mu} from one walk, and the product of
-    the rhs_factors, built once."""
-    staircase = reduce(operator.mul, map(lift, rhs_factors(identity, n)))
-    return _characters(mus, n, IDENTITY_ROWS[identity].keeps_t, lift), staircase
+def _staircase(identity: str, n: int, lift: Lift):
+    """The product of the identity's rhs_factors, in the value type of lift."""
+    return reduce(operator.mul, map(lift, rhs_factors(identity, n)))
 
 
 def rhs_product(identity: str, mu, n: int) -> LaurentPoly:
     """Exact expanded right side including the sp_mu factor."""
     def run(ring):
-        characters, staircase = _right_factors(identity, (mu,), n, ring.lift)
-        [value] = characters.values()
-        return ring.poly(value * staircase)
+        keeps_t = IDENTITY_ROWS[identity].keeps_t
+        [value] = _characters((mu,), n, keeps_t, ring.lift).values()
+        return ring.poly(value * _staircase(identity, n, ring.lift))
     return _symbolic(_identity_variables(identity, n), run)
 
 
@@ -525,24 +522,16 @@ def _identity_variables(identity: str, n: int) -> List:
     return out + [TVAR] if row.keeps_t else out
 
 
-def _first_difference(lhs: LaurentPoly, rhs: LaurentPoly) -> dict:
-    diff = lhs - rhs
-    mono = sorted(diff.terms)[0]
-    return {
-        "monomial": monomial_text(mono),
-        "lhsCoefficient": lhs.terms.get(mono, 0),
-        "rhsCoefficient": rhs.terms.get(mono, 0),
-    }
-
-
-def _check_modular(trials: int, seed: int, prime: int) -> None:
+def _check_modular(trials: int, seed: int, prime: int, sampled: bool = True) -> None:
     """Refuse trials, seeds and moduli under which "equal" would not be
-    earned or the report would not say what ran: a value that is not an
-    int, no trials at all, or a modulus that is not a prime of at least
-    2^16."""
+    earned or the report would not say what ran: in either mode a value
+    that is not an int, and when sampled no trials at all or a modulus that
+    is not a prime of at least 2^16."""
     for name, value in (("trials", trials), ("seed", seed), ("prime", prime)):
         if type(value) is not int:
             raise ModularParameterError(f"{name} must be an integer, got {value!r}")
+    if not sampled:
+        return
     if trials <= 0:
         raise ModularParameterError(f"trials must be positive, got {trials}")
     if prime >= MILLER_RABIN_BOUND:
@@ -571,13 +560,12 @@ def verify(identity: str, mu, n: int, mode: str = "symbolic", trials: int = 20,
 
 def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
                   prime: int, cpm_q_scheme: str, c0_mode: str,
-                  st_q_neighbour: str, right=None) -> List[VerificationReport]:
+                  st_q_neighbour: str) -> List[VerificationReport]:
     """verify() of every mu of mus, one report each, in their order.  The
     cases share one walk of the left sides, one walk of the sp_mu and one
-    staircase product; in modular mode they share the sample points too.
-    Symbolic mode computes in the packed ring of the identity's variables
-    (_symbolic).  right, if given, is a (ring, sp_mu, product) triple that
-    the caller shares, and the cases run in its ring.
+    staircase product, all in one value space, which is all the mode picks:
+    the packed ring of the identity's variables in symbolic mode
+    (_symbolic), and in modular mode a Sample of trials seeded points.
 
     Each report's millis is its share of the shared work (the walks and the
     product, split evenly) plus the time of its own comparison."""
@@ -586,18 +574,10 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
     if mode not in ("symbolic", "modular"):
         raise ValueError(f"unknown mode {mode!r}")
     scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
-    if mode == "modular":
-        _check_modular(trials, seed, prime)
+    sampled = mode == "modular"
+    _check_modular(trials, seed, prime, sampled)
     cases = [(mu, add_staircase(mu, n)) for mu in map(as_partition, mus)]
     mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
-    if mode == "symbolic":
-        table: Dict = {}  # GT row sub-counts, shared by the sweep's lams
-        for lam in lams:
-            count = count_gtp(lam, n, table)
-            if count > SYMBOLIC_OBJECT_CAP:
-                raise ScaleExceededError(
-                    f"{count} objects for lambda={lam}; symbolic mode expands at "
-                    f"most {SYMBOLIC_OBJECT_CAP}, modular mode has no such limit")
     params: dict = {}
     if identity == "COR_UASM_Q":
         params["cpm_q_scheme"] = cpm_q_scheme
@@ -605,58 +585,53 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
             params["c0_mode"] = c0_mode
     if identity == "COR_ST_Q" and st_q_neighbour != "below":
         params["st_q_neighbour"] = st_q_neighbour
-    if mode == "modular":
-        params.update({"trials": trials, "seed": seed, "prime": prime})
-
     variables = _identity_variables(identity, n)
 
-    def run(ring: Optional[PackedRing]) -> List[VerificationReport]:
+    def run(space: Union["PackedRing", Sample]) -> List[VerificationReport]:
         start = time.perf_counter()
-        if ring:
-            lift: Lift = ring.lift
-        else:
-            rng = random.Random(seed)
-            lift = Sample([random_point(variables, rng, prime) for _ in range(trials)],
-                          prime).lift
-        lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, lift)
-        characters, staircase = right[1:] if right else _right_factors(identity, mus, n, lift)
+        lefts = _left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour, space.lift)
+        characters = _characters(mus, n, IDENTITY_ROWS[identity].keeps_t, space.lift)
+        staircase = _staircase(identity, n, space.lift)
         shared = (time.perf_counter() - start) / len(mus)
 
-        zero, reports = lift(ZERO), []
+        zero, reports = space.lift(ZERO), []
         for mu, lam in cases:
             start = time.perf_counter()
             lhs, objects = lefts.pop(lam)
-            character = characters[mu]
-            terms = (lhs.num_terms(),) * 2 if ring else (None, None)
-            equal = lhs._iadd_product(character, staircase, -1)._reduce() == zero
-            counterexample = None
-            if not equal:  # lhs holds lhs - rhs now
-                rhs = character * staircase
-                lhs = lhs + rhs
-                if ring:
-                    terms = terms[0], rhs.num_terms()
-                    counterexample = _first_difference(ring.poly(lhs), ring.poly(rhs))
-                else:
-                    counterexample = _first_mismatch(lhs, rhs)
+            outcome = _compare(space, zero, lhs, characters[mu], staircase)
             millis = (shared + time.perf_counter() - start) * 1000.0
             reports.append(VerificationReport(
-                identity, n, mu, lam, mode.upper(), objects, *terms, equal,
-                counterexample, millis, dict(params)))
+                identity, n, mu, lam, mode.upper(), objects, *outcome, millis,
+                dict(params)))
         return reports
-    if mode == "modular":
-        return run(None)
-    return run(right[0]) if right else _symbolic(variables, run)
+    if sampled:
+        params.update({"trials": trials, "seed": seed, "prime": prime})
+        rng = random.Random(seed)
+        return run(Sample([random_point(variables, rng, prime) for _ in range(trials)],
+                          prime))
+    table: Dict = {}  # GT row sub-counts, shared by the sweep's lams
+    for lam in lams:
+        count = count_gtp(lam, n, table)
+        if count > SYMBOLIC_OBJECT_CAP:
+            raise ScaleExceededError(
+                f"{count} objects for lambda={lam}; symbolic mode expands at "
+                f"most {SYMBOLIC_OBJECT_CAP}, modular mode has no such limit")
+    return _symbolic(variables, run)
 
 
-def _first_mismatch(lhs: Residues, rhs: Residues) -> dict:
-    points = lhs.sample.points
-    idx = next(i for i, (a, b) in enumerate(zip(lhs.values, rhs.values)) if a != b)
-    return {
-        "trial": idx,
-        "point": {var_name(v): points[idx][v] for v in sorted(points[idx])},
-        "lhsValue": lhs.values[idx],
-        "rhsValue": rhs.values[idx],
-    }
+def _compare(space: Union["PackedRing", Sample], zero, lhs, character,
+             staircase) -> tuple:
+    """(lhs terms, rhs terms, equal, counterexample) of one case: lhs
+    against character * staircase, all values of space, and zero its lift
+    of ZERO.  lhs must be the caller's own, since the right side is
+    subtracted from it in place; the right side is multiplied out only
+    when the two differ, and the space reads their first difference."""
+    terms = space.terms(lhs)
+    if lhs._iadd_product(character, staircase, -1)._reduce() == zero:
+        return terms, terms, True, None
+    rhs = character * staircase
+    lhs = lhs + rhs  # lhs held lhs - rhs
+    return terms, space.terms(rhs), False, space.first_difference(lhs, rhs)
 
 
 def _sweep_shapes(max_weight: int, n: int):
@@ -678,9 +653,9 @@ def verify_sweep(identity: str, n: int, max_weight: int, mode: str = "symbolic",
     """verify() over all mu with |mu| <= max_weight, in (|mu|, mu) order,
     with the same reports but one walk of each side for the whole sweep.
 
-    The sweep runs serially; workers accepts only 1.
+    The sweep runs serially; workers accepts only the int 1.
     """
-    if workers != 1:
+    if type(workers) is not int or workers != 1:
         raise ValueError(f"the sweep runs serially; workers must be 1, got {workers}")
     return _verify_cases(identity, _sweep_shapes(max_weight, n), n, mode,
                          trials, seed, prime, cpm_q_scheme, c0_mode, st_q_neighbour)
@@ -781,18 +756,29 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
 
 
 def _ambiguity_findings(n: int, max_weight: int, mus, ring: PackedRing) -> dict:
-    """ambiguity_report's findings, computed in ring."""
+    """ambiguity_report's findings, computed in ring: each variant's left
+    side from a walk of its own, compared (_compare) with one sp_mu walk
+    times the one q or qx staircase product."""
+    lams = [add_staircase(mu, n) for mu in mus]
     characters = _characters(mus, n, False, ring.lift)
-    rights = {IDENTITY_ROWS[identity].product:
-              (ring, characters, reduce(operator.mul, map(ring.lift, rhs_factors(identity, n))))
-              for identity in ("COR_ST_Q", "COR_GT_QX")}
+    staircases = {IDENTITY_ROWS[identity].product: _staircase(identity, n, ring.lift)
+                  for identity in ("COR_ST_Q", "COR_GT_QX")}
+    zero = ring.lift(ZERO)
+
+    def finding(lefts, product):
+        """One variant's verdict per mu, and whether it holds for all of them."""
+        equal = [_compare(ring, zero, lefts[lam][0], characters[mu], staircases[product])[2]
+                 for mu, lam in zip(mus, lams)]
+        return {"satisfies": all(equal),
+                "cases": [{"mu": list(mu), "equal": e} for mu, e in zip(mus, equal)]}
 
     def sweep(identity, cpm_q_scheme="plain", c0_mode="full", st_q_neighbour="below"):
-        reports = _verify_cases(identity, mus, n, "symbolic", 20, 0, MERSENNE31,
-                                cpm_q_scheme, c0_mode, st_q_neighbour,
-                                rights[IDENTITY_ROWS[identity].product])
-        return _finding([(r.mu, r.equal) for r in reports])
+        scheme = _factor_scheme(identity, cpm_q_scheme, c0_mode, st_q_neighbour)
+        return finding(_left_side(identity, lams, n, scheme, c0_mode, st_q_neighbour,
+                                  ring.lift), IDENTITY_ROWS[identity].product)
 
+    # COR_GT_QX with the narrower L_e that stops at j = k-1
+    table = weights.factor_table("GT_QX", n)
     return {
         "n": n,
         "max_weight": max_weight,
@@ -812,29 +798,8 @@ def _ambiguity_findings(n: int, max_weight: int, mus, ring: PackedRing) -> dict:
         },
         "l_even_range": {
             "through_diagonal": sweep("COR_GT_QX"),
-            "stop_before_diagonal": _le_setbuilder_sweep(n, max_weight, rights["qx"]),
+            "stop_before_diagonal": finding(_transfer(
+                lams, n, table, ring.lift, weights._pattern_cells(table, narrow_le=True)),
+                "qx"),
         },
     }
-
-
-def _finding(cases: List[Tuple[Tuple[int, ...], bool]]) -> dict:
-    """One variant's verdict per mu, and whether it holds for all of them."""
-    return {"satisfies": all(equal for _, equal in cases),
-            "cases": [{"mu": list(mu), "equal": equal} for mu, equal in cases]}
-
-
-def _le_setbuilder_sweep(n: int, max_weight: int, right=None) -> dict:
-    """COR_GT_QX with the narrower L_e that stops at j = k-1 (right: see
-    _verify_cases)."""
-    cases = [(mu, add_staircase(mu, n)) for mu in _sweep_shapes(max_weight, n)]
-    mus, lams = [mu for mu, _ in cases], [lam for _, lam in cases]
-    table = weights.factor_table("GT_QX", n)
-
-    def run(ring: PackedRing) -> dict:
-        lefts = _transfer(lams, n, table, ring.lift,
-                          weights._pattern_cells(table, narrow_le=True))
-        characters, staircase = (right[1:] if right else
-                                 _right_factors("COR_GT_QX", mus, n, ring.lift))
-        return _finding([(mu, lefts[lam][0] == characters[mu] * staircase)
-                         for mu, lam in cases])
-    return run(right[0]) if right else _symbolic(_identity_variables("COR_GT_QX", n), run)

@@ -30,11 +30,13 @@ from .algebra import (
     _accumulate,
     _check_exponent,
     _drop_zeros,
+    _monomial,
     _power,
     _product_bounds,
     _slot,
     _slot_var,
     _unpack,
+    monomial_text,
     var_name,
 )
 
@@ -55,7 +57,10 @@ class PackedRing:
     """The Laurent polynomials in exactly the given variables, their
     monomials packed as a LaurentPoly packs them but with variables[s] in
     slot s, bits wide (_ring_bits unless given).  ``lift`` takes a
-    LaurentPoly in, and ``poly`` takes a value back out."""
+    LaurentPoly in, and ``poly`` takes a value back out.  As a value space
+    of the engine, as a Sample is, it also gives a value's term count
+    (``terms``) and where two unequal values first differ
+    (``first_difference``)."""
 
     __slots__ = ("variables", "bits", "max_exponent", "_slots", "_guard")
 
@@ -94,6 +99,17 @@ class PackedRing:
                  for key, c in value._terms.items() if c}
         return LaurentPoly._make(terms, max(
             (e for _, e in _unpack(value._bound, self.bits)), default=0))
+
+    def terms(self, value: "Packed") -> int:
+        return value.num_terms()
+
+    def first_difference(self, lhs: "Packed", rhs: "Packed") -> dict:
+        """Where two unequal values differ first: the least monomial of
+        lhs - rhs, with its coefficient in each."""
+        lhs, rhs = self.poly(lhs), self.poly(rhs)
+        key = min((lhs - rhs)._terms, key=_monomial)
+        return {"monomial": monomial_text(_monomial(key)),
+                "lhsCoefficient": lhs._terms.get(key, 0), "rhsCoefficient": rhs._terms.get(key, 0)}
 
     def _product_bound(self, a: "Packed", b: "Packed") -> int:
         """The bounds of a monomial of a times one of b: the sum of a's and

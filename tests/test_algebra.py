@@ -595,6 +595,51 @@ class TestPackedRing:
                 total * x1
 
 
+class TestValueSpaces:
+    """What the engine reads off a value space: a value's term count, and
+    where two unequal values first differ."""
+
+    def test_a_sample_reads_the_first_differing_trial(self):
+        # the point's variables come in sorted variable order (x before q),
+        # whatever order the point was built in
+        points = [{QVAR: 5, xvar(2): 7, xvar(1): 3}, {QVAR: 6, xvar(2): 8, xvar(1): 4},
+                  {QVAR: 1, xvar(2): 2, xvar(1): 9}]
+        space = Sample(points, 11)
+        lhs, rhs = Residues([1, 2, 3], space), Residues([1, 5, 4], space)
+        got = space.first_difference(lhs, rhs)
+        assert got == {"trial": 1, "point": {"x1": 4, "x2": 8, "q": 6},
+                       "lhsValue": 2, "rhsValue": 5}
+        assert list(got["point"]) == ["x1", "x2", "q"]
+        assert list(got) == ["trial", "point", "lhsValue", "rhsValue"]
+
+    def test_a_ring_reads_the_least_differing_monomial(self):
+        # at the ring's own width and at 16 bits, reduced or not
+        three = LaurentPoly.const(3)
+        cases = [
+            (three + mono({xvar(1): 1}, 2) + Q, three + mono({xvar(1): 1}, 5) + Q * Q,
+             ("x1", 2, 5)),
+            (three + Q, three + Q + mono({xvar(1): -1}), ("x1^-1", 0, 1)),
+            (ONE + Q ** 2, Q ** 2, ("1", 1, 0)),
+        ]
+        variables = [xvar(1), QVAR]
+        for ring in (PackedRing(variables), PackedRing(variables, 16)):
+            for lhs, rhs, (monomial, a, b) in cases:
+                want = {"monomial": monomial, "lhsCoefficient": a, "rhsCoefficient": b}
+                assert ring.first_difference(ring.lift(lhs), ring.lift(rhs)) == want
+                x1 = ring.lift(X1)  # x1^2 is in no lhs: added and taken away, it stays at 0
+                unreduced = ring.lift(lhs)._iadd_product(x1, x1)._iadd_product(x1, x1, -1)
+                assert 0 in unreduced._terms.values()
+                assert ring.first_difference(unreduced, ring.lift(rhs)) == want
+
+    def test_a_ring_counts_terms_and_a_sample_does_not(self):
+        ring = PackedRing([xvar(1), QVAR])
+        for p in (LaurentPoly.zero(), ONE, X1 + Q, (X1 + Q + ONE) ** 3):
+            assert ring.terms(ring.lift(p)) == p.num_terms()
+        space = sample(7, 2)
+        assert space.terms(Residues([3, 5], space)) is None
+        assert space.terms(Residues([0, 0], space)) is None
+
+
 class TestInPlace:
     """The private multiply-accumulate _iadd_product writes self + sign*a*b
     into the value it is called on and agrees with +, - and *."""

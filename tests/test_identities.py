@@ -59,7 +59,6 @@ from symptok.identities import (
     VerificationReport,
     _factor_scheme,
     _identity_variables,
-    _le_setbuilder_sweep,
     _left_side,
     _reaches,
     _transfer,
@@ -360,6 +359,20 @@ class TestInputChecks:
         # a float ended in a raw TypeError, a bool in the report as true
         with pytest.raises(ModularParameterError, match="integer"):
             verify("THM_ST", (1,), 2, "modular", **knobs)
+
+    @pytest.mark.parametrize("knobs", [
+        {"trials": "x"}, {"seed": 1.5}, {"prime": 4.0}, {"trials": True},
+        {"seed": "0"}, {"prime": False},
+    ])
+    def test_symbolic_mode_checks_the_parameter_types(self, knobs):
+        # symbolic mode reads no trials, seed or prime, but a value of the
+        # wrong type is still refused, as in modular mode; only the
+        # positivity and primality checks are modular-only
+        for call in (lambda: verify("THM_ST", (1,), 2, **knobs),
+                     lambda: verify_sweep("THM_ST", 2, 1, **knobs)):
+            with pytest.raises(ModularParameterError, match="integer"):
+                call()
+        assert verify("THM_ST", (1,), 2, trials=0, prime=4).equal
 
     def test_smallest_and_large_primes_are_accepted(self):
         for prime in (65537, 2 ** 61 - 1):
@@ -697,7 +710,7 @@ class TestSweeps:
         assert all(r.equal for r in reports)
 
     def test_workers_other_than_one_are_rejected(self):
-        for workers in (0, 2, 4):
+        for workers in (0, 2, 4, True, 1.0):
             with pytest.raises(ValueError, match="workers"):
                 verify_sweep("COR_GT", 2, 2, workers=workers)
 
@@ -708,7 +721,6 @@ class TestSweeps:
             lambda: verify_sweep("THM_ST", 2, -1),
             lambda: verify_sweep("COR_GT", 3, -5, "modular", trials=4),
             lambda: ambiguity_report(2, -1),
-            lambda: _le_setbuilder_sweep(2, -1),
             lambda: verify_sweep("THM_ST", 2, 1.5),
             lambda: verify_sweep("THM_ST", 2, True),
         ]
@@ -900,12 +912,12 @@ def counted(monkeypatch):
 
 def test_a_sweep_walks_each_side_once(counted):
     # one left-side walk and one sp_mu walk per sweep, each over every mu,
-    # and one staircase product; the narrow L_e control too
+    # and one staircase product (the ambiguity report's narrow L_e control:
+    # test_the_ambiguity_report_walks_sp_mu_once)
     walks, products = counted
     cases = len(list(partitions_up_to(3, 2)))
     for sweep in (lambda: verify_sweep("COR_UASM", 2, 3),
-                  lambda: verify_sweep("PROP_T", 2, 3, "modular", trials=2),
-                  lambda: _le_setbuilder_sweep(2, 3)):
+                  lambda: verify_sweep("PROP_T", 2, 3, "modular", trials=2)):
         walks.clear()
         products.clear()
         sweep()
@@ -1332,7 +1344,6 @@ def test_a_ring_too_narrow_runs_again_at_16_bits(monkeypatch):
         lambda: verify("COR_UASM_Q", (1,), 2, cpm_q_scheme="norm",
                        c0_mode="literal").to_json_dict(False),
         lambda: ambiguity_report(2, 1),
-        lambda: _le_setbuilder_sweep(2, 2),
         lambda: sp_mu((2, 1), 2, deformed=True),
         lambda: rhs_product("PROP_T", (1,), 2),
     ]
