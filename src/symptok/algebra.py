@@ -41,7 +41,7 @@ keeps results canonical.  Values are immutable after construction: every
 operator allocates a fresh result, except that ``p ** 1`` is p itself.  The
 exceptions are the private ``_iadd_product``, a multiply-accumulate, and
 ``_reduce``, which write into a value that only their caller holds.  One
-loop (_accumulate) multiplies and accumulates for every packing.
+loop (_accumulate) adds, multiplies and accumulates for every packing.
 """
 
 from __future__ import annotations
@@ -352,18 +352,9 @@ class LaurentPoly:
     def __add__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
-            big, small = small, big
-        out = dict(big)
-        get = out.get
-        for mono, c in small.items():
-            s = get(mono, 0) + c
-            if s:
-                out[mono] = s
-            else:
-                del out[mono]
-        return LaurentPoly._make(out, max(self._bound, other._bound))
+        if len(self._terms) < len(other._terms):
+            return other._plus(self, 1)
+        return self._plus(other, 1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly._make({m: -c for m, c in self._terms.items()}, self._bound)
@@ -371,7 +362,13 @@ class LaurentPoly:
     def __sub__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
+
+    def _plus(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, accumulated into a copy of self's terms."""
+        return LaurentPoly._make(
+            _drop_zeros(_accumulate(dict(self._terms), other._terms, {0: 1}, sign)),
+            max(self._bound, other._bound))
 
     def __mul__(self, other) -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):

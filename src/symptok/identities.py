@@ -25,14 +25,15 @@ variables (one machine digit a monomial at n <= 3, _symbolic), whose
 values are rings.Packed, or an algebra.Sample of seeded points, whose
 values are algebra.Residues.  The space lifts each local factor of
 weights.factor_table, counts a value's terms and reads where two values
-first differ, so one comparison (_compare) serves both modes, the sweeps
-and the ambiguity findings.  Public results come back as LaurentPoly.
+first differ, so one comparison (_compare) serves both modes and the
+sweeps, and its in-place check (_holds) the ambiguity findings.  Public
+results come back as LaurentPoly.
 Every left side, and sp_mu on the right, goes through one letter-step
 transfer: every object of every family is a path of shapes, one strip per
 letter, and the transfer sums the step products named by the weights
-module's step callbacks over all paths, merging paths that reach the same
-shape.  Which steps the paths take depends only on the family's shape
-rule, the rank and the targets, so one graph serves every family: the
+module's step callbacks (weights._weighing) over all paths, merging paths
+that reach the same shape.  Which steps the paths take depends only on the
+family's shape rule, the rank and the targets, so one graph serves every family: the
 shifted tableaux, the U-turn ASMs and the GT patterns share a rule, and
 _shape_graph keeps the SHAPE_GRAPHS_KEPT most recently used graphs, at 8
 bytes a step.
@@ -76,11 +77,11 @@ from .algebra import (
 from .shapes import (  # InvalidRankError is re-exported for the callers of verify
     InvalidRankError,
     RankTooSmallError,
+    _step_ranges,
     add_staircase,
     as_partition,
     as_rank,
     count_gtp,
-    letter_level,
     partitions_up_to,
 )
 # the convention errors are re-exported for the callers of verify
@@ -194,8 +195,9 @@ def sp_mu(mu, n: int, deformed: bool = False) -> LaurentPoly:
 def _characters(mus, n: int, deformed: bool, lift: Lift) -> Dict[tuple, object]:
     """sp_mu, or its t-deformation, of every mu of mus (partitions), in the
     value type of lift, from one walk."""
-    table = weights.factor_table("T_DEFORMED" if deformed else "T", n)
-    walked = _transfer(mus, n, table, lift, weights._letter_cells)
+    table, steps, _ = weights._weighing("T_DEFORMED" if deformed else "T", n, 0, "below",
+                                        "full")
+    walked = _transfer(mus, n, table, lift, steps)
     return {mu: value for mu, (value, _, _) in walked.items()}
 
 
@@ -271,22 +273,17 @@ def _factor_scheme(identity: str, cpm_q_scheme: str, c0_mode: str,
 def _left_side(identity: str, lams, n: int, scheme: str, c0_mode: str,
                st_q_neighbour: str, lift: Lift) -> Dict[tuple, tuple]:
     """{lam: (left side, object count)} for every lam of lams (strict, of
-    length n), in the value type of lift, from one walk under the steps of
-    the family that scheme weighs.  A U-turn ASM's columns past
-    lam_1 are all SE, a code that no factor table holds, so one walk as
-    wide as the widest lam weighs every target's matrices."""
-    table = weights.factor_table(scheme, n)
-    steps = weights._step_cells(scheme, table, max(lam[0] for lam in lams),
-                                st_q_neighbour)
+    length n), in the value type of lift, from one walk under the scheme's
+    weighing, times its prefactor.  A U-turn ASM's columns past lam_1 are
+    all SE, a code that no factor table holds, so one walk as wide as the
+    widest lam weighs every target's matrices."""
+    table, steps, prefactor = weights._weighing(scheme, n, max(lam[0] for lam in lams),
+                                                st_q_neighbour, c0_mode)
     counts_primed = IDENTITY_ROWS[identity].counts_primed
-    prefactor = (lift(weights.cpm_q_norm_prefactor(n, c0_mode))
-                 if scheme == "CPM_Q_NORM" else None)
-    out = {}
-    for lam, (total, count, primed) in _transfer(lams, n, table, lift, steps).items():
-        if prefactor is not None:
-            total = total * prefactor
-        out[lam] = (total, primed if counts_primed else count)
-    return out
+    factor = None if prefactor == ONE else lift(prefactor)
+    return {lam: (total if factor is None else total * factor,
+                  primed if counts_primed else count)
+            for lam, (total, count, primed) in _transfer(lams, n, table, lift, steps).items()}
 
 
 # -- the letter-step transfer ------------------------------------------------------
@@ -316,34 +313,26 @@ def _shape_graph(rule, n: int, targets: Tuple[tuple, ...]) -> tuple:
     T among these, grouped by source, the last source first.
 
     The cells with letter <= c form a shape S_c, so a tableau is a path
-    S_0 = (0, ..., 0) -> S_1 -> ... -> S_2n = lam of row lengths.  Row i
-    (from 0) holds no letter below level i + 1 (T3, ST4), and a cell of
-    letter c needs a smaller letter at its offset in row i - 1 (directly
-    above it by T2, up-left on its diagonal by ST3), so step c takes S to
-    the T with S_i <= T_i <= min(top_i, S_(i-1)), top the componentwise
-    maximum of the targets.  A shape is kept, checked once per letter and
-    nowhere else, while rule(c, T) allows it and some target can still be
-    reached (_reaches).  A graph costs 8 bytes a step besides its shapes;
-    the SHAPE_GRAPHS_KEPT most recently used are kept, and each is shared:
-    nothing may write to it."""
+    S_0 = (0, ..., 0) -> S_1 -> ... -> S_2n = lam of row lengths, and step
+    c takes S to the T whose rows lie in _step_ranges(S, c, top), top the
+    componentwise maximum of the targets.  A shape is kept, checked once
+    per letter and nowhere else, while rule(c, T) allows it and some target
+    can still be reached (_reaches).  A graph costs 8 bytes a step besides
+    its shapes; the SHAPE_GRAPHS_KEPT most recently used are kept, and each
+    is shared: nothing may write to it."""
     from array import array  # an extension module: loaded on the first walk
     width = len(targets[0]) if targets else 0
     top = tuple(map(max, zip(*targets)))
     shapes, graph = ((0,) * width,), []
     for c in range(1, 2 * n + 1):
-        rows, letters_left = min(width, letter_level(c)), 2 * n - c
         index, reached = {}, []  # T -> its index, or -1 where it is not kept
         sources, dests = array("I"), array("I")
         for i in range(len(shapes) - 1, -1, -1):
-            S = shapes[i]
-            ranges = [range(S[r], min(top[r], S[r - 1] if r else top[0]) + 1)
-                      for r in range(rows)]
-            for head in product(*ranges):
-                T = head + S[rows:]
+            for T in product(*_step_ranges(shapes[i], c, top)):
                 j = index.get(T)
                 if j is None:
                     j = index[T] = len(reached) if rule(c, T) and any(
-                        _reaches(T, lam, letters_left) for lam in targets) else -1
+                        _reaches(T, lam, 2 * n - c) for lam in targets) else -1
                     if j >= 0:
                         reached.append(T)
                 if j >= 0:
@@ -362,12 +351,12 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     gives it, and (lift(ZERO), 0, 0) for a lam that no path reaches.
 
     A tableau is a path of shapes, one per letter (_shape_graph).  steps is
-    a family's (rule, key, ids) triple from the weights module: rule(c, T)
+    a family's (rule, key, names) triple from weights._weighing: rule(c, T)
     says whether letter c may take a path to T, key(c, S, T) gives an
     allowed step's key, a flat tuple of cell counts, and its count of free
-    cells, and ids(c, key) the (id, power) pairs of every step of letter c
-    with that key; S_c is also GT pattern row c and the column sums of a
-    U-turn ASM after alphabet row c.
+    cells, and names(c) the ids that the key's positions count (the step's
+    pairs, weights._pairs); S_c is also GT pattern row c and the column
+    sums of a U-turn ASM after alphabet row c.
     Which steps the paths take depends only on the rule, the rank and the
     targets, so one cached graph serves every family of a rule: the shifted
     tableaux, the GT patterns and the U-turn ASMs share theirs.  The targets
@@ -378,11 +367,12 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
 
     Each factor is lifted, and raised to each power past the first, once a
     walk, when a step first needs it.  Each letter keeps one product dict
-    by key: the walk calls key once per step, and ids and the product f of
-    the named powers only for a key the letter has not seen, so it builds
-    one product per letter and id list.  Memory follows one letter's shapes
-    and the next: each shape is dropped once its steps are taken, and merges
-    add in place into the sums the walk owns.  The first path to reach T
+    by key: the walk calls names once per letter, key once per step, and
+    _pairs and the product f of the named powers only for a key the letter
+    has not seen, so it builds one product per letter and id list.  Memory
+    follows one letter's shapes and the next: each shape is dropped once
+    its steps are taken, and merges add in place into the sums the walk
+    owns.  The first path to reach T
     stores value * f unreduced (_times), or value itself when the key names
     no ids (f = 1); a later one adds value * f into the sum in place,
     unreduced (_iadd_product), once a sum the walk does not own has been
@@ -399,7 +389,7 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
             raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
     width = max(map(len, lams), default=0)
     padded = [lam + (0,) * (width - len(lam)) for lam in lams]
-    rule, key, ids = steps
+    rule, key, names = steps
     graph = _shape_graph(rule, n, tuple(sorted(set(padded))))
     powers = {}  # (fid, e) -> lift(table[fid]) ** e, made on first use
 
@@ -419,6 +409,7 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     shapes, level = ((0,) * width,), [[one, 1, 1, False]]
     for c, (reached, sources, dests) in enumerate(graph, start=1):
         nxt = [None] * len(reached)
+        named = names(c)
         products = {}  # key -> the product of its ids, one when it has none
         i = -1
         for source, j in zip(sources, dests):
@@ -431,9 +422,9 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
             k, free = key(c, S, reached[j])
             f = products.get(k)
             if f is None:
-                named, f = ids(c, k), one
-                if named:
-                    *rest, last = map(power, named)
+                pairs, f = weights._pairs(named, k), one
+                if pairs:
+                    *rest, last = map(power, pairs)
                     f = reduce(lambda a, b: a._times(b), rest) * last if rest else last
                 products[k] = f
             primed_t, old = primed << free, nxt[j]
@@ -619,15 +610,20 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
     return _symbolic(variables, run)
 
 
+def _holds(zero, lhs, character, staircase) -> bool:
+    """Whether lhs, the caller's own, equals character * staircase, values
+    of the space whose lift of ZERO is zero; lhs is left holding lhs - rhs."""
+    return lhs._iadd_product(character, staircase, -1)._reduce() == zero
+
+
 def _compare(space: Union["PackedRing", Sample], zero, lhs, character,
              staircase) -> tuple:
     """(lhs terms, rhs terms, equal, counterexample) of one case: lhs
-    against character * staircase, all values of space, and zero its lift
-    of ZERO.  lhs must be the caller's own, since the right side is
-    subtracted from it in place; the right side is multiplied out only
-    when the two differ, and the space reads their first difference."""
+    against character * staircase, all values of space (_holds).  The
+    right side is multiplied out only when the two differ, and the space
+    reads their first difference."""
     terms = space.terms(lhs)
-    if lhs._iadd_product(character, staircase, -1)._reduce() == zero:
+    if _holds(zero, lhs, character, staircase):
         return terms, terms, True, None
     rhs = character * staircase
     lhs = lhs + rhs  # lhs held lhs - rhs
@@ -757,7 +753,7 @@ def ambiguity_report(n: int = 2, max_weight: int = 2) -> dict:
 
 def _ambiguity_findings(n: int, max_weight: int, mus, ring: PackedRing) -> dict:
     """ambiguity_report's findings, computed in ring: each variant's left
-    side from a walk of its own, compared (_compare) with one sp_mu walk
+    side from a walk of its own, checked (_holds) against one sp_mu walk
     times the one q or qx staircase product."""
     lams = [add_staircase(mu, n) for mu in mus]
     characters = _characters(mus, n, False, ring.lift)
@@ -767,7 +763,7 @@ def _ambiguity_findings(n: int, max_weight: int, mus, ring: PackedRing) -> dict:
 
     def finding(lefts, product):
         """One variant's verdict per mu, and whether it holds for all of them."""
-        equal = [_compare(ring, zero, lefts[lam][0], characters[mu], staircases[product])[2]
+        equal = [_holds(zero, lefts[lam][0], characters[mu], staircases[product])
                  for mu, lam in zip(mus, lams)]
         return {"satisfies": all(equal),
                 "cases": [{"mu": list(mu), "equal": e} for mu, e in zip(mus, equal)]}

@@ -146,6 +146,18 @@ def letter_str(code: int, primed: bool = False) -> str:
     return s + "'" if primed else s
 
 
+def _step_ranges(S: Tuple[int, ...], c: int, top: Tuple[int, ...]) -> List[range]:
+    """The values row r (from 0) of T may take in a step S -> T of letter c,
+    S and top of one length: S_r <= T_r <= min(top_r, S_(r-1)) below level
+    k = letter_level(c) and T_r = S_r from row k on, since row r holds no
+    letter below level r + 1 (T3, ST4) and a cell of letter c needs a
+    smaller letter at its offset in row r - 1 (T2, ST3).  With top = T, T
+    is such a step exactly when each T_r lies in its range."""
+    k = letter_level(c)
+    return [range(s, min(cap, S[r - 1] if r else cap) + 1) if r < k else range(s, s + 1)
+            for r, (s, cap) in enumerate(zip(S, top))]
+
+
 # -- compass codes --------------------------------------------------------------
 
 #: The codes of a compass point matrix: +1 is WE, -1 is NS, and a 0 is coded

@@ -32,29 +32,29 @@ Which factors an object takes is written once, as step callbacks.  The
 cells of a tableau with letter <= c form a shape S_c, so a tableau is a path
 S_0 -> ... -> S_2n of shapes, which are also the rows of a GT pattern and
 the column sums of a U-turn ASM after each alphabet row.  A family's steps
-are a triple (rule, key, ids): its shape rule (_SHAPE_RULES) says which
-shapes a step may reach, key(c, S, T) counts the cells of a step of letter
-c into a flat tuple of small ints, and ids(c, key) names the factors of
-every step of letter c with that key, two keys of one letter naming two
-different id lists.  The engine (identities._transfer) keeps one product
-per letter and key and sums the products over all paths; path_weight
-multiplies the named factors along one path.  Only wgt_qt weighs cell by
-cell: it weighs one priming, which the summed QT_DEFORMED factors do not
-see.  The per-object weights of tests/oracles.py share only factor_table
-with the callbacks, as the independent check of both.
+are a triple (rule, key, names) (_weighing, with the table and prefactor):
+its shape rule (_SHAPE_RULES) says which shapes a step may reach, key(c,
+S, T) counts the cells of a step of letter c into a flat tuple of small
+ints, and names(c) lists the ids that the key's positions count (_pairs).
+The engine (identities._transfer) keeps one product per letter and key
+and sums the products over all paths; path_weight multiplies the named
+factors along one path.  Only wgt_qt weighs cell by cell: it weighs one
+priming, which the summed QT_DEFORMED factors do not see.  The per-object
+weights of tests/oracles.py share only factor_table with the callbacks,
+as the independent check of both.
 
 SCHEMES holds one row per scheme the CLI speaks: the object family it weighs
 and the convention knobs it reads.  Adding a scheme is one row there, with
-its factors in factor_table and its family's steps in _step_cells.
+its factors in factor_table and its family's steps in _weighing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
-from operator import itemgetter
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
@@ -63,6 +63,7 @@ from .algebra import ONE, QVAR, TVAR, LaurentPoly, xvar, yvar
 from .shapes import (
     CPM_CODES,
     UnknownConventionError,
+    _step_ranges,
     as_rank,
     letter,
     letter_level,
@@ -253,7 +254,7 @@ def qx_weight_factored(g: SympGTPattern) -> str:
     """GT_QX's display form like ``(1+q)^7 * q^7 * x2 * x4^-4``: B, Ro+Le
     and the x exponents are the counts of its ids along g's path."""
     counts = Counter()
-    for fid, e in _path_ids(g, "GT_QX")[2]:
+    for fid, e in _path_ids(g, "GT_QX")[1]:
         counts[fid] += e
     powers = [("(1+q)", counts[("B",)]), ("q", counts[("q",)])] + [
         (f"x{k}", counts[("x", k, 1)] - counts[("x", k, -1)]) for k in range(1, g.n + 1)]
@@ -266,7 +267,7 @@ def qx_weight_factored(g: SympGTPattern) -> str:
 # Every scheme weighs an object by a product of local factors.
 # factor_table(scheme, n) names every factor that is not 1 by a small id;
 # the step callbacks below count each step of a path into a key and name
-# the ids of each key.
+# the id that each position of the key counts.
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -313,12 +314,17 @@ def factor_table(scheme: str, n: int) -> Mapping[object, LaurentPoly]:
 
 # -- step callbacks -------------------------------------------------------------------
 #
-# A family's steps (rule, key, ids): rule(c, T) says whether letter c may reach
-# T, key(c, S, T) counts an allowed step's cells into a flat tuple of small
-# ints and gives its free cells, and ids(c, key) names the (id, power) pairs
-# of every step of letter c with that key.  Two keys of one letter name
-# different ids, so a walk names and multiplies each letter's factors once
-# per key.
+# A family's steps (rule, key, names): rule(c, T) says whether letter c may
+# reach T, key(c, S, T) counts an allowed step's cells into a flat tuple of
+# small ints and gives its free cells, and names(c) lists, in key order, the
+# factor ids that the key's positions count.  Two keys of one letter name
+# different (id, power) pairs, so a walk names and multiplies each letter's
+# factors once per key.
+
+
+def _pairs(names, key) -> tuple:
+    """The (id, power) pairs of a step: each nonzero count with its name."""
+    return tuple([(fid, e) for fid, e in zip(names, key) if e])
 
 
 def _shifted_step(c: int, T) -> bool:
@@ -333,14 +339,10 @@ def _letter_key(c: int, S, T):
     return (sum(T) - sum(S),), 0
 
 
-def _letter_ids(c: int, key):
-    return ((c, key[0]),) if key[0] else ()
-
-
 #: Each family's shape rule: ordinary tableaux may reach every shape.
 _SHAPE_RULES = {"t": lambda c, T: True,
                 **dict.fromkeys(("st", "qt", "uasm", "gtp"), _shifted_step)}
-_letter_cells = _SHAPE_RULES["t"], _letter_key, _letter_ids
+_letter_cells = _SHAPE_RULES["t"], _letter_key, lambda c: (c,)
 
 
 def _shifted_cells(neighbour: str):
@@ -365,10 +367,9 @@ def _shifted_cells(neighbour: str):
                     frees += 1
         return (lefts, nears, frees), frees
 
-    def ids(c: int, key):
-        cases = ((c, "left"), (c, neighbour), (c, "free"))
-        return tuple([(fid, e) for fid, e in zip(cases, key) if e])
-    return _SHAPE_RULES["st"], key, ids
+    def names(c: int):
+        return (c, "left"), (c, neighbour), (c, "free")
+    return _SHAPE_RULES["st"], key, names
 
 
 def _pattern_cells(table: Mapping, narrow_le: bool = False):
@@ -402,13 +403,12 @@ def _pattern_cells(table: Mapping, narrow_le: bool = False):
                     r if odd else l + (not diagonal and not narrow_le)), 0
         return (grown, b + diagonal, l + (not diagonal), r), 0
 
-    def ids(c: int, key):
+    def names(c: int):
         k, odd = letter_level(c), c % 2
         marks = [("B",), ("q",)] if statistics else [
             ("u" if odd else "b", mark, k) for mark in "BLR"]
-        return tuple([(fid, e) for fid, e in zip([("x", k, 1 if odd else -1)] + marks, key)
-                      if e and fid in table])
-    return _SHAPE_RULES["gtp"], key, ids
+        return [("x", k, 1 if odd else -1)] + marks
+    return _SHAPE_RULES["gtp"], key, names
 
 
 def _compass_cells(width: int, table: Mapping):
@@ -425,19 +425,20 @@ def _compass_cells(width: int, table: Mapping):
     the walk's steps give them, so the row is read by merging the two part
     tuples from the right: a part of both is a zero under a mark, a part of
     one is WE or NS, and the columns between two parts are zeros under no
-    mark, all of one code.  The key holds the counts of only the codes that
-    the table holds in row c, in id order, and last whether the row takes
-    the TURN factor; which codes those are is decided once per letter."""
-    letters: Dict[int, tuple] = {}  # c -> the key's picker, and whether TURN is held
-
-    def codes(c: int) -> List[str]:  # the codes the table holds in row c, in id order
-        return [code for code in sorted(CPM_CODES) if (code, c) in table]
+    mark, all of one code.  The key holds the counts of only the ids that
+    the table holds in row c: its codes in id order, then whether the row
+    takes the TURN factor where the table holds one; which ids those are
+    is decided once per letter."""
+    counted = CPM_CODES + (_TURN,)  # the positions of the counts below
+    letters: Dict[int, tuple] = {}  # c -> the ids held in row c, their picker, TURN held
 
     def held(c: int) -> tuple:
-        return itemgetter(*map(CPM_CODES.index, codes(c)), 6), (_TURN, c) in table
+        named = tuple((code, c) for code in (*sorted(CPM_CODES), _TURN) if (code, c) in table)
+        turn = (_TURN, c) in table
+        return named, itemgetter(*(counted.index(code) for code, _ in named)), turn
 
     def key(c: int, S, T):
-        pick, turn = letters.get(c) or letters.setdefault(c, held(c))
+        _, pick, turn = letters.get(c) or letters.setdefault(c, held(c))
         si, ti = iter(S), iter(T)
         s, t = next(si, 0), next(ti, 0)
         right = width + 1  # the column right of the unread ones
@@ -465,28 +466,26 @@ def _compass_cells(width: int, table: Mapping):
             sw += right - 1
         if turn:  # column 1 is WE, or a zero with the row summing to 1 east of it
             turn = east != 0 if (1 in S) == (1 in T) else 1 in T
-        # the counts in CPM_CODES order
+        # the counts in counted's order
         return pick((we, ns, ne, width - we - ns - ne - nw - sw, nw, sw, turn)), 0
 
-    def ids(c: int, key):
-        out = [((code, c), e) for code, e in zip(codes(c), key) if e]
-        if key[-1]:
-            out.append(((_TURN, c), 1))
-        return tuple(out)
-    return _SHAPE_RULES["uasm"], key, ids
+    def names(c: int) -> tuple:
+        return (letters.get(c) or letters.setdefault(c, held(c)))[0]
+    return _SHAPE_RULES["uasm"], key, names
 
 
-def _step_cells(scheme: str, table: Mapping, width: int, neighbour: str):
-    """The steps (rule, key, ids) of the family that scheme weighs; width is
-    the column count of a U-turn ASM, and neighbour the ST_Q reading."""
-    family = _row(scheme).family
-    if family == "t":
-        return _letter_cells
-    if family == "uasm":
-        return _compass_cells(width, table)
-    if family == "gtp":
-        return _pattern_cells(table)
-    return _shifted_cells(neighbour)  # "st", and "qt" summed over primings
+def _weighing(scheme: str, n: int, width: int, neighbour: str, c0_mode: str):
+    """scheme's factor_table at rank n, the steps (rule, key, names) of the
+    family it weighs, and its prefactor, ONE but under CPM_Q_NORM; width is
+    a U-turn ASM's column count, neighbour the ST_Q reading and c0_mode the
+    CPM_Q_NORM prefactor mode."""
+    table, family = factor_table(scheme, n), _row(scheme).family
+    steps = (_letter_cells if family == "t"
+             else _compass_cells(width, table) if family == "uasm"
+             else _pattern_cells(table) if family == "gtp"
+             else _shifted_cells(neighbour))  # "st", and "qt" summed over primings
+    prefactor = cpm_q_norm_prefactor(n, c0_mode) if scheme == "CPM_Q_NORM" else ONE
+    return table, steps, prefactor
 
 
 # -- one object's path ----------------------------------------------------------------
@@ -524,13 +523,12 @@ def _path(obj, family: str) -> Tuple[int, List[tuple]]:
                for c in range(1, 2 * n + 1)]
 
 
-def _path_ids(obj, scheme: str, neighbour: str = "below"):
-    """The rank of obj, the scheme's factor table, and the (fid, e) that the
-    scheme's steps name, ids(c, key(c, S, T)), for each step S -> T of obj's
-    path from S_0 = 0.  A step that leaves S_i <= T_i <= S_(i-1), or changes a row
-    i >= k at level k (the engine's walk takes neither), or reaches a shape
-    that the family's shape rule refuses raises ForbiddenPathError; an
-    object of another family UnknownSchemeError."""
+def _path_ids(obj, scheme: str, neighbour: str = "below", c0_mode: str = "full"):
+    """The scheme's factor table, the (fid, e) that its steps name for each
+    step S -> T of obj's path from S_0 = 0, and its prefactor (_weighing).
+    A step with a row outside its _step_ranges (the engine's walk takes
+    none) or to a shape that the family's shape rule refuses raises
+    ForbiddenPathError; an object of another family UnknownSchemeError."""
     from .matrices import SympGTPattern, UTurnASM
     from .tableaux import ShiftedTableau, SymplecticTableau
     # the class whose rows give each family's paths; QT_DEFORMED weighs a
@@ -543,35 +541,30 @@ def _path_ids(obj, scheme: str, neighbour: str = "below"):
     n, path = _path(obj, family)
     if family == "t":  # its own letters only: a high letter needs no table of its rank
         table = {code: _letter_factor(scheme, code) for row in obj.rows for code in row}
+        steps, prefactor = _letter_cells, ONE
     else:
-        table = factor_table(scheme, n)
-    rule, key, ids = _step_cells(scheme, table, obj.m if family == "uasm" else 0, neighbour)
+        table, steps, prefactor = _weighing(scheme, n, obj.m if family == "uasm" else 0,
+                                            neighbour, c0_mode)
+    rule, key, names = steps
     S, out = (0,) * len(path[0]), []
     for c, T in enumerate(path, start=1):
-        k = letter_level(c)
-        if not (all(s <= t for s, t in zip(S, T)) and S[k:] == T[k:]
-                and all(t <= s for t, s in zip(T[1:], S)) and rule(c, T)):
+        if not (all(t in r for t, r in zip(T, _step_ranges(S, c, T))) and rule(c, T)):
             raise ForbiddenPathError(f"no {family} object steps from {S} to {T} by letter {c}")
-        out += ids(c, key(c, S, T)[0])
+        out += _pairs(names(c), key(c, S, T)[0])
         S = T
-    return n, table, out
+    return table, out, prefactor
 
 
 def path_weight(obj, scheme: str, neighbour: str = "below",
                 c0_mode: str = "full") -> LaurentPoly:
     """obj's weight under scheme: the product of table[fid] ** e over the
-    (fid, e) of the steps of its path (_path_ids), times the prefactor
-    under CPM_Q_NORM.  The knobs go through check_conventions."""
+    (fid, e) of the steps of its path, times the scheme's prefactor
+    (_path_ids).  The knobs go through check_conventions."""
     check_conventions(scheme, f"scheme {scheme}", c0_mode=c0_mode,
                       st_q_neighbour=neighbour)
-    n, table, ids = _path_ids(obj, scheme, neighbour)
-    factors = [table[fid] for fid, e in ids for _ in range(e)]
-    if scheme == "CPM_Q_NORM":
-        factors.append(cpm_q_norm_prefactor(n, c0_mode))
-    out = ONE
-    for f in sorted(factors, key=LaurentPoly.num_terms):  # one-term factors first
-        out = out * f
-    return out
+    table, ids, prefactor = _path_ids(obj, scheme, neighbour, c0_mode)
+    factors = [table[fid] for fid, e in ids for _ in range(e)] + [prefactor]
+    return reduce(mul, sorted(factors, key=LaurentPoly.num_terms), ONE)  # one-term first
 
 
 # -- the traced per-object weights ----------------------------------------------------

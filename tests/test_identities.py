@@ -936,6 +936,24 @@ def test_the_ambiguity_report_walks_sp_mu_once(counted):
     assert sorted(products) == ["COR_GT_QX", "COR_ST_Q"]
 
 
+def test_the_ambiguity_report_builds_no_counterexample(monkeypatch):
+    # its findings read only whether each case holds, so the rejected
+    # variants' failing cases are never multiplied out or read for a
+    # counterexample
+    first_difference, calls = rings.PackedRing.first_difference, []
+
+    def counting(self, lhs, rhs):
+        calls.append(1)
+        return first_difference(self, lhs, rhs)
+
+    monkeypatch.setattr(rings.PackedRing, "first_difference", counting)
+    report = ambiguity_report(2, 2)
+    assert report["st_q_neighbour"]["above"]["satisfies"] is False
+    assert calls == []
+    assert verify("COR_UASM_Q", (), 2, cpm_q_scheme="norm", c0_mode="literal").counterexample
+    assert calls == [1]
+
+
 def test_sweeps_write_to_no_shared_value(monkeypatch):
     # the walk adds in place only into sums it made, and each case subtracts
     # in place only from its own left side: ONE, ZERO, the cached factor
@@ -992,12 +1010,12 @@ def test_a_later_path_builds_no_product(monkeypatch):
     # into that sum in place, so the walk multiplies once per first arrival
     # with ids, besides building each distinct (letter, ids)'s product once
     lam, n = (5, 3, 1), 3
-    table, (rule, key, ids) = factor_table("ST_XY", n), _shifted_cells("below")
+    table, (rule, key, names) = factor_table("ST_XY", n), _shifted_cells("below")
     arrivals, first, steps = {}, set(), set()
 
     def recording(c, S, T):
         step = key(c, S, T)
-        named = ids(c, step[0])
+        named = weights._pairs(names(c), step[0])
         arrivals[c, T] = arrivals.get((c, T), 0) + 1
         if arrivals[c, T] == 1 and named:
             first.add((c, T))
@@ -1013,7 +1031,7 @@ def test_a_later_path_builds_no_product(monkeypatch):
         return count
 
     monkeypatch.setattr(Packed, "_times", counting(Packed._times))  # * is _times too
-    got = _transfer([lam], n, table, exact, (rule, recording, ids))
+    got = _transfer([lam], n, table, exact, (rule, recording, names))
     walked, calls[0] = calls[0], 0
     for _, named in steps:  # each distinct step's product, built once
         if named:
@@ -1041,7 +1059,7 @@ def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
     walks = ((factor_table("ST_XY", n), _shifted_cells("below")),
              (gt_table, _pattern_cells(gt_table)))
     steps = []
-    for table, (rule, key, ids) in walks:
+    for table, (rule, key, names) in walks:
         assert rule is checking  # the family's steps carry the table's rule
         steps.append(0)
 
@@ -1049,7 +1067,7 @@ def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
             steps[-1] += 1
             return key(c, S, T)
 
-        got = _transfer([lam], n, table, exact, (rule, stepping, ids))
+        got = _transfer([lam], n, table, exact, (rule, stepping, names))
         assert got[lam][1] == count_gtp(lam, n)
     graph = identities._shape_graph(checking, n, (lam,))
     assert max(checks.values()) == 1
@@ -1097,11 +1115,9 @@ def test_a_modular_verify_reads_each_point_column_once(monkeypatch):
 
 
 def _modular_steps(scheme, n, targets):
-    table = factor_table(scheme, n)
-    if scheme == "T":
-        return table, _letter_cells
-    width = max(lam[0] for lam in targets)
-    return table, weights._step_cells(scheme, table, width, "below")
+    width = max(lam[0] for lam in targets) if scheme in CPM_SCHEMES else 0
+    table, steps, _ = weights._weighing(scheme, n, width, "below", "full")
+    return table, steps
 
 
 def _sample(n, seed):
@@ -1198,21 +1214,21 @@ def test_a_step_product_is_reduced_once(monkeypatch, scheme):
     # each distinct (letter, ids)'s product is its factors' powers
     # multiplied unreduced (_times) but for the last product (*), so building
     # it takes one reducing list operation, and each factor is lifted, and
-    # raised to each power past the first, once a walk; the walk names the
-    # ids of each letter's keys once, and two keys of a letter name two ids
+    # raised to each power past the first, once a walk; the walk pairs the
+    # names of each letter's keys once, and two keys of a letter name two ids
     n, targets = 3, [(5, 3, 1), (4, 3, 1), (3, 2, 1)]
-    table, (rule, key, ids) = _modular_steps(scheme, n, targets)
+    table, (rule, key, names) = _modular_steps(scheme, n, targets)
     distinct, counts, reduced, right, lifted = set(), Counter(), [], {}, []
-    named = Counter()
+    named, pairs = Counter(), weights._pairs
 
     def recording(c, S, T):
         step = key(c, S, T)
-        distinct.add((c, ids(c, step[0])))
+        distinct.add((c, pairs(names(c), step[0])))
         return step
 
-    def naming(c, k):
-        named[c, k] += 1
-        return ids(c, k)
+    def naming(names_c, k):  # each letter's names hold its letter or level and side
+        named[tuple(names_c), k] += 1
+        return pairs(names_c, k)
 
     def counting(name, op):
         def count(self, *args):
@@ -1228,9 +1244,10 @@ def test_a_step_product_is_reduced_once(monkeypatch, scheme):
 
     for name in ("__mul__", "__pow__", "_reduce", "_times", "_iadd_product"):
         monkeypatch.setattr(Residues, name, counting(name, getattr(Residues, name)))
+    monkeypatch.setattr(weights, "_pairs", naming)
     sample = Sample(_sample(n, 8), MERSENNE31)
     _transfer(targets, n, table, lambda f: lifted.append(f) or sample.lift(f),
-              (rule, recording, naming))
+              (rule, recording, names))
     assert max(named.values()) == 1 and len(named) == len(distinct)
     reductions = counts["__mul__"] + sum(id(value) in right for value in reduced)
     assert reductions == sum(len(step) > 1 for _, step in distinct)

@@ -19,7 +19,10 @@ resolve the way its tracer resolves it, so that renaming or removing one
 fails here rather than in a traced benchmark run.
 
 The shifted shape rule is named once, in the family rule table of
-``weights``, so no step callback checks shapes itself.
+``weights``, so no step callback checks shapes itself.  The interlacing
+step rule is written once, as ``shapes._step_ranges``: the engine's shape
+graph and ``weights._path_ids`` are its only readers, and ``weights`` names
+a step's factors by position (``names``), with no ``ids`` callback.
 """
 
 import ast
@@ -146,3 +149,29 @@ def test_each_shape_rule_is_named_once_and_no_callback_checks_shapes():
                and [t.id for t in node.targets] == ["_SHAPE_RULES"]]
     [(stem, line)] = named
     assert stem == "weights" and table.lineno <= line <= table.end_lineno
+
+
+def _readers(name: str) -> list:
+    """(module, top-level function) of each reference to name, by a name or
+    an attribute, in src/symptok; the function is None outside one."""
+    out = []
+    for path in MODULES:
+        for node in _tree(path).body:
+            owner = node.name if isinstance(node, ast.FunctionDef) else None
+            out += [(path.stem, owner) for sub in ast.walk(node)
+                    if isinstance(sub, ast.Name) and sub.id == name
+                    or isinstance(sub, ast.Attribute) and sub.attr == name]
+    return out
+
+
+def test_the_step_rule_is_read_by_the_graph_and_the_path_check_alone():
+    # the shape graph generates every walk's steps from the step ranges and
+    # path_weight checks an object's steps against them; the step callbacks
+    # name their factors by key position, so no ids callback or _step_cells
+    # is left to pair counts with ids a second way
+    assert sorted(_readers("_step_ranges")) == [("identities", "_shape_graph"),
+                                                 ("weights", "_path_ids")]
+    defined = {node.name for node in ast.walk(_tree(PACKAGE / "weights.py"))
+               if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"ids", "_letter_ids", "_step_cells"}
+    assert _readers("_step_cells") == []

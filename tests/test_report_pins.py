@@ -14,31 +14,17 @@ Re-record it only for a change that means to alter reports:
 import json
 import os
 
-from symptok.identities import verify, verify_big_modular, verify_sweep
+from symptok.identities import (GRID_VARIANTS, REJECTED_VARIANTS, verify, verify_big_modular,
+                                 verify_sweep)
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures",
                        "pinned_reports.json")
-
-VARIANTS = (
-    ("PROP_T", {}),
-    ("COR_Q", {}),
-    ("THM_ST", {}),
-    ("COR_UASM", {}),
-    ("COR_GT", {}),
-    ("COR_ST_Q", {}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "plain"}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "full"}),
-    ("COR_GT_Q", {}),
-    ("COR_GT_QX", {}),
-    ("COR_UASM_Q", {"cpm_q_scheme": "norm", "c0_mode": "literal"}),
-    ("COR_ST_Q", {"st_q_neighbour": "above"}),
-)
 
 
 def pinned_reports():
     """(label, --no-timing report) of every pinned case, in fixture order."""
     out = []
-    for identity, knobs in VARIANTS:
+    for identity, knobs in GRID_VARIANTS + REJECTED_VARIANTS:
         label = identity + "".join(f" {k}={v}" for k, v in knobs.items())
         for n in (1, 2):
             for r in verify_sweep(identity, n, 2, "symbolic", **knobs):

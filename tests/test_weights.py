@@ -24,7 +24,7 @@ from oracles import (
     wgt_t,
 )
 from symptok.algebra import QVAR, TVAR, LaurentPoly, xvar, yvar
-from symptok.identities import GRID_RANKS
+from symptok.identities import GRID_RANKS, _shape_graph
 from symptok.shapes import add_staircase, letter, partitions_up_to
 from symptok.bijections import gtp_to_st, st_to_gtp, st_to_uasm, uasm_to_cpm
 from symptok.matrices import (SympGTPattern, UTurnASM, enumerate_gtp, enumerate_uasm,
@@ -32,11 +32,14 @@ from symptok.matrices import (SympGTPattern, UTurnASM, enumerate_gtp, enumerate_
 from symptok.tableaux import (ShiftedTableau, SymplecticTableau, enumerate_st, enumerate_t,
                               primings, validate_st, validate_t)
 from symptok.weights import (
+    CONVENTIONS,
+    SCHEMES,
     ForbiddenPathError,
     UnknownConventionError,
     UnknownSchemeError,
     UnusedConventionError,
     _path,
+    _weighing,
     cpm_q_norm_prefactor,
     factor_table,
     path_weight,
@@ -418,6 +421,29 @@ def test_factored_qx_weight_names_the_oracle_polynomial():
     for mu, n in PATH_CASES:
         for g in path_objects("gtp", mu, n):
             assert factored_value(qx_weight_factored(g)) == qx_weight(g), g
+
+
+@pytest.mark.parametrize("scheme", (*SCHEMES, "T"))
+def test_each_key_position_names_a_table_id(scheme):
+    # names(c) lists, in key order, the ids that a step's counts count: at
+    # every rank n <= 4 and ST_Q reading each id named is in the table and
+    # each step's key has one count per name, and every id of the table is
+    # named by some letter under some reading
+    reads = SCHEMES[scheme].reads if scheme in SCHEMES else ()
+    readings = CONVENTIONS["st_q_neighbour"] if "st_q_neighbour" in reads else ("below",)
+    for n in range(1, 5):
+        lam, named = add_staircase((1,), n), set()
+        for neighbour in readings:
+            table, (rule, key, names), _ = _weighing(scheme, n, lam[0], neighbour, "full")
+            ids = {fid for c in range(1, 2 * n + 1) for fid in names(c)}
+            assert ids <= set(table), (n, neighbour, ids - set(table))
+            named |= ids
+            shapes = ((0,) * n,)
+            for c, (reached, sources, dests) in enumerate(_shape_graph(rule, n, (lam,)), 1):
+                assert {len(key(c, shapes[i], reached[j])[0])
+                        for i, j in zip(sources, dests)} == {len(names(c))}, (n, c)
+                shapes = reached
+        assert set(table) <= named, (n, set(table) - named)
 
 
 def small_objects():
