@@ -36,7 +36,9 @@ that reach the same shape.  Which steps the paths take depends only on the
 family's shape rule, the rank and the targets, so one graph serves every family: the
 shifted tableaux, the U-turn ASMs and the GT patterns share a rule, and
 _shape_graph keeps the SHAPE_GRAPHS_KEPT most recently used graphs, at 8
-bytes a step.
+bytes a step.  A graph counts the paths into each target as it is built,
+so every object count is read from it: the reports', the symbolic cap's,
+count_gtp's and the fallback search's.
 What the walk keeps at a shape does not depend on where the paths go next,
 so one walk serves many targets too: verify_sweep walks every mu's left
 side at once and every sp_mu at once, and verify is the same engine with
@@ -75,13 +77,14 @@ from .algebra import (
     yvar,
 )
 from .shapes import (  # InvalidRankError is re-exported for the callers of verify
+    BadLengthError,
     InvalidRankError,
     RankTooSmallError,
     _step_ranges,
     add_staircase,
     as_partition,
     as_rank,
-    count_gtp,
+    as_strict_partition,
     partitions_up_to,
 )
 # the convention errors are re-exported for the callers of verify
@@ -300,34 +303,39 @@ def _reaches(T, lam, letters_left: int) -> bool:
         sum(b <= a < top for b, top in zip(T, lam)) <= letters_left for a in T))
 
 
-#: Largest number of shape graphs kept: a symbolic_grid pass walks six.
+#: Largest number of shape graphs kept: an at_scale call walks eight.
 SHAPE_GRAPHS_KEPT = 16
 
 
 @lru_cache(maxsize=SHAPE_GRAPHS_KEPT)
 def _shape_graph(rule, n: int, targets: Tuple[tuple, ...]) -> tuple:
-    """The steps of rank-n paths under rule towards targets (zero-padded
-    to one length), per letter c = 1, ..., 2n: the shapes S_c reached, in
-    the order first reached, and the steps S -> T into them as two
-    array('I') of the indices of S among the shapes of letter c - 1 and of
-    T among these, grouped by source, the last source first.
+    """(letters, paths): the steps of rank-n paths under rule towards
+    targets (zero-padded to one length), and the number of paths that reach
+    each shape of the last letter, {target: count}.  letters holds, per
+    letter c = 1, ..., 2n, the shapes S_c reached, in the order first
+    reached, and the steps S -> T into them as two array('I') of the
+    indices of S among the shapes of letter c - 1 and of T among these,
+    grouped by source, the last source first.
 
     The cells with letter <= c form a shape S_c, so a tableau is a path
     S_0 = (0, ..., 0) -> S_1 -> ... -> S_2n = lam of row lengths, and step
     c takes S to the T whose rows lie in _step_ranges(S, c, top), top the
     componentwise maximum of the targets.  A shape is kept, checked once
     per letter and nowhere else, while rule(c, T) allows it and some target
-    can still be reached (_reaches).  A graph costs 8 bytes a step besides
-    its shapes; the SHAPE_GRAPHS_KEPT most recently used are kept, and each
-    is shared: nothing may write to it."""
+    can still be reached (_reaches).  Each step adds the paths into its
+    source to those into its target: under the shifted rule a target's
+    paths are its shifted tableaux, U-turn ASMs and GT patterns.  A graph
+    costs 8 bytes a step besides its shapes; the SHAPE_GRAPHS_KEPT most
+    recently used are kept, and each is shared: nothing may write to it."""
     from array import array  # an extension module: loaded on the first walk
     width = len(targets[0]) if targets else 0
     top = tuple(map(max, zip(*targets)))
-    shapes, graph = ((0,) * width,), []
+    shapes, paths, letters = ((0,) * width,), [1], []
     for c in range(1, 2 * n + 1):
-        index, reached = {}, []  # T -> its index, or -1 where it is not kept
+        index, reached, into = {}, [], []  # T -> its index, or -1 where it is not kept
         sources, dests = array("I"), array("I")
         for i in range(len(shapes) - 1, -1, -1):
+            through = paths[i]
             for T in product(*_step_ranges(shapes[i], c, top)):
                 j = index.get(T)
                 if j is None:
@@ -335,18 +343,45 @@ def _shape_graph(rule, n: int, targets: Tuple[tuple, ...]) -> tuple:
                         _reaches(T, lam, 2 * n - c) for lam in targets) else -1
                     if j >= 0:
                         reached.append(T)
+                        into.append(0)
                 if j >= 0:
                     sources.append(i)
                     dests.append(j)
-        shapes = tuple(reached)
-        graph.append((shapes, sources, dests))
-    return tuple(graph)
+                    into[j] += through
+        shapes, paths = tuple(reached), into
+        letters.append((shapes, sources, dests))
+    return tuple(letters), dict(zip(shapes, paths))
+
+
+def _graph_of(targets, n: int, rule) -> tuple:
+    """(lams, padded, graph): each shape of targets as as_partition gives
+    it, each zero-padded to the widest, and the cached _shape_graph of rule
+    at rank n towards them.  The targets are checked before the cache is
+    read, so a refused call adds no graph."""
+    lams = [as_partition(lam) for lam in targets]
+    for lam in lams:
+        if len(lam) > n:
+            raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
+    width = max(map(len, lams), default=0)
+    padded = [lam + (0,) * (width - len(lam)) for lam in lams]
+    return lams, padded, _shape_graph(rule, n, tuple(sorted(set(padded))))
+
+
+def count_gtp(lam, n: int) -> int:
+    """|GT^lambda(n)|: the paths into lam of the shifted-rule shape graph
+    of (lam,), the graph that a walk of lam's left side reads too."""
+    n = as_rank(n)
+    lam = as_strict_partition(lam)
+    if len(lam) != n:
+        raise BadLengthError(f"{lam} does not have length n={n}")
+    _, _, (_, paths) = _graph_of((lam,), n, weights._SHAPE_RULES["gtp"])
+    return paths.get(lam, 0)
 
 
 def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple, tuple]:
     """For each shape lam of targets, the sum over the rank-n tableaux of
     shape lam of the product of their cells' factors table[fid], in the
-    value type of lift, with the tableau count and the primed count
+    value type of lift, with the graph's tableau count and the primed count
     (2^free per tableau): {lam: (value, count, primed)}, lam as as_partition
     gives it, and (lift(ZERO), 0, 0) for a lam that no path reaches.
 
@@ -360,9 +395,9 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     Which steps the paths take depends only on the rule, the rank and the
     targets, so one cached graph serves every family of a rule: the shifted
     tableaux, the GT patterns and the U-turn ASMs share theirs.  The targets
-    are checked before the cache is read, so a refused call adds no graph.
-    Each shape maps to the summed product, count and primed count of its
-    paths, which do not depend on where the paths go next, so one walk
+    are checked before the cache is read, so a refused call adds no graph
+    (_graph_of).  Each shape maps to the summed product and primed count of
+    its paths, which do not depend on where the paths go next, so one walk
     serves every target.
 
     Each factor is lifted, and raised to each power past the first, once a
@@ -383,14 +418,8 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
     or a factor's power) is written to, and each returned value is reduced
     and the caller's own to write to.
     """
-    lams = [as_partition(lam) for lam in targets]
-    for lam in lams:
-        if len(lam) > n:
-            raise RankTooSmallError(f"shape {lam} needs more than n={n} rows")
-    width = max(map(len, lams), default=0)
-    padded = [lam + (0,) * (width - len(lam)) for lam in lams]
     rule, key, names = steps
-    graph = _shape_graph(rule, n, tuple(sorted(set(padded))))
+    lams, padded, (letters, paths) = _graph_of(targets, n, rule)
     powers = {}  # (fid, e) -> lift(table[fid]) ** e, made on first use
 
     def power(pair):
@@ -405,9 +434,9 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
         return f
 
     zero, one = lift(ZERO), lift(ONE)
-    # per shape: [value, count, primed, whether the walk owns value]
-    shapes, level = ((0,) * width,), [[one, 1, 1, False]]
-    for c, (reached, sources, dests) in enumerate(graph, start=1):
+    # per shape: [value, primed, whether the walk owns value]
+    shapes, level = ((0,) * len(padded[0]) if padded else (),), [[one, 1, False]]
+    for c, (reached, sources, dests) in enumerate(letters, start=1):
         nxt = [None] * len(reached)
         named = names(c)
         products = {}  # key -> the product of its ids, one when it has none
@@ -415,7 +444,7 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
         for source, j in zip(sources, dests):
             if source != i:
                 i, S = source, shapes[source]
-                value, count, primed, made = level[i]
+                value, primed, made = level[i]
                 level[i] = None
                 if made:
                     value._reduce()
@@ -429,20 +458,18 @@ def _transfer(targets, n: int, table: Mapping, lift: Lift, steps) -> Dict[tuple,
                 products[k] = f
             primed_t, old = primed << free, nxt[j]
             if old is None:
-                nxt[j] = [value if f is one else value._times(f), count, primed_t,
-                          f is not one]
+                nxt[j] = [value if f is one else value._times(f), primed_t, f is not one]
                 continue
-            if not old[3]:
-                old[0], old[3] = old[0] + zero, True
+            if not old[2]:
+                old[0], old[2] = old[0] + zero, True
             old[0]._iadd_product(value, f)
-            old[1] += count
-            old[2] += primed_t
+            old[1] += primed_t
         shapes, level = reached, nxt
     ends = dict(zip(shapes, level))
     out = {}
     for lam, end in zip(lams, padded):
-        value, count, primed, made = ends.get(end) or (zero, 0, 0, False)
-        out[lam] = (value._reduce() if made else value + zero, count, primed)
+        value, primed, made = ends.get(end) or (zero, 0, False)
+        out[lam] = (value._reduce() if made else value + zero, paths.get(end, 0), primed)
     return out
 
 
@@ -600,9 +627,10 @@ def _verify_cases(identity: str, mus, n: int, mode: str, trials: int, seed: int,
         rng = random.Random(seed)
         return run(Sample([random_point(variables, rng, prime) for _ in range(trials)],
                           prime))
-    table: Dict = {}  # GT row sub-counts, shared by the sweep's lams
+    # the paths of the graph that the left side walks, from the same cache
+    _, _, (_, paths) = _graph_of(lams, n, weights._SHAPE_RULES[weights._row(scheme).family])
     for lam in lams:
-        count = count_gtp(lam, n, table)
+        count = paths.get(lam, 0)
         if count > SYMBOLIC_OBJECT_CAP:
             raise ScaleExceededError(
                 f"{count} objects for lambda={lam}; symbolic mode expands at "
@@ -660,20 +688,16 @@ def verify_sweep(identity: str, n: int, max_weight: int, mode: str = "symbolic",
 # -- the big modular case ---------------------------------------------------------
 
 
-def largest_feasible_subshape(target, cap: int, table: Optional[Dict] = None
-                              ) -> Tuple[Tuple[int, ...], int]:
-    """Largest (by weight, then lex) strict lambda contained in target whose
-    staircase complement is a partition and whose object count is <= cap.
+def largest_feasible_subshape(target, cap: int) -> Tuple[Tuple[int, ...], int]:
+    """Largest (by weight, then lex) strict lambda contained in target, a
+    strict partition, whose staircase complement is a partition and whose
+    object count is <= cap.
 
-    Candidates are tried from the largest down, so the first one that fits
-    is the answer and the larger ones are the only ones counted.  Every
-    candidate is counted through one dict of GT row sub-counts (count_gtp's
-    table), so a row below several candidates is counted once; it is the
-    caller's table if one is passed, else a fresh one freed on return.
+    The candidates of one length are counted together, as the paths into
+    the targets of one shifted-rule shape graph of that rank; a target
+    that is no strict partition is refused before any graph is built.
     """
-    if table is None:
-        table = {}
-    target = tuple(target)
+    target = as_strict_partition(target)
 
     def strict(prefix: Tuple[int, ...], length: int):
         i = len(prefix)
@@ -685,13 +709,15 @@ def largest_feasible_subshape(target, cap: int, table: Optional[Dict] = None
             yield from strict(prefix + (v,), length)
 
     # every strict lambda has a partition lambda - delta as its complement
-    candidates = [lam for length in range(len(target), 0, -1)
-                  for lam in strict((), length)]
-    for lam in sorted(candidates, key=lambda lam: (sum(lam), lam), reverse=True):
-        cnt = count_gtp(lam, len(lam), table)
-        if cnt <= cap:
-            return lam, cnt
-    raise ScaleExceededError(f"no subshape of {target} fits under {cap}")
+    fits = []
+    for length in range(len(target), 0, -1):
+        lams, _, (_, paths) = _graph_of(list(strict((), length)), length,
+                                        weights._SHAPE_RULES["gtp"])
+        fits += [((sum(lam), lam), paths[lam]) for lam in lams if paths[lam] <= cap]
+    if not fits:
+        raise ScaleExceededError(f"no subshape of {target} fits under {cap}")
+    (_, lam), count = max(fits)
+    return lam, count
 
 
 def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
@@ -705,20 +731,18 @@ def verify_big_modular(mu, n: int, trials: int = 20, seed: int = 0,
     verify itself now runs the requested case in modular mode whatever its
     size.  It stays while the at_scale benchmark pins its answer.
 
-    The requested count and every candidate count of the search share one
-    dict of GT row sub-counts, so each row is counted once per call; the
-    dict is freed when the call returns.
+    Every count is read from a cached shape graph: the requested one from
+    the graph of lambda, which verify's left side would walk, and the
+    search's from one graph per candidate length.
     """
     _check_modular(trials, seed, prime)
     mu = as_partition(mu)
     lam = add_staircase(mu, n)
-    table: Dict = {}
-    count = count_gtp(lam, n, table)
+    count = count_gtp(lam, n)
     if count <= FALLBACK_OBJECT_CAP:
         return verify("THM_ST", mu, n, "modular", trials=trials, seed=seed,
                       prime=prime)
-    fallback_lam, fallback_count = largest_feasible_subshape(
-        lam, FALLBACK_OBJECT_CAP, table)
+    fallback_lam, fallback_count = largest_feasible_subshape(lam, FALLBACK_OBJECT_CAP)
     fn = len(fallback_lam)
     fmu = tuple(fallback_lam[i] - (fn - i) for i in range(fn))
     report = verify("THM_ST", fmu, fn, "modular", trials=trials, seed=seed,

@@ -29,6 +29,10 @@ Each pattern position carries exactly one of three saturation marks:
       B strict on both sides, L equal on the left, R equal on the right
   diagonal j=k:  B/L by m(k,k) > 0 vs = 0, and mb(k,k) > m(k,k) vs equal;
       the R mark never occurs on the diagonal.
+
+enumerate_gtp builds the patterns row by row from the top (_interlace);
+count_gtp, re-exported from the engine, counts them without building any,
+as the paths of a shape graph (identities._shape_graph).
 """
 
 from __future__ import annotations
@@ -36,17 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
-# CPM_CODES and the GT row counting live in shapes, where the engine reads
-# them without this module; they are re-exported here
-from .shapes import (
-    CPM_CODES,
-    BadLengthError,
-    _count_below,
-    _interlace,
-    as_rank,
-    as_strict_partition,
-    count_gtp,
-)
+# count_gtp reads the engine's shape graph, and CPM_CODES lives in shapes,
+# where the engine reads it without this module; both are re-exported here
+from .identities import count_gtp
+from .shapes import CPM_CODES, BadLengthError, as_rank, as_strict_partition
 
 
 class DimensionMismatchError(ValueError):
@@ -249,6 +246,30 @@ def validate_gtp(g: SympGTPattern) -> Tuple[bool, List[str]]:
         if g.m(k, k) == 0 and g.mb(k, k) == 0:
             bad.append(f"seed: m({k},{k}) and mb({k},{k}) are both 0")
     return (not bad, bad)
+
+
+def _interlace(above: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
+    """Strictly decreasing nonnegative rows r of the given length with
+    above[j] >= r[j] >= above[j+1] (a missing above[j+1] reads as 0), in
+    lexicographic order.
+
+    Rows are built entry by entry, so no row that breaks strictness is
+    formed.  low[j] is the least r[j] that leaves room for a strict tail, so
+    every prefix built extends to at least one row.
+    """
+    if length == 0:
+        return [()]
+    padded = above + (0,) * (length + 1 - len(above))
+    low = list(padded[1:length + 1])
+    for j in range(length - 2, -1, -1):
+        low[j] = max(low[j], low[j + 1] + 1)
+    if any(low[j] > padded[j] for j in range(length)):
+        return []
+    rows = [(v,) for v in range(low[0], padded[0] + 1)]
+    for j in range(1, length):
+        lo, hi = low[j], padded[j]
+        rows = [r + (v,) for r in rows for v in range(lo, min(hi, r[-1] - 1) + 1)]
+    return rows
 
 
 def enumerate_gtp(lam, n: int) -> Iterator[SympGTPattern]:

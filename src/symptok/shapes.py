@@ -10,13 +10,13 @@ i-1 cells, so row i covers columns i .. i+lambda_i-1.
 
 The verification engine (weights and identities) reads the rest of this
 module, so that it builds on shapes alone and loads no object family: the
-compass codes of a U-turn ASM's entries, the convention error, and the
-count of GT patterns row by row.  The object modules re-export them.
+compass codes of a U-turn ASM's entries and the convention error.  The
+object modules re-export them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 
 class RankTooSmallError(ValueError):
@@ -171,70 +171,3 @@ _ZERO_CODES: Dict[Tuple[int, int], str] = {
     (1, 1): "NW",
     (-1, 1): "SW",
 }
-
-
-# -- GT pattern rows ---------------------------------------------------------------
-
-
-def _interlace(above: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
-    """Strictly decreasing nonnegative rows r of the given length with
-    above[j] >= r[j] >= above[j+1] (a missing above[j+1] reads as 0), in
-    lexicographic order.
-
-    Rows are built entry by entry, so no row that breaks strictness is
-    formed.  low[j] is the least r[j] that leaves room for a strict tail, so
-    every prefix built extends to at least one row.  count_gtp expands a
-    row once per table of sub-counts; the fallback search shares one table
-    across its candidates, freed when the search returns.
-    """
-    if length == 0:
-        return [()]
-    padded = above + (0,) * (length + 1 - len(above))
-    low = list(padded[1:length + 1])
-    for j in range(length - 2, -1, -1):
-        low[j] = max(low[j], low[j + 1] + 1)
-    if any(low[j] > padded[j] for j in range(length)):
-        return []
-    rows = [(v,) for v in range(low[0], padded[0] + 1)]
-    for j in range(1, length):
-        lo, hi = low[j], padded[j]
-        rows = [r + (v,) for r in rows for v in range(lo, min(hi, r[-1] - 1) + 1)]
-    return rows
-
-
-def count_gtp(lam, n: int, table: Optional[Dict] = None) -> int:
-    """|GT^lambda(n)|, counted top-down without materialising patterns.
-
-    The patterns below a row depend only on that row and on whether it is
-    barred (its level is its length), so each row's sub-count is computed
-    once and kept in table.  Callers that count several shapes, like
-    identities.verify_big_modular's fallback search, pass one dict to every
-    call and share the sub-counts; without it each call counts in a fresh
-    dict, freed when it returns.
-    """
-    n = as_rank(n)
-    lam = as_strict_partition(lam)
-    if len(lam) != n:
-        raise BadLengthError(f"{lam} does not have length n={n}")
-    return _count_below(lam, True, {} if table is None else table)
-
-
-def _count_below(row: Tuple[int, ...], barred: bool, table: Dict) -> int:
-    """Patterns below row k' (barred) or row k (unbarred), k = len(row),
-    read from or added to table."""
-    key = (row, barred)
-    count = table.get(key)
-    if count is not None:
-        return count
-    count = 0
-    if barred:
-        for r in _interlace(row, len(row)):
-            if r[-1] or row[-1]:  # seed rule at (k,k)
-                count += _count_below(r, False, table)
-    elif len(row) == 1:
-        count = 1
-    else:
-        for r in _interlace(row, len(row) - 1):
-            count += _count_below(r, True, table)
-    table[key] = count
-    return count

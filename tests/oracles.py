@@ -3,10 +3,11 @@
 Each recomputes, by a route of its own, something the package computes:
 the weight of one object, the U-turn ASMs of a shape by brute force, the
 compass-row counting identities, the interlacing rows below a GT row, the
-narrow L_e statistic of the rejected reading, variable substitution in a
-Laurent polynomial, sp_mu mod p by the Weyl character formula, the GT
-left sides mod p by a walk over pattern rows, and the transfer's test of
-whether a shape can still reach its target.  They read the package's
+number of GT patterns of a top row, the narrow L_e statistic of the
+rejected reading, variable substitution in a Laurent polynomial, sp_mu mod
+p by the Weyl character formula, the GT left sides mod p by a walk over
+pattern rows, and the transfer's test of whether a shape can still reach
+its target.  They read the package's
 public types, the weights and the GT walk also its factor tables and its
 cell, mark and row helpers, and nothing of the engine they check.  pytest
 does not collect this file; the tests import it as they import golden.py.
@@ -370,6 +371,35 @@ def interlace(above: Tuple[int, ...], length: int) -> List[Tuple[int, ...]]:
             if all(r[j] > r[j + 1] for j in range(length - 1))]
 
 
+# -- GT patterns counted row by row -----------------------------------------------
+
+
+def count_gt_patterns(lam, n: int) -> int:
+    """|GT^lambda(n)|, counted top-down over GT rows without materialising
+    patterns, by _interlace and the seed rule at (k, k).  The patterns
+    below a row depend only on that row and on whether it is barred (its
+    level is its length), so each row's count of them is worked out once a
+    call.  It reads nothing of the engine's shape graph, which counts the
+    same number as paths of shapes."""
+    lam = as_strict_partition(lam)
+    if len(lam) != n:
+        raise ValueError(f"{lam} does not have length n={n}")
+    below: Dict[Tuple[tuple, bool], int] = {}
+
+    def count(row: tuple, barred: bool) -> int:
+        key = (row, barred)
+        if key not in below:
+            if barred:  # the seed rule at (k, k)
+                below[key] = sum(count(r, False) for r in _interlace(row, len(row))
+                                 if r[-1] or row[-1])
+            elif len(row) == 1:
+                below[key] = 1
+            else:
+                below[key] = sum(count(r, True) for r in _interlace(row, len(row) - 1))
+        return below[key]
+    return count(lam, True)
+
+
 # -- GT left sides by a walk over pattern rows -------------------------------------
 
 
@@ -379,8 +409,8 @@ def gt_left_side(lam, n: int, scheme: str, points: List[Mapping[Var, int]],
     with top row lam, at each point mod prime.
 
     The rows are walked from the top row n' = lam down to row 1, by
-    _interlace and count_gtp's seed rule, and each row keeps the summed
-    weight of the pattern rows above it.  The step from row k' to row k
+    _interlace and count_gt_patterns' seed rule, and each row keeps the
+    summed weight of the pattern rows above it.  The step from row k' to row k
     reads the barred marks of level k (_mark off the diagonal, mb(k,k) >
     m(k,k) on it) and the unbarred diagonal mark (m(k,k) > 0); the step
     from row k to row (k-1)' reads the unbarred marks off the diagonal.

@@ -16,6 +16,7 @@ import pytest
 
 import golden as G
 from oracles import (
+    count_gt_patterns,
     cpm_factor_ids,
     gt_factor_ids,
     gt_left_side,
@@ -636,15 +637,25 @@ def test_pattern_and_compass_transfer_match_per_object_weights_at_rank_four():
         assert (got.values, got_objects) == (want, len(objs)), (scheme, c0_mode)
 
 
-@pytest.mark.parametrize("lam,n", sorted(
-    {(add_staircase(mu, n), n) for mu, n in KERNEL_CASES}
-    | {((9, 7, 6), 3), ((4, 3, 2, 1), 4)}))
+#: The shapes whose counts are checked against the GT row oracle.
+COUNT_CASES = sorted({(add_staircase(mu, n), n) for mu, n in KERNEL_CASES}
+                     | {((9, 7, 6), 3), ((4, 3, 2, 1), 4)})
+
+
+@pytest.mark.parametrize("lam,n", COUNT_CASES)
 def test_transfer_count_matches_gt_pattern_count(lam, n):
-    # count_gtp walks interlacing GT rows and shares no code with the
+    # the oracle walks interlacing GT rows and shares no code with the
     # transfer; (9,7,6) has 175,274 tableaux and (4,3,2,1) 10,336
     _, count, _ = _transfer((lam,), n, factor_table("ST_XY", n), modular_lift([]),
                             _shifted_cells("below"))[lam]
-    assert count == count_gtp(lam, n)
+    assert count == count_gt_patterns(lam, n)
+
+
+@pytest.mark.parametrize("lam,n", COUNT_CASES + [(G.LAMBDA, 5)])
+def test_count_gtp_matches_the_gt_row_oracle(lam, n):
+    # count_gtp reads the paths of a shape graph, the oracle counts GT rows
+    # top-down; the real case has 19,781,353,800 patterns
+    assert count_gtp(lam, n) == count_gt_patterns(lam, n)
 
 
 def test_verify_leaves_no_garbage_cycles():
@@ -751,7 +762,7 @@ class TestBigModular:
             lam = tuple(v for v in entries if v)
             if (lam == entries[:len(lam)] and lam
                     and all(a > b for a, b in zip(lam, lam[1:]))):
-                count = count_gtp(lam, len(lam))
+                count = count_gt_patterns(lam, len(lam))
                 if count <= cap:
                     fits.append(((sum(lam), lam), count))
         if not fits:
@@ -769,35 +780,32 @@ class TestBigModular:
         assert fb["cap"] == identities.FALLBACK_OBJECT_CAP
         assert fb["chosen"]["objects"] <= identities.FALLBACK_OBJECT_CAP
 
-    def test_fallback_search_counts_each_row_once(self, monkeypatch):
-        # a GT row's sub-count depends only on the row and whether it is
-        # barred, so one call expands each (row, length) once however many
-        # candidates lie above it, and keeps nothing once it returns
-        interlace, count = shapes._interlace, shapes.count_gtp
-        expanded, counted = [], []
-
-        def expanding(above, length):
-            expanded.append((above, length))
-            return interlace(above, length)
-
-        def counting(lam, n, table=None):
-            got = count(lam, n, table)
-            counted.append((lam, n, table, got))
-            return got
-
-        monkeypatch.setattr(shapes, "_interlace", expanding)
-        monkeypatch.setattr(identities, "count_gtp", counting)
+    def test_fallback_search_builds_each_graph_once(self):
+        # the requested count reads the graph of lambda, the search one graph
+        # per candidate length (five), and the fallback verify its left
+        # side's and its sp_mu's: eight graphs, all of them kept, so a second
+        # call builds none
+        identities._shape_graph.cache_clear()
         verify_big_modular((4, 3, 3), 5, trials=2, seed=1)
-        assert len(expanded) <= len(set(expanded))
-        assert len(counted) > 2
-        assert all(table is counted[0][2] is not None for _, _, table, _ in counted)
-        cold = []
-        for _ in range(2):
-            expanded.clear()
-            count((9, 7, 6, 2, 1), 5)
-            cold.append(len(expanded))
-        assert cold[0] == cold[1] > 0
-        assert all(got == count(lam, n) for lam, n, _, got in counted)
+        info = identities._shape_graph.cache_info()
+        assert info.misses == 8
+        verify_big_modular((4, 3, 3), 5, trials=2, seed=1)
+        info = identities._shape_graph.cache_info()
+        assert info.misses == 8 and info.currsize <= identities.SHAPE_GRAPHS_KEPT
+
+    @pytest.mark.parametrize("target,error", [
+        ((3, 3, 1), shapes.NotStrictError), ((3, -1), shapes.NotStrictError),
+        ("97", shapes.NotAPartitionError), ((3.0, 1), shapes.NotAPartitionError)])
+    def test_fallback_search_refuses_a_target_that_is_no_strict_partition(self, target,
+                                                                          error):
+        # (3, 3, 1) and (3, -1) were searched as if strict, and "97" and
+        # (3.0, 1) raised a bare TypeError; the target is checked before any
+        # graph is built
+        identities._shape_graph.cache_clear()
+        with pytest.raises(error):
+            largest_feasible_subshape(target, 10)
+        info = identities._shape_graph.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
     @pytest.mark.parametrize("knobs", [
         {"trials": 0}, {"prime": 65536}, {"trials": 2.5}, {"seed": True},
@@ -810,8 +818,11 @@ class TestBigModular:
         def count_gtp(*args):
             raise AssertionError("objects counted before the checks")
         monkeypatch.setattr(identities, "count_gtp", count_gtp)
+        identities._shape_graph.cache_clear()
         with pytest.raises(ModularParameterError):
             verify_big_modular((4, 3, 3), 5, **knobs)
+        info = identities._shape_graph.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
 
 class TestAmbiguities:
@@ -977,9 +988,9 @@ def test_sweeps_write_to_no_shared_value(monkeypatch):
     def snapshot():
         return ({key: {fid: f.terms for fid, f in table.items()}
                  for key, table in tables.items()},
-                {key: [(shapes, list(sources), list(dests))
-                       for shapes, sources, dests in graph]
-                 for key, graph in graphs.items()},
+                {key: ([(shapes, list(sources), list(dests))
+                        for shapes, sources, dests in letters], dict(paths))
+                 for key, (letters, paths) in graphs.items()},
                 algebra.ONE.terms, algebra.ZERO.terms)
 
     with monkeypatch.context() as patch:  # the graphs the sweeps walk
@@ -1002,7 +1013,8 @@ def test_an_unreached_target_is_a_zero_of_its_own():
                     _shifted_cells("below"))
     value, count, primed = got[(2, 2)]
     assert (EXACT.poly(value), count, primed) == (LaurentPoly.zero(), 0, 0)
-    assert all(value is not v for v in lifted) and got[(2, 1)][1] == count_gtp((2, 1), 2)
+    assert all(value is not v for v in lifted)
+    assert got[(2, 1)][1] == count_gt_patterns((2, 1), 2)
 
 
 def test_a_later_path_builds_no_product(monkeypatch):
@@ -1036,7 +1048,7 @@ def test_a_later_path_builds_no_product(monkeypatch):
     for _, named in steps:  # each distinct step's product, built once
         if named:
             reduce(operator.mul, (exact(table[fid]) ** e for fid, e in named))
-    assert got[lam][1] == count_gtp(lam, n)
+    assert got[lam][1] == count_gt_patterns(lam, n)
     assert sum(arrivals.values()) > 2 * len(arrivals)  # many later paths
     assert walked <= len(first) + calls[0]
 
@@ -1068,10 +1080,10 @@ def test_the_shape_rule_runs_once_per_shape_and_letter(monkeypatch):
             return key(c, S, T)
 
         got = _transfer([lam], n, table, exact, (rule, stepping, names))
-        assert got[lam][1] == count_gtp(lam, n)
-    graph = identities._shape_graph(checking, n, (lam,))
+        assert got[lam][1] == count_gt_patterns(lam, n)
+    letters, _ = identities._shape_graph(checking, n, (lam,))
     assert max(checks.values()) == 1
-    assert steps[0] == steps[1] == sum(len(sources) for _, sources, _ in graph)
+    assert steps[0] == steps[1] == sum(len(sources) for _, sources, _ in letters)
     assert steps[0] > 2 * len(checks)
 
 

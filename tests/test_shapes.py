@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from symptok.identities import (
     ambiguity_report,
+    count_gtp,
     rhs_factors,
     rhs_product,
     sp_mu,
@@ -22,7 +23,6 @@ from symptok.shapes import (
     as_rank,
     as_strict_partition,
     conjugate,
-    count_gtp,
     letter,
     letter_barred,
     letter_level,
@@ -169,7 +169,6 @@ def test_a_shape_that_is_no_partition_has_its_own_error(shape, message):
 RANK_TAKERS = {
     "shapes.as_rank": as_rank,
     "shapes.add_staircase": lambda n: add_staircase((), n),
-    "shapes.count_gtp": lambda n: count_gtp((1,), n),
     "tableaux.enumerate_t": lambda n: list(enumerate_t((1,), n)),
     "tableaux.enumerate_st": lambda n: list(enumerate_st((1,), n)),
     "tableaux.validate_t": lambda n: validate_t(SymplecticTableau((1,), ((1,),)), n),
@@ -177,6 +176,7 @@ RANK_TAKERS = {
     "matrices.enumerate_uasm": lambda n: list(enumerate_uasm((1,), n)),
     "weights.factor_table": lambda n: factor_table("ST_XY", n),
     "weights.cpm_q_norm_prefactor": lambda n: cpm_q_norm_prefactor(n),
+    "identities.count_gtp": lambda n: count_gtp((1,), n),
     "identities.sp_mu": lambda n: sp_mu((1,), n),
     "identities.rhs_factors": lambda n: rhs_factors("THM_ST", n),
     "identities.rhs_product": lambda n: rhs_product("THM_ST", (1,), n),

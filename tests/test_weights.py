@@ -439,7 +439,8 @@ def test_each_key_position_names_a_table_id(scheme):
             assert ids <= set(table), (n, neighbour, ids - set(table))
             named |= ids
             shapes = ((0,) * n,)
-            for c, (reached, sources, dests) in enumerate(_shape_graph(rule, n, (lam,)), 1):
+            letters, _ = _shape_graph(rule, n, (lam,))
+            for c, (reached, sources, dests) in enumerate(letters, 1):
                 assert {len(key(c, shapes[i], reached[j])[0])
                         for i, j in zip(sources, dests)} == {len(names(c))}, (n, c)
                 shapes = reached
